@@ -60,6 +60,8 @@ def param_count_extreme(m: int, n: int) -> int:
 
 def table1(m: int, n: int) -> BoundsReport:
     """Exact lower bounds plus the leading-order costs and qubit counts."""
+    if m < 0 or n < 0:
+        raise ValueError(f"m and n must be non-negative, got m={m} n={n}")
     if m < n:
         ub_measured = m * 2 ** (2 * m + 1) + 2 ** (m + n)
         qubits_measured = n

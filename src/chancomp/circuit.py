@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,22 +34,28 @@ class Gate:
     condition: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in _N_PARAMS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        nq = 2 if self.kind == CNOT else 1
-        if len(self.qubits) != nq:
-            raise ValueError(f"{self.kind} expects {nq} qubit(s)")
-        if self.kind == CNOT and self.qubits[0] == self.qubits[1]:
+        # Runs once per gate built, so the checks allocate nothing.
+        kind = self.kind
+        if kind not in _N_PARAMS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        qubits = self.qubits
+        nq = 2 if kind == CNOT else 1
+        if len(qubits) != nq:
+            raise ValueError(f"{kind} expects {nq} qubit(s)")
+        if kind == CNOT and qubits[0] == qubits[1]:
             raise ValueError("CNOT control equals target")
-        if len(self.params) != _N_PARAMS[self.kind]:
-            raise ValueError(f"{self.kind} expects {_N_PARAMS[self.kind]} angle(s)")
-        if not all(math.isfinite(p) for p in self.params):
-            raise ValueError("gate angles must be finite")
-        if self.kind == MEASURE and self.creg is None:
-            raise ValueError("MEASURE needs a classical register")
-        if self.kind in (MEASURE, RESET, TRACE) and self.condition:
-            if self.kind == MEASURE and any(r == self.creg for r, _ in self.condition):
-                raise ValueError("MEASURE conditioned on its own register")
+        if len(self.params) != _N_PARAMS[kind]:
+            raise ValueError(f"{kind} expects {_N_PARAMS[kind]} angle(s)")
+        for x in self.params:
+            if not math.isfinite(x):
+                raise ValueError("gate angles must be finite")
+        if kind == MEASURE:
+            if self.creg is None:
+                raise ValueError("MEASURE needs a classical register")
+            if self.condition:
+                for r, _ in self.condition:
+                    if r == self.creg:
+                        raise ValueError("MEASURE conditioned on its own register")
 
     def conditioned(self, extra: tuple[tuple[int, int], ...]) -> "Gate":
         cond = tuple(self.condition or ()) + tuple(extra)
@@ -78,21 +85,23 @@ class Circuit:
                 raise ValueError(f"duplicate entries in {name}")
             if any(q < 0 or q >= p for q in qs):
                 raise ValueError(f"{name} index out of range")
+        ncregs = self.num_cregs
         traced = set()
         for g in self.gates:
-            if any(q < 0 or q >= p for q in g.qubits):
-                raise ValueError("gate qubit index out of range")
-            if traced & set(g.qubits):
+            for q in g.qubits:
+                if q < 0 or q >= p:
+                    raise ValueError("gate qubit index out of range")
+            if traced and not traced.isdisjoint(g.qubits):
                 raise ValueError("gate acts on a traced-out qubit")
             if g.kind == TRACE:
                 traced.add(g.qubits[0])
-            if g.kind == MEASURE and not (0 <= g.creg < self.num_cregs):
+            elif g.kind == MEASURE and not (0 <= g.creg < ncregs):
                 raise ValueError("measure register out of range")
-            if g.condition and any(
-                r < 0 or r >= self.num_cregs for r, _ in g.condition
-            ):
-                raise ValueError("condition register out of range")
-        if traced & set(self.output_qubits):
+            if g.condition:
+                for r, _ in g.condition:
+                    if r < 0 or r >= ncregs:
+                        raise ValueError("condition register out of range")
+        if traced and not traced.isdisjoint(self.output_qubits):
             raise ValueError("traced-out qubit declared as output")
 
 
@@ -176,28 +185,30 @@ def zyz_decompose(u) -> tuple[float, float, float, float]:
     return alpha, beta, gamma, delta
 
 
+@lru_cache(maxsize=1024)
+def _cnot_perm(p: int, ctrl: int, tgt: int) -> np.ndarray:
+    """Row permutation of a CNOT on p qubits: row r of the result is row
+    perm[r] of the input (the target bit flipped where the control is 1)."""
+    rows = np.arange(2**p)
+    perm = np.where(rows & (1 << (p - 1 - ctrl)), rows ^ (1 << (p - 1 - tgt)), rows)
+    perm.flags.writeable = False
+    return perm
+
+
 def apply_unitary_gate(mat: np.ndarray, g: Gate, p: int) -> np.ndarray:
     """Left-multiply the 2^p x C matrix `mat` by the gate's embedding.
+
+    A CNOT is a cached row permutation.  A single-qubit gate on qubit q
+    views `mat` as 2^q stacked 2 x (2^(p-q-1) C) blocks, one row pair per
+    value of the q bit, and multiplies each block by the 2x2 matrix in
+    one broadcast product.  Returns a new array; `mat` is not modified.
 
     Only unitary kinds are valid here; conditions are ignored (callers
     decide whether the gate fires).
     """
-    cols = mat.shape[1]
-    t = mat.reshape((2,) * p + (cols,))
     if g.kind == CNOT:
-        ctrl, tgt = g.qubits
-        tgt_pos = tgt if tgt > ctrl else tgt + 1
-        t = np.moveaxis(np.moveaxis(t, ctrl, 0), tgt_pos, 1).copy()
-        tmp = t[1, 0].copy()
-        t[1, 0] = t[1, 1]
-        t[1, 1] = tmp
-        t = np.moveaxis(np.moveaxis(t, 1, tgt_pos), 0, ctrl)
-        return t.reshape(2**p, cols)
-    q = g.qubits[0]
-    u = gate1_matrix(g)
-    t = np.tensordot(u, t, axes=([1], [q]))      # new axis 0 is the qubit
-    t = np.moveaxis(t, 0, q)
-    return t.reshape(2**p, cols)
+        return mat[_cnot_perm(p, *g.qubits)]
+    return (gate1_matrix(g) @ mat.reshape(2 ** g.qubits[0], 2, -1)).reshape(mat.shape)
 
 
 # --- CNOT accounting ------------------------------------------------------

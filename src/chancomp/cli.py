@@ -141,13 +141,20 @@ def _cmd_compile(args) -> int:
 
 def _parse_mixture(text: str) -> ConvexMixture:
     doc = json.loads(text)
-    if "components" in doc:
-        comps = [
-            (float(c["probability"]), channel_from_json(json.dumps(c["channel"])))
-            for c in doc["components"]
-        ]
-        return ConvexMixture(comps)
-    return ConvexMixture([(1.0, channel_from_json(text))])
+    if not isinstance(doc, dict) or "components" not in doc:
+        return ConvexMixture([(1.0, channel_from_json(text))])
+    entries = doc["components"]
+    if not isinstance(entries, list):
+        raise ValueError('mixture "components" must be a list')
+    comps = []
+    for idx, c in enumerate(entries):
+        if not isinstance(c, dict) or "probability" not in c or "channel" not in c:
+            raise ValueError(f'mixture component {idx} needs "probability" and "channel"')
+        prob = c["probability"]
+        if isinstance(prob, bool) or not isinstance(prob, (int, float)) or not 0 < prob <= 1:
+            raise ValueError(f"mixture component {idx}: probability must be a number in (0, 1]")
+        comps.append((float(prob), channel_from_json(json.dumps(c["channel"]))))
+    return ConvexMixture(comps)
 
 
 def _compile_random(args, text: str) -> int:
@@ -214,6 +221,8 @@ _BOUND_FIELDS = (
 def _cmd_bounds(args) -> int:
     if args.grid:
         mmax, nmax = args.grid
+        if mmax < 0 or nmax < 0:
+            raise ValueError(f"--grid needs non-negative limits, got {mmax} {nmax}")
         rows = [bounds_mod.table1(m, n) for m in range(mmax + 1) for n in range(nmax + 1)]
         if args.csv:
             print("m,n," + ",".join(_BOUND_FIELDS))

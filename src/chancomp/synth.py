@@ -16,8 +16,6 @@ compiler relies on for uniform per-branch costs.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -37,83 +35,124 @@ class IsoCostModel:
     n_iso: Callable[[int, int], int]
 
 
+def _gray_code_angles(angles: np.ndarray) -> list[float]:
+    """Rotation angles of the Gray-code multiplexor, in emission order.
+
+    phi[i] = 2^-c sum_s (-1)^popcount(gray(i) & s) angles[s] with
+    gray(i) = i ^ (i >> 1): a Walsh-Hadamard transform read out in Gray
+    order.  The transform is a constant-geometry numpy butterfly: each of
+    the c stages writes the sums of adjacent pairs to the first half and
+    their differences to the second.  No BLAS call is made, so the result
+    cannot depend on the BLAS thread count.
+    """
+    n = angles.size
+    half = n // 2
+    w, out = angles.copy(), np.empty(n)
+    for _ in range(n.bit_length() - 1):
+        pairs = w.reshape(half, 2)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:half])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[half:])
+        w, out = out, w
+    i = np.arange(n)
+    return (w[i ^ (i >> 1)] / n).tolist()
+
+
+@lru_cache(maxsize=1024)
+def _gray_code_cnots(controls: tuple[int, ...], target: int) -> tuple[Gate, ...]:
+    """The CNOT after rotation i of the Gray-code multiplexor, for each i.
+
+    Its control is the bit that flips between gray(i) and gray(i + 1)
+    (the trailing zeros of i + 1), wrapping to the top bit after the last
+    rotation.  Gates are immutable, so one Gate per control wire serves
+    every slot, and every multiplexor, that uses it.
+    """
+    c = len(controls)
+    by_bit = [Gate(CNOT, (controls[c - 1 - bit], target)) for bit in range(c)]
+    bits = [((i + 1) & -(i + 1)).bit_length() - 1 for i in range(2**c - 1)] + [c - 1]
+    return tuple(by_bit[bit] for bit in bits)
+
+
 def multiplexed_rotation(axis: str, controls, target: int, angles) -> list[Gate]:
     """Gate list realizing the block-diagonal rotation family.
 
     For every control pattern s (controls[0] is the most significant
     bit) the target qubit sees R_axis(angles[s]).  Uses the Gray-code
     construction: exactly 2^c rotations and 2^c CNOTs for c >= 1
-    controls, a bare rotation for c = 0.
+    controls, a bare rotation for c = 0.  Rotation i carries the
+    Walsh-Hadamard coefficient of `angles` at gray(i), scaled by 2^-c.
     """
     if axis not in (RY, RZ, "Y", "Z"):
         raise ValueError("axis must be Y or Z")
     kind = RY if axis in (RY, "Y") else RZ
-    controls = list(controls)
-    c = len(controls)
+    controls = tuple(controls)
     if target in controls:
         raise ValueError("target cannot be a control")
-    angles = [float(a) for a in angles]
-    if len(angles) != 2**c:
-        raise ValueError(f"need {2**c} angles, got {len(angles)}")
-    if c == 0:
-        return [Gate(kind, (target,), (angles[0],))]
-    n = 2**c
-    phis = []
-    for i in range(n):
-        g = i ^ (i >> 1)
-        acc = 0.0
-        for s in range(n):
-            sign = -1.0 if bin(g & s).count("1") % 2 else 1.0
-            acc += sign * angles[s]
-        phis.append(acc / n)
+    angles = np.array(angles, dtype=np.float64).reshape(-1)
+    if angles.size != 2 ** len(controls):
+        raise ValueError(f"need {2 ** len(controls)} angles, got {angles.size}")
+    if not controls:
+        return [Gate(kind, (target,), (float(angles[0]),))]
     gates = []
-    for i in range(n):
-        gates.append(Gate(kind, (target,), (phis[i],)))
-        if i < n - 1:
-            bit = ((i + 1) & -(i + 1)).bit_length() - 1  # trailing zeros of i+1
-        else:
-            bit = c - 1
-        gates.append(Gate(CNOT, (controls[c - 1 - bit], target)))
+    for phi, cx in zip(_gray_code_angles(angles), _gray_code_cnots(controls, target)):
+        gates.append(Gate(kind, (target,), (phi,)))
+        gates.append(cx)
     return gates
 
 
 def _mux_cnot_first(kind: str, controls, target: int, angles) -> list[Gate]:
     """Same block-diagonal rotation, with each CNOT ahead of its rotation.
 
+    The Gray-code gate list read backwards: it is the adjoint of the
+    multiplexor for the negated angles, so it realizes the same matrix.
     The reduction applies these; after the final adjoint-and-reverse the
     emitted circuit's multiplexes then end in a bare CNOT, which is what
     lets the classicalization rewrite fire on compiled circuits.
     """
-    gates = multiplexed_rotation(kind, controls, target, [-a for a in angles])
-    return [_adjoint(g) for g in reversed(gates)]
+    return multiplexed_rotation(kind, controls, target, angles)[::-1]
 
 
-def _expand(s: int, b: int, t: int) -> int:
-    """Insert bit value t at significance b into pattern s."""
-    low = s & ((1 << b) - 1)
-    high = s >> b
-    return (high << (b + 1)) | (t << b) | low
+def _rotate_pairs(work: np.ndarray, kind: str, b: int, angles: np.ndarray) -> None:
+    """Apply a multiplexed rotation on the qubit at significance b to `work`,
+    in place, as one block update.
+
+    Every row pair that differs only in bit b is a control pattern s (the
+    other bits, high to low); the pair gets R_kind(angles[s]).  This is
+    the matrix that multiplexed_rotation and _mux_cnot_first emit.  The
+    reshape only splits the row axis of the 2^p x C `work`, so it is a
+    view for any memory layout.
+    """
+    t = work.reshape(-1, 2, 1 << b, work.shape[1])   # (high bits, bit b, low bits, col)
+    half = 0.5 * angles.reshape(-1, 1 << b, 1)
+    if kind == RZ:
+        t[:, 0] *= np.exp(-1j * half)
+        t[:, 1] *= np.exp(1j * half)
+        return
+    cos, sin = np.cos(half), np.sin(half)
+    top = t[:, 0].copy()
+    t[:, 0] = cos * top - sin * t[:, 1]
+    t[:, 1] = sin * top + cos * t[:, 1]
 
 
-def _active_patterns(j: int, b: int, p: int) -> list[int]:
+@lru_cache(maxsize=4096)
+def _active_mask(j: int, b: int, p: int) -> np.ndarray:
     """Control patterns that may need a rotation when reducing column j.
 
-    A pattern is active when the pair member on the wrong side of target
-    bit b can carry mass: it must agree with j below bit b and both pair
-    members must sit at or above row j (rows below j belong to columns
-    already reduced to basis vectors and must not be touched).
+    A pattern s (the p - 1 bits other than bit b) is active when the pair
+    member on the wrong side of target bit b can carry mass: it must
+    agree with j below bit b and both pair members must sit at or above
+    row j (rows below j belong to columns already reduced to basis
+    vectors and must not be touched).
     """
     jb = (j >> b) & 1
-    low_j = j & ((1 << b) - 1)
-    out = []
-    for s in range(1 << (p - 1)):
-        if s & ((1 << b) - 1) != low_j:
-            continue
-        w = _expand(s, b, 1 - jb)
-        r = _expand(s, b, jb)
-        if w >= j and r >= j:
-            out.append(s)
-    return out
+    low_mask = (1 << b) - 1
+    s = np.arange(1 << (p - 1))
+    low = s & low_mask
+    high = (s >> b) << (b + 1)
+    wrong = high | ((1 - jb) << b) | low
+    right = high | (jb << b) | low
+    mask = (low == (j & low_mask)) & (wrong >= j) & (right >= j)
+    mask.flags.writeable = False
+    return mask
 
 
 def _diag_gates(lams, qubits) -> list[Gate]:
@@ -130,64 +169,60 @@ def _diag_gates(lams, qubits) -> list[Gate]:
 
 
 def _adjoint(g: Gate) -> Gate:
+    # 0.0 - x rather than -x: a zero angle stays +0.0 and prints as "0".
     if g.kind == CNOT:
         return g
     if g.kind in (RY, RZ):
-        return Gate(g.kind, g.qubits, (-g.params[0],))
+        return Gate(g.kind, g.qubits, (0.0 - g.params[0],))
     if g.kind == U:
         a, b, gam, d = g.params
         if gam == 0.0 and d == 0.0:
-            return Gate(U, g.qubits, (-a, -b, 0.0, 0.0))
+            return Gate(U, g.qubits, (0.0 - a, 0.0 - b, 0.0, 0.0))
     raise ValueError(f"cannot invert {g}")
 
 
 def _reduction_segments(v: np.ndarray):
     """Per-column reduction gate lists plus the final diagonal segment.
 
-    Applying all segments in order to v yields [I; 0] exactly.
+    Applying all segments in order to v yields [I; 0] exactly.  Each
+    multiplexed Rz/Ry is emitted as its gate list but applied to the
+    working copy of v as one block update (_rotate_pairs); the angles
+    for the active patterns are read off the column pairs in bulk.
     """
     rows, cols = v.shape
     p = rows.bit_length() - 1
-    work = v.astype(np.complex128).copy()
+    work = v.astype(np.complex128)   # a fresh copy
     segments = []
     for j in range(cols):
         seg = []
         for b in range(p):
+            active = _active_mask(j, b, p)
+            if not active.any():
+                continue
             target = p - 1 - b
             controls = [q for q in range(p) if q != target]
-            active = _active_patterns(j, b, p)
-            if not active:
-                continue
-            npat = 1 << (p - 1)
+            col = work[:, j].reshape(-1, 2, 1 << b)
             # phase alignment within each active pair
-            rz = [0.0] * npat
-            for s in active:
-                a0 = work[_expand(s, b, 0), j]
-                a1 = work[_expand(s, b, 1), j]
-                if min(abs(a0), abs(a1)) >= _ZERO_AMP:
-                    rz[s] = cmath.phase(a0) - cmath.phase(a1)
-            for g in _mux_cnot_first(RZ, controls, target, rz):
-                seg.append(g)
-                work = apply_unitary_gate(work, g, p)
+            a0, a1 = col[:, 0].reshape(-1), col[:, 1].reshape(-1)
+            both = active & (np.minimum(np.abs(a0), np.abs(a1)) >= _ZERO_AMP)
+            rz = np.where(both, np.angle(a0) - np.angle(a1), 0.0)
+            seg += _mux_cnot_first(RZ, controls, target, rz)
+            _rotate_pairs(work, RZ, b, rz)
             # rotate mass onto the component matching bit b of j
-            jb = (j >> b) & 1
-            ry = [0.0] * npat
-            for s in active:
-                a0 = abs(work[_expand(s, b, 0), j])
-                a1 = abs(work[_expand(s, b, 1), j])
-                if max(a0, a1) < _ZERO_AMP:
-                    continue
-                ry[s] = 2.0 * math.atan2(a0, a1) if jb else -2.0 * math.atan2(a1, a0)
-            for g in _mux_cnot_first(RY, controls, target, ry):
-                seg.append(g)
-                work = apply_unitary_gate(work, g, p)
+            a0, a1 = np.abs(col[:, 0].reshape(-1)), np.abs(col[:, 1].reshape(-1))
+            either = active & (np.maximum(a0, a1) >= _ZERO_AMP)
+            if (j >> b) & 1:
+                ry = np.where(either, 2.0 * np.arctan2(a0, a1), 0.0)
+            else:
+                ry = np.where(either, -2.0 * np.arctan2(a1, a0), 0.0)
+            seg += _mux_cnot_first(RY, controls, target, ry)
+            _rotate_pairs(work, RY, b, ry)
         segments.append(seg)
     diag_seg = []
     if cols >= 2:
-        lams = [0.0] * (2**p)
-        for x in range(cols):
-            lams[x] = -cmath.phase(work[x, x])
-        for g in _diag_gates(lams, list(range(p))):
+        lams = np.zeros(2**p)
+        lams[:cols] = -np.angle(np.diagonal(work))
+        for g in _diag_gates(lams.tolist(), list(range(p))):
             diag_seg.append(g)
             work = apply_unitary_gate(work, g, p)
     return segments, diag_seg, work
@@ -224,7 +259,7 @@ def n_iso(m: int, n: int) -> int:
     count = 0
     for j in range(2**m):
         for b in range(p):
-            if _active_patterns(j, b, p):
+            if _active_mask(j, b, p).any():
                 count += 2 * per_multiplex
     if m >= 1 and p >= 2:
         count += 2**p - 2

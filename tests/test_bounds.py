@@ -100,3 +100,9 @@ def test_all_values_nonnegative():
                 rep.param_count_extreme, rep.ub_asymptotic_qcm,
                 rep.ub_asymptotic_random, rep.ub_asymptotic_measured,
             ) >= 0
+
+
+@pytest.mark.parametrize("m,n", [(-3, 1), (1, -1), (-1, -1)])
+def test_table1_rejects_negative_sizes(m, n):
+    with pytest.raises(ValueError, match="non-negative"):
+        table1(m, n)

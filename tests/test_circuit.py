@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from chancomp.circuit import (
     Circuit,
     CircuitParseError,
     Gate,
+    apply_unitary_gate,
     cnot_count,
+    gate1_matrix,
     parse,
     ry_matrix,
     rz_matrix,
@@ -81,24 +85,112 @@ def test_zyz_rejects_non_unitary():
         zyz_decompose(np.ones((2, 2)))
 
 
+# Every branch of Gate.__post_init__, with its exact message.
+GATE_FAULTS = [
+    (lambda: Gate("H", (0,)), "unknown gate kind 'H'"),
+    (lambda: Gate(CNOT, (0,)), "CNOT expects 2 qubit(s)"),
+    (lambda: Gate(X, (0, 1)), "X expects 1 qubit(s)"),
+    (lambda: Gate(CNOT, (1, 1)), "CNOT control equals target"),
+    (lambda: Gate(RY, (0,), (0.1, 0.2)), "RY expects 1 angle(s)"),
+    (lambda: Gate(U, (0,), (0.0,)), "U expects 4 angle(s)"),
+    (lambda: Gate(RY, (0,), (float("nan"),)), "gate angles must be finite"),
+    (lambda: Gate(RZ, (0,), (float("inf"),)), "gate angles must be finite"),
+    (lambda: Gate(U, (0,), (0.0, 0.0, -float("inf"), 0.0)), "gate angles must be finite"),
+    (lambda: Gate(MEASURE, (0,)), "MEASURE needs a classical register"),
+    (lambda: Gate(MEASURE, (0,), creg=0, condition=((1, 0), (0, 1))),
+     "MEASURE conditioned on its own register"),
+]
+
+
+# Every branch of Circuit.__post_init__, with its exact message.
+CIRCUIT_FAULTS = [
+    (lambda: Circuit(2, (1,), (0,), (Gate(TRACE, (0,)), Gate(X, (0,))), 0),
+     "gate acts on a traced-out qubit"),
+    (lambda: Circuit(2, (0,), (1,), (Gate(TRACE, (0,)), Gate(CNOT, (1, 0))), 0),
+     "gate acts on a traced-out qubit"),
+    (lambda: Circuit(2, (1, 1), (0,), (), 0), "duplicate entries in input_qubits"),
+    (lambda: Circuit(2, (0,), (1, 1), (), 0), "duplicate entries in output_qubits"),
+    (lambda: Circuit(2, (0, 5), (0,), (), 0), "input_qubits index out of range"),
+    (lambda: Circuit(2, (0,), (-1,), (), 0), "output_qubits index out of range"),
+    (lambda: Circuit(1, (0,), (0,), (Gate(X, (3,)),), 0), "gate qubit index out of range"),
+    (lambda: Circuit(2, (0,), (0,), (Gate(X, (-1,)),), 0), "gate qubit index out of range"),
+    (lambda: Circuit(2, (0,), (0,), (Gate(CNOT, (0, 2)),), 0), "gate qubit index out of range"),
+    (lambda: Circuit(2, (0,), (0,), (Gate(MEASURE, (0,), creg=1),), 1),
+     "measure register out of range"),
+    (lambda: Circuit(2, (0,), (0,), (Gate(MEASURE, (0,), creg=-1),), 1),
+     "measure register out of range"),
+    (lambda: Circuit(2, (0,), (0,), (Gate(X, (0,), condition=((2, 1),)),), 1),
+     "condition register out of range"),
+    (lambda: Circuit(2, (0,), (0,), (Gate(X, (0,), condition=((0, 1), (-1, 1))),), 1),
+     "condition register out of range"),
+    (lambda: Circuit(2, (0,), (0, 1), (Gate(TRACE, (0,)),), 0),
+     "traced-out qubit declared as output"),
+]
+
+
+def _assert_faults(cases):
+    for make, message in cases:
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+
 def test_gate_validation():
-    with pytest.raises(ValueError, match="control equals target"):
-        Gate(CNOT, (1, 1))
-    with pytest.raises(ValueError, match="angle"):
-        Gate(RY, (0,), (float("nan"),))
-    with pytest.raises(ValueError, match="register"):
-        Gate(MEASURE, (0,))
-    with pytest.raises(ValueError, match="own register"):
-        Gate(MEASURE, (0,), creg=0, condition=((0, 1),))
+    _assert_faults(GATE_FAULTS)
 
 
 def test_circuit_validation():
-    with pytest.raises(ValueError, match="traced"):
-        Circuit(2, (1,), (0,), (Gate(TRACE, (0,)), Gate(X, (0,))), 0)
-    with pytest.raises(ValueError, match="duplicate"):
-        Circuit(2, (1, 1), (0,), (), 0)
-    with pytest.raises(ValueError, match="out of range"):
-        Circuit(1, (0,), (0,), (Gate(X, (3,)),), 0)
+    _assert_faults(CIRCUIT_FAULTS)
+
+
+def test_circuit_validation_accepts_well_formed():
+    gates = (Gate(TRACE, (0,)), Gate(MEASURE, (1,), creg=0),
+             Gate(X, (1,), condition=((0, 1),)), Gate(RESET, (2,), condition=((0, 0),)))
+    c = Circuit(3, (0,), (1, 2), gates, 1)
+    assert c.gates == gates
+
+
+X_MAT = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def dense_gate(g, p):
+    """Independent oracle: the gate's 2^p x 2^p embedding built with np.kron
+    (qubit 0 is the leftmost factor)."""
+    eye = np.eye(2)
+    if g.kind == CNOT:
+        ctrl, tgt = g.qubits
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        idle = [p0 if q == ctrl else eye for q in range(p)]
+        flip = [p1 if q == ctrl else (X_MAT if q == tgt else eye) for q in range(p)]
+        return reduce(np.kron, idle) + reduce(np.kron, flip)
+    u = gate1_matrix(g)
+    return reduce(np.kron, [u if q == g.qubits[0] else eye for q in range(p)])
+
+
+def all_unitary_gates(p):
+    for q in range(p):
+        yield Gate(RX, (q,), (0.7,))
+        yield Gate(RY, (q,), (-1.3,))
+        yield Gate(RZ, (q,), (2.1,))
+        yield Gate(U, (q,), (0.4, -0.9, 1.7, 2.6))
+        yield Gate(X, (q,))
+    for ctrl in range(p):
+        for tgt in range(p):
+            if ctrl != tgt:
+                yield Gate(CNOT, (ctrl, tgt))
+
+
+@pytest.mark.parametrize("cols", [1, 3, 8])
+@pytest.mark.parametrize("p", range(1, 7))
+def test_apply_unitary_gate_matches_dense_kron(p, cols):
+    rng = np.random.default_rng(10 * p + cols)
+    mat = rng.standard_normal((2**p, cols)) + 1j * rng.standard_normal((2**p, cols))
+    before = mat.copy()
+    for g in all_unitary_gates(p):
+        got = apply_unitary_gate(mat, g, p)
+        assert got.shape == mat.shape
+        assert np.max(np.abs(got - dense_gate(g, p) @ mat)) <= 1e-13, g
+    assert np.array_equal(mat, before)  # the input is never written
 
 
 def test_cnot_count_empty_and_single():

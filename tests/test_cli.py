@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chancomp
 from chancomp.channel import channel_to_json, random_channel
 from chancomp.cli import run
 from chancomp.circuit import parse
@@ -91,6 +96,56 @@ def test_compile_random_rejects_bad_component(tmp_path):
     assert run(["compile", "--model", "random", "--in", str(src), "--out", str(out)]) == 1
 
 
+MIX_CHANNEL = json.loads(channel_to_json(random_channel(1, 1, 2, seed=4)))
+
+
+@pytest.mark.parametrize("component", [
+    {"channel": MIX_CHANNEL},
+    {"probability": 1.0},
+    {"probability": "0.5", "channel": MIX_CHANNEL},
+    {"probability": None, "channel": MIX_CHANNEL},
+    {"probability": True, "channel": MIX_CHANNEL},
+    {"probability": float("nan"), "channel": MIX_CHANNEL},
+    {"probability": 0, "channel": MIX_CHANNEL},
+    "not an object",
+])
+def test_compile_random_rejects_malformed_mixture(tmp_path, capsys, component):
+    doc = {"components": [component, {"probability": 1.0, "channel": MIX_CHANNEL}]}
+    src = tmp_path / "mix.json"
+    src.write_text(json.dumps(doc))
+    code = run(["compile", "--model", "random", "--in", str(src),
+                "--out", str(tmp_path / "m.qcirc")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: mixture component 0")
+
+
+def test_compile_random_rejects_non_list_components(tmp_path, capsys):
+    src = tmp_path / "mix.json"
+    src.write_text(json.dumps({"components": {"probability": 1.0}}))
+    assert run(["compile", "--model", "random", "--in", str(src),
+                "--out", str(tmp_path / "m.qcirc")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_compile_is_byte_identical_across_blas_thread_counts(tmp_path):
+    src = tmp_path / "ch.json"
+    src.write_text(channel_to_json(random_channel(2, 3, 8, seed=12)))
+    src_dir = str(pathlib.Path(chancomp.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        out = tmp_path / f"t{threads}.qcirc"
+        proc = subprocess.run(
+            [sys.executable, "-m", "chancomp.cli", "compile", "--model", "measured",
+             "--in", str(src), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_size_cap(tmp_path):
     ks = random_channel(3, 3, 8, seed=3)  # m+n+k = 9
     src = tmp_path / "big.json"
@@ -150,6 +205,18 @@ def test_bounds_grid_csv(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("m,n,lb_qcm")
     assert len(lines) == 1 + 9
+
+
+@pytest.mark.parametrize("argv", [
+    ["--m", "-3", "--n", "1"],
+    ["--m", "1", "--n", "-1"],
+    ["--grid", "-1", "2"],
+])
+def test_bounds_rejects_negative_sizes(capsys, argv):
+    assert run(["bounds", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_fit_identity(tmp_path, capsys):

@@ -1,11 +1,28 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
-from chancomp.circuit import CNOT, RY, RZ, Circuit, cnot_count, ry_matrix, rz_matrix
+from chancomp.circuit import (
+    CNOT,
+    RY,
+    RZ,
+    U,
+    Circuit,
+    Gate,
+    apply_unitary_gate,
+    cnot_count,
+    ry_matrix,
+    rz_matrix,
+)
 from chancomp.linalg import frob_distance_up_to_phase, qr_rectangular
 from chancomp.simulator import simulate_unitary
 from chancomp.synth import (
+    _adjoint,
+    _mux_cnot_first,
     _reduction_segments,
+    _rotate_pairs,
     builtin_cost_model,
     decompose_isometry,
     multiplexed_rotation,
@@ -144,8 +161,6 @@ def test_column_by_column_invariant():
     rng = np.random.default_rng(23)
     v = random_isometry(8, 4, rng)
     segments, diag_seg, reduced = _reduction_segments(v)
-    from chancomp.circuit import apply_unitary_gate
-
     work = v.copy()
     for j, seg in enumerate(segments):
         for g in seg:
@@ -182,3 +197,145 @@ def test_worst_case_count_equals_plain_count_for_unconditioned():
     circ = decompose_isometry(v)
     worst, uniform = cnot_count(circ)
     assert uniform and worst == count_cnots(circ)
+
+
+# --- loop-form reference of the synthesizer ---------------------------------
+
+
+def direct_gray_angles(angles):
+    """phi[i] = 2^-c sum_s (-1)^popcount(gray(i) & s) angles[s], term by term."""
+    n = len(angles)
+    phis = []
+    for i in range(n):
+        g = i ^ (i >> 1)
+        acc = 0.0
+        for s in range(n):
+            acc += (-1.0 if bin(g & s).count("1") % 2 else 1.0) * angles[s]
+        phis.append(acc / n)
+    return phis
+
+
+def reference_multiplex(kind, controls, target, angles):
+    """Gray-code multiplexor with the angles from the direct formula."""
+    c = len(controls)
+    if c == 0:
+        return [Gate(kind, (target,), (float(angles[0]),))]
+    gates = []
+    for i, phi in enumerate(direct_gray_angles(angles)):
+        gates.append(Gate(kind, (target,), (phi,)))
+        bit = ((i + 1) & -(i + 1)).bit_length() - 1 if i < 2**c - 1 else c - 1
+        gates.append(Gate(CNOT, (controls[c - 1 - bit], target)))
+    return gates
+
+
+def reference_diag(lams, qubits):
+    if len(qubits) == 1:
+        lo, hi = lams
+        return [Gate(U, (qubits[0],), ((lo + hi) / 2.0, hi - lo, 0.0, 0.0))]
+    half = len(lams) // 2
+    thetas = [lams[2 * s + 1] - lams[2 * s] for s in range(half)]
+    means = [(lams[2 * s + 1] + lams[2 * s]) / 2.0 for s in range(half)]
+    return (reference_multiplex(RZ, qubits[:-1], qubits[-1], thetas)
+            + reference_diag(means, qubits[:-1]))
+
+
+def reference_decompose(v):
+    """The reduction written as loops: per-pattern angles from cmath/math,
+    and every emitted gate applied to the working copy one at a time."""
+    rows, cols = v.shape
+    p = rows.bit_length() - 1
+    work = v.astype(complex)
+    reduction = []
+
+    def emit(gates):
+        nonlocal work
+        for g in gates:
+            reduction.append(g)
+            work = apply_unitary_gate(work, g, p)
+
+    for j in range(cols):
+        for b in range(p):
+            target = p - 1 - b
+            controls = [q for q in range(p) if q != target]
+            jb = (j >> b) & 1
+            low_j = j & ((1 << b) - 1)
+            pairs = []
+            for s in range(1 << (p - 1)):
+                r0 = ((s >> b) << (b + 1)) | (s & ((1 << b) - 1))
+                r1 = r0 | (1 << b)
+                if s & ((1 << b) - 1) == low_j and r0 >= j and r1 >= j:
+                    pairs.append((s, r0, r1))
+            if not pairs:
+                continue
+            rz = [0.0] * (1 << (p - 1))
+            for s, r0, r1 in pairs:
+                a0, a1 = work[r0, j], work[r1, j]
+                if min(abs(a0), abs(a1)) >= 1e-12:
+                    rz[s] = cmath.phase(a0) - cmath.phase(a1)
+            emit(_adjoint(g) for g in
+                 reversed(reference_multiplex(RZ, controls, target, [-a for a in rz])))
+            ry = [0.0] * (1 << (p - 1))
+            for s, r0, r1 in pairs:
+                a0, a1 = abs(work[r0, j]), abs(work[r1, j])
+                if max(a0, a1) >= 1e-12:
+                    ry[s] = 2.0 * math.atan2(a0, a1) if jb else -2.0 * math.atan2(a1, a0)
+            emit(_adjoint(g) for g in
+                 reversed(reference_multiplex(RY, controls, target, [-a for a in ry])))
+    if cols >= 2:
+        lams = [-cmath.phase(work[x, x]) if x < cols else 0.0 for x in range(rows)]
+        emit(reference_diag(lams, list(range(p))))
+    return [_adjoint(g) for g in reversed(reduction)]
+
+
+@pytest.mark.parametrize("c", range(8))
+def test_gray_code_angles_match_direct_formula(c):
+    rng = np.random.default_rng(40 + c)
+    angles = rng.uniform(-np.pi, np.pi, 2**c)
+    gates = multiplexed_rotation(RZ, list(range(1, c + 1)), 0, angles)
+    got = [g.params[0] for g in gates if g.kind == RZ]
+    want = direct_gray_angles(list(angles)) if c else list(angles)
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-13
+    assert all(type(x) is float for x in got)
+
+
+@pytest.mark.parametrize("kind", [RY, RZ])
+@pytest.mark.parametrize("p", range(1, 6))
+def test_block_update_matches_gate_by_gate(kind, p):
+    rng = np.random.default_rng(7 * p + (kind == RY))
+    cols = 3
+    for b in range(p):
+        target = p - 1 - b
+        controls = [q for q in range(p) if q != target]
+        angles = rng.uniform(-np.pi, np.pi, 2 ** (p - 1))
+        angles[rng.random(angles.size) < 0.3] = 0.0
+        start = rng.standard_normal((2**p, cols)) + 1j * rng.standard_normal((2**p, cols))
+        for gates in (_mux_cnot_first(kind, controls, target, angles),
+                      multiplexed_rotation(kind, controls, target, angles)):
+            want = start
+            for g in gates:
+                want = apply_unitary_gate(want, g, p)
+            got = start.copy()
+            _rotate_pairs(got, kind, b, angles)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "rows,cols", [(2, 1), (2, 2), (4, 2), (8, 4), (16, 16), (32, 1), (64, 8), (256, 2)]
+)
+def test_decompose_matches_loop_reference(rows, cols):
+    rng = np.random.default_rng(rows + 3 * cols)
+    v = random_isometry(rows, cols, rng)
+    got = decompose_isometry(v).gates
+    want = reference_decompose(v)
+    assert [(g.kind, g.qubits, g.condition) for g in got] == \
+        [(g.kind, g.qubits, g.condition) for g in want]
+    err = max((abs(a - b) for g, h in zip(got, want) for a, b in zip(g.params, h.params)),
+              default=0.0)
+    assert err <= 1e-12
+
+
+def test_decompose_fortran_ordered_input():
+    rng = np.random.default_rng(61)
+    v = np.asfortranarray(random_isometry(16, 4, rng))
+    got = simulate_unitary(decompose_isometry(v))
+    assert np.linalg.norm(got - v) < 1e-10
