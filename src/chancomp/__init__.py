@@ -18,14 +18,12 @@ from .bounds import (
 )
 from .channel import (
     ChoiMatrix,
-    DilationIsometry,
     KrausSet,
     channel_from_json,
     channel_to_json,
     choi_distance,
     choi_from_kraus,
     is_extreme,
-    kraus_equivalent,
     kraus_from_choi,
     kraus_rank,
     random_channel,
@@ -49,13 +47,9 @@ from .compiler import (
     plan_measured,
     predict_upper_bound,
     verify_circuit,
+    verify_mixture,
 )
-from .linalg import (
-    complete_to_unitary,
-    frob_distance_up_to_phase,
-    partial_trace,
-    qr_rectangular,
-)
+from .linalg import partial_trace, qr_rectangular
 from .rewrite import classicalize_controls, drop_dead_unitaries, standard_passes
 from .simulator import (
     BranchOperator,
@@ -64,7 +58,7 @@ from .simulator import (
     outcome_distribution,
     simulate_unitary,
 )
-from .synth import IsoCostModel, builtin_cost_model, decompose_isometry, multiplexed_rotation, n_iso
+from .synth import decompose_isometry, multiplexed_rotation, n_iso
 from .templates import TEMPLATES, Template, fit, instantiate
 
 __version__ = "0.1.0"

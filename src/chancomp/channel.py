@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import partial_trace, qr_rectangular
+from .linalg import MAX_DENSE_ENTRIES, partial_trace, qr_rectangular
 
 TP_ATOL = 1e-9
 RANK_RTOL = 1e-9
@@ -39,6 +39,8 @@ class KrausSet:
         for a in mats:
             if a.shape != (dn, dm):
                 raise ValueError(f"Kraus operator shape {a.shape} != ({dn}, {dm})")
+            if not np.isfinite(a).all():
+                raise ValueError("Kraus operators contain non-finite entries")
         s = sum(a.conj().T @ a for a in mats)
         if np.linalg.norm(s - np.eye(dm)) >= atol:
             raise ValueError("Kraus operators are not trace preserving")
@@ -77,16 +79,6 @@ class ChoiMatrix:
         object.__setattr__(self, "j", j)
 
 
-@dataclass(frozen=True)
-class DilationIsometry:
-    """Stacked-Kraus isometry V from m qubits to n+k qubits."""
-
-    m: int
-    n: int
-    k: int
-    v: np.ndarray = field(repr=False)
-
-
 def choi_from_kraus(ks: KrausSet) -> ChoiMatrix:
     """J = sum over Kraus operators of |vec(A)><vec(A)|."""
     d = 2 ** (ks.m + ks.n)
@@ -117,11 +109,8 @@ def kraus_from_choi(c: ChoiMatrix, tol: float = RANK_RTOL) -> KrausSet:
     return KrausSet(c.m, c.n, ops)
 
 
-def kraus_rank(ks: KrausSet, tol: float = RANK_RTOL) -> int:
-    c = choi_from_kraus(ks)
-    evals = np.linalg.eigvalsh(c.j)
-    tr = float(np.trace(c.j).real)
-    return int(np.sum(evals > tol * tr))
+def kraus_rank(ks: KrausSet) -> int:
+    return kraus_from_choi(choi_from_kraus(ks)).K
 
 
 def is_extreme(ks: KrausSet) -> bool:
@@ -139,25 +128,19 @@ def is_extreme(ks: KrausSet) -> bool:
     return rank == k * k
 
 
-def kraus_equivalent(a: KrausSet, b: KrausSet, tol: float = 1e-8) -> bool:
-    if (a.m, a.n) != (b.m, b.n):
-        raise ValueError("channel dimensions differ")
-    return choi_distance(choi_from_kraus(a), choi_from_kraus(b)) < tol
-
-
 def choi_distance(a: ChoiMatrix, b: ChoiMatrix) -> float:
     return float(np.linalg.norm(a.j - b.j))
 
 
-def stinespring_isometry(ks: KrausSet, minimize: bool = True, force_k: int | None = None) -> DilationIsometry:
-    """Stack the Kraus operators into an isometry from m to n+k qubits.
+def stinespring_isometry(ks: KrausSet, force_k: int | None = None) -> tuple[np.ndarray, int]:
+    """(V, k): the minimal Kraus form stacked into an isometry V from m
+    to n+k qubits.
 
-    By default the set is first reduced to minimal Kraus form, so
-    k = ceil(log2 K') is as small as possible.  The stack is padded
-    with zero blocks up to 2^k operators.  `force_k` allows a larger
-    environment than the minimal one.
+    k = ceil(log2 K) for the Kraus rank K is as small as possible; the
+    stack is padded with zero blocks up to 2^k operators.  `force_k`
+    allows a larger environment than the minimal one.
     """
-    base = kraus_from_choi(choi_from_kraus(ks)) if minimize else ks
+    base = kraus_from_choi(choi_from_kraus(ks))
     kk = base.K
     k = max(kk - 1, 0).bit_length()  # ceil(log2 kk)
     if force_k is not None:
@@ -168,8 +151,7 @@ def stinespring_isometry(ks: KrausSet, minimize: bool = True, force_k: int | Non
         np.zeros((2**base.n, 2**base.m), dtype=np.complex128)
         for _ in range(2**k - kk)
     ]
-    v = np.vstack(ops)
-    return DilationIsometry(base.m, base.n, k, v)
+    return np.vstack(ops), k
 
 
 def random_channel(m: int, n: int, kr: int, seed: int) -> KrausSet:
@@ -178,18 +160,20 @@ def random_channel(m: int, n: int, kr: int, seed: int) -> KrausSet:
     Samples a complex Gaussian matrix, orthonormalizes it into an
     isometry and unstacks the blocks.  Feasibility requires
     kr * 2^n >= 2^m (a rank-kr channel from m to n qubits exists iff
-    this holds).
+    this holds), and the sample must fit the dense-allocation cap.
     """
     if kr < 1 or kr > 2 ** (m + n):
         raise ValueError("Kraus rank out of range")
     if kr * 2**n < 2**m:
         raise ValueError(f"no channel from {m} to {n} qubits has Kraus rank {kr}")
+    if kr * 2 ** (m + n) > MAX_DENSE_ENTRIES:
+        raise ValueError(f"a rank-{kr} channel from {m} to {n} qubits exceeds the "
+                         f"cap of {MAX_DENSE_ENTRIES} dense matrix entries")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((kr * 2**n, 2**m)) + 1j * rng.standard_normal(
         (kr * 2**n, 2**m)
     )
-    q, _ = qr_rectangular(g)
-    v = q[:, : 2**m]
+    v, _ = qr_rectangular(g)
     ops = [v[i * 2**n : (i + 1) * 2**n, :] for i in range(kr)]
     return KrausSet(m, n, ops)
 
@@ -207,14 +191,12 @@ def _matrix_from_json(rows) -> np.ndarray:
     )
 
 
-def channel_to_json(ks: KrausSet, include_choi: bool = False) -> str:
+def channel_to_json(ks: KrausSet) -> str:
     doc = {
         "m": ks.m,
         "n": ks.n,
         "kraus": [_matrix_to_json(a) for a in ks.ops],
     }
-    if include_choi:
-        doc["choi"] = _matrix_to_json(choi_from_kraus(ks).j)
     return json.dumps(doc, indent=1)
 
 

@@ -57,14 +57,6 @@ class Gate:
                     if r == self.creg:
                         raise ValueError("MEASURE conditioned on its own register")
 
-    def conditioned(self, extra: tuple[tuple[int, int], ...]) -> "Gate":
-        cond = tuple(self.condition or ()) + tuple(extra)
-        return Gate(self.kind, self.qubits, self.params, self.creg, cond or None)
-
-    def shifted(self, mapping) -> "Gate":
-        return Gate(self.kind, tuple(mapping[q] for q in self.qubits),
-                    self.params, self.creg, self.condition)
-
 
 @dataclass(frozen=True)
 class Circuit:

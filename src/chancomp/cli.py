@@ -19,7 +19,6 @@ from .channel import (
     KrausSet,
     channel_from_json,
     channel_to_json,
-    choi_from_kraus,
     is_extreme,
     kraus_rank,
     random_channel,
@@ -31,11 +30,10 @@ from .compiler import (
     compile_measured,
     compile_qcm,
     compile_random_qcm,
-    mixture_choi,
     verify_circuit,
+    verify_mixture,
 )
 from .rewrite import standard_passes
-from .simulator import circuit_to_kraus
 from .templates import TEMPLATES, fit, instantiate
 
 SIZE_CAP = 8
@@ -118,7 +116,7 @@ def _cmd_compile(args) -> int:
     if args.model == "random":
         return _compile_random(args, text)
     ks = channel_from_json(text)
-    k = stinespring_isometry(ks, force_k=args.k).k
+    _, k = stinespring_isometry(ks, force_k=args.k)
     if ks.m + ks.n + k > SIZE_CAP:
         print(f"error: m+n+k = {ks.m + ks.n + k} exceeds the supported cap of {SIZE_CAP}",
               file=sys.stderr)
@@ -160,7 +158,7 @@ def _parse_mixture(text: str) -> ConvexMixture:
 def _compile_random(args, text: str) -> int:
     mix = _parse_mixture(text)
     for _, ks in mix.components:
-        k = stinespring_isometry(ks).k
+        _, k = stinespring_isometry(ks)
         if ks.m + ks.n + k > SIZE_CAP:
             print(f"error: component exceeds the m+n+k <= {SIZE_CAP} cap", file=sys.stderr)
             return 1
@@ -176,8 +174,7 @@ def _compile_random(args, text: str) -> int:
             print(f"component={idx} p={prob!r} " + _report_line(circ, None))
     dist = None
     if not args.no_verify:
-        j = sum(p * choi_from_kraus(circuit_to_kraus(c)).j for p, c in compiled)
-        dist = float(np.linalg.norm(j - mixture_choi(mix).j))
+        dist = verify_mixture(compiled, mix)
         if args.report:
             print(f"mixture choi_dist={dist:.3e}")
         if dist >= VERIFY_TOL:

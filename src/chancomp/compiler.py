@@ -21,17 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (
-    ChoiMatrix,
-    KrausSet,
-    choi_distance,
-    choi_from_kraus,
-    kraus_rank,
-    stinespring_isometry,
-)
+from .channel import KrausSet, choi_distance, choi_from_kraus, stinespring_isometry
 from .circuit import MEASURE, RESET, TRACE, Circuit, Gate
 from .linalg import is_isometry, qr_rectangular
-from .synth import IsoCostModel, builtin_cost_model, decompose_isometry
+from .synth import decompose_isometry, n_iso
 
 PLAN_ATOL = 1e-9
 
@@ -78,10 +71,10 @@ class ConvexMixture:
         return self.components[0][1].n
 
 
-def plan_measured(ks: KrausSet, force_k: int | None = None, minimize: bool = True) -> CompilePlan:
+def plan_measured(ks: KrausSet, force_k: int | None = None) -> CompilePlan:
     """QR recursion of the stacked dilation into rounds and residuals."""
-    dil = stinespring_isometry(ks, minimize=minimize, force_k=force_k)
-    m, n, k, v = ks.m, ks.n, dil.k, dil.v
+    v, k = stinespring_isometry(ks, force_k=force_k)
+    m, n = ks.m, ks.n
     if k == 0 or n + k == m:
         return CompilePlan(m, n, k, n + k - m, 0, (), {"": v}, k)
     k_tilde = k if m < n else n + k - m - 1
@@ -94,12 +87,10 @@ def plan_measured(ks: KrausSet, force_k: int | None = None, minimize: bool = Tru
         for s in sorted(prefixes):
             q = prefixes[s]
             half = q.shape[0] // 2
-            dm = 2**m
             blocks = []
             for b, part in enumerate((q[:half], q[half:])):
-                qf, r = qr_rectangular(part)
-                blocks.append(r[:dm])
-                children[s + str(b)] = qf[:, :dm]
+                children[s + str(b)], r = qr_rectangular(part)
+                blocks.append(r)
             g = np.vstack(blocks)
             if not is_isometry(g, PLAN_ATOL):
                 raise ValueError("rank/shape mismatch in QR recursion")
@@ -132,7 +123,10 @@ def reconstruct_dilation(plan: CompilePlan) -> np.ndarray:
 
 
 def _place(block: Circuit, mapping: dict, cond: tuple) -> list[Gate]:
-    return [g.shifted(mapping).conditioned(cond) for g in block.gates]
+    """The block's gates on the mapped qubits, each also conditioned on `cond`."""
+    return [Gate(g.kind, tuple(mapping[q] for q in g.qubits), g.params, g.creg,
+                 ((g.condition or ()) + cond) or None)
+            for g in block.gates]
 
 
 def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
@@ -182,46 +176,43 @@ def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
     return Circuit(p, inputs, outputs, tuple(gates), num_cregs=k)
 
 
-def compile_qcm(ks: KrausSet, force_k: int | None = None) -> Circuit:
-    """Plain dilation circuit: synthesize V on n+k qubits, trace out k."""
-    dil = stinespring_isometry(ks, force_k=force_k)
-    m, n, k = ks.m, ks.n, dil.k
-    block = decompose_isometry(dil.v)
-    gates = list(block.gates)
+def _dilation_circuit(m: int, n: int, v: np.ndarray, k: int) -> Circuit:
+    """Synthesize the dilation V on n+k qubits and trace out the first k."""
+    gates = list(decompose_isometry(v).gates)
     gates.extend(Gate(TRACE, (q,)) for q in range(k))
     return Circuit(n + k, tuple(range(n + k - m, n + k)), tuple(range(k, n + k)),
                    tuple(gates), 0)
 
 
+def compile_qcm(ks: KrausSet, force_k: int | None = None) -> Circuit:
+    """Plain dilation circuit: synthesize V on n+k qubits, trace out k."""
+    v, k = stinespring_isometry(ks, force_k=force_k)
+    return _dilation_circuit(ks.m, ks.n, v, k)
+
+
 def compile_random_qcm(mix: ConvexMixture) -> list[tuple[float, Circuit]]:
     """One dilation circuit per mixture component.
 
-    Components must have Kraus rank at most 2^m so that m+n qubits
-    suffice for each of them.
+    Components must have Kraus rank at most 2^m (k <= m) so that m+n
+    qubits suffice for each of them; every component is checked before
+    any is synthesized.
     """
-    out = []
-    for prob, ks in mix.components:
-        if kraus_rank(ks) > 2**ks.m:
-            raise ValueError("component not implementable in m+n qubits")
-        out.append((prob, compile_qcm(ks)))
-    return out
+    dilations = [stinespring_isometry(ks) for _, ks in mix.components]
+    if any(k > mix.m for _, k in dilations):
+        raise ValueError("component not implementable in m+n qubits")
+    return [(prob, _dilation_circuit(mix.m, mix.n, v, k))
+            for (prob, _), (v, k) in zip(mix.components, dilations)]
 
 
-def mixture_choi(mix: ConvexMixture) -> ChoiMatrix:
-    j = sum(p * choi_from_kraus(ks).j for p, ks in mix.components)
-    return ChoiMatrix(mix.m, mix.n, j)
-
-
-def predict_upper_bound(m: int, n: int, k: int, cost: IsoCostModel | None = None) -> int:
-    """Worst-case CNOT count of the measured pipeline under a cost model."""
-    cost = cost or builtin_cost_model()
+def predict_upper_bound(m: int, n: int, k: int) -> int:
+    """Worst-case CNOT count of the measured pipeline."""
     if k == 0:
-        return cost.n_iso(m, n)
+        return n_iso(m, n)
     if n + k == m:
-        return cost.n_iso(m, m)
+        return n_iso(m, m)
     if m < n:
-        return k * cost.n_iso(m, m + 1) + cost.n_iso(m, n)
-    return (k + n - m) * cost.n_iso(m, m + 1)
+        return k * n_iso(m, m + 1) + n_iso(m, n)
+    return (k + n - m) * n_iso(m, m + 1)
 
 
 def verify_circuit(circ: Circuit, ks: KrausSet) -> float:
@@ -229,3 +220,12 @@ def verify_circuit(circ: Circuit, ks: KrausSet) -> float:
     from .simulator import circuit_to_kraus
 
     return choi_distance(choi_from_kraus(circuit_to_kraus(circ)), choi_from_kraus(ks))
+
+
+def verify_mixture(compiled: list[tuple[float, Circuit]], mix: ConvexMixture) -> float:
+    """Choi distance between the weighted compiled circuits and the mixture."""
+    from .simulator import circuit_to_kraus
+
+    got = sum(p * choi_from_kraus(circuit_to_kraus(c)).j for p, c in compiled)
+    want = sum(p * choi_from_kraus(ks).j for p, ks in mix.components)
+    return float(np.linalg.norm(got - want))

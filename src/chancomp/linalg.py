@@ -1,4 +1,4 @@
-"""Dense complex matrix kernel: rectangular QR, unitary completion, partial trace, norms.
+"""Dense complex matrix kernel: rectangular QR, isometry check, partial trace.
 
 All matrices are numpy arrays of dtype complex128.  Qubit 0 is the most
 significant bit of a basis index throughout the package.
@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 ISOMETRY_ATOL = 1e-9
+# Largest dense complex128 array the package allocates: 2^20 entries, 16 MiB.
+MAX_DENSE_ENTRIES = 2**20
 
 
 def _as_complex(a) -> np.ndarray:
@@ -19,51 +21,25 @@ def _as_complex(a) -> np.ndarray:
 
 
 def qr_rectangular(b) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR of a tall matrix b (rows >= cols).
+    """Reduced QR of a tall matrix b (rows >= cols), by LAPACK.
 
-    Returns (q, r) with q a full square unitary and r = [T; 0; ...] upper
-    triangular in its top cols x cols block, with a real nonnegative
-    diagonal.  The sign convention makes the output deterministic; an
-    exactly zero pivot column is skipped (identity reflection), so
-    rank-deficient inputs are fine and produce zero diagonal entries.
+    Returns (q, r) with q @ r = b: q is rows x cols with orthonormal
+    columns and r is cols x cols upper triangular with a real
+    nonnegative diagonal.  That convention makes the factors unique for
+    full-rank b.  For rank-deficient b they are not unique: q still has
+    orthonormal columns and r has (near-)zero diagonal entries.
     """
     b = _as_complex(b)
-    p, c = b.shape
-    if p < c:
+    if b.shape[0] < b.shape[1]:
         raise ValueError("non-tall matrix")
-    q = np.eye(p, dtype=np.complex128)
-    r = b.copy()
-    for j in range(c):
-        x = r[j:, j]
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        v = x.copy()
-        sign = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        v[0] += sign * nx
-        v /= np.linalg.norm(v)
-        # H = I - 2 v v^dag applied from the left to r, from the right to q
-        r[j:, :] -= 2.0 * np.outer(v, v.conj() @ r[j:, :])
-        q[:, j:] -= 2.0 * np.outer(q[:, j:] @ v, v.conj())
-    # rotate phases so diag(r) is real and >= 0
-    for j in range(c):
-        d = r[j, j]
-        if abs(d) > 0.0:
-            ph = d / abs(d)
-            r[j, :] *= ph.conjugate()
-            q[:, j] *= ph
-    # kill roundoff below the diagonal
-    for j in range(c):
-        r[j + 1:, j] = 0.0
-        if r[j, j].real < 0.0 or r[j, j].imag != 0.0:
-            r[j, j] = complex(max(r[j, j].real, 0.0), 0.0)
-    # the trailing columns of q multiply only zero rows of r; normalize
-    # their phase (largest entry real positive) so output is canonical
-    for j in range(c, p):
-        idx = int(np.argmax(np.abs(q[:, j])))
-        d = q[idx, j]
-        if abs(d) > 0.0:
-            q[:, j] *= d.conjugate() / abs(d)
+    q, r = np.linalg.qr(b)
+    d = np.diagonal(r)
+    mag = np.abs(d)
+    phase = np.ones_like(d)
+    np.divide(d, mag, out=phase, where=mag > 0.0)
+    q *= phase
+    r *= phase.conj()[:, None]
+    np.fill_diagonal(r, mag)
     return q, r
 
 
@@ -71,41 +47,6 @@ def is_isometry(v, atol: float = ISOMETRY_ATOL) -> bool:
     v = np.asarray(v, dtype=np.complex128)
     g = v.conj().T @ v
     return bool(np.linalg.norm(g - np.eye(v.shape[1])) < atol)
-
-
-def complete_to_unitary(v) -> np.ndarray:
-    """Extend the columns of an isometry v to a full unitary.
-
-    The first v.shape[1] columns of the result are v itself, bit for bit.
-    Remaining columns come from Gram-Schmidt over the standard basis in
-    index order, skipping candidates whose residual is below 1e-6, which
-    makes the completion deterministic.
-    """
-    v = _as_complex(v)
-    p, c = v.shape
-    if not is_isometry(v):
-        raise ValueError("not an isometry")
-    cols = [v[:, j] for j in range(c)]
-    for cand in range(p):
-        if len(cols) == p:
-            break
-        w = np.zeros(p, dtype=np.complex128)
-        w[cand] = 1.0
-        for u in cols:
-            w -= u * (u.conj() @ w)
-        nw = np.linalg.norm(w)
-        if nw < 1e-6:
-            continue
-        w /= nw
-        # second orthogonalization pass for numerical hygiene
-        for u in cols:
-            w -= u * (u.conj() @ w)
-        cols.append(w / np.linalg.norm(w))
-    if len(cols) != p:
-        raise ValueError("not an isometry")
-    out = np.column_stack(cols)
-    out[:, :c] = v
-    return out
 
 
 def partial_trace(rho, keep) -> np.ndarray:
@@ -130,26 +71,3 @@ def partial_trace(rho, keep) -> np.ndarray:
         t = np.trace(t, axis1=ax, axis2=ax + (p - k))
     dk = 2 ** len(keep)
     return t.reshape(dk, dk)
-
-
-def frob_distance_up_to_phase(a, b) -> float:
-    """min over phi of ||a - e^{i phi} b||_F.
-
-    Equals sqrt(||a||^2 + ||b||^2 - 2 |tr(a^dag b)|); evaluated by
-    substituting the optimal phase phi = arg tr(a^dag b) directly, which
-    avoids the cancellation the closed form suffers when a ~ e^{i phi} b.
-    """
-    a = _as_complex(a)
-    b = _as_complex(b)
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch")
-    ov = np.trace(a.conj().T @ b)
-    phase = ov.conjugate() / abs(ov) if abs(ov) > 0.0 else 1.0
-    return float(np.linalg.norm(a - phase * b))
-
-
-def kron_all(*mats) -> np.ndarray:
-    out = np.asarray(mats[0], dtype=np.complex128)
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out

@@ -16,6 +16,7 @@ import numpy as np
 
 from .circuit import MEASURE, RESET, TRACE, UNITARY_KINDS, X, Circuit, Gate, apply_unitary_gate
 from .channel import KrausSet
+from .linalg import MAX_DENSE_ENTRIES
 
 _PRUNE_NORM = 1e-12
 
@@ -37,9 +38,14 @@ def input_embedding(c: Circuit) -> np.ndarray:
     """2^p x 2^m matrix sending input basis states into the full register.
 
     input_qubits[0] carries the most significant input bit; every other
-    qubit starts in |0>.
+    qubit starts in |0>.  Rejects a circuit whose branch matrices, one
+    2^p x 2^m per outcome string, would together pass the dense cap.
     """
     p, m = c.num_qubits, len(c.input_qubits)
+    measures = sum(1 for g in c.gates if g.kind == MEASURE)
+    if 2 ** (p + m + measures) > MAX_DENSE_ENTRIES:
+        raise ValueError(f"simulating {p} qubits, {m} inputs and {measures} measurements "
+                         f"exceeds the cap of {MAX_DENSE_ENTRIES} dense matrix entries")
     e = np.zeros((2**p, 2**m), dtype=np.complex128)
     for j in range(2**m):
         pos = 0
@@ -149,12 +155,13 @@ def circuit_to_branches(c: Circuit) -> list[BranchOperator]:
     return out
 
 
-def circuit_to_kraus(c: Circuit, prune: bool = True) -> KrausSet:
-    """The channel implemented by the circuit, from inputs to outputs."""
+def circuit_to_kraus(c: Circuit) -> KrausSet:
+    """The channel implemented by the circuit, from inputs to outputs.
+
+    Branch operators of norm at most 1e-12 are dropped (one is kept if
+    all are), so unreachable branches add no Kraus operators."""
     ops = [b.op for b in circuit_to_branches(c)]
-    if prune:
-        kept = [a for a in ops if np.linalg.norm(a) > _PRUNE_NORM]
-        ops = kept or ops[:1]
+    ops = [a for a in ops if np.linalg.norm(a) > _PRUNE_NORM] or ops[:1]
     return KrausSet(len(c.input_qubits), len(c.output_qubits), ops, atol=1e-8)
 
 

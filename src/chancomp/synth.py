@@ -6,7 +6,9 @@ a multiplexed Rz (phase alignment) followed by a multiplexed Ry (mass
 concentration) over the remaining qubits, with rotation angles forced to
 zero on control patterns that would disturb already-reduced columns.  A
 final diagonal cascade cancels the per-column phases, so the emitted
-circuit reproduces the isometry exactly, global phase included.
+circuit reproduces an isometry of two or more columns exactly, global
+phase included.  A single column (state preparation) skips the cascade
+and is reproduced up to a global phase.
 
 Rotations whose angle happens to be zero are kept, and the set of
 emitted gates depends only on the matrix dimensions, never on its
@@ -16,9 +18,7 @@ compiler relies on for uniform per-branch costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -26,13 +26,6 @@ from .circuit import CNOT, RY, RZ, U, Circuit, Gate, apply_unitary_gate
 from .linalg import is_isometry
 
 _ZERO_AMP = 1e-12
-
-
-@dataclass(frozen=True)
-class IsoCostModel:
-    """Predicted CNOT count for an m-to-n isometry, as a callable field."""
-
-    n_iso: Callable[[int, int], int]
 
 
 def _gray_code_angles(angles: np.ndarray) -> list[float]:
@@ -229,7 +222,8 @@ def _reduction_segments(v: np.ndarray):
 
 
 def decompose_isometry(v) -> Circuit:
-    """Circuit on p qubits reproducing the 2^p x 2^c isometry v.
+    """Circuit on p qubits reproducing the 2^p x 2^c isometry v (up to a
+    global phase when c = 1).
 
     The first p - log2(c) qubits start in |0>; the inputs feed the
     trailing qubits.  The emitted gates and their CNOT count depend only
@@ -264,7 +258,3 @@ def n_iso(m: int, n: int) -> int:
     if m >= 1 and p >= 2:
         count += 2**p - 2
     return count
-
-
-def builtin_cost_model() -> IsoCostModel:
-    return IsoCostModel(n_iso=n_iso)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import KrausSet, choi_from_kraus, kraus_rank
 from .circuit import CNOT, MEASURE, RESET, U, X, Circuit, Gate
@@ -309,6 +308,15 @@ def template_choi(t: Template, params) -> np.ndarray:
     from .simulator import circuit_to_kraus
 
     return choi_from_kraus(circuit_to_kraus(instantiate(t, params))).j
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first fit rather than with
+    the package: scipy.optimize takes longer to import than everything
+    else a CLI call does."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _nelder_mead(objective, x0, max_iters: int):

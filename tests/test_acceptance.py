@@ -29,7 +29,7 @@ from chancomp.circuit import CNOT, MEASURE, RY, U, X, Circuit, Gate, cnot_count
 from chancomp.compiler import compile_measured, compile_qcm, predict_upper_bound
 from chancomp.rewrite import classicalize_controls, drop_dead_unitaries, standard_passes
 from chancomp.simulator import circuit_to_kraus, outcome_distribution
-from chancomp.synth import builtin_cost_model, n_iso
+from chancomp.synth import n_iso
 from chancomp.templates import TEMPLATES, fit
 
 H_PARAMS = (np.pi / 2, 0.0, np.pi / 2, np.pi)
@@ -61,7 +61,7 @@ def corpus():
         seed = 10_000 + i
         ks = random_channel(m, n, kr, seed)
         circ = compile_measured(ks)
-        k = stinespring_isometry(ks).k
+        _, k = stinespring_isometry(ks)
         entries.append((m, n, kr, k, ks, circ))
         i += 1
     return entries
@@ -88,11 +88,10 @@ def test_criterion_2_resource_budgets(corpus):
 
 
 def test_criterion_3_count_formula(corpus):
-    cost = builtin_cost_model()
     for m, n, kr, k, ks, circ in corpus:
         worst, uniform = cnot_count(circ)
         assert uniform, (m, n, kr)
-        assert worst == predict_upper_bound(m, n, k, cost), (m, n, kr)
+        assert worst == predict_upper_bound(m, n, k), (m, n, kr)
     print("\nACCEPTANCE 3 CNOT count formula: PASS "
           "(worst case equals the case-split prediction exactly; all branches uniform)")
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from chancomp.channel import (
     choi_distance,
     choi_from_kraus,
     is_extreme,
-    kraus_equivalent,
     kraus_from_choi,
     kraus_rank,
     random_channel,
@@ -75,6 +76,18 @@ def test_choi_invariant_under_kraus_mixing():
     assert d < 1e-10
 
 
+def test_kraus_equivalent():
+    def equivalent(a, b):
+        return choi_distance(choi_from_kraus(a), choi_from_kraus(b)) < 1e-10
+
+    ks = amplitude_damping(0.5)
+    assert equivalent(ks, ks)
+    a1, a2 = ks.ops
+    mixed = KrausSet(1, 1, [(a1 + a2) / np.sqrt(2), (a1 - a2) / np.sqrt(2)])
+    assert equivalent(ks, mixed)
+    assert not equivalent(identity_channel(), depolarizing_channel())
+
+
 def test_kraus_from_choi_counts():
     assert kraus_from_choi(choi_from_kraus(identity_channel())).K == 1
     assert kraus_from_choi(ChoiMatrix(1, 1, np.eye(4) / 2)).K == 4
@@ -115,44 +128,37 @@ def test_rank_above_2m_is_never_extreme(seed):
     assert not is_extreme(ks)
 
 
-def test_kraus_equivalent():
-    ks = amplitude_damping(0.5)
-    assert kraus_equivalent(ks, ks, 1e-10)
-    a1, a2 = ks.ops
-    mixed = KrausSet(1, 1, [(a1 + a2) / np.sqrt(2), (a1 - a2) / np.sqrt(2)])
-    assert kraus_equivalent(ks, mixed, 1e-10)
-    assert not kraus_equivalent(identity_channel(), depolarizing_channel(), 1e-10)
-
-
 def test_stinespring_unitary_channel():
-    d = stinespring_isometry(identity_channel())
-    assert d.k == 0
+    v, k = stinespring_isometry(identity_channel())
+    assert k == 0
     # minimal form may differ from I by a global phase only
-    assert d.v.shape == (2, 2)
-    assert np.linalg.norm(np.abs(d.v) - np.eye(2)) < 1e-10
+    assert v.shape == (2, 2)
+    assert np.linalg.norm(np.abs(v) - np.eye(2)) < 1e-10
 
 
 def test_stinespring_amplitude_damping():
     ks = amplitude_damping(0.3)
-    d = stinespring_isometry(ks, minimize=False)
-    assert d.k == 1
-    assert np.allclose(d.v, np.vstack(ks.ops))
-    assert np.linalg.norm(d.v.conj().T @ d.v - np.eye(2)) < 1e-9
+    v, k = stinespring_isometry(ks)
+    assert k == 1 and v.shape == (4, 2)
+    assert np.linalg.norm(v.conj().T @ v - np.eye(2)) < 1e-9
+    # the stacked minimal form is another Kraus set of the same channel
+    blocks = KrausSet(1, 1, [v[:2], v[2:]])
+    assert choi_distance(choi_from_kraus(blocks), choi_from_kraus(ks)) < 1e-12
 
 
 def test_stinespring_rank3_pads_zero_block():
     ks = random_channel(1, 1, 3, seed=5)
-    d = stinespring_isometry(ks)
-    assert d.k == 2
-    assert d.v.shape == (8, 2)
-    assert np.allclose(d.v[6:, :], 0)
-    assert np.linalg.norm(d.v.conj().T @ d.v - np.eye(2)) < 1e-9
+    v, k = stinespring_isometry(ks)
+    assert k == 2
+    assert v.shape == (8, 2)
+    assert np.allclose(v[6:, :], 0)
+    assert np.linalg.norm(v.conj().T @ v - np.eye(2)) < 1e-9
 
 
 def test_stinespring_force_k():
     ks = amplitude_damping(0.2)
-    d = stinespring_isometry(ks, force_k=2)
-    assert d.k == 2 and d.v.shape == (8, 2)
+    v, k = stinespring_isometry(ks, force_k=2)
+    assert k == 2 and v.shape == (8, 2)
     with pytest.raises(ValueError, match="below minimal"):
         stinespring_isometry(ks, force_k=0)
 
@@ -192,8 +198,10 @@ def test_generated_channels_tp_on_choi(seed):
 
 def test_channel_json_round_trip():
     ks = random_channel(1, 2, 2, seed=9)
-    text = channel_to_json(ks, include_choi=True)
-    back = channel_from_json(text)
+    # an extra "choi" key is ignored on input
+    doc = json.loads(channel_to_json(ks))
+    doc["choi"] = [[[1.0, 0.0]]]
+    back = channel_from_json(json.dumps(doc))
     assert back.m == ks.m and back.n == ks.n
     assert all(np.array_equal(a, b) for a, b in zip(ks.ops, back.ops))
 
@@ -201,3 +209,25 @@ def test_channel_json_round_trip():
 def test_channel_json_malformed():
     with pytest.raises(ValueError, match="malformed"):
         channel_from_json('{"m": 1}')
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_kraus_set_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        KrausSet(1, 1, [[[bad, 0], [0, 1]]])
+
+
+def test_channel_json_rejects_nan():
+    doc = json.loads(channel_to_json(identity_channel()))
+    doc["kraus"][0][0][0] = [float("nan"), 0.0]
+    with pytest.raises(ValueError, match="non-finite"):
+        channel_from_json(json.dumps(doc))
+
+
+def test_random_channel_size_cap():
+    # the Gaussian sample has kr * 2^(m+n) entries; over 2^20 it is refused
+    with pytest.raises(ValueError, match="cap"):
+        random_channel(20, 20, 1, seed=0)
+    with pytest.raises(ValueError, match="cap"):
+        random_channel(10, 9, 4, seed=0)
+    assert random_channel(3, 7, 1, seed=0).K == 1

@@ -1,7 +1,10 @@
+import math
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chancomp.circuit import (
     CNOT,
@@ -323,3 +326,57 @@ def test_angles_survive_17_digit_round_trip():
     angle = 0.1 + 0.2  # classic non-representable decimal
     c = Circuit(1, (0,), (0,), (Gate(RZ, (0,), (angle,)),), 0)
     assert parse(serialize(c)).gates[0].params[0] == angle
+
+
+_ANGLES = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def circuits(draw):
+    """Random well-formed circuits: conditioned gates, measure/reset pairs,
+    signed-zero angles, traced qubits and permuted inputs."""
+    p = draw(st.integers(1, 4))
+    nregs = draw(st.integers(0, 3))
+    gates, written = [], []
+    for _ in range(draw(st.integers(0, 20))):
+        q = draw(st.integers(0, p - 1))
+        cond = None
+        if written and draw(st.booleans()):
+            regs = draw(st.lists(st.sampled_from(written), min_size=1, max_size=2, unique=True))
+            cond = tuple((r, draw(st.integers(0, 1))) for r in regs)
+        kind = draw(st.sampled_from([RX, RY, RZ, U, X, CNOT, MEASURE]))
+        if kind == MEASURE:
+            if len(written) == nregs:
+                continue
+            gates.append(Gate(MEASURE, (q,), creg=len(written), condition=cond))
+            written.append(len(written))
+            if draw(st.booleans()):
+                gates.append(Gate(RESET, (q,)))
+        elif kind == CNOT:
+            if p < 2:
+                continue
+            t = draw(st.integers(0, p - 2))
+            gates.append(Gate(CNOT, (q, t + (t >= q)), condition=cond))
+        else:
+            n = {U: 4, X: 0}.get(kind, 1)
+            gates.append(Gate(kind, (q,), tuple(draw(_ANGLES) for _ in range(n)),
+                              condition=cond))
+    order = draw(st.permutations(range(p)))
+    inputs = tuple(order[:draw(st.integers(0, p))])
+    traced = draw(st.lists(st.integers(0, p - 1), unique=True, max_size=p - 1))
+    gates.extend(Gate(TRACE, (q,)) for q in traced)
+    outputs = tuple(q for q in range(p) if q not in traced)
+    return Circuit(p, inputs, outputs, tuple(gates), nregs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits())
+def test_parse_serialize_round_trip_property(c):
+    text = serialize(c)
+    back = parse(text)
+    assert back == c
+    # equality ignores the sign of zero; the text and the signs must survive too
+    assert serialize(back) == text
+    signs = [math.copysign(1.0, x) for g in c.gates for x in g.params]
+    assert [math.copysign(1.0, x) for g in back.gates for x in g.params] == signs

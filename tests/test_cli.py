@@ -243,3 +243,40 @@ def test_unknown_command_exits_one():
 
 def test_missing_file_exits_one(tmp_path):
     assert run(["info", "--in", str(tmp_path / "nope.json")]) == 1
+
+
+def _run_cli(args, cwd):
+    src_dir = str(pathlib.Path(chancomp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("case", ["verify-40-qubits", "random-too-large", "info-nan"])
+def test_oversized_or_non_finite_input_exits_one_without_traceback(tmp_path, case):
+    ch = tmp_path / "ch.json"
+    ch.write_text(channel_to_json(random_channel(1, 1, 2, seed=7)))
+    if case == "verify-40-qubits":
+        circ = tmp_path / "big.qcirc"
+        circ.write_text("QUBITS 40\nCREGS 0\nINPUTS q39\nOUTPUTS q39\n")
+        args = ["verify", "--circuit", str(circ), "--channel", str(ch)]
+    elif case == "random-too-large":
+        args = ["random", "--m", "20", "--n", "20", "--kraus-rank", "1", "--seed", "0",
+                "--out", str(tmp_path / "r.json")]
+    else:
+        doc = json.loads(ch.read_text())
+        doc["kraus"][0][0][0] = [float("nan"), 0.0]
+        ch.write_text(json.dumps(doc))  # json writes the bare token NaN
+        args = ["info", "--in", str(ch)]
+    proc = _run_cli(["-m", "chancomp.cli", *args], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1].startswith("error: ")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    code = "import sys, chancomp.cli; print('scipy.optimize' in sys.modules)"
+    proc = _run_cli(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,26 +1,20 @@
 import numpy as np
 import pytest
 
-from chancomp.channel import (
-    KrausSet,
-    choi_from_kraus,
-    random_channel,
-    stinespring_isometry,
-)
+from chancomp.channel import KrausSet, random_channel, stinespring_isometry
 from chancomp.circuit import CNOT, MEASURE, TRACE, cnot_count
 from chancomp.compiler import (
     ConvexMixture,
     compile_measured,
     compile_qcm,
     compile_random_qcm,
-    mixture_choi,
     plan_measured,
     predict_upper_bound,
     reconstruct_dilation,
     verify_circuit,
+    verify_mixture,
 )
-from chancomp.simulator import circuit_to_kraus
-from chancomp.synth import builtin_cost_model, n_iso
+from chancomp.synth import n_iso
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -68,8 +62,23 @@ def test_plan_one_to_two_rank2():
 def test_plan_reconstruction_identity(m, n, kr, seed):
     ks = random_channel(m, n, kr, seed)
     plan = plan_measured(ks)
-    v = stinespring_isometry(ks).v
+    v, _ = stinespring_isometry(ks)
     assert np.linalg.norm(reconstruct_dilation(plan) - v) < 1e-8
+
+
+@pytest.mark.parametrize("m,n,kr,seed", [(1, 1, 2, 50), (1, 2, 3, 51), (2, 2, 3, 52),
+                                         (2, 1, 4, 53), (1, 2, 1, 54)])
+def test_plan_forced_k_rank_deficient(m, n, kr, seed):
+    # one more environment qubit than needed: the stack gains zero blocks,
+    # so the QR recursion meets rank-deficient halves
+    ks = random_channel(m, n, kr, seed)
+    _, k = stinespring_isometry(ks)
+    v, _ = stinespring_isometry(ks, force_k=k + 1)
+    assert np.linalg.norm(v[len(v) // 2:]) == 0
+    plan = plan_measured(ks, force_k=k + 1)
+    assert plan.k == k + 1
+    assert np.linalg.norm(reconstruct_dilation(plan) - v) < 1e-10
+    assert verify_circuit(compile_measured(ks, force_k=k + 1), ks) < 1e-8
 
 
 def test_compile_measured_dephasing():
@@ -136,14 +145,14 @@ GRID = [
 def test_compile_measured_grid(m, n, kr, seed):
     ks = random_channel(m, n, kr, seed)
     circ = compile_measured(ks)
-    k = stinespring_isometry(ks).k
+    _, k = stinespring_isometry(ks)
     # resource budgets
     assert circ.num_qubits == (n if m < n else m + 1)
     assert count_measures(circ) == k
     # CNOT count: uniform across branches and exactly the predicted value
     worst, uniform = cnot_count(circ)
     assert uniform
-    assert worst == predict_upper_bound(m, n, k, builtin_cost_model())
+    assert worst == predict_upper_bound(m, n, k)
     # channel oracle
     assert verify_circuit(circ, ks) < 1e-8
 
@@ -156,12 +165,11 @@ def test_compile_measured_force_k():
 
 
 def test_predict_upper_bound_cases():
-    cost = builtin_cost_model()
-    assert predict_upper_bound(1, 2, 1, cost) == 2 * n_iso(1, 2)
-    assert predict_upper_bound(2, 2, 0, cost) == n_iso(2, 2)
-    assert predict_upper_bound(2, 1, 2, cost) == n_iso(2, 3)
-    assert predict_upper_bound(2, 1, 1, cost) == n_iso(2, 2)  # n+k = m
-    assert predict_upper_bound(1, 2, 2, cost) == 2 * n_iso(1, 2) + n_iso(1, 2)
+    assert predict_upper_bound(1, 2, 1) == 2 * n_iso(1, 2)
+    assert predict_upper_bound(2, 2, 0) == n_iso(2, 2)
+    assert predict_upper_bound(2, 1, 2) == n_iso(2, 3)
+    assert predict_upper_bound(2, 1, 1) == n_iso(2, 2)  # n+k = m
+    assert predict_upper_bound(1, 2, 2) == 2 * n_iso(1, 2) + n_iso(1, 2)
 
 
 def test_compile_qcm_unitary_channel():
@@ -212,11 +220,10 @@ def test_compile_random_single_unitary():
 def test_compile_random_mixture_matches_weighted_choi():
     mix = ConvexMixture([(0.5, KrausSet(1, 1, [I2])), (0.5, KrausSet(1, 1, [X]))])
     compiled = compile_random_qcm(mix)
-    j = sum(p * choi_from_kraus(circuit_to_kraus(c)).j for p, c in compiled)
-    assert np.linalg.norm(j - mixture_choi(mix).j) < 1e-8
+    assert verify_mixture(compiled, mix) < 1e-8
     # the mixture is the fully dephased bit-flip channel; check explicitly
-    expect = choi_from_kraus(KrausSet(1, 1, [I2 / np.sqrt(2), X / np.sqrt(2)])).j
-    assert np.linalg.norm(j - expect) < 1e-8
+    flip = KrausSet(1, 1, [I2 / np.sqrt(2), X / np.sqrt(2)])
+    assert verify_mixture(compiled, ConvexMixture([(1.0, flip)])) < 1e-8
 
 
 def test_compile_random_rejects_high_rank_component():
@@ -224,3 +231,23 @@ def test_compile_random_rejects_high_rank_component():
     mix = ConvexMixture([(1.0, bad)])
     with pytest.raises(ValueError, match="not implementable"):
         compile_random_qcm(mix)
+
+
+def test_compile_random_rejects_before_synthesis(monkeypatch):
+    import chancomp.compiler as compiler
+
+    calls = []
+    monkeypatch.setattr(compiler, "decompose_isometry",
+                        lambda v: calls.append(v) or pytest.fail("synthesized"))
+    mix = ConvexMixture([(0.5, KrausSet(1, 1, [X])), (0.5, random_channel(1, 1, 3, seed=45))])
+    with pytest.raises(ValueError, match="not implementable"):
+        compile_random_qcm(mix)
+    assert calls == []
+
+
+def test_verify_mixture_detects_wrong_weights():
+    mix = ConvexMixture([(0.25, KrausSet(1, 1, [I2])), (0.75, KrausSet(1, 1, [X]))])
+    compiled = compile_random_qcm(mix)
+    assert verify_mixture(compiled, mix) < 1e-8
+    swapped = [(1.0 - p, c) for p, c in compiled]
+    assert verify_mixture(swapped, mix) > 0.1

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from chancomp.linalg import (
-    complete_to_unitary,
-    frob_distance_up_to_phase,
-    kron_all,
-    partial_trace,
-    qr_rectangular,
-)
+from chancomp.linalg import partial_trace, qr_rectangular
+from test_synth import frob_distance_up_to_phase
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -15,19 +10,19 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 def random_isometry(rows, cols, rng):
     g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    q, _ = qr_rectangular(g)
-    return q[:, :cols]
+    return qr_rectangular(g)[0]
 
 
 def check_qr(b):
+    """The reduced contract: q has orthonormal columns, q @ r = b, and r is
+    exactly upper triangular with a real nonnegative diagonal."""
     q, r = qr_rectangular(b)
     p, c = b.shape
-    assert np.linalg.norm(q.conj().T @ q - np.eye(p)) < 1e-10
+    assert q.shape == (p, c) and r.shape == (c, c)
+    assert np.linalg.norm(q.conj().T @ q - np.eye(c)) < 1e-10
     assert np.linalg.norm(q @ r - b) < 1e-10 * max(1.0, np.linalg.norm(b))
-    for i in range(p):
-        for j in range(min(i, c)):
-            assert r[i, j] == 0
-    diag = np.diag(r[:c, :c])
+    assert np.array_equal(r, np.triu(r))
+    diag = np.diag(r)
     assert np.all(diag.imag == 0)
     assert np.all(diag.real >= 0)
     return q, r
@@ -42,8 +37,8 @@ def test_qr_identity():
 def test_qr_unit_column_forced_swap():
     b = np.array([[0.0], [1.0]], dtype=complex)
     q, r = check_qr(b)
-    assert np.allclose(q, X)
-    assert np.allclose(r, [[1.0], [0.0]])
+    assert np.allclose(q, b)
+    assert np.allclose(r, [[1.0]])
 
 
 def test_qr_random_isometry_reconstructs():
@@ -51,6 +46,8 @@ def test_qr_random_isometry_reconstructs():
     b = random_isometry(8, 2, rng)
     q, r = check_qr(b)
     assert np.linalg.norm(q @ r - b) < 1e-12
+    # r^dag r = b^dag b = I with a positive diagonal forces r = I
+    assert np.linalg.norm(r - np.eye(2)) < 1e-12
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (8, 3), (8, 8), (16, 4), (5, 2)])
@@ -67,18 +64,31 @@ def test_qr_zero_bottom_half():
     rng = np.random.default_rng(3)
     top = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     b = np.vstack([top, np.zeros((4, 2))])
-    check_qr(b)
+    q, _ = check_qr(b)
+    assert np.linalg.norm(q[4:]) < 1e-12
+
+
+def test_qr_rank_deficient():
+    rng = np.random.default_rng(8)
+    col = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
+    b = np.hstack([col, 2j * col, np.zeros((6, 1))])
+    _, r = check_qr(b)
+    assert abs(r[1, 1]) < 1e-12 and r[2, 2] == 0
 
 
 def test_qr_zero_matrix():
-    q, r = qr_rectangular(np.zeros((4, 2), dtype=complex))
-    assert np.allclose(q, np.eye(4))
-    assert np.allclose(r, 0)
+    q, r = check_qr(np.zeros((4, 2), dtype=complex))
+    assert np.array_equal(r, np.zeros((2, 2)))
 
 
 def test_qr_rejects_wide():
     with pytest.raises(ValueError, match="non-tall"):
         qr_rectangular(np.zeros((2, 4)))
+
+
+def test_qr_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite"):
+        qr_rectangular(np.array([[np.nan], [1.0]]))
 
 
 def test_qr_deterministic():
@@ -88,37 +98,6 @@ def test_qr_deterministic():
     q2, r2 = qr_rectangular(b)
     assert np.array_equal(q1, q2)
     assert np.array_equal(r1, r2)
-
-
-def test_complete_unitary_is_identity_on_unitaries():
-    rng = np.random.default_rng(5)
-    u = random_isometry(4, 4, rng)
-    assert np.array_equal(complete_to_unitary(u), u)
-
-
-def test_complete_unitary_basis_column():
-    v = np.array([[1.0], [0.0]], dtype=complex)
-    assert np.allclose(complete_to_unitary(v), np.eye(2))
-
-
-def test_complete_unitary_random():
-    rng = np.random.default_rng(9)
-    v = random_isometry(8, 2, rng)
-    u = complete_to_unitary(v)
-    assert np.linalg.norm(u.conj().T @ u - np.eye(8)) < 1e-10
-    assert np.array_equal(u[:, :2], v)
-
-
-def test_complete_unitary_roundtrip_on_isometries():
-    rng = np.random.default_rng(13)
-    for rows, cols in [(2, 1), (4, 2), (8, 4), (8, 1)]:
-        v = random_isometry(rows, cols, rng)
-        assert np.array_equal(complete_to_unitary(v)[:, :cols], v)
-
-
-def test_complete_unitary_rejects_non_isometry():
-    with pytest.raises(ValueError, match="not an isometry"):
-        complete_to_unitary(np.ones((4, 2), dtype=complex))
 
 
 def test_partial_trace_keep_all():
@@ -139,7 +118,7 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = kron_all(a, b)
+    rho = np.kron(a, b)
     assert np.allclose(partial_trace(rho, [0]), a * np.trace(b))
     assert np.allclose(partial_trace(rho, [1, 2]), b * np.trace(a))
 

@@ -228,3 +228,21 @@ def test_rank1_circuits_have_input_independent_outcomes():
                 baseline = dist
             for key in baseline:
                 assert abs(dist[key] - baseline[key]) < 1e-8
+
+
+@pytest.mark.parametrize("p,inputs,measures", [(40, 1, 0), (11, 10, 0), (8, 6, 7)])
+def test_simulator_rejects_oversized_circuits(p, inputs, measures):
+    # qubits + inputs + measurements over 20 would pass 2^20 dense entries
+    gates = tuple(Gate(MEASURE, (0,), creg=r) for r in range(measures))
+    c = Circuit(p, tuple(range(p - inputs, p)), tuple(range(p)), gates, measures)
+    with pytest.raises(ValueError, match="cap"):
+        circuit_to_kraus(c)
+    with pytest.raises(ValueError, match="cap"):
+        input_embedding(c)
+
+
+def test_simulator_accepts_largest_compiled_size():
+    # (3,3,8) compiles to 4 qubits, 3 inputs and 3 measurements: 10 of 20
+    gates = tuple(Gate(MEASURE, (0,), creg=r) for r in range(3))
+    c = Circuit(4, (1, 2, 3), (1, 2, 3), gates, 3)
+    assert len(circuit_to_branches(c)) == 2 * 2**3
