@@ -11,6 +11,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+# 4^7000, the largest value table1 prints, has 4,215 digits: under the
+# 4,300-digit default limit on int-to-str conversion.
+MAX_TABLE_QUBITS = 7000
+
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -62,6 +66,8 @@ def table1(m: int, n: int) -> BoundsReport:
     """Exact lower bounds plus the leading-order costs and qubit counts."""
     if m < 0 or n < 0:
         raise ValueError(f"m and n must be non-negative, got m={m} n={n}")
+    if m + n > MAX_TABLE_QUBITS:
+        raise ValueError(f"m + n must be at most {MAX_TABLE_QUBITS}, got m={m} n={n}")
     if m < n:
         ub_measured = m * 2 ** (2 * m + 1) + 2 ** (m + n)
         qubits_measured = n

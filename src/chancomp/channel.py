@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import MAX_DENSE_ENTRIES, partial_trace, qr_rectangular
+from .linalg import MAX_DENSE_ENTRIES, MAX_DENSE_QUBITS, partial_trace, qr_rectangular
 
 TP_ATOL = 1e-9
 RANK_RTOL = 1e-9
@@ -32,6 +32,9 @@ class KrausSet:
     def __init__(self, m: int, n: int, ops, atol: float = TP_ATOL):
         if m < 0 or n < 0:
             raise ValueError("qubit counts must be nonnegative")
+        if m + n > MAX_DENSE_QUBITS:
+            raise ValueError(f"a channel from {m} to {n} qubits exceeds the cap of "
+                             f"{MAX_DENSE_ENTRIES} dense entries per Kraus operator")
         mats = tuple(np.asarray(a, dtype=np.complex128) for a in ops)
         if len(mats) < 1:
             raise ValueError("need at least one Kraus operator")
@@ -162,13 +165,13 @@ def random_channel(m: int, n: int, kr: int, seed: int) -> KrausSet:
     kr * 2^n >= 2^m (a rank-kr channel from m to n qubits exists iff
     this holds), and the sample must fit the dense-allocation cap.
     """
+    if m + n > MAX_DENSE_QUBITS or kr * 2 ** (m + n) > MAX_DENSE_ENTRIES:
+        raise ValueError(f"a rank-{kr} channel from {m} to {n} qubits exceeds the "
+                         f"cap of {MAX_DENSE_ENTRIES} dense matrix entries")
     if kr < 1 or kr > 2 ** (m + n):
         raise ValueError("Kraus rank out of range")
     if kr * 2**n < 2**m:
         raise ValueError(f"no channel from {m} to {n} qubits has Kraus rank {kr}")
-    if kr * 2 ** (m + n) > MAX_DENSE_ENTRIES:
-        raise ValueError(f"a rank-{kr} channel from {m} to {n} qubits exceeds the "
-                         f"cap of {MAX_DENSE_ENTRIES} dense matrix entries")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((kr * 2**n, 2**m)) + 1j * rng.standard_normal(
         (kr * 2**n, 2**m)
@@ -203,8 +206,11 @@ def channel_to_json(ks: KrausSet) -> str:
 def channel_from_json(text: str) -> KrausSet:
     doc = json.loads(text)
     try:
-        m, n = int(doc["m"]), int(doc["n"])
+        m, n = doc["m"], doc["n"]
+        for name, x in (("m", m), ("n", n)):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise TypeError(f'"{name}" must be an integer, got {x!r}')
         ops = [_matrix_from_json(a) for a in doc["kraus"]]
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed channel JSON: {exc}") from exc
     return KrausSet(m, n, ops)

@@ -10,7 +10,9 @@ import numpy as np
 
 ISOMETRY_ATOL = 1e-9
 # Largest dense complex128 array the package allocates: 2^20 entries, 16 MiB.
-MAX_DENSE_ENTRIES = 2**20
+# Sizes are checked on the exponent, before any power of two is computed.
+MAX_DENSE_QUBITS = 20
+MAX_DENSE_ENTRIES = 2**MAX_DENSE_QUBITS
 
 
 def _as_complex(a) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuit import MEASURE, RESET, TRACE, UNITARY_KINDS, X, Circuit, Gate, apply_unitary_gate
 from .channel import KrausSet
-from .linalg import MAX_DENSE_ENTRIES
+from .linalg import MAX_DENSE_ENTRIES, MAX_DENSE_QUBITS
 
 _PRUNE_NORM = 1e-12
 
@@ -43,7 +43,7 @@ def input_embedding(c: Circuit) -> np.ndarray:
     """
     p, m = c.num_qubits, len(c.input_qubits)
     measures = sum(1 for g in c.gates if g.kind == MEASURE)
-    if 2 ** (p + m + measures) > MAX_DENSE_ENTRIES:
+    if p + m + measures > MAX_DENSE_QUBITS:
         raise ValueError(f"simulating {p} qubits, {m} inputs and {measures} measurements "
                          f"exceeds the cap of {MAX_DENSE_ENTRIES} dense matrix entries")
     e = np.zeros((2**p, 2**m), dtype=np.complex128)

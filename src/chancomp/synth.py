@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import CNOT, RY, RZ, U, Circuit, Gate, apply_unitary_gate
+from .circuit import CNOT, RY, RZ, U, Circuit, Gate
 from .linalg import is_isometry
 
 _ZERO_AMP = 1e-12
@@ -92,25 +92,13 @@ def multiplexed_rotation(axis: str, controls, target: int, angles) -> list[Gate]
     return gates
 
 
-def _mux_cnot_first(kind: str, controls, target: int, angles) -> list[Gate]:
-    """Same block-diagonal rotation, with each CNOT ahead of its rotation.
-
-    The Gray-code gate list read backwards: it is the adjoint of the
-    multiplexor for the negated angles, so it realizes the same matrix.
-    The reduction applies these; after the final adjoint-and-reverse the
-    emitted circuit's multiplexes then end in a bare CNOT, which is what
-    lets the classicalization rewrite fire on compiled circuits.
-    """
-    return multiplexed_rotation(kind, controls, target, angles)[::-1]
-
-
 def _rotate_pairs(work: np.ndarray, kind: str, b: int, angles: np.ndarray) -> None:
     """Apply a multiplexed rotation on the qubit at significance b to `work`,
     in place, as one block update.
 
     Every row pair that differs only in bit b is a control pattern s (the
     other bits, high to low); the pair gets R_kind(angles[s]).  This is
-    the matrix that multiplexed_rotation and _mux_cnot_first emit.  The
+    the matrix that multiplexed_rotation emits, in either gate order.  The
     reshape only splits the row axis of the 2^p x C `work`, so it is a
     view for any memory layout.
     """
@@ -124,6 +112,14 @@ def _rotate_pairs(work: np.ndarray, kind: str, b: int, angles: np.ndarray) -> No
     top = t[:, 0].copy()
     t[:, 0] = cos * top - sin * t[:, 1]
     t[:, 1] = sin * top + cos * t[:, 1]
+
+
+def _phase(z) -> np.ndarray:
+    """np.angle mapped into (-pi + 1/2, pi + 1/2], a cut on which no
+    multiple of pi/4 lies.  np.angle cuts the negative real axis, where the
+    entries of real isometries sit and round-off moves the angle by 2 pi."""
+    a = np.angle(z)
+    return np.where(a <= 0.5 - np.pi, a + 2.0 * np.pi, a)
 
 
 @lru_cache(maxsize=4096)
@@ -149,38 +145,29 @@ def _active_mask(j: int, b: int, p: int) -> np.ndarray:
 
 
 def _diag_gates(lams, qubits) -> list[Gate]:
-    """Exact diagonal phase gate diag(e^{i lam_x}) as a cascade of
-    multiplexed Rz, terminated by a phased Rz that carries the mean."""
+    """Exact diagonal phase gate diag(e^{-i lam_x}): a phased Rz carrying
+    the mean, then a cascade of multiplexed Rz.  Angles are negated as
+    0.0 - x, so a zero angle stays +0.0 and prints as "0"."""
     if len(qubits) == 1:
         lo, hi = lams[0], lams[1]
-        return [Gate(U, (qubits[0],), ((lo + hi) / 2.0, hi - lo, 0.0, 0.0))]
+        return [Gate(U, (qubits[0],), (0.0 - (lo + hi) / 2.0, 0.0 - (hi - lo), 0.0, 0.0))]
     half = len(lams) // 2
-    thetas = [lams[2 * s + 1] - lams[2 * s] for s in range(half)]
+    thetas = np.array([lams[2 * s + 1] - lams[2 * s] for s in range(half)])
     means = [(lams[2 * s + 1] + lams[2 * s]) / 2.0 for s in range(half)]
-    gates = multiplexed_rotation(RZ, qubits[:-1], qubits[-1], thetas)
-    return gates + _diag_gates(means, qubits[:-1])
-
-
-def _adjoint(g: Gate) -> Gate:
-    # 0.0 - x rather than -x: a zero angle stays +0.0 and prints as "0".
-    if g.kind == CNOT:
-        return g
-    if g.kind in (RY, RZ):
-        return Gate(g.kind, g.qubits, (0.0 - g.params[0],))
-    if g.kind == U:
-        a, b, gam, d = g.params
-        if gam == 0.0 and d == 0.0:
-            return Gate(U, g.qubits, (0.0 - a, 0.0 - b, 0.0, 0.0))
-    raise ValueError(f"cannot invert {g}")
+    # read backwards, the Gray-code list realizes the same matrix
+    mux = multiplexed_rotation(RZ, qubits[:-1], qubits[-1], 0.0 - thetas)
+    return _diag_gates(means, qubits[:-1]) + mux[::-1]
 
 
 def _reduction_segments(v: np.ndarray):
-    """Per-column reduction gate lists plus the final diagonal segment.
+    """Per-column steps of the reduction, the final diagonal's phases and
+    the reduced working copy.
 
-    Applying all segments in order to v yields [I; 0] exactly.  Each
-    multiplexed Rz/Ry is emitted as its gate list but applied to the
-    working copy of v as one block update (_rotate_pairs); the angles
-    for the active patterns are read off the column pairs in bulk.
+    A step (kind, target, angles) gives the target qubit R_kind(angles[s])
+    for every pattern s of the other qubits (high to low).  The steps in
+    order, then diag(e^{i lams}) (None for one column), map v to [I; 0]
+    exactly.  Each step is one block update of the working copy
+    (_rotate_pairs), its angles read off the column pairs in bulk.
     """
     rows, cols = v.shape
     p = rows.bit_length() - 1
@@ -193,13 +180,12 @@ def _reduction_segments(v: np.ndarray):
             if not active.any():
                 continue
             target = p - 1 - b
-            controls = [q for q in range(p) if q != target]
             col = work[:, j].reshape(-1, 2, 1 << b)
             # phase alignment within each active pair
             a0, a1 = col[:, 0].reshape(-1), col[:, 1].reshape(-1)
             both = active & (np.minimum(np.abs(a0), np.abs(a1)) >= _ZERO_AMP)
-            rz = np.where(both, np.angle(a0) - np.angle(a1), 0.0)
-            seg += _mux_cnot_first(RZ, controls, target, rz)
+            rz = np.where(both, _phase(a0 * a1.conj()), 0.0)
+            seg.append((RZ, target, rz))
             _rotate_pairs(work, RZ, b, rz)
             # rotate mass onto the component matching bit b of j
             a0, a1 = np.abs(col[:, 0].reshape(-1)), np.abs(col[:, 1].reshape(-1))
@@ -208,17 +194,14 @@ def _reduction_segments(v: np.ndarray):
                 ry = np.where(either, 2.0 * np.arctan2(a0, a1), 0.0)
             else:
                 ry = np.where(either, -2.0 * np.arctan2(a1, a0), 0.0)
-            seg += _mux_cnot_first(RY, controls, target, ry)
+            seg.append((RY, target, ry))
             _rotate_pairs(work, RY, b, ry)
         segments.append(seg)
-    diag_seg = []
+    lams = None
     if cols >= 2:
         lams = np.zeros(2**p)
-        lams[:cols] = -np.angle(np.diagonal(work))
-        for g in _diag_gates(lams.tolist(), list(range(p))):
-            diag_seg.append(g)
-            work = apply_unitary_gate(work, g, p)
-    return segments, diag_seg, work
+        lams[:cols] = -_phase(np.diagonal(work))
+    return segments, lams, work
 
 
 def decompose_isometry(v) -> Circuit:
@@ -227,7 +210,11 @@ def decompose_isometry(v) -> Circuit:
 
     The first p - log2(c) qubits start in |0>; the inputs feed the
     trailing qubits.  The emitted gates and their CNOT count depend only
-    on the shape of v.
+    on the shape of v.  The circuit is the reduction run backwards: the
+    inverse diagonal, then each step's inverse from the last step to the
+    first.  That inverse is the Gray-code multiplexor for the negated
+    angles, which ends in a bare CNOT: what lets the classicalization
+    rewrite fire on compiled circuits.
     """
     v = np.asarray(v, dtype=np.complex128)
     rows, cols = v.shape
@@ -237,10 +224,13 @@ def decompose_isometry(v) -> Circuit:
         raise ValueError("shape must be 2^n x 2^m with n >= m")
     if not is_isometry(v):
         raise ValueError("not an isometry")
-    segments, diag_seg, _ = _reduction_segments(v)
-    reduction = [g for seg in segments for g in seg] + diag_seg
-    gates = tuple(_adjoint(g) for g in reversed(reduction))
-    return Circuit(p, tuple(range(p - mc, p)), tuple(range(p)), gates, 0)
+    segments, lams, _ = _reduction_segments(v)
+    gates = [] if lams is None else _diag_gates(lams.tolist(), list(range(p)))
+    for seg in reversed(segments):
+        for kind, target, angles in reversed(seg):
+            controls = [q for q in range(p) if q != target]
+            gates += multiplexed_rotation(kind, controls, target, 0.0 - angles)
+    return Circuit(p, tuple(range(p - mc, p)), tuple(range(p)), tuple(gates), 0)
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,11 @@
 Four templates cover channels between one and two qubits with the
 exact small-case CNOT counts 1, 4, 7 and 13 (the conditioned blocks
 appear once per measurement outcome, so the worst case over classical
-assignments is the per-branch count).  `fit` searches the parameter
-space with multi-start Nelder-Mead, minimizing the squared Frobenius
-distance between Choi matrices.
+assignments is the per-branch count).  One batched evaluator,
+`template_choi`, reads only a template's element list and returns the
+Choi matrices of a whole stack of parameter vectors.  `fit` minimizes
+the squared Frobenius distance between Choi matrices with a multi-start
+L-BFGS-B search on exact parameter-shift gradients.
 
 Transcription conventions: qubit 0 is the most significant wire, the
 measured ancilla sits on top, and two-qubit unitary slots are expanded
@@ -18,15 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .channel import KrausSet, choi_from_kraus, kraus_rank
-from .circuit import CNOT, MEASURE, RESET, U, X, Circuit, Gate
-
-_CNOT4 = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+from .circuit import CNOT, MEASURE, RESET, U, X, Circuit, Gate, _cnot_perm, cnot_count
+from .simulator import _dispose, input_embedding
 
 # element vocabulary: ("U"|"RY"|"RZ", qubit, cond) consume parameters,
 # ("CNOT", ctrl, tgt, cond), ("X", qubit, cond), ("MEASURE", qubit, reg),
@@ -52,17 +52,8 @@ class Template:
 
     @property
     def cnot_count(self) -> int:
-        per_branch: dict = {}
-        base = 0
-        for e in self.elements:
-            if e[0] != "CNOT":
-                continue
-            cond = e[3]
-            if cond is None:
-                base += 1
-            else:
-                per_branch[cond] = per_branch.get(cond, 0) + 1
-        return base + (max(per_branch.values()) if per_branch else 0)
+        """Worst-case CNOT count over classical assignments."""
+        return cnot_count(instantiate(self, [0.0] * self.param_count))[0]
 
 
 def _two_cnot_block(a: int, b: int, cond) -> tuple:
@@ -185,11 +176,9 @@ def instantiate(t: Template, params) -> Circuit:
     gates = []
     for e in t.elements:
         kind = e[0]
-        if kind == "U":
-            gates.append(Gate(U, (e[1],), (next(it), next(it), next(it), next(it)),
-                              condition=e[2]))
-        elif kind in ("RY", "RZ"):
-            gates.append(Gate(kind, (e[1],), (next(it),), condition=e[2]))
+        if kind in ("U", "RY", "RZ"):
+            angles = tuple(next(it) for _ in range(4 if kind == "U" else 1))
+            gates.append(Gate(kind, (e[1],), angles, condition=e[2]))
         elif kind == "CNOT":
             gates.append(Gate(CNOT, (e[1], e[2]), condition=e[3]))
         elif kind == "X":
@@ -204,110 +193,127 @@ def instantiate(t: Template, params) -> Circuit:
                    t.num_cregs)
 
 
+# Angles the optimizer keeps per slot: a U acting on a freshly prepared |0>
+# keeps (beta, gamma), other U slots keep (beta, gamma, delta) (the global
+# phase is per-branch and cancels in the Choi matrix), rotations keep theirs.
+_KEPT = {"U2": (1, 2), "U3": (1, 2, 3), "R": (0,)}
+
+
 def reduced_dim(t: Template) -> int:
-    return sum(3 if r == "U3" else 2 if r == "U2" else 1 for r in t.reduced_spec)
+    return sum(len(_KEPT[role]) for role in t.reduced_spec)
 
 
-def expand_reduced(t: Template, reduced) -> list[float]:
-    """Map optimizer coordinates to full template parameters.
-
-    U slots acting on a freshly prepared |0> keep two angles (beta,
-    gamma); other U slots keep three (global phase is per-branch and
-    cancels in the Choi matrix); rotations keep their angle.
-    """
-    it = iter(float(x) for x in reduced)
-    full = []
+def expand_reduced(t: Template, reduced) -> np.ndarray:
+    """Map optimizer coordinates, one vector or a stack of them, to full
+    template parameters; the angles left out are zero."""
+    pos, at = [], 0
     for role in t.reduced_spec:
-        if role == "U3":
-            full.extend((0.0, next(it), next(it), next(it)))
-        elif role == "U2":
-            full.extend((0.0, next(it), next(it), 0.0))
-        else:
-            full.append(next(it))
+        pos.extend(at + i for i in _KEPT[role])
+        at += 1 if role == "R" else 4
+    reduced = np.asarray(reduced, dtype=np.float64)
+    full = np.zeros(reduced.shape[:-1] + (at,))
+    full[..., pos] = reduced
     return full
 
 
-# --- fast channel evaluation for the fitted templates ---------------------
+# --- batched channel evaluation -------------------------------------------
 
 
-def _vec(b: np.ndarray) -> np.ndarray:
-    return b.T.reshape(-1)
+@lru_cache(maxsize=16)
+def _compile(t: Template) -> tuple:
+    """(ops, slot_index, input embedding, output row order) of a template.
+
+    The ops act on a (batch, branch, row, input) array: ("slot", k, qubit,
+    branches) applies slot matrix k, ("perm", rows, branches) permutes
+    rows, ("measure", masks) splits each branch into outcomes 0 and 1;
+    `branches` is slice(None) or the indices of the branches acted on.
+    Every slot is a u_matrix (RY(t) = u(0, 0, t, 0), RZ(t) = u(0, t, 0, 0)):
+    parameter i is entry slot_index[i] of the flattened (slots, 4) angles.
+    """
+    circ = instantiate(t, [0.0] * t.param_count)
+    p = t.num_qubits
+    rows = np.arange(2**p)
+    ops, slot_index, k = [], [], 0
+    outcomes = [()]           # per branch, the outcome of each measurement so far
+    reg_at, last_on = {}, {}  # register / qubit -> its latest measurement
+
+    def flip(q):
+        return rows ^ (1 << (p - 1 - q))
+
+    def branches(test):
+        sel = [b for b, out in enumerate(outcomes) if test(out)]
+        return slice(None) if len(sel) == len(outcomes) else np.array(sel)
+
+    def fires(cond):
+        return branches(lambda out: all(out[reg_at[r]] == v for r, v in cond or ()))
+
+    for e in t.elements:
+        kind = e[0]
+        if kind in ("U", "RY", "RZ"):
+            if kind == "U":
+                slot_index.extend(range(4 * k, 4 * k + 4))
+            else:
+                slot_index.append(4 * k + (2 if kind == "RY" else 1))
+            ops.append(("slot", k, e[1], fires(e[2])))
+            k += 1
+        elif kind == "CNOT":
+            ops.append(("perm", _cnot_perm(p, e[1], e[2]), fires(e[3])))
+        elif kind == "X":
+            ops.append(("perm", flip(e[1]), fires(e[2])))
+        elif kind == "MEASURE":
+            reg_at[e[2]] = last_on[e[1]] = len(outcomes[0])
+            outcomes = [out + (v,) for out in outcomes for v in (0, 1)]
+            one = flip(e[1]) < rows
+            ops.append(("measure", np.stack([~one, one])))
+        else:  # RESET: X where the qubit's last measurement gave 1
+            at = last_on[e[1]]
+            ops.append(("perm", flip(e[1]), branches(lambda out: out[at] == 1)))
+    out_rows = np.concatenate(_dispose(rows.reshape(-1, 1), circ)).reshape(-1)
+    return tuple(ops), np.array(slot_index), input_embedding(circ), out_rows
 
 
-def _u2(a: float, b: float, g: float, d: float) -> np.ndarray:
-    """u_matrix by its closed form; avoids three 2x2 matmuls."""
-    c, s = math.cos(g / 2), math.sin(g / 2)
-    ea = complex(math.cos(a), math.sin(a))
-    half_sum = (b + d) / 2
-    half_diff = (b - d) / 2
-    esum = complex(math.cos(half_sum), -math.sin(half_sum))
-    ediff = complex(math.cos(half_diff), -math.sin(half_diff))
-    return np.array(
-        [[ea * c * esum, -ea * s * ediff],
-         [ea * s * ediff.conjugate(), ea * c * esum.conjugate()]]
-    )
-
-
-def _ry2(t: float) -> np.ndarray:
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty((4, 4), dtype=complex)
-    out[:2, :2] = a[0, 0] * b
-    out[:2, 2:] = a[0, 1] * b
-    out[2:, :2] = a[1, 0] * b
-    out[2:, 2:] = a[1, 1] * b
-    return out
-
-
-def _t11_choi(params) -> np.ndarray:
-    u0 = _u2(*params[0:4])
-    u1 = _u2(*params[4:8])
-    rot = _kron2(_ry2(params[8]), _ry2(params[9]))
-    u4 = _u2(*params[10:14])
-    m = rot @ (_CNOT4 @ _kron2(u0, u1)[:, 0:2])
-    j = np.zeros((4, 4), dtype=complex)
-    for b in (0, 1):
-        w = m[2 * b : 2 * b + 2, :]
-        if b:
-            w = w[::-1, :]  # classically controlled X
-        v = _vec(u4 @ w)
-        j += np.outer(v, v.conj())
-    return j
-
-
-def _iso12_matrix(params) -> np.ndarray:
-    front = _kron2(_u2(*params[0:4]), _u2(*params[4:8]))
-    rot = _kron2(_ry2(params[8]), _ry2(params[9]))
-    back = _kron2(_u2(*params[10:14]), _u2(*params[14:18]))
-    return back @ (_CNOT4 @ (rot @ (_CNOT4 @ front)))
-
-
-def _t12_choi(params) -> np.ndarray:
-    stage = _iso12_matrix(params[0:18])[:, 0:2]
-    j = np.zeros((8, 8), dtype=complex)
-    for b in (0, 1):
-        w = stage[2 * b : 2 * b + 2, :]
-        block = _iso12_matrix(params[18 + 18 * b : 36 + 18 * b])
-        bb = block[:, 0:2] @ w
-        v = _vec(bb)
-        j += np.outer(v, v.conj())
-    return j
-
-
-_FAST_CHOI = {"T11": _t11_choi, "T12": _t12_choi}
+def _slot_matrices(params: np.ndarray, slot_index: np.ndarray) -> np.ndarray:
+    """(B, slots, 2, 2) slot matrices for B parameter vectors, from the
+    closed form e^{ia} Rz(b) Ry(g) Rz(d) =
+    [[e^{i(a-(b+d)/2)} c, -e^{i(a-(b-d)/2)} s], [e^{i(a+(b-d)/2)} s, e^{i(a+(b+d)/2)} c]]
+    with c = cos(g/2) and s = sin(g/2)."""
+    angles = np.zeros((len(params), slot_index[-1] // 4 + 1, 4))
+    angles.reshape(len(params), -1)[:, slot_index] = params
+    a, b, g, d = np.moveaxis(angles, -1, 0)
+    c, s = np.cos(0.5 * g), np.sin(0.5 * g)
+    phase = np.exp(0.5j * np.stack([2 * a - b - d, 2 * a - b + d, 2 * a + b - d, 2 * a + b + d],
+                                   axis=-1))
+    return (phase * np.stack([c, -s, s, c], axis=-1)).reshape(angles.shape[:2] + (2, 2))
 
 
 def template_choi(t: Template, params) -> np.ndarray:
-    """Choi matrix of the instantiated template (fast path if available)."""
-    fn = _FAST_CHOI.get(t.id)
-    if fn is not None:
-        return fn(list(float(x) for x in params))
-    from .simulator import circuit_to_kraus
+    """Choi matrix of the instantiated template, or a stack of them for a
+    (B, param_count) stack of parameter vectors.
 
-    return choi_from_kraus(circuit_to_kraus(instantiate(t, params))).j
+    Runs every parameter vector and every measurement branch at once; the
+    Kraus operators are the branch blocks split by the disposed qubits.
+    """
+    ops, slot_index, embed, out_rows = _compile(t)
+    params = np.asarray(params, dtype=np.float64)
+    if params.shape[-1:] != (t.param_count,) or params.ndim > 2:
+        raise ValueError(f"{t.id} takes {t.param_count} parameters, got shape {params.shape}")
+    batch = params.reshape(-1, t.param_count)
+    mats, size = _slot_matrices(batch, slot_index), len(batch)
+    state = np.broadcast_to(embed, (size, 1) + embed.shape).copy()
+    for op in ops:
+        if op[0] == "slot":
+            _, k, q, sel = op
+            part = state[:, sel]
+            blocks = part.reshape(size, part.shape[1], 2**q, 2, -1)
+            state[:, sel] = (mats[:, k, None, None] @ blocks).reshape(part.shape)
+        elif op[0] == "perm":
+            state[:, op[2]] = state[:, op[2]][:, :, op[1]]
+        else:
+            state = (state[:, :, None] * op[1][:, :, None]).reshape(size, -1, *embed.shape)
+    kraus = state[:, :, out_rows].reshape(size, -1, 2**t.n, embed.shape[1])
+    vecs = kraus.transpose(0, 1, 3, 2).reshape(size, -1, embed.shape[1] * 2**t.n)
+    j = vecs.transpose(0, 2, 1) @ vecs.conj()  # sum over Kraus ops of |vec A><vec A|
+    return j if params.ndim == 2 else j[0]
 
 
 def minimize(*args, **kwargs):
@@ -319,73 +325,6 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _nelder_mead(objective, x0, max_iters: int):
-    return minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options=dict(maxiter=max_iters, xatol=1e-11, fatol=1e-16, adaptive=True),
-    )
-
-
-def _subfit_iso12(target: np.ndarray, rng, starts: int = 10, max_iters: int = 2000):
-    """Match the 2-CNOT stage topology to a 4x2 isometry, up to phase."""
-
-    def expand(xs):
-        return [0.0, xs[0], xs[1], 0.0,
-                0.0, xs[2], xs[3], xs[4],
-                xs[5], xs[6],
-                0.0, xs[7], xs[8], xs[9],
-                0.0, xs[10], xs[11], xs[12]]
-
-    def obj(xs) -> float:
-        s = _iso12_matrix(expand(xs))[:, :2]
-        ov = np.vdot(s, target)  # tr(s^dag target)
-        ph = ov.conjugate() / abs(ov) if abs(ov) > 0.0 else 1.0
-        d = s - ph * target
-        return float(np.vdot(d, d).real)
-
-    best = (math.inf, None)
-    for _ in range(starts):
-        res = _nelder_mead(obj, rng.uniform(-math.pi, math.pi, 13), max_iters)
-        if res.fun < best[0]:
-            best = (res.fun, res.x)
-        if best[0] < 1e-14:
-            break
-    return expand(best[1])
-
-
-def _structured_starts(t: Template, target: KrausSet, rng) -> list[np.ndarray]:
-    """Template-specific initial guesses assembled from the compile plan.
-
-    For the one-to-two template the QR recursion hands us the stage
-    isometry and the two residuals directly; matching each block
-    separately is three small searches instead of one large one, and
-    the per-block phase freedom cancels in the channel.
-    """
-    if t.id != "T12":
-        return []
-    from .compiler import plan_measured
-
-    plan = plan_measured(target)
-    if plan.k_tilde != 1 or set(plan.finals) != {"0", "1"}:
-        return []
-    full = (
-        _subfit_iso12(plan.stages[0][""], rng)
-        + _subfit_iso12(plan.finals["0"], rng)
-        + _subfit_iso12(plan.finals["1"], rng)
-    )
-    reduced = []
-    it = iter(full)
-    for role in t.reduced_spec:
-        if role == "R":
-            reduced.append(next(it))
-        else:
-            vals = [next(it) for _ in range(4)]
-            reduced.extend(vals[1:4] if role == "U3" else vals[1:3])
-    return [np.array(reduced)]
-
-
 def fit(
     t: Template,
     target: KrausSet,
@@ -394,42 +333,39 @@ def fit(
     tol: float = 1e-6,
     seed: int = 0,
 ) -> tuple[list[float], float]:
-    """Multi-start simplex search for parameters realizing the channel.
+    """Multi-start L-BFGS-B search for parameters realizing the channel.
 
-    Structured guesses derived from the compiler's QR factors are tried
-    first where the template supports them, then seeded random starts.
-    The search stops at the first start reaching `tol`, otherwise
-    returns the best over all starts.  Restarting the simplex at the
-    incumbent a couple of times helps it out of collapsed configurations.
+    Minimizes f = ||J - J_target||_F^2 from seeded uniform random starts
+    and stops at the first start reaching `tol`, else returns the best.
+    Each optimizer coordinate is the angle of one rotation, so the
+    parameter-shift rule dJ/dx = [J(x + pi/2) - J(x - pi/2)] / 2 is exact:
+    one batched evaluation at 2d + 1 points gives f and its gradient.
     """
     if (target.m, target.n) != (t.m, t.n):
         raise ValueError(f"{t.id} expects a {t.m}->{t.n} channel")
     if kraus_rank(target) > t.max_rank:
         raise ValueError(f"{t.id} handles Kraus rank <= {t.max_rank}")
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
     jt = choi_from_kraus(target).j
     dim = reduced_dim(t)
+    shift = 0.5 * math.pi * np.eye(dim)
+    points = np.vstack([np.zeros(dim), shift, -shift])
 
-    def objective(xs) -> float:
-        d = template_choi(t, expand_reduced(t, xs)) - jt
-        return float(np.vdot(d, d).real)
+    def objective(xs):
+        js = template_choi(t, expand_reduced(t, xs + points))
+        d = js[0] - jt
+        slopes = (js[1 : dim + 1] - js[dim + 1 :]).reshape(dim, -1)
+        return float(np.vdot(d, d).real), (slopes @ d.conj().reshape(-1)).real
 
     rng = np.random.default_rng(seed)
-    guesses = _structured_starts(t, target, rng)
     best_val, best_x = math.inf, None
-    for s in range(starts):
-        x = guesses[s] if s < len(guesses) else rng.uniform(-math.pi, math.pi, dim)
-        val = objective(x)
-        for _ in range(3):  # simplex restarts at the incumbent
-            if math.sqrt(max(val, 0.0)) < tol:
-                break
-            res = _nelder_mead(objective, x, max_iters)
-            if res.fun >= val * 0.999999:
-                if res.fun < val:
-                    val, x = res.fun, res.x
-                break
-            val, x = res.fun, res.x
-        if val < best_val:
-            best_val, best_x = val, x
-        if math.sqrt(max(best_val, 0.0)) < tol:
+    for _ in range(starts):
+        res = minimize(objective, rng.uniform(-math.pi, math.pi, dim), jac=True,
+                       method="L-BFGS-B",
+                       options=dict(maxiter=max_iters, ftol=0.0, gtol=1e-14))
+        if res.fun < best_val:
+            best_val, best_x = res.fun, res.x
+        if math.sqrt(best_val) < tol:
             break
-    return expand_reduced(t, best_x), math.sqrt(max(best_val, 0.0))
+    return expand_reduced(t, best_x).tolist(), math.sqrt(best_val)

@@ -106,3 +106,13 @@ def test_all_values_nonnegative():
 def test_table1_rejects_negative_sizes(m, n):
     with pytest.raises(ValueError, match="non-negative"):
         table1(m, n)
+
+
+def test_table1_size_limit():
+    # 4^7000 has 4,215 digits: every field still converts to str under the
+    # 4,300-digit default; one qubit more is refused before any power
+    rep = table1(7000, 0)
+    assert len(str(rep.ub_asymptotic_qcm)) == 4215
+    for m, n in [(7000, 1), (5_000_000, 1), (100_000_000_000, 1)]:
+        with pytest.raises(ValueError, match="at most 7000"):
+            table1(m, n)

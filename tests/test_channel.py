@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chancomp.channel import (
     ChoiMatrix,
@@ -230,4 +232,45 @@ def test_random_channel_size_cap():
         random_channel(20, 20, 1, seed=0)
     with pytest.raises(ValueError, match="cap"):
         random_channel(10, 9, 4, seed=0)
+    with pytest.raises(ValueError, match="cap"):
+        random_channel(100_000_000_000, 1, 1, seed=0)
     assert random_channel(3, 7, 1, seed=0).K == 1
+
+
+def test_kraus_set_rejects_oversized_qubit_counts():
+    with pytest.raises(ValueError, match="cap"):
+        KrausSet(100_000_000_000, 1, [I2])
+    with pytest.raises(ValueError, match="cap"):
+        KrausSet(11, 10, [I2])
+
+
+@pytest.mark.parametrize("m,n", [("1", 1), (1, 1.9), (1.0, 1), (True, 1), (1, None), (1, [1])])
+def test_channel_json_needs_integer_sizes(m, n):
+    doc = json.loads(channel_to_json(identity_channel()))
+    doc["m"], doc["n"] = m, n
+    with pytest.raises(ValueError, match="must be an integer"):
+        channel_from_json(json.dumps(doc))
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from([10**400, 2**64])
+           | st.floats() | st.text(max_size=2))
+_JSON = st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=3)
+                     | st.dictionaries(st.sampled_from(["m", "n", "kraus"]), kids, max_size=3),
+                     max_leaves=12)
+_ENTRY = st.lists(st.one_of(st.floats(-1.5, 1.5), _LEAVES), min_size=0, max_size=3)
+_MATRIX = st.lists(st.lists(_ENTRY, min_size=1, max_size=4), min_size=1, max_size=4)
+_DOCS = st.one_of(_JSON, st.fixed_dictionaries({
+    "m": st.integers(0, 2) | _LEAVES,
+    "n": st.integers(0, 2) | _LEAVES,
+    "kraus": st.lists(_MATRIX, max_size=3) | _JSON,
+}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCS)
+def test_channel_json_fuzz_loads_or_raises_value_error(doc):
+    try:
+        ks = channel_from_json(json.dumps(doc))
+    except ValueError:
+        return
+    assert isinstance(ks, KrausSet)

@@ -245,12 +245,12 @@ def test_missing_file_exits_one(tmp_path):
     assert run(["info", "--in", str(tmp_path / "nope.json")]) == 1
 
 
-def _run_cli(args, cwd):
+def _run_cli(args, cwd, timeout=120):
     src_dir = str(pathlib.Path(chancomp.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("case", ["verify-40-qubits", "random-too-large", "info-nan"])
@@ -280,3 +280,32 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     proc = _run_cli(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_SIZE_CASES = {
+    "info-huge-m": ["info", "--in", "doc.json"],
+    "info-string-m": ["info", "--in", "doc.json"],
+    "info-float-n": ["info", "--in", "doc.json"],
+    "info-bool-m": ["info", "--in", "doc.json"],
+    "random-huge-m": ["random", "--m", "100000000000", "--n", "1", "--kraus-rank", "1",
+                      "--seed", "0", "--out", "r.json"],
+    "bounds-huge-m": ["bounds", "--m", "100000000000", "--n", "1"],
+    "bounds-digit-limit": ["bounds", "--m", "5000000", "--n", "1"],
+    "verify-huge-qubits": ["verify", "--circuit", "huge.qcirc", "--channel", "doc.json"],
+}
+_SIZE_DOCS = {"info-huge-m": (100_000_000_000, 1), "info-string-m": ("1", 1),
+              "info-float-n": (1, 1.9), "info-bool-m": (True, 1)}
+
+
+@pytest.mark.parametrize("case", sorted(_SIZE_CASES))
+def test_qubit_counts_checked_before_any_power(tmp_path, case):
+    # each of these ran until killed, or died on int-to-str conversion
+    doc = json.loads(channel_to_json(random_channel(1, 1, 2, seed=7)))
+    doc["m"], doc["n"] = _SIZE_DOCS.get(case, (1, 1))
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    (tmp_path / "huge.qcirc").write_text("QUBITS 100000000000\nCREGS 0\nINPUTS q0\nOUTPUTS q0\n")
+    proc = _run_cli(["-m", "chancomp.cli", *_SIZE_CASES[case]], tmp_path, timeout=10)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1].startswith("error: ")
+    assert proc.stdout == ""

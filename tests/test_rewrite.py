@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from chancomp.channel import choi_distance, choi_from_kraus, random_channel
 from chancomp.circuit import (
@@ -17,6 +18,7 @@ from chancomp.circuit import (
 from chancomp.compiler import compile_measured, compile_qcm
 from chancomp.rewrite import classicalize_controls, drop_dead_unitaries, standard_passes
 from chancomp.simulator import circuit_to_kraus
+from test_circuit import circuits
 
 
 def channel_of(circ):
@@ -201,3 +203,12 @@ def test_compiled_pipeline_saves_a_cnot():
     out = standard_passes(circ)
     assert cnot_count(out)[0] == cnot_count(circ)[0] - 1
     assert_channel_preserved(circ, out, 1e-8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits().filter(lambda c: c.num_qubits <= 3))
+def test_standard_passes_preserve_channel_property(c):
+    # conditioned gates, measure/reset pairs, traced and unread qubits
+    out = standard_passes(c)
+    assert_channel_preserved(c, out)
+    assert cnot_count(out)[0] <= cnot_count(c)[0]

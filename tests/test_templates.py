@@ -1,5 +1,6 @@
 import json
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from chancomp.channel import (
     choi_from_kraus,
     random_channel,
 )
-from chancomp.circuit import cnot_count, u_matrix
+from chancomp import templates
+from chancomp.circuit import cnot_count, ry_matrix, rz_matrix, u_matrix
 from chancomp.simulator import circuit_to_kraus
 from chancomp.templates import (
     TEMPLATES,
-    _u2,
+    Template,
+    _compile,
+    _slot_matrices,
     expand_reduced,
     fit,
     instantiate,
@@ -62,20 +66,56 @@ def test_t11_zero_params_matches_golden_choi():
 
 
 def test_closed_form_u_matches_gate_semantics():
+    # one slot of each kind; the slot matrices follow circuit's gate matrices
+    t = Template("slots", 1, 1, 1, 1, (0,), (0,), 0,
+                 (("U", 0, None), ("RY", 0, None), ("RZ", 0, None)), ("U3", "R", "R"))
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        p = rng.uniform(-7, 7, 4)
-        assert np.linalg.norm(_u2(*p) - u_matrix(*p)) < 1e-13
+    params = rng.uniform(-7, 7, (50, 6))
+    mats = _slot_matrices(params, _compile(t)[1])
+    for p, (u, ry, rz) in zip(params, mats):
+        assert np.linalg.norm(u - u_matrix(*p[:4])) < 1e-13
+        assert np.linalg.norm(ry - ry_matrix(p[4])) < 1e-13
+        assert np.linalg.norm(rz - rz_matrix(p[5])) < 1e-13
 
 
-@pytest.mark.parametrize("tid", ["T11", "T12"])
+@pytest.mark.parametrize("tid", sorted(TEMPLATES))
 def test_fast_choi_agrees_with_simulator(tid):
     t = TEMPLATES[tid]
     rng = np.random.default_rng(7)
-    for _ in range(5):
-        params = rng.uniform(-3, 3, t.param_count)
+    batch = rng.uniform(-3, 3, (5, t.param_count))
+    js = template_choi(t, batch)
+    assert js.shape == (5, 2 ** (t.m + t.n), 2 ** (t.m + t.n))
+    for params, j in zip(batch, js):
         j_sim = choi_from_kraus(circuit_to_kraus(instantiate(t, params))).j
-        assert np.linalg.norm(template_choi(t, params) - j_sim) < 1e-12
+        assert np.linalg.norm(j - j_sim) < 1e-12
+        assert np.array_equal(template_choi(t, params), j)
+
+
+def test_template_choi_rejects_wrong_length():
+    with pytest.raises(ValueError, match="takes 14 parameters"):
+        template_choi(TEMPLATES["T11"], [0.0] * 13)
+
+
+@pytest.mark.parametrize("tid", sorted(TEMPLATES))
+def test_parameter_shift_gradient_matches_central_differences(tid, monkeypatch):
+    t = TEMPLATES[tid]
+    seen = []
+
+    def record(objective, x0, **kwargs):
+        seen.append(objective)
+        return SimpleNamespace(fun=objective(x0)[0], x=x0)
+
+    monkeypatch.setattr(templates, "minimize", record)
+    fit(t, random_channel(t.m, t.n, 2, seed=11), starts=1, seed=12)
+    objective = seen[0]
+    x = np.random.default_rng(13).uniform(-np.pi, np.pi, reduced_dim(t))
+    _, grad = objective(x)
+    h = 1e-5
+    for i in range(len(x)):
+        e = np.zeros_like(x)
+        e[i] = h
+        diff = (objective(x + e)[0] - objective(x - e)[0]) / (2 * h)
+        assert abs(grad[i] - diff) < 1e-7 * max(1.0, abs(diff))
 
 
 def test_expand_reduced_round_trip_dimensions():
@@ -95,6 +135,11 @@ def test_fit_rejects_high_rank():
     t = TEMPLATES["T11"]
     with pytest.raises(ValueError, match="rank"):
         fit(t, random_channel(1, 1, 3, seed=0))
+
+
+def test_fit_rejects_no_starts():
+    with pytest.raises(ValueError, match="starts"):
+        fit(TEMPLATES["T11"], random_channel(1, 1, 2, seed=0), starts=0)
 
 
 def test_fit_t11_identity_channel():
