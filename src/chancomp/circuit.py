@@ -203,6 +203,47 @@ def apply_unitary_gate(mat: np.ndarray, g: Gate, p: int) -> np.ndarray:
     return (gate1_matrix(g) @ mat.reshape(2 ** g.qubits[0], 2, -1)).reshape(mat.shape)
 
 
+def rotate_pairs(work: np.ndarray, kind: str, b: int, angles: np.ndarray) -> None:
+    """Apply a multiplexed rotation on the qubit at significance b to `work`,
+    in place, as one block update.
+
+    Every row pair that differs only in bit b is a control pattern s (the
+    other bits, high to low); the pair gets R_kind(angles[s]), kind RY or
+    RZ.  This is the matrix that `synth.multiplexed_rotation` emits, in
+    either gate order.  The reshape only splits the row axis of the
+    2^p x C `work`, so it is a view for any memory layout.
+    """
+    t = work.reshape(-1, 2, 1 << b, work.shape[1])   # (high bits, bit b, low bits, col)
+    half = 0.5 * angles.reshape(-1, 1 << b, 1)
+    if kind == RZ:
+        t[:, 0] *= np.exp(-1j * half)
+        t[:, 1] *= np.exp(1j * half)
+        return
+    cos, sin = np.cos(half), np.sin(half)
+    top = t[:, 0].copy()
+    t[:, 0] = cos * top - sin * t[:, 1]
+    t[:, 1] = sin * top + cos * t[:, 1]
+
+
+def walsh_hadamard(w: np.ndarray) -> np.ndarray:
+    """out[x] = sum_s (-1)^popcount(x & s) w[s] over the 2^c entries of w.
+
+    A constant-geometry numpy butterfly: each of the c stages writes the
+    sums of adjacent pairs to the first half and their differences to the
+    second.  No BLAS call is made, so the result cannot depend on the
+    BLAS thread count.
+    """
+    n = w.size
+    half = n // 2
+    w, out = w.astype(np.float64), np.empty(n)   # astype copies
+    for _ in range(n.bit_length() - 1):
+        pairs = w.reshape(half, 2)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:half])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[half:])
+        w, out = out, w
+    return w
+
+
 # --- CNOT accounting ------------------------------------------------------
 
 

@@ -213,6 +213,8 @@ _BOUND_FIELDS = (
     "ub_asymptotic_qcm", "ub_asymptotic_random", "ub_asymptotic_measured",
     "qubits_qcm", "qubits_random", "qubits_measured",
 )
+# The most rows `bounds --grid` prints; a row near m + n = 7000 takes about 1 ms.
+_MAX_GRID_ROWS = 10_000
 
 
 def _cmd_bounds(args) -> int:
@@ -220,15 +222,22 @@ def _cmd_bounds(args) -> int:
         mmax, nmax = args.grid
         if mmax < 0 or nmax < 0:
             raise ValueError(f"--grid needs non-negative limits, got {mmax} {nmax}")
-        rows = [bounds_mod.table1(m, n) for m in range(mmax + 1) for n in range(nmax + 1)]
+        if mmax + nmax > bounds_mod.MAX_TABLE_QUBITS:
+            raise ValueError(f"--grid needs MMAX + NMAX <= {bounds_mod.MAX_TABLE_QUBITS}, "
+                             f"got {mmax} {nmax}")
+        if (mmax + 1) * (nmax + 1) > _MAX_GRID_ROWS:
+            raise ValueError(f"--grid {mmax} {nmax} has {(mmax + 1) * (nmax + 1)} rows, "
+                             f"more than {_MAX_GRID_ROWS}")
         if args.csv:
             print("m,n," + ",".join(_BOUND_FIELDS))
-            for rep in rows:
-                print(f"{rep.m},{rep.n}," + ",".join(str(getattr(rep, f)) for f in _BOUND_FIELDS))
-        else:
-            for rep in rows:
-                vals = " ".join(f"{f}={getattr(rep, f)}" for f in _BOUND_FIELDS)
-                print(f"m={rep.m} n={rep.n} {vals}")
+        for m in range(mmax + 1):
+            for n in range(nmax + 1):
+                rep = bounds_mod.table1(m, n)
+                if args.csv:
+                    print(f"{m},{n}," + ",".join(str(getattr(rep, f)) for f in _BOUND_FIELDS))
+                else:
+                    vals = " ".join(f"{f}={getattr(rep, f)}" for f in _BOUND_FIELDS)
+                    print(f"m={m} n={n} {vals}")
         return 0
     if args.m is None or args.n is None:
         raise UsageError("bounds needs --m and --n (or --grid)")

@@ -6,15 +6,44 @@ simply undeclared as outputs, are summed out by treating their final
 basis value as an extra branch index.  This recovers the implemented
 Kraus operators directly, which is what the compiler's verification
 needs.  Intended for small systems (at most ~8 qubits).
+
+Gates are applied run by run.  A run is a maximal stretch of
+consecutive gates under one condition that act on one target t: RY or
+RZ rotations on t (one axis per run) and CNOTs onto t.  It leaves every
+other bit alone, so for each pattern x of those bits it is a 2x2 matrix
+on t.  The CNOTs seen before rotation i flip t where popcount(x & m_i)
+is odd (m_i is the XOR of their control masks), and X R_a(theta) X =
+R_a(-theta) for a in {Y, Z}; rotations of one axis commute.  So the run
+is exactly the rotation by phi(x) = sum_i (-1)^popcount(x & m_i) theta_i,
+a Walsh-Hadamard transform of the angles summed per mask, followed by a
+swap of the pair wherever popcount(x & m_end) is odd.  That is one block
+update per run (`circuit.rotate_pairs`, the synthesizer's kernel) and at
+most one row permutation.  The Gray-code multiplexors the synthesizer
+emits are each one run.  Other unitary gates are applied one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .circuit import MEASURE, RESET, TRACE, UNITARY_KINDS, X, Circuit, Gate, apply_unitary_gate
+from .circuit import (
+    CNOT,
+    MEASURE,
+    RESET,
+    RY,
+    RZ,
+    TRACE,
+    UNITARY_KINDS,
+    X,
+    Circuit,
+    Gate,
+    apply_unitary_gate,
+    rotate_pairs,
+    walsh_hadamard,
+)
 from .channel import KrausSet
 from .linalg import MAX_DENSE_ENTRIES, MAX_DENSE_QUBITS
 
@@ -58,12 +87,10 @@ def input_embedding(c: Circuit) -> np.ndarray:
 
 def simulate_unitary(c: Circuit) -> np.ndarray:
     """Total matrix of a measurement-free circuit, restricted to input columns."""
-    mat = input_embedding(c)
     for g in c.gates:
         if g.kind not in UNITARY_KINDS or g.condition:
             raise ValueError("simulate_unitary needs a purely unitary circuit")
-        mat = apply_unitary_gate(mat, g, c.num_qubits)
-    return mat
+    return _walk_branches(c)[0].mat
 
 
 def _project(mat: np.ndarray, p: int, qubit: int, outcome: int) -> np.ndarray:
@@ -93,12 +120,99 @@ def _fires(g: Gate, regs: dict) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _parity(p: int) -> np.ndarray:
+    """popcount(v) & 1 for every p-bit value v, as a read-only bool table."""
+    par = np.zeros(1, dtype=bool)
+    for _ in range(p):
+        par = np.concatenate([par, ~par])
+    par.flags.writeable = False
+    return par
+
+
+@dataclass(frozen=True)
+class _Run:
+    """A fused run (see the module docstring), ready to apply: `angles`
+    (None without rotations) in `rotate_pairs` pattern order, and the
+    row permutation of the final swap (None when m_end is 0)."""
+
+    condition: tuple | None
+    kind: str | None
+    b: int                      # significance of the target bit
+    angles: np.ndarray | None
+    perm: np.ndarray | None
+    qubits: tuple[int, ...]     # every qubit a gate of the run acts on
+
+
+def _make_run(p, target, condition, kind, masks, thetas, m_end, touched) -> _Run:
+    b = p - 1 - target
+    angles = perm = None
+    if thetas:
+        m = np.array(masks)
+        pattern = ((m >> (b + 1)) << b) | (m & ((1 << b) - 1))   # drop bit b
+        angles = walsh_hadamard(np.bincount(pattern, weights=thetas, minlength=1 << (p - 1)))
+    if m_end:
+        rows = np.arange(1 << p)
+        perm = np.where(_parity(p)[rows & m_end], rows ^ (1 << b), rows)
+    qubits = tuple(q for q in range(p) if (touched >> (p - 1 - q)) & 1)
+    return _Run(condition, kind, b, angles, perm, qubits)
+
+
+def _fused_gates(c: Circuit):
+    """The gates of c in order, with every run fused into one _Run.
+
+    Row masks: qubit q is bit p - 1 - q of a row index.  `mask` is the
+    XOR of the control masks of the CNOTs seen so far in the run;
+    `touched` ORs in every qubit the run acts on."""
+    p = c.num_qubits
+    target = None
+    for g in c.gates:
+        kind, qs = g.kind, g.qubits
+        if kind == CNOT:
+            t = qs[1]
+        elif kind == RY or kind == RZ:
+            t = qs[0]
+        else:
+            if target is not None:
+                yield _make_run(p, target, cond, axis, masks, thetas, mask, touched)
+                target = None
+            yield g
+            continue
+        gc = g.condition or None
+        if t != target or gc != cond or (kind != CNOT and axis is not None and kind != axis):
+            if target is not None:
+                yield _make_run(p, target, cond, axis, masks, thetas, mask, touched)
+            target, cond, axis, masks, thetas = t, gc, None, [], []
+            mask, touched = 0, 1 << (p - 1 - t)
+        if kind == CNOT:
+            bit = 1 << (p - 1 - qs[0])
+            mask ^= bit
+            touched |= bit
+        else:
+            axis = kind
+            masks.append(mask)
+            thetas.append(g.params[0])
+    if target is not None:
+        yield _make_run(p, target, cond, axis, masks, thetas, mask, touched)
+
+
 def _walk_branches(c: Circuit) -> list[_Branch]:
     p = c.num_qubits
     branches = [_Branch(mat=input_embedding(c))]
     written = set()
-    for g in c.gates:
-        if g.kind == MEASURE:
+    for g in _fused_gates(c):
+        if type(g) is _Run:
+            for br in branches:
+                if _fires(g, br.regs):
+                    # branch matrices are never shared, so updating in place is safe
+                    if g.angles is not None:
+                        rotate_pairs(br.mat, g.kind, g.b, g.angles)
+                    if g.perm is not None:
+                        br.mat = br.mat[g.perm]
+                    if br.fresh_meas:
+                        for q in g.qubits:
+                            br.fresh_meas.pop(q, None)
+        elif g.kind == MEASURE:
             if g.creg in written:
                 raise ValueError(f"register c{g.creg} written twice")
             written.add(g.creg)

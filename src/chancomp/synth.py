@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import CNOT, RY, RZ, U, Circuit, Gate
+from .circuit import CNOT, RY, RZ, U, Circuit, Gate, rotate_pairs, walsh_hadamard
 from .linalg import is_isometry
 
 _ZERO_AMP = 1e-12
@@ -33,21 +33,11 @@ def _gray_code_angles(angles: np.ndarray) -> list[float]:
 
     phi[i] = 2^-c sum_s (-1)^popcount(gray(i) & s) angles[s] with
     gray(i) = i ^ (i >> 1): a Walsh-Hadamard transform read out in Gray
-    order.  The transform is a constant-geometry numpy butterfly: each of
-    the c stages writes the sums of adjacent pairs to the first half and
-    their differences to the second.  No BLAS call is made, so the result
-    cannot depend on the BLAS thread count.
+    order.
     """
     n = angles.size
-    half = n // 2
-    w, out = angles.copy(), np.empty(n)
-    for _ in range(n.bit_length() - 1):
-        pairs = w.reshape(half, 2)
-        np.add(pairs[:, 0], pairs[:, 1], out=out[:half])
-        np.subtract(pairs[:, 0], pairs[:, 1], out=out[half:])
-        w, out = out, w
     i = np.arange(n)
-    return (w[i ^ (i >> 1)] / n).tolist()
+    return (walsh_hadamard(angles)[i ^ (i >> 1)] / n).tolist()
 
 
 @lru_cache(maxsize=1024)
@@ -90,28 +80,6 @@ def multiplexed_rotation(axis: str, controls, target: int, angles) -> list[Gate]
         gates.append(Gate(kind, (target,), (phi,)))
         gates.append(cx)
     return gates
-
-
-def _rotate_pairs(work: np.ndarray, kind: str, b: int, angles: np.ndarray) -> None:
-    """Apply a multiplexed rotation on the qubit at significance b to `work`,
-    in place, as one block update.
-
-    Every row pair that differs only in bit b is a control pattern s (the
-    other bits, high to low); the pair gets R_kind(angles[s]).  This is
-    the matrix that multiplexed_rotation emits, in either gate order.  The
-    reshape only splits the row axis of the 2^p x C `work`, so it is a
-    view for any memory layout.
-    """
-    t = work.reshape(-1, 2, 1 << b, work.shape[1])   # (high bits, bit b, low bits, col)
-    half = 0.5 * angles.reshape(-1, 1 << b, 1)
-    if kind == RZ:
-        t[:, 0] *= np.exp(-1j * half)
-        t[:, 1] *= np.exp(1j * half)
-        return
-    cos, sin = np.cos(half), np.sin(half)
-    top = t[:, 0].copy()
-    t[:, 0] = cos * top - sin * t[:, 1]
-    t[:, 1] = sin * top + cos * t[:, 1]
 
 
 def _phase(z) -> np.ndarray:
@@ -167,7 +135,7 @@ def _reduction_segments(v: np.ndarray):
     for every pattern s of the other qubits (high to low).  The steps in
     order, then diag(e^{i lams}) (None for one column), map v to [I; 0]
     exactly.  Each step is one block update of the working copy
-    (_rotate_pairs), its angles read off the column pairs in bulk.
+    (rotate_pairs), its angles read off the column pairs in bulk.
     """
     rows, cols = v.shape
     p = rows.bit_length() - 1
@@ -186,7 +154,7 @@ def _reduction_segments(v: np.ndarray):
             both = active & (np.minimum(np.abs(a0), np.abs(a1)) >= _ZERO_AMP)
             rz = np.where(both, _phase(a0 * a1.conj()), 0.0)
             seg.append((RZ, target, rz))
-            _rotate_pairs(work, RZ, b, rz)
+            rotate_pairs(work, RZ, b, rz)
             # rotate mass onto the component matching bit b of j
             a0, a1 = np.abs(col[:, 0].reshape(-1)), np.abs(col[:, 1].reshape(-1))
             either = active & (np.maximum(a0, a1) >= _ZERO_AMP)
@@ -195,7 +163,7 @@ def _reduction_segments(v: np.ndarray):
             else:
                 ry = np.where(either, -2.0 * np.arctan2(a1, a0), 0.0)
             seg.append((RY, target, ry))
-            _rotate_pairs(work, RY, b, ry)
+            rotate_pairs(work, RY, b, ry)
         segments.append(seg)
     lams = None
     if cols >= 2:

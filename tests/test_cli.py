@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -217,6 +218,27 @@ def test_bounds_rejects_negative_sizes(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_bounds_grid_output_unchanged(capsys):
+    # sha256 of `bounds --grid 3 3` as printed before rows were streamed
+    assert run(["bounds", "--grid", "3", "3"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 16
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "6ed57a26773ce7c9df79e67f8b532d90b2f314f9b981380603293543856deb8a"
+
+
+@pytest.mark.parametrize("grid,frag", [(["3000", "3000"], "rows, more than"),
+                                       (["0", "7001"], "MMAX + NMAX <= 7000")])
+def test_bounds_grid_refused_before_any_row(tmp_path, grid, frag):
+    # --grid 3000 3000 used to build 9 million rows before printing any
+    proc = _run_cli(["-m", "chancomp.cli", "bounds", "--grid", *grid], tmp_path, timeout=10)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("error: ") and frag in last
 
 
 def test_fit_identity(tmp_path, capsys):

@@ -1,21 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chancomp.channel import choi_distance, choi_from_kraus, kraus_rank
+from chancomp import simulator
+from chancomp.channel import choi_distance, choi_from_kraus, kraus_rank, random_channel
 from chancomp.circuit import (
     CNOT,
     MEASURE,
     RESET,
+    RX,
     RY,
     RZ,
+    TRACE,
     U,
     X,
     Circuit,
     Gate,
+    apply_unitary_gate,
     parse,
     serialize,
 )
+from chancomp.compiler import compile_measured, compile_qcm
+from chancomp.rewrite import standard_passes
 from chancomp.simulator import (
+    _Branch,
+    _fires,
+    _parity,
+    _project,
+    _walk_branches,
     circuit_to_branches,
     circuit_to_kraus,
     input_embedding,
@@ -49,6 +62,17 @@ def test_simulate_cnot_reversed_control():
 
 def test_simulate_rejects_measured_circuit():
     c = Circuit(1, (0,), (0,), (Gate(MEASURE, (0,), creg=0),), 1)
+    with pytest.raises(ValueError, match="purely unitary"):
+        simulate_unitary(c)
+
+
+@pytest.mark.parametrize("gate", [
+    Gate(RESET, (0,)),
+    Gate(TRACE, (0,)),
+    Gate(RY, (0,), (0.4,), condition=((0, 1),)),
+])
+def test_simulate_rejects_reset_trace_and_conditions(gate):
+    c = Circuit(1, (0,), (0,) if gate.kind != TRACE else (), (gate,), 1)
     with pytest.raises(ValueError, match="purely unitary"):
         simulate_unitary(c)
 
@@ -246,3 +270,173 @@ def test_simulator_accepts_largest_compiled_size():
     gates = tuple(Gate(MEASURE, (0,), creg=r) for r in range(3))
     c = Circuit(4, (1, 2, 3), (1, 2, 3), gates, 3)
     assert len(circuit_to_branches(c)) == 2 * 2**3
+
+
+# --- fused runs ---------------------------------------------------------------
+
+
+def reference_walk(c):
+    """The walker applying every unitary gate on its own: the reference the
+    fused runs are checked against."""
+    p = c.num_qubits
+    branches = [_Branch(mat=input_embedding(c))]
+    written = set()
+    for g in c.gates:
+        if g.kind == MEASURE:
+            if g.creg in written:
+                raise ValueError(f"register c{g.creg} written twice")
+            written.add(g.creg)
+            q = g.qubits[0]
+            split = []
+            for br in branches:
+                for outcome in (0, 1):
+                    mat = _project(br.mat, p, q, outcome)
+                    regs = dict(br.regs)
+                    regs[g.creg] = outcome
+                    fresh = dict(br.fresh_meas)
+                    fresh[q] = outcome
+                    split.append(_Branch(mat, br.outcome + (outcome,), regs, fresh))
+            branches = split
+        elif g.kind == RESET:
+            q = g.qubits[0]
+            for br in branches:
+                if q not in br.fresh_meas:
+                    raise ValueError("RESET without an immediately preceding MEASURE")
+                if br.fresh_meas[q] == 1:
+                    br.mat = apply_unitary_gate(br.mat, Gate(X, (q,)), p)
+                del br.fresh_meas[q]
+        elif g.kind == TRACE:
+            for br in branches:
+                br.fresh_meas.pop(g.qubits[0], None)
+        else:
+            for br in branches:
+                if _fires(g, br.regs):
+                    br.mat = apply_unitary_gate(br.mat, g, p)
+                    for q in g.qubits:
+                        br.fresh_meas.pop(q, None)
+    branches.sort(key=lambda br: br.outcome)
+    return branches
+
+
+def assert_matches_reference(c, tol=1e-12):
+    got, want = _walk_branches(c), reference_walk(c)
+    assert [br.outcome for br in got] == [br.outcome for br in want]
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a.mat - b.mat), initial=0.0) <= tol
+
+
+_ANGLES = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def run_circuits(draw):
+    """Measured circuits made of same-target runs: rotations that switch
+    axis, CNOTs with repeated (cancelling) controls, CNOT-only runs, runs
+    broken by U/RX/X, changes of condition on one target, measure/reset
+    pairs and mid-circuit traces."""
+    p = draw(st.integers(1, 6))
+    nregs = draw(st.integers(0, 3))
+    live = list(range(p))
+    gates, written = [], []
+    target = 0
+
+    def condition():
+        if not written or draw(st.booleans()):
+            return None
+        regs = draw(st.lists(st.sampled_from(written), min_size=1, max_size=2, unique=True))
+        return tuple((r, draw(st.integers(0, 1))) for r in regs)
+
+    for _ in range(draw(st.integers(0, 8))):
+        block = draw(st.sampled_from(["run", "run", "run", "lone", "measure", "trace"]))
+        if block == "run":
+            if target not in live or draw(st.booleans()):
+                target = draw(st.sampled_from(live))
+            cond = condition()
+            controls = [q for q in live if q != target]
+            axes = [RY, RZ, CNOT, CNOT] if controls else [RY, RZ]
+            for kind in draw(st.lists(st.sampled_from(axes), min_size=1, max_size=12)):
+                if kind == CNOT:
+                    gates.append(Gate(CNOT, (draw(st.sampled_from(controls)), target),
+                                      condition=cond))
+                else:
+                    gates.append(Gate(kind, (target,), (draw(_ANGLES),), condition=cond))
+        elif block == "lone":
+            kind = draw(st.sampled_from([U, RX, X]))
+            n = {U: 4, X: 0}.get(kind, 1)
+            gates.append(Gate(kind, (draw(st.sampled_from(live)),),
+                              tuple(draw(_ANGLES) for _ in range(n)), condition=condition()))
+        elif block == "measure" and len(written) < nregs:
+            q = draw(st.sampled_from(live))
+            gates.append(Gate(MEASURE, (q,), creg=len(written)))
+            written.append(len(written))
+            if draw(st.booleans()):
+                gates.append(Gate(RESET, (q,)))
+        elif block == "trace" and len(live) > 1:
+            q = draw(st.sampled_from(live))
+            live.remove(q)
+            gates.append(Gate(TRACE, (q,)))
+    order = draw(st.permutations(range(p)))
+    inputs = tuple(order[:draw(st.integers(0, p))])
+    return Circuit(p, inputs, tuple(live), tuple(gates), nregs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_circuits())
+def test_fused_runs_match_gate_by_gate(c):
+    assert_matches_reference(c)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_runs_match_gate_by_gate_on_compiled_circuits(seed):
+    for circ in (compile_qcm(random_channel(1, 2, 2, seed=seed)),
+                 standard_passes(compile_measured(random_channel(2, 2, 3, seed=seed)))):
+        assert_matches_reference(circ)
+
+
+def test_runs_leave_only_lone_gates_to_the_gate_kernel(monkeypatch):
+    circ = compile_qcm(random_channel(1, 3, 2, seed=4))
+    calls = []
+
+    def counting(mat, g, p):
+        calls.append(g.kind)
+        return apply_unitary_gate(mat, g, p)
+
+    monkeypatch.setattr(simulator, "apply_unitary_gate", counting)
+    circuit_to_kraus(circ)
+    assert calls == [g.kind for g in circ.gates if g.kind in (U, RX, X)]
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_parity_table_matches_popcount(p):
+    table = _parity(p)
+    assert table.tolist() == [bin(v).count("1") % 2 == 1 for v in range(2**p)]
+
+
+def test_run_condition_on_unwritten_register():
+    cond = ((0, 1),)
+    gates = (Gate(RY, (1,), (0.3,), condition=cond), Gate(CNOT, (0, 1), condition=cond))
+    c = Circuit(2, (0, 1), (0, 1), gates, 1)
+    with pytest.raises(ValueError, match="condition references register c0 before it is written"):
+        circuit_to_kraus(c)
+
+
+def test_run_through_measured_qubit_blocks_reset():
+    # the run reads q0 as a control, so q0's outcome is no longer fresh
+    gates = (Gate(MEASURE, (0,), creg=0), Gate(RY, (1,), (0.3,)), Gate(CNOT, (0, 1)),
+             Gate(RESET, (0,)))
+    c = Circuit(2, (1,), (0, 1), gates, 1)
+    with pytest.raises(ValueError, match="RESET without an immediately preceding MEASURE"):
+        circuit_to_kraus(c)
+    # a run that leaves q0 alone keeps the outcome fresh
+    gates = (Gate(MEASURE, (0,), creg=0), Gate(RY, (1,), (0.3,)), Gate(CNOT, (2, 1)),
+             Gate(RESET, (0,)))
+    ok = Circuit(3, (1,), (0, 1, 2), gates, 1)
+    assert_matches_reference(ok)
+
+
+def test_register_written_twice_across_runs():
+    gates = (Gate(MEASURE, (0,), creg=0), Gate(RZ, (1,), (0.2,)), Gate(CNOT, (0, 1)),
+             Gate(MEASURE, (1,), creg=0))
+    c = Circuit(2, (1,), (), gates, 1)
+    with pytest.raises(ValueError, match="register c0 written twice"):
+        circuit_to_kraus(c)

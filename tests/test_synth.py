@@ -14,13 +14,13 @@ from chancomp.circuit import (
     apply_unitary_gate,
     cnot_count,
     ry_matrix,
+    rotate_pairs,
     rz_matrix,
 )
 from chancomp.linalg import qr_rectangular
 from chancomp.simulator import simulate_unitary
 from chancomp.synth import (
     _reduction_segments,
-    _rotate_pairs,
     decompose_isometry,
     multiplexed_rotation,
     n_iso,
@@ -341,7 +341,7 @@ def test_block_update_matches_gate_by_gate(kind, p):
             for g in gates:
                 want = apply_unitary_gate(want, g, p)
             got = start.copy()
-            _rotate_pairs(got, kind, b, angles)
+            rotate_pairs(got, kind, b, angles)
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
