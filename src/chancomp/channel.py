@@ -66,17 +66,16 @@ class ChoiMatrix:
     n: int
     j: np.ndarray = field(repr=False)
 
-    def __init__(self, m: int, n: int, j, check: bool = True):
+    def __init__(self, m: int, n: int, j):
         j = np.asarray(j, dtype=np.complex128)
         d = 2 ** (m + n)
         if j.shape != (d, d):
             raise ValueError("Choi matrix has wrong dimension")
-        if check:
-            if np.linalg.norm(j - j.conj().T) >= 1e-10:
-                raise ValueError("Choi matrix is not Hermitian")
-            tr_out = partial_trace(j, range(m))
-            if np.linalg.norm(tr_out - np.eye(2**m)) >= 1e-8:
-                raise ValueError("Choi matrix is not trace preserving")
+        if np.linalg.norm(j - j.conj().T) >= 1e-10:
+            raise ValueError("Choi matrix is not Hermitian")
+        tr_out = partial_trace(j, range(m))
+        if np.linalg.norm(tr_out - np.eye(2**m)) >= 1e-8:
+            raise ValueError("Choi matrix is not trace preserving")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "j", j)
@@ -92,20 +91,20 @@ def choi_from_kraus(ks: KrausSet) -> ChoiMatrix:
     return ChoiMatrix(ks.m, ks.n, j)
 
 
-def kraus_from_choi(c: ChoiMatrix, tol: float = RANK_RTOL) -> KrausSet:
+def kraus_from_choi(c: ChoiMatrix) -> KrausSet:
     """Minimal Kraus form via eigendecomposition of the Choi matrix.
 
-    Keeps eigenvalues above tol * tr(J), largest first.
+    Keeps eigenvalues above RANK_RTOL * tr(J), largest first.
     """
     evals, evecs = np.linalg.eigh(c.j)
     tr = float(np.trace(c.j).real)
-    if evals.min() < -tol * max(tr, 1.0):
+    if evals.min() < -RANK_RTOL * max(tr, 1.0):
         raise ValueError("invalid Choi matrix")
     order = np.argsort(evals)[::-1]
     ops = []
     for idx in order:
         lam = evals[idx]
-        if lam <= tol * tr:
+        if lam <= RANK_RTOL * tr:
             break
         w = evecs[:, idx]
         ops.append(np.sqrt(lam) * w.reshape(2**c.m, 2**c.n).T)

@@ -1,10 +1,17 @@
 """Gate-level circuit IR with classical registers, plus rotation algebra.
 
+`OPERANDS` is the one description of a gate kind: how many qubits and
+angles it takes, whether it writes a classical register and whether it
+may carry a condition.  `Gate` checks itself against it, and the text
+format writes a gate's operands in one order for every kind: qubits,
+then the register, then the angles.
+
 Gate kinds: RX, RY, RZ (one angle), U (ZYZ with global phase: four
-angles alpha, beta, gamma, delta), X, CNOT, MEASURE, RESET, TRACE.
-A gate may carry a condition: a tuple of (register, bit) pairs that must
-all match for the gate to fire.  RESET means: apply X if the immediately
-preceding MEASURE on the same qubit gave outcome 1.
+angles alpha, beta, gamma, delta), X, CNOT (control, target), MEASURE
+(into one register), RESET, TRACE.  A unitary gate may carry a
+condition: a tuple of (register, bit) pairs that must all match for the
+gate to fire.  MEASURE, RESET and TRACE always act.  RESET means: apply
+X if the immediately preceding MEASURE on the same qubit gave outcome 1.
 
 Qubit 0 is the most significant bit of a basis index.
 """
@@ -13,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,8 +29,19 @@ import numpy as np
 RX, RY, RZ, U, X, CNOT, MEASURE, RESET, TRACE = (
     "RX", "RY", "RZ", "U", "X", "CNOT", "MEASURE", "RESET", "TRACE",
 )
-UNITARY_KINDS = frozenset({RX, RY, RZ, U, X, CNOT})
-_N_PARAMS = {RX: 1, RY: 1, RZ: 1, U: 4, X: 0, CNOT: 0, MEASURE: 0, RESET: 0, TRACE: 0}
+# kind -> (qubits, angles, takes a register, takes a condition)
+OPERANDS = {
+    RX: (1, 1, False, True),
+    RY: (1, 1, False, True),
+    RZ: (1, 1, False, True),
+    U: (1, 4, False, True),
+    X: (1, 0, False, True),
+    CNOT: (2, 0, False, True),
+    MEASURE: (1, 0, True, False),
+    RESET: (1, 0, False, False),
+    TRACE: (1, 0, False, False),
+}
+UNITARY_KINDS = frozenset(kind for kind, row in OPERANDS.items() if row[3])
 
 
 @dataclass(frozen=True)
@@ -36,26 +55,27 @@ class Gate:
     def __post_init__(self):
         # Runs once per gate built, so the checks allocate nothing.
         kind = self.kind
-        if kind not in _N_PARAMS:
+        row = OPERANDS.get(kind)
+        if row is None:
             raise ValueError(f"unknown gate kind {kind!r}")
+        nq, na, register, conditional = row
         qubits = self.qubits
-        nq = 2 if kind == CNOT else 1
         if len(qubits) != nq:
             raise ValueError(f"{kind} expects {nq} qubit(s)")
-        if kind == CNOT and qubits[0] == qubits[1]:
-            raise ValueError("CNOT control equals target")
-        if len(self.params) != _N_PARAMS[kind]:
-            raise ValueError(f"{kind} expects {_N_PARAMS[kind]} angle(s)")
+        if nq == 2 and qubits[0] == qubits[1]:
+            raise ValueError(f"{kind} control equals target")
+        if len(self.params) != na:
+            raise ValueError(f"{kind} expects {na} angle(s)")
         for x in self.params:
             if not math.isfinite(x):
                 raise ValueError("gate angles must be finite")
-        if kind == MEASURE:
-            if self.creg is None:
-                raise ValueError("MEASURE needs a classical register")
-            if self.condition:
-                for r, _ in self.condition:
-                    if r == self.creg:
-                        raise ValueError("MEASURE conditioned on its own register")
+        if self.creg is None:
+            if register:
+                raise ValueError(f"{kind} needs a classical register")
+        elif not register:
+            raise ValueError(f"{kind} takes no classical register")
+        if self.condition and not conditional:
+            raise ValueError(f"{kind} takes no condition")
 
 
 @dataclass(frozen=True)
@@ -87,7 +107,7 @@ class Circuit:
                 raise ValueError("gate acts on a traced-out qubit")
             if g.kind == TRACE:
                 traced.add(g.qubits[0])
-            elif g.kind == MEASURE and not (0 <= g.creg < ncregs):
+            elif g.creg is not None and not (0 <= g.creg < ncregs):
                 raise ValueError("measure register out of range")
             if g.condition:
                 for r, _ in g.condition:
@@ -289,11 +309,10 @@ class CircuitParseError(ValueError):
         self.reason = reason
 
 
-def _fmt_angle(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def serialize(c: Circuit) -> str:
+    """Four header lines, then one line per gate: an `IF` prefix when the
+    gate is conditioned, the kind, the qubits, the register and the angles
+    (17 significant digits, so they read back exactly)."""
     lines = [
         f"QUBITS {c.num_qubits}",
         f"CREGS {c.num_cregs}",
@@ -301,103 +320,80 @@ def serialize(c: Circuit) -> str:
         "OUTPUTS " + " ".join(f"q{q}" for q in c.output_qubits),
     ]
     for g in c.gates:
-        if g.kind == CNOT:
-            body = f"CNOT q{g.qubits[0]} q{g.qubits[1]}"
-        elif g.kind == MEASURE:
-            body = f"MEASURE q{g.qubits[0]} c{g.creg}"
-        elif g.kind in (RESET, TRACE, X):
-            body = f"{g.kind} q{g.qubits[0]}"
-        else:
-            angles = " ".join(_fmt_angle(p) for p in g.params)
-            body = f"{g.kind} q{g.qubits[0]} {angles}"
+        line = g.kind
+        for q in g.qubits:
+            line += " q" + str(q)
+        if g.creg is not None:
+            line += " c" + str(g.creg)
+        for x in g.params:
+            line += " " + format(float(x), ".17g")
         if g.condition:
-            cond = ",".join(f"c{r}={b}" for r, b in g.condition)
-            body = f"IF {cond} {body}"
-        lines.append(body)
+            line = "IF " + ",".join(f"c{r}={b}" for r, b in g.condition) + " " + line
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
-def _parse_qubit(tok: str, line_no: int) -> int:
-    if not tok.startswith("q") or not tok[1:].isdigit():
-        raise CircuitParseError(line_no, f"expected qubit token, got {tok!r}")
+def _index(tok: str, prefix: str) -> int:
+    """The number in a `q<int>` (prefix "q") or `c<int>` (prefix "c") token."""
+    if tok[:1] != prefix or not tok[1:].isdecimal():
+        raise ValueError(f"expected {'qubit' if prefix == 'q' else 'register'} token, "
+                         f"got {tok!r}")
     return int(tok[1:])
-
-
-def _parse_creg(tok: str, line_no: int) -> int:
-    if not tok.startswith("c") or not tok[1:].isdigit():
-        raise CircuitParseError(line_no, f"expected register token, got {tok!r}")
-    return int(tok[1:])
-
-
-def _parse_angles(toks, want, line_no) -> tuple[float, ...]:
-    if len(toks) != want:
-        raise CircuitParseError(line_no, f"expected {want} angle(s), got {len(toks)}")
-    try:
-        return tuple(float(t) for t in toks)
-    except ValueError:
-        raise CircuitParseError(line_no, f"bad angle in {toks}") from None
 
 
 def parse(text: str) -> Circuit:
-    header = {"QUBITS": None, "CREGS": None, "INPUTS": None, "OUTPUTS": None}
+    """Inverse of `serialize`; `#` starts a comment.  Every fault is a
+    `CircuitParseError` naming the line (0 for the circuit as a whole)."""
+    header = dict.fromkeys(("QUBITS", "CREGS", "INPUTS", "OUTPUTS"))
     gates = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
             continue
-        toks = line.split()
         key = toks[0]
-        if key in ("QUBITS", "CREGS"):
-            if len(toks) != 2 or not toks[1].isdigit():
-                raise CircuitParseError(line_no, f"bad {key} header")
-            header[key] = int(toks[1])
-            continue
-        if key in ("INPUTS", "OUTPUTS"):
-            header[key] = tuple(_parse_qubit(t, line_no) for t in toks[1:])
-            continue
-        condition = None
-        if key == "IF":
-            if len(toks) < 3:
-                raise CircuitParseError(line_no, "IF needs a condition and an instruction")
-            pairs = []
-            for part in toks[1].split(","):
-                if "=" not in part:
-                    raise CircuitParseError(line_no, f"bad condition {part!r}")
-                reg, val = part.split("=", 1)
-                if val not in ("0", "1"):
-                    raise CircuitParseError(line_no, f"condition bit must be 0 or 1, got {val!r}")
-                pairs.append((_parse_creg(reg, line_no), int(val)))
-            condition = tuple(pairs)
-            toks = toks[2:]
-            key = toks[0]
         try:
-            if key == "CNOT":
-                if len(toks) != 3:
-                    raise CircuitParseError(line_no, "CNOT needs control and target")
-                g = Gate(CNOT, (_parse_qubit(toks[1], line_no), _parse_qubit(toks[2], line_no)),
-                         condition=condition)
-            elif key == "MEASURE":
-                if len(toks) != 3:
-                    raise CircuitParseError(line_no, "MEASURE needs qubit and register")
-                g = Gate(MEASURE, (_parse_qubit(toks[1], line_no),),
-                         creg=_parse_creg(toks[2], line_no), condition=condition)
-            elif key in (RESET, TRACE, X):
-                if len(toks) != 2:
-                    raise CircuitParseError(line_no, f"{key} needs one qubit")
-                g = Gate(key, (_parse_qubit(toks[1], line_no),), condition=condition)
-            elif key in (RX, RY, RZ, U):
-                want = 4 if key == U else 1
-                g = Gate(key, (_parse_qubit(toks[1], line_no),),
-                         _parse_angles(toks[2:], want, line_no), condition=condition)
-            else:
-                raise CircuitParseError(line_no, f"unknown instruction {key!r}")
-        except CircuitParseError:
-            raise
+            if key in header:
+                if key in ("INPUTS", "OUTPUTS"):
+                    header[key] = tuple(_index(t, "q") for t in toks[1:])
+                elif len(toks) != 2 or not toks[1].isdecimal():
+                    raise ValueError(f"bad {key} header")
+                else:
+                    header[key] = int(toks[1])
+                continue
+            condition = None
+            if key == "IF":
+                if len(toks) < 3:
+                    raise ValueError("IF needs a condition and an instruction")
+                pairs = []
+                for part in toks[1].split(","):
+                    reg, eq, val = part.partition("=")
+                    if not eq:
+                        raise ValueError(f"bad condition {part!r}")
+                    if val not in ("0", "1"):
+                        raise ValueError(f"condition bit must be 0 or 1, got {val!r}")
+                    pairs.append((_index(reg, "c"), int(val)))
+                condition = tuple(pairs)
+                toks = toks[2:]
+                key = toks[0]
+            row = OPERANDS.get(key)
+            if row is None:
+                raise ValueError(f"unknown instruction {key!r}")
+            nq, na, register, _ = row
+            fixed = nq + register   # operand tokens before the angles
+            if len(toks) <= fixed:
+                names = ["qubit" if nq == 1 else f"{nq} qubits"]
+                names += ["register"] * register + [f"{na} angle(s)"] * (na > 0)
+                raise ValueError(f"{key} needs {' and '.join(names)}")
+            if len(toks) - 1 - fixed != na:
+                raise ValueError(f"expected {na} angle(s), got {len(toks) - 1 - fixed}")
+            # sys.intern: every gate of a kind shares one kind string
+            gates.append(Gate(sys.intern(key), tuple(_index(t, "q") for t in toks[1:nq + 1]),
+                              tuple(map(float, toks[fixed + 1:])),
+                              _index(toks[fixed], "c") if register else None, condition))
         except ValueError as exc:
             raise CircuitParseError(line_no, str(exc)) from None
-        gates.append(g)
-    for key in ("QUBITS", "CREGS", "INPUTS", "OUTPUTS"):
-        if header[key] is None:
+    for key, value in header.items():
+        if value is None:
             raise CircuitParseError(0, f"missing {key} header")
     try:
         return Circuit(header["QUBITS"], header["INPUTS"], header["OUTPUTS"],

@@ -26,8 +26,6 @@ from .circuit import MEASURE, RESET, TRACE, Circuit, Gate
 from .linalg import is_isometry, qr_rectangular
 from .synth import decompose_isometry, n_iso
 
-PLAN_ATOL = 1e-9
-
 
 @dataclass(frozen=True)
 class CompilePlan:
@@ -75,7 +73,7 @@ def plan_measured(ks: KrausSet, force_k: int | None = None) -> CompilePlan:
     """QR recursion of the stacked dilation into rounds and residuals."""
     v, k = stinespring_isometry(ks, force_k=force_k)
     m, n = ks.m, ks.n
-    if k == 0 or n + k == m:
+    if n + k == m:
         return CompilePlan(m, n, k, n + k - m, 0, (), {"": v}, k)
     k_tilde = k if m < n else n + k - m - 1
     l = n - m if m < n else 1
@@ -92,13 +90,13 @@ def plan_measured(ks: KrausSet, force_k: int | None = None) -> CompilePlan:
                 children[s + str(b)], r = qr_rectangular(part)
                 blocks.append(r)
             g = np.vstack(blocks)
-            if not is_isometry(g, PLAN_ATOL):
+            if not is_isometry(g):
                 raise ValueError("rank/shape mismatch in QR recursion")
             stage[s] = g
         stages.append(stage)
         prefixes = children
     for q in prefixes.values():
-        if not is_isometry(q, PLAN_ATOL):
+        if not is_isometry(q):
             raise ValueError("rank/shape mismatch in QR recursion")
     return CompilePlan(m, n, k, l, k_tilde, tuple(stages), prefixes, k - k_tilde)
 
@@ -135,7 +133,7 @@ def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
     (m, n, k)."""
     plan = plan_measured(ks, force_k=force_k)
     m, n, k = plan.m, plan.n, plan.k
-    square_v = k == 0 or n + k == m  # V fits the system register alone
+    square_v = n + k == m  # V fits the system register alone
     gates: list[Gate] = []
     ancilla = 0
     if m < n:
@@ -205,9 +203,13 @@ def compile_random_qcm(mix: ConvexMixture) -> list[tuple[float, Circuit]]:
 
 
 def predict_upper_bound(m: int, n: int, k: int) -> int:
-    """Worst-case CNOT count of the measured pipeline."""
-    if k == 0:
-        return n_iso(m, n)
+    """Worst-case CNOT count of the measured pipeline.
+
+    A channel from m to n qubits has Kraus rank at least 2^(m-n), so its
+    environment takes k >= max(0, m - n) qubits; smaller k is refused.
+    """
+    if k < max(0, m - n):
+        raise ValueError(f"a channel from {m} to {n} qubits needs k >= {max(0, m - n)}, got {k}")
     if n + k == m:
         return n_iso(m, m)
     if m < n:

@@ -45,10 +45,10 @@ def qr_rectangular(b) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def is_isometry(v, atol: float = ISOMETRY_ATOL) -> bool:
+def is_isometry(v) -> bool:
     v = np.asarray(v, dtype=np.complex128)
     g = v.conj().T @ v
-    return bool(np.linalg.norm(g - np.eye(v.shape[1])) < atol)
+    return bool(np.linalg.norm(g - np.eye(v.shape[1])) < ISOMETRY_ATOL)
 
 
 def partial_trace(rho, keep) -> np.ndarray:

@@ -74,7 +74,7 @@ def _find_classicalizable(gates) -> tuple[int, int] | None:
                 break
             if ctrl not in h.qubits:
                 continue
-            if h.kind == MEASURE and not h.condition:
+            if h.kind == MEASURE:
                 return i, j
             break
     return None

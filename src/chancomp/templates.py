@@ -3,11 +3,12 @@
 Four templates cover channels between one and two qubits with the
 exact small-case CNOT counts 1, 4, 7 and 13 (the conditioned blocks
 appear once per measurement outcome, so the worst case over classical
-assignments is the per-branch count).  One batched evaluator,
-`template_choi`, reads only a template's element list and returns the
-Choi matrices of a whole stack of parameter vectors.  `fit` minimizes
-the squared Frobenius distance between Choi matrices with a multi-start
-L-BFGS-B search on exact parameter-shift gradients.
+assignments is the per-branch count).  A template is a plain `Circuit`
+with every angle zero; `instantiate` fills the angles in gate order.
+One batched evaluator, `template_choi`, reads only the template's gates
+and returns the Choi matrices of a whole stack of parameter vectors.
+`fit` minimizes the squared Frobenius distance between Choi matrices
+with a multi-start L-BFGS-B search on exact parameter-shift gradients.
 
 Transcription conventions: qubit 0 is the most significant wire, the
 measured ancilla sits on top, and two-qubit unitary slots are expanded
@@ -19,18 +20,16 @@ more general placement; extra parameters cost nothing in CNOTs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .channel import KrausSet, choi_from_kraus, kraus_rank
-from .circuit import CNOT, MEASURE, RESET, U, X, Circuit, Gate, _cnot_perm, cnot_count
+from .circuit import (
+    CNOT, MEASURE, OPERANDS, RESET, RY, RZ, U, X, Circuit, Gate, _cnot_perm, cnot_count,
+)
 from .simulator import _dispose, input_embedding
-
-# element vocabulary: ("U"|"RY"|"RZ", qubit, cond) consume parameters,
-# ("CNOT", ctrl, tgt, cond), ("X", qubit, cond), ("MEASURE", qubit, reg),
-# ("RESET", qubit) are fixed structure.
 
 
 @dataclass(frozen=True)
@@ -39,158 +38,109 @@ class Template:
     m: int
     n: int
     max_rank: int
-    num_qubits: int
-    input_qubits: tuple
-    output_qubits: tuple
-    num_cregs: int
-    elements: tuple = field(repr=False)
+    circuit: Circuit = field(repr=False)      # the topology, every angle zero
     reduced_spec: tuple = field(repr=False)  # per param slot: "U3", "U2" or "R"
 
     @property
     def param_count(self) -> int:
-        return sum(4 if e[0] == "U" else 1 for e in self.elements if e[0] in ("U", "RY", "RZ"))
+        return sum(len(g.params) for g in self.circuit.gates)
 
     @property
     def cnot_count(self) -> int:
         """Worst-case CNOT count over classical assignments."""
-        return cnot_count(instantiate(self, [0.0] * self.param_count))[0]
+        return cnot_count(self.circuit)[0]
+
+
+def _gates(cond, *specs) -> tuple:
+    """One gate with zero angles per (kind, qubit, ...) spec, all under `cond`."""
+    return tuple(Gate(kind, tuple(qubits), (0.0,) * OPERANDS[kind][1], condition=cond)
+                 for kind, *qubits in specs)
 
 
 def _two_cnot_block(a: int, b: int, cond) -> tuple:
     """Two-qubit unitary family up to a diagonal: 2 CNOTs."""
-    return (
-        ("U", a, cond), ("U", b, cond),
-        ("CNOT", a, b, cond),
-        ("RZ", a, cond), ("RY", b, cond),
-        ("CNOT", a, b, cond),
-        ("U", a, cond), ("U", b, cond),
-    )
+    return _gates(cond, (U, a), (U, b), (CNOT, a, b), (RZ, a), (RY, b), (CNOT, a, b),
+                  (U, a), (U, b))
 
 
 def _three_cnot_block(a: int, b: int, cond) -> tuple:
     """Full two-qubit unitary: 3 CNOTs."""
-    return (
-        ("U", a, cond), ("U", b, cond),
-        ("CNOT", b, a, cond),
-        ("RZ", a, cond), ("RY", b, cond),
-        ("CNOT", a, b, cond),
-        ("RY", b, cond),
-        ("CNOT", b, a, cond),
-        ("U", a, cond), ("U", b, cond),
-    )
+    return _gates(cond, (U, a), (U, b), (CNOT, b, a), (RZ, a), (RY, b), (CNOT, a, b),
+                  (RY, b), (CNOT, b, a), (U, a), (U, b))
 
 
 def _ry_ladder(target: int, c1: int, c2: int, cond) -> tuple:
     """Expanded two-control multiplexed Ry after one CNOT cancellation."""
-    return (
-        ("RY", target, cond),
-        ("CNOT", c1, target, cond),
-        ("RY", target, cond),
-        ("CNOT", c2, target, cond),
-        ("RY", target, cond),
-        ("CNOT", c1, target, cond),
-        ("RY", target, cond),
-    )
+    return _gates(cond, (RY, target), (CNOT, c1, target), (RY, target), (CNOT, c2, target),
+                  (RY, target), (CNOT, c1, target), (RY, target))
 
 
 def _iso12_block(cond) -> tuple:
     """One-to-two isometry topology on (ancilla 0, system 1): 2 CNOTs."""
-    return (
-        ("U", 0, cond), ("U", 1, cond),
-        ("CNOT", 0, 1, cond),
-        ("RY", 0, cond), ("RY", 1, cond),
-        ("CNOT", 0, 1, cond),
-        ("U", 0, cond), ("U", 1, cond),
-    )
+    return _gates(cond, (U, 0), (U, 1), (CNOT, 0, 1), (RY, 0), (RY, 1), (CNOT, 0, 1),
+                  (U, 0), (U, 1))
 
 
 def _t11() -> Template:
-    elements = (
-        ("U", 0, None), ("U", 1, None),
-        ("CNOT", 0, 1, None),
-        ("RY", 0, None), ("RY", 1, None),
-        ("MEASURE", 0, 0),
-        ("X", 1, ((0, 1),)),
-        ("U", 1, None),
-    )
+    gates = _gates(None, (U, 0), (U, 1), (CNOT, 0, 1), (RY, 0), (RY, 1))
+    gates += (Gate(MEASURE, (0,), creg=0),) + _gates(((0, 1),), (X, 1)) + _gates(None, (U, 1))
     reduced = ("U2", "U3", "R", "R", "U3")
-    return Template("T11", 1, 1, 2, 2, (1,), (1,), 1, elements, reduced)
+    return Template("T11", 1, 1, 2, Circuit(2, (1,), (1,), gates, 1), reduced)
 
 
 def _t12() -> Template:
-    elements = _iso12_block(None) + (("MEASURE", 0, 0), ("RESET", 0))
+    gates = _iso12_block(None) + (Gate(MEASURE, (0,), creg=0), Gate(RESET, (0,)))
     reduced = ["U2", "U3", "R", "R", "U3", "U3"]
     for b in (0, 1):
-        elements += _iso12_block(((0, b),))
+        gates += _iso12_block(((0, b),))
         reduced += ["U2", "U3", "R", "R", "U3", "U3"]
-    return Template("T12", 1, 2, 2, 2, (1,), (0, 1), 1, elements, tuple(reduced))
+    return Template("T12", 1, 2, 2, Circuit(2, (1,), (0, 1), gates, 1), tuple(reduced))
 
 
 def _t21() -> Template:
-    elements = _two_cnot_block(1, 2, None) + _ry_ladder(0, 1, 2, None)
-    elements += (("MEASURE", 0, 0),)
+    gates = _two_cnot_block(1, 2, None) + _ry_ladder(0, 1, 2, None)
+    gates += (Gate(MEASURE, (0,), creg=0),)
     reduced = ["U3", "U3", "R", "R", "U3", "U3", "R", "R", "R", "R"]
     for b in (0, 1):
-        cond = ((0, b),)
-        elements += (
-            ("U", 1, cond), ("U", 2, cond),
-            ("CNOT", 1, 2, cond),
-            ("RY", 1, cond), ("RZ", 2, cond),
-            ("CNOT", 2, 1, cond),
-            ("RY", 1, cond),
-        )
+        gates += _gates(((0, b),), (U, 1), (U, 2), (CNOT, 1, 2), (RY, 1), (RZ, 2), (CNOT, 2, 1),
+                        (RY, 1))
         reduced += ["U3", "U3", "R", "R", "R"]
-    elements += (("MEASURE", 1, 1),)
+    gates += (Gate(MEASURE, (1,), creg=1),)
     for b in (0, 1):
-        elements += (("X", 2, ((0, b), (1, 1))),)
+        gates += _gates(((0, b), (1, 1)), (X, 2))
     for b in (0, 1):
-        elements += (("U", 2, ((0, b),)),)
+        gates += _gates(((0, b),), (U, 2))
         reduced += ["U3"]
-    return Template("T21", 2, 1, 4, 3, (1, 2), (2,), 2, elements, tuple(reduced))
+    return Template("T21", 2, 1, 4, Circuit(3, (1, 2), (2,), gates, 2), tuple(reduced))
 
 
 def _t22() -> Template:
-    elements = _two_cnot_block(2, 3, None) + _ry_ladder(0, 2, 3, None)
-    elements += (("MEASURE", 0, 0),)
+    gates = _two_cnot_block(2, 3, None) + _ry_ladder(0, 2, 3, None)
+    gates += (Gate(MEASURE, (0,), creg=0),)
     reduced = ["U3", "U3", "R", "R", "U3", "U3", "R", "R", "R", "R"]
     for b in (0, 1):
         cond = ((0, b),)
-        elements += _two_cnot_block(2, 3, cond)
-        elements += _ry_ladder(1, 2, 3, cond)
-        elements += _three_cnot_block(2, 3, cond)
+        gates += _two_cnot_block(2, 3, cond)
+        gates += _ry_ladder(1, 2, 3, cond)
+        gates += _three_cnot_block(2, 3, cond)
         reduced += ["U3", "U3", "R", "R", "U3", "U3", "R", "R", "R", "R",
                     "U3", "U3", "R", "R", "R", "U3", "U3"]
-    elements += (("MEASURE", 1, 1),)
-    return Template("T22", 2, 2, 4, 4, (2, 3), (2, 3), 2, elements, tuple(reduced))
+    gates += (Gate(MEASURE, (1,), creg=1),)
+    return Template("T22", 2, 2, 4, Circuit(4, (2, 3), (2, 3), gates, 2), tuple(reduced))
 
 
 TEMPLATES = {t.id: t for t in (_t11(), _t12(), _t21(), _t22())}
 
 
 def instantiate(t: Template, params) -> Circuit:
-    """Fill the template's parameter slots and return the circuit."""
+    """The template's circuit with `params` filled into its angles, in gate order."""
     params = [float(x) for x in params]
     if len(params) != t.param_count:
         raise ValueError(f"{t.id} takes {t.param_count} parameters, got {len(params)}")
     it = iter(params)
-    gates = []
-    for e in t.elements:
-        kind = e[0]
-        if kind in ("U", "RY", "RZ"):
-            angles = tuple(next(it) for _ in range(4 if kind == "U" else 1))
-            gates.append(Gate(kind, (e[1],), angles, condition=e[2]))
-        elif kind == "CNOT":
-            gates.append(Gate(CNOT, (e[1], e[2]), condition=e[3]))
-        elif kind == "X":
-            gates.append(Gate(X, (e[1],), condition=e[2]))
-        elif kind == "MEASURE":
-            gates.append(Gate(MEASURE, (e[1],), creg=e[2]))
-        elif kind == "RESET":
-            gates.append(Gate(RESET, (e[1],)))
-        else:
-            raise AssertionError(kind)
-    return Circuit(t.num_qubits, t.input_qubits, t.output_qubits, tuple(gates),
-                   t.num_cregs)
+    gates = tuple(Gate(g.kind, g.qubits, tuple(next(it) for _ in g.params), g.creg, g.condition)
+                  if g.params else g for g in t.circuit.gates)
+    return replace(t.circuit, gates=gates)
 
 
 # Angles the optimizer keeps per slot: a U acting on a freshly prepared |0>
@@ -219,6 +169,10 @@ def expand_reduced(t: Template, reduced) -> np.ndarray:
 # --- batched channel evaluation -------------------------------------------
 
 
+# The entries of a slot's (alpha, beta, gamma, delta) that a gate's angles fill.
+_SLOT_ENTRIES = {U: (0, 1, 2, 3), RY: (2,), RZ: (1,)}
+
+
 @lru_cache(maxsize=16)
 def _compile(t: Template) -> tuple:
     """(ops, slot_index, input embedding, output row order) of a template.
@@ -230,8 +184,8 @@ def _compile(t: Template) -> tuple:
     Every slot is a u_matrix (RY(t) = u(0, 0, t, 0), RZ(t) = u(0, t, 0, 0)):
     parameter i is entry slot_index[i] of the flattened (slots, 4) angles.
     """
-    circ = instantiate(t, [0.0] * t.param_count)
-    p = t.num_qubits
+    circ = t.circuit
+    p = circ.num_qubits
     rows = np.arange(2**p)
     ops, slot_index, k = [], [], 0
     outcomes = [()]           # per branch, the outcome of each measurement so far
@@ -247,27 +201,24 @@ def _compile(t: Template) -> tuple:
     def fires(cond):
         return branches(lambda out: all(out[reg_at[r]] == v for r, v in cond or ()))
 
-    for e in t.elements:
-        kind = e[0]
-        if kind in ("U", "RY", "RZ"):
-            if kind == "U":
-                slot_index.extend(range(4 * k, 4 * k + 4))
-            else:
-                slot_index.append(4 * k + (2 if kind == "RY" else 1))
-            ops.append(("slot", k, e[1], fires(e[2])))
+    for g in circ.gates:
+        q = g.qubits[0]
+        if g.params:
+            slot_index.extend(4 * k + i for i in _SLOT_ENTRIES[g.kind])
+            ops.append(("slot", k, q, fires(g.condition)))
             k += 1
-        elif kind == "CNOT":
-            ops.append(("perm", _cnot_perm(p, e[1], e[2]), fires(e[3])))
-        elif kind == "X":
-            ops.append(("perm", flip(e[1]), fires(e[2])))
-        elif kind == "MEASURE":
-            reg_at[e[2]] = last_on[e[1]] = len(outcomes[0])
+        elif g.kind == CNOT:
+            ops.append(("perm", _cnot_perm(p, *g.qubits), fires(g.condition)))
+        elif g.kind == X:
+            ops.append(("perm", flip(q), fires(g.condition)))
+        elif g.kind == MEASURE:
+            reg_at[g.creg] = last_on[q] = len(outcomes[0])
             outcomes = [out + (v,) for out in outcomes for v in (0, 1)]
-            one = flip(e[1]) < rows
+            one = flip(q) < rows
             ops.append(("measure", np.stack([~one, one])))
         else:  # RESET: X where the qubit's last measurement gave 1
-            at = last_on[e[1]]
-            ops.append(("perm", flip(e[1]), branches(lambda out: out[at] == 1)))
+            at = last_on[q]
+            ops.append(("perm", flip(q), branches(lambda out: out[at] == 1)))
     out_rows = np.concatenate(_dispose(rows.reshape(-1, 1), circ)).reshape(-1)
     return tuple(ops), np.array(slot_index), input_embedding(circ), out_rows
 

@@ -106,9 +106,10 @@ def test_choi_kraus_round_trip(seed, m, n, kr):
 
 
 def test_kraus_from_choi_rejects_non_psd():
-    j = np.diag([1.5, 0.5, 0.5, -0.5]).astype(complex)
+    # Hermitian and trace preserving, but with a negative eigenvalue
+    j = np.diag([1.5, -0.5, 0.5, 0.5])
     with pytest.raises(ValueError, match="invalid Choi"):
-        kraus_from_choi(ChoiMatrix(1, 1, j, check=False))
+        kraus_from_choi(ChoiMatrix(1, 1, j))
 
 
 def test_kraus_rank_examples():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from chancomp.circuit import (
     CNOT,
     MEASURE,
+    OPERANDS,
     RESET,
     RX,
     RY,
@@ -101,7 +102,13 @@ GATE_FAULTS = [
     (lambda: Gate(U, (0,), (0.0, 0.0, -float("inf"), 0.0)), "gate angles must be finite"),
     (lambda: Gate(MEASURE, (0,)), "MEASURE needs a classical register"),
     (lambda: Gate(MEASURE, (0,), creg=0, condition=((1, 0), (0, 1))),
-     "MEASURE conditioned on its own register"),
+     "MEASURE takes no condition"),
+    (lambda: Gate(MEASURE, (0,), creg=0, condition=((1, 1),)), "MEASURE takes no condition"),
+    (lambda: Gate(RESET, (0,), condition=((0, 0),)), "RESET takes no condition"),
+    (lambda: Gate(TRACE, (0,), condition=((0, 1),)), "TRACE takes no condition"),
+    (lambda: Gate(X, (0,), creg=3), "X takes no classical register"),
+    (lambda: Gate(CNOT, (0, 1), creg=0), "CNOT takes no classical register"),
+    (lambda: Gate(RESET, (0,), creg=0), "RESET takes no classical register"),
 ]
 
 
@@ -148,7 +155,7 @@ def test_circuit_validation():
 
 def test_circuit_validation_accepts_well_formed():
     gates = (Gate(TRACE, (0,)), Gate(MEASURE, (1,), creg=0),
-             Gate(X, (1,), condition=((0, 1),)), Gate(RESET, (2,), condition=((0, 0),)))
+             Gate(X, (1,), condition=((0, 1),)))
     c = Circuit(3, (0,), (1, 2), gates, 1)
     assert c.gates == gates
 
@@ -309,6 +316,17 @@ def test_round_trip_fuzzed_circuits(seed):
         ("QUBITS 1\nCREGS 1\nINPUTS\nOUTPUTS\nIF c0=2 X q0", "must be 0 or 1"),
         ("QUBITS 1\nCREGS 0\nINPUTS\nOUTPUTS\nMEASURE q0", "needs qubit and register"),
         ("CREGS 0\nINPUTS\nOUTPUTS\n", "missing QUBITS"),
+        ("QUBITS 1\nCREGS 0\nINPUTS\nOUTPUTS\nRY", "line 5: RY needs qubit and 1 angle"),
+        ("QUBITS 1\nCREGS 0\nINPUTS\nOUTPUTS\nU", "line 5: U needs qubit and 4 angle"),
+        ("QUBITS 1\nCREGS 1\nINPUTS\nOUTPUTS\nIF c0=1 RZ", "line 5: RZ needs qubit and 1 angle"),
+        ("QUBITS 2\nCREGS 0\nINPUTS\nOUTPUTS\nCNOT q0", "line 5: CNOT needs 2 qubits"),
+        ("QUBITS 1\nCREGS 1\nINPUTS\nOUTPUTS\nX q0 c0", "line 5: expected 0 angle"),
+        ("QUBITS 1\nCREGS 1\nINPUTS\nOUTPUTS\nMEASURE q0 q0", "line 5: expected register"),
+        ("QUBITS 1\nCREGS 1\nINPUTS\nOUTPUTS\nRZ q0 pi", "line 5: could not convert"),
+        ("QUBITS 1\nCREGS 1\nINPUTS\nOUTPUTS\nMEASURE q0 c0\nIF c0=0 RESET q0",
+         "line 6: RESET takes no condition"),
+        ("QUBITS 2\nCREGS 2\nINPUTS\nOUTPUTS\nMEASURE q0 c0\nIF c0=1 MEASURE q1 c1",
+         "line 6: MEASURE takes no condition"),
     ],
 )
 def test_parse_errors_carry_line_and_reason(text, frag):
@@ -349,7 +367,7 @@ def circuits(draw):
         if kind == MEASURE:
             if len(written) == nregs:
                 continue
-            gates.append(Gate(MEASURE, (q,), creg=len(written), condition=cond))
+            gates.append(Gate(MEASURE, (q,), creg=len(written)))
             written.append(len(written))
             if draw(st.booleans()):
                 gates.append(Gate(RESET, (q,)))
@@ -380,3 +398,65 @@ def test_parse_serialize_round_trip_property(c):
     assert serialize(back) == text
     signs = [math.copysign(1.0, x) for g in c.gates for x in g.params]
     assert [math.copysign(1.0, x) for g in back.gates for x in g.params] == signs
+
+
+# Tokens of circuit text, well-formed or not.
+_KINDS = st.sampled_from(sorted(OPERANDS))
+_ODD = st.one_of(
+    st.builds(lambda p, i: f"{p}{i}", st.sampled_from(["q", "c", "", "-", "w"]),
+              st.integers(-3, 10**30)),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["q", "c", "=", ",", "#", "IF", "nan", "-1e999", "pi", "q\u00b2",
+                     "q\u0663"]),
+    st.text(max_size=4),
+)
+
+
+def _mostly(*good):
+    """One of `good` seven times in eight, else an odd token."""
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(good) if i else _ODD)
+
+
+_QUBIT = _mostly("q0", "q1", "q2")
+_REG = _mostly("c0", "c1")
+_ANGLE = _mostly("0.5", "-0.0", "1e-300")
+
+
+def _conditions(regs, bits):
+    return st.lists(st.tuples(regs, bits), min_size=1, max_size=3).map(
+        lambda pairs: ",".join(f"c{r}={b}" for r, b in pairs))
+
+
+@st.composite
+def _lines(draw):
+    """An instruction whose operands have the kind's shape, then maybe one
+    token dropped or added, maybe under an IF; or a line of any tokens."""
+    if draw(st.integers(0, 3)) == 0:
+        toks = st.one_of(_KINDS, _ODD, _conditions(st.integers(-1, 3), st.integers(0, 2)),
+                         st.sampled_from(["QUBITS", "CREGS", "INPUTS", "OUTPUTS", "FOO"]))
+        return " ".join(draw(st.lists(toks, max_size=6)))
+    kind = draw(_KINDS)
+    nq, na, register, _ = OPERANDS[kind]
+    ops = [draw(_QUBIT) for _ in range(nq)] + [draw(_REG) for _ in range(register)]
+    ops += [draw(_ANGLE) for _ in range(na)]
+    edit = draw(st.integers(0, 4))
+    if edit == 1 and ops:
+        del ops[draw(st.integers(0, len(ops) - 1))]
+    elif edit == 2:
+        ops.insert(draw(st.integers(0, len(ops))), draw(st.one_of(_QUBIT, _REG, _ANGLE)))
+    prefix = ["IF", draw(_conditions(st.integers(0, 2), st.integers(0, 1)))]
+    return " ".join((prefix if draw(st.booleans()) else []) + [kind] + ops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_lines(), max_size=5), st.booleans())
+def test_parse_returns_circuit_or_raises_parse_error(lines, with_header):
+    # lines of random tokens, with missing or extra operands, never escape
+    # as anything but a CircuitParseError
+    header = ["QUBITS 3", "CREGS 2", "INPUTS q0 q1", "OUTPUTS q2"] if with_header else []
+    try:
+        c = parse("\n".join(header + lines))
+    except CircuitParseError as exc:
+        assert str(exc).startswith(f"line {exc.line_no}: ")
+    else:
+        assert parse(serialize(c)) == c

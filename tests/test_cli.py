@@ -331,3 +331,17 @@ def test_qubit_counts_checked_before_any_power(tmp_path, case):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines()[-1].startswith("error: ")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("line", ["RY", "U", "IF c0=1 RZ", "IF c0=0 RESET q0"])
+def test_verify_malformed_circuit_exits_one_without_traceback(tmp_path, line):
+    ch = tmp_path / "ch.json"
+    ch.write_text(channel_to_json(random_channel(1, 1, 2, seed=7)))
+    circ = tmp_path / "bad.qcirc"
+    circ.write_text(f"QUBITS 2\nCREGS 1\nINPUTS q1\nOUTPUTS q1\nMEASURE q0 c0\n{line}\n")
+    proc = _run_cli(["-m", "chancomp.cli", "verify", "--circuit", str(circ), "--channel", str(ch)],
+                    tmp_path, timeout=30)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1].startswith("error: ")
+    assert "line 6: " in proc.stderr

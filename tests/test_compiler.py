@@ -170,6 +170,23 @@ def test_predict_upper_bound_cases():
     assert predict_upper_bound(2, 1, 2) == n_iso(2, 3)
     assert predict_upper_bound(2, 1, 1) == n_iso(2, 2)  # n+k = m
     assert predict_upper_bound(1, 2, 2) == 2 * n_iso(1, 2) + n_iso(1, 2)
+    assert predict_upper_bound(1, 3, 0) == n_iso(1, 3)
+
+
+@pytest.mark.parametrize("m,n,k,least", [(3, 1, 1, 2), (2, 1, 0, 1), (4, 1, 2, 3), (1, 1, -1, 0)])
+def test_predict_upper_bound_rejects_impossible_shapes(m, n, k, least):
+    # a channel from m to n qubits has Kraus rank >= 2^(m-n), so k >= m - n
+    with pytest.raises(ValueError, match=f"needs k >= {least}, got {k}"):
+        predict_upper_bound(m, n, k)
+
+
+def test_plan_isometry_channel_has_no_rounds():
+    # k = 0 with m < n takes the general path: no rounds, one residual
+    ks = random_channel(1, 3, 1, seed=41)
+    plan = plan_measured(ks)
+    assert (plan.k, plan.l, plan.k_tilde, plan.final_measure_count) == (0, 2, 0, 0)
+    assert plan.stages == () and set(plan.finals) == {""}
+    assert plan.finals[""].shape == (8, 2)
 
 
 def test_compile_qcm_unitary_channel():

@@ -11,7 +11,17 @@ from chancomp.channel import (
     random_channel,
 )
 from chancomp import templates
-from chancomp.circuit import cnot_count, ry_matrix, rz_matrix, u_matrix
+from chancomp.circuit import (
+    RY,
+    RZ,
+    U,
+    Circuit,
+    Gate,
+    cnot_count,
+    ry_matrix,
+    rz_matrix,
+    u_matrix,
+)
 from chancomp.simulator import circuit_to_kraus
 from chancomp.templates import (
     TEMPLATES,
@@ -49,6 +59,17 @@ def test_count_independent_of_parameters(tid, seed):
     assert cnot_count(circ)[0] == EXPECTED_CNOTS[tid]
 
 
+@pytest.mark.parametrize("tid", sorted(TEMPLATES))
+def test_instantiate_fills_angles_in_gate_order(tid):
+    t = TEMPLATES[tid]
+    assert instantiate(t, [0.0] * t.param_count) == t.circuit
+    params = np.arange(1.0, t.param_count + 1)
+    got = instantiate(t, params)
+    assert [x for g in got.gates for x in g.params] == params.tolist()
+    assert [(g.kind, g.qubits, g.creg, g.condition) for g in got.gates] == [
+        (g.kind, g.qubits, g.creg, g.condition) for g in t.circuit.gates]
+
+
 def test_instantiate_rejects_wrong_length():
     t = TEMPLATES["T11"]
     with pytest.raises(ValueError, match="takes 14 parameters"):
@@ -67,8 +88,8 @@ def test_t11_zero_params_matches_golden_choi():
 
 def test_closed_form_u_matches_gate_semantics():
     # one slot of each kind; the slot matrices follow circuit's gate matrices
-    t = Template("slots", 1, 1, 1, 1, (0,), (0,), 0,
-                 (("U", 0, None), ("RY", 0, None), ("RZ", 0, None)), ("U3", "R", "R"))
+    gates = (Gate(U, (0,), (0.0,) * 4), Gate(RY, (0,), (0.0,)), Gate(RZ, (0,), (0.0,)))
+    t = Template("slots", 1, 1, 1, Circuit(1, (0,), (0,), gates, 0), ("U3", "R", "R"))
     rng = np.random.default_rng(3)
     params = rng.uniform(-7, 7, (50, 6))
     mats = _slot_matrices(params, _compile(t)[1])
