@@ -217,10 +217,19 @@ def predict_upper_bound(m: int, n: int, k: int) -> int:
     return (k + n - m) * n_iso(m, m + 1)
 
 
+def _check_sizes(circ: Circuit, m: int, n: int) -> None:
+    """Refuse a circuit whose input and output counts are not the channel's."""
+    got = (len(circ.input_qubits), len(circ.output_qubits))
+    if got != (m, n):
+        raise ValueError(f"circuit maps {got[0]} to {got[1]} qubits, "
+                         f"but the channel maps {m} to {n}")
+
+
 def verify_circuit(circ: Circuit, ks: KrausSet) -> float:
     """Choi distance between the simulated circuit and the channel."""
     from .simulator import circuit_to_kraus
 
+    _check_sizes(circ, ks.m, ks.n)
     return choi_distance(choi_from_kraus(circuit_to_kraus(circ)), choi_from_kraus(ks))
 
 
@@ -228,6 +237,8 @@ def verify_mixture(compiled: list[tuple[float, Circuit]], mix: ConvexMixture) ->
     """Choi distance between the weighted compiled circuits and the mixture."""
     from .simulator import circuit_to_kraus
 
+    for _, c in compiled:
+        _check_sizes(c, mix.m, mix.n)
     got = sum(p * choi_from_kraus(circuit_to_kraus(c)).j for p, c in compiled)
     want = sum(p * choi_from_kraus(ks).j for p, ks in mix.components)
     return float(np.linalg.norm(got - want))

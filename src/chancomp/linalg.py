@@ -23,7 +23,8 @@ def _as_complex(a) -> np.ndarray:
 
 
 def qr_rectangular(b) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR of a tall matrix b (rows >= cols), by LAPACK.
+    """Reduced QR of a tall matrix b (rows >= cols), or of each matrix in
+    a stack of them (..., rows, cols), by LAPACK.
 
     Returns (q, r) with q @ r = b: q is rows x cols with orthonormal
     columns and r is cols x cols upper triangular with a real
@@ -32,16 +33,17 @@ def qr_rectangular(b) -> tuple[np.ndarray, np.ndarray]:
     orthonormal columns and r has (near-)zero diagonal entries.
     """
     b = _as_complex(b)
-    if b.shape[0] < b.shape[1]:
+    if b.shape[-2] < b.shape[-1]:
         raise ValueError("non-tall matrix")
     q, r = np.linalg.qr(b)
-    d = np.diagonal(r)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(d)
     phase = np.ones_like(d)
     np.divide(d, mag, out=phase, where=mag > 0.0)
-    q *= phase
-    r *= phase.conj()[:, None]
-    np.fill_diagonal(r, mag)
+    q *= phase[..., None, :]
+    r *= phase.conj()[..., :, None]
+    idx = np.arange(mag.shape[-1])
+    r[..., idx, idx] = mag
     return q, r
 
 

@@ -1,19 +1,32 @@
 """Decompose isometries into CNOT + single-qubit gates.
 
-The synthesizer reduces an isometry column by column: for column j it
-walks the target qubits from least to most significant, each step using
-a multiplexed Rz (phase alignment) followed by a multiplexed Ry (mass
-concentration) over the remaining qubits, with rotation angles forced to
-zero on control patterns that would disturb already-reduced columns.  A
-final diagonal cascade cancels the per-column phases, so the emitted
-circuit reproduces an isometry of two or more columns exactly, global
-phase included.  A single column (state preparation) skips the cascade
-and is reproduced up to a global phase.
+Two constructions, chosen from the shape of the isometry alone:
 
-Rotations whose angle happens to be zero are kept, and the set of
+* The quantum Shannon decomposition (Shende, Bullock and Markov,
+  arXiv:quant-ph/0406176) takes square unitaries and measured rounds
+  (2^{p+1} x 2^p, the top qubit starting in |0>) of four or more
+  columns.  A cosine-sine split of the top qubit gives
+  (u1 + u2) . Ry-mux . (v1 + v2)^dag; each block-diagonal factor is
+  demultiplexed into qsd(W), an Rz multiplexor and qsd(Z) on the lower
+  qubits, down to one U gate per qubit.  For a round only v1^dag acts,
+  since the top qubit starts in |0>.  The split, the eigendecomposition
+  and the QR steps are numpy.linalg calls, one batch per level of the
+  recursion; scipy.linalg (cossin, schur) would add its import time to
+  every CLI compile.
+* Every other shape goes column by column: for column j the reduction
+  walks the target qubits from least to most significant, each step
+  using a multiplexed Rz (phase alignment) followed by a multiplexed Ry
+  (mass concentration) over the remaining qubits, with rotation angles
+  forced to zero on control patterns that would disturb already-reduced
+  columns.  A final diagonal cascade cancels the per-column phases, so
+  an isometry of two or more columns is reproduced exactly, global
+  phase included.  A single column (state preparation) skips the
+  cascade and is reproduced up to a global phase.
+
+Both keep rotations whose angle happens to be zero, so the set of
 emitted gates depends only on the matrix dimensions, never on its
-entries.  That makes CNOT counts input-independent, which the channel
-compiler relies on for uniform per-branch costs.
+entries.  That makes CNOT counts input-independent (`n_iso`), which the
+channel compiler relies on for uniform per-branch costs.
 """
 
 from __future__ import annotations
@@ -23,9 +36,10 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import CNOT, RY, RZ, U, Circuit, Gate, rotate_pairs, walsh_hadamard
-from .linalg import is_isometry
+from .linalg import is_isometry, qr_rectangular
 
 _ZERO_AMP = 1e-12
+_SQRT_HALF = 0.5**0.5
 
 
 def _gray_code_angles(angles: np.ndarray) -> list[float]:
@@ -172,18 +186,151 @@ def _reduction_segments(v: np.ndarray):
     return segments, lams, work
 
 
-def decompose_isometry(v) -> Circuit:
-    """Circuit on p qubits reproducing the 2^p x 2^c isometry v (up to a
-    global phase when c = 1).
+def _column_gates(v: np.ndarray, p: int) -> list[Gate]:
+    """The column-by-column reduction run backwards: the inverse diagonal,
+    then each step's inverse from the last step to the first.  That
+    inverse is the Gray-code multiplexor for the negated angles, which
+    ends in a bare CNOT: what lets the classicalization rewrite fire on
+    compiled m = 1 rounds."""
+    segments, lams, _ = _reduction_segments(v)
+    gates = [] if lams is None else _diag_gates(lams.tolist(), list(range(p)))
+    for seg in reversed(segments):
+        for kind, target, angles in reversed(seg):
+            controls = [q for q in range(p) if q != target]
+            gates += multiplexed_rotation(kind, controls, target, 0.0 - angles)
+    return gates
 
-    The first p - log2(c) qubits start in |0>; the inputs feed the
-    trailing qubits.  The emitted gates and their CNOT count depend only
-    on the shape of v.  The circuit is the reduction run backwards: the
-    inverse diagonal, then each step's inverse from the last step to the
-    first.  That inverse is the Gray-code multiplexor for the negated
-    angles, which ends in a bare CNOT: what lets the classicalization
-    rewrite fire on compiled circuits.
-    """
+
+def _u_gates(u: np.ndarray, q: int) -> list[Gate]:
+    """One U gate on qubit q per 2x2 unitary in the stack u, each equal to
+    its matrix, global phase included.
+
+    The angles of `circuit.zyz_decompose`, but every phase is read through
+    `_phase` and none is wrapped, so the entries of real inputs, and
+    their round-off, stay off the cut."""
+    det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
+    alpha = 0.5 * _phase(det)
+    a, b = (u[:, :, 0] * np.exp(-1j * alpha)[:, None]).T
+    gamma = 2.0 * np.arctan2(np.abs(b), np.abs(a))
+    pa, pb = _phase(a), _phase(b)
+    diagonal, antidiagonal = np.abs(b) < _ZERO_AMP, np.abs(a) < _ZERO_AMP
+    # at the degenerate points all z-rotation goes into beta; 0.0 - x keeps zeros +0.0
+    beta = np.where(diagonal, 0.0 - 2.0 * pa, np.where(antidiagonal, 2.0 * pb, pb - pa))
+    delta = np.where(diagonal | antidiagonal, 0.0, 0.0 - pb - pa)
+    return [Gate(U, (q,), angles) for angles in
+            zip(alpha.tolist(), beta.tolist(), gamma.tolist(), delta.tolist())]
+
+
+def _dagger(x: np.ndarray) -> np.ndarray:
+    return x.conj().swapaxes(-1, -2)
+
+
+def _canonical_phases(x: np.ndarray) -> np.ndarray:
+    """x with each column scaled by the phase that makes sum_k e^{ik} x[k]
+    real and positive.
+
+    LAPACK picks the phase of a singular vector or an eigenvector by sign
+    tests and largest entries, which round-off can flip.  This weighted
+    sum moves continuously with x, and the irrational weights keep it off
+    zero on the structured vectors (basis vectors, +-1/sqrt(2) pairs)
+    where an argmax would tie."""
+    f = np.exp(1j * np.arange(x.shape[-2])) @ x
+    mag = np.abs(f)
+    phase = np.ones_like(f)
+    np.divide(f.conj(), mag, out=phase, where=mag > 0.0)
+    return x * phase[..., None, :]
+
+
+def _unitary_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z, lam) with x = z diag(lam) z^dag and z unitary, for each unitary
+    in the stack x.
+
+    numpy's `eig`, its pairs sorted by `_phase` of the eigenvalue, and the
+    eigenvectors made orthonormal by QR: within a repeated eigenvalue
+    `eig` need not return orthogonal vectors, across distinct ones they
+    already are."""
+    lam, vec = np.linalg.eig(x)
+    order = np.argsort(_phase(lam), axis=-1, kind="stable")
+    vec = np.take_along_axis(vec, order[..., None, :], axis=-1)
+    return _canonical_phases(qr_rectangular(vec)[0]), np.take_along_axis(lam, order, axis=-1)
+
+
+def _cs_split(a: np.ndarray, b: np.ndarray):
+    """(u1, u2, theta, v1h) with a = u1 C v1h and b = u2 S v1h, where
+    C = diag(cos(theta / 2)) and S = diag(sin(theta / 2)), for the square
+    halves of isometries [a; b] (stacks of them).
+
+    The SVD of a fixes v1h.  Where c >= 1/sqrt(2) it leaves v1h free
+    within each cluster of c near 1, so those rows are turned by the SVD
+    of b's image of them, which makes every column of b v1h^dag
+    orthogonal; the other rows get distinct singular values above 1 on
+    rows of their own, which keeps them in place.  Then QR of a v1h^dag
+    (descending c) and of b v1h^dag (descending s) gives u1, c, u2 and s:
+    each column is found from the ones before it, which are the
+    well-determined ones."""
+    _, c, v1h = np.linalg.svd(a)
+    n = c.shape[-1]
+    near_one = c >= _SQRT_HALF
+    v1 = _dagger(v1h)
+    apart = np.where(near_one, 0.0, 2.0 + np.arange(n))[..., None, :] * np.eye(n)
+    zh = np.linalg.svd(np.concatenate([(b @ v1) * near_one[..., None, :], apart], axis=-2),
+                       full_matrices=False)[2]
+    v1 = _canonical_phases(v1 @ _dagger(zh)[..., ::-1])
+    u1, r1 = qr_rectangular(a @ v1)
+    u2, r2 = qr_rectangular((b @ v1)[..., ::-1])
+    c = np.diagonal(r1, axis1=-2, axis2=-1).real
+    s = np.diagonal(r2, axis1=-2, axis2=-1).real[..., ::-1]
+    return u1, u2[..., ::-1], 2.0 * np.arctan2(s, c), _dagger(v1)
+
+
+def _demultiplex(u1: np.ndarray, u2: np.ndarray):
+    """(w, rz, z) with u1 + u2 = (I x z)(D + D^dag)(I x w), for stacks of
+    the blocks: u1 + u2 applies u1 to the lower qubits when the top qubit
+    is 0 and u2 when it is 1.
+
+    u1 u2^dag = z diag(d^2) z^dag gives w = diag(d) z^dag u2, and D + D^dag
+    is the Rz multiplexor on the top qubit of angles rz = -2 arg d."""
+    z, lam = _unitary_eig(u1 @ _dagger(u2))
+    phi = _phase(lam)
+    w = np.exp(0.5j * phi)[..., None] * (_dagger(z) @ u2)
+    return w, 0.0 - phi, z
+
+
+def _qsd(u: np.ndarray, qubits: list[int]) -> list[list[Gate]]:
+    """Shannon decomposition of each matrix in the stack u, one gate list
+    per matrix, on `qubits` (qubits[0] most significant).
+
+    The matrices are unitaries, or rounds: 2^p x 2^(p-1) with qubits[0]
+    starting in |0>.  Every matrix of a level is split by the same batched
+    numpy calls, and their factors form the stack of the level below.  A
+    unitary takes c(p) = 4 c(p-1) + 3 2^(p-1) CNOTs (c(1) = 0), a round
+    3 c(p-1) + 2^p."""
+    top, lower = qubits[0], qubits[1:]
+    if not lower:
+        return [[g] for g in _u_gates(u, top)]
+    n, h = len(u), u.shape[1] // 2
+
+    def mux(kind, angles):
+        return multiplexed_rotation(kind, lower, top, angles)
+
+    u1, u2, theta, v1h = _cs_split(u[:, :h, :h], u[:, h:, :h])
+    if u.shape[2] == h:
+        # only v1h acts on the lower qubits while the top one is |0>
+        w, rz, z = _demultiplex(u1, u2)
+        sub = _qsd(np.concatenate([v1h, w, z]), lower)
+        return [sub[j] + mux(RY, theta[j]) + sub[n + j] + mux(RZ, rz[j]) + sub[2 * n + j]
+                for j in range(n)]
+    # the right half is [-u1 S v2h; u2 C v2h]
+    cos, sin = np.cos(0.5 * theta)[..., None], np.sin(0.5 * theta)[..., None]
+    v2h = cos * (_dagger(u2) @ u[:, h:, h:]) - sin * (_dagger(u1) @ u[:, :h, h:])
+    w, rz, z = _demultiplex(np.concatenate([v1h, u1]), np.concatenate([v2h, u2]))
+    sub = _qsd(np.concatenate([w, z]), lower)
+    return [sub[j] + mux(RZ, rz[j]) + sub[2 * n + j] + mux(RY, theta[j])
+            + sub[n + j] + mux(RZ, rz[n + j]) + sub[3 * n + j] for j in range(n)]
+
+
+def _checked_isometry(v) -> tuple[np.ndarray, int, int]:
+    """v as complex128 with its qubit counts p (rows) and mc (columns)."""
     v = np.asarray(v, dtype=np.complex128)
     rows, cols = v.shape
     p = rows.bit_length() - 1
@@ -192,20 +339,52 @@ def decompose_isometry(v) -> Circuit:
         raise ValueError("shape must be 2^n x 2^m with n >= m")
     if not is_isometry(v):
         raise ValueError("not an isometry")
-    segments, lams, _ = _reduction_segments(v)
-    gates = [] if lams is None else _diag_gates(lams.tolist(), list(range(p)))
-    for seg in reversed(segments):
-        for kind, target, angles in reversed(seg):
-            controls = [q for q in range(p) if q != target]
-            gates += multiplexed_rotation(kind, controls, target, 0.0 - angles)
+    return v, p, mc
+
+
+def _uses_qsd(m: int, n: int) -> bool:
+    """Whether an m-to-n isometry takes the Shannon decomposition: square
+    unitaries and measured rounds of four or more columns."""
+    return m >= 2 and n - m <= 1
+
+
+def decompose_isometry(v) -> Circuit:
+    """Circuit on p qubits reproducing the 2^p x 2^c isometry v (up to a
+    global phase when c = 1).
+
+    The first p - log2(c) qubits start in |0>; the inputs feed the
+    trailing qubits.  Square unitaries and measured rounds of four or more
+    columns take the Shannon decomposition, every other shape the
+    column-by-column reduction (`decompose_column_by_column`).  The
+    emitted gates and their CNOT count depend only on the shape of v.
+    """
+    v, p, mc = _checked_isometry(v)
+    if _uses_qsd(mc, p):
+        gates = _qsd(v[None], list(range(p)))[0]
+    else:
+        gates = _column_gates(v, p)
     return Circuit(p, tuple(range(p - mc, p)), tuple(range(p)), tuple(gates), 0)
+
+
+def decompose_column_by_column(v) -> Circuit:
+    """`decompose_isometry` by the column-by-column reduction, for any shape."""
+    v, p, mc = _checked_isometry(v)
+    return Circuit(p, tuple(range(p - mc, p)), tuple(range(p)), tuple(_column_gates(v, p)), 0)
 
 
 @lru_cache(maxsize=None)
 def n_iso(m: int, n: int) -> int:
-    """CNOT count this synthesizer emits for any m-to-n isometry."""
+    """CNOT count `decompose_isometry` emits for any m-to-n isometry.
+
+    The Shannon decomposition of a p-qubit unitary takes
+    c(p) = 4 c(p-1) + 3 2^(p-1) = 3 (4^(p-1) - 2^(p-1)) CNOTs, and a
+    round (n = m + 1) takes 3 c(m) + 2^(m+1).  The column-by-column count
+    is summed over the steps the reduction takes."""
     if m < 0 or n < m:
         raise ValueError("need 0 <= m <= n")
+    if _uses_qsd(m, n):
+        c = 3 * (4 ** (m - 1) - 2 ** (m - 1))
+        return c if n == m else 3 * c + 2 ** (m + 1)
     p = n
     per_multiplex = 2 ** (p - 1) if p >= 2 else 0
     count = 0

@@ -167,6 +167,17 @@ def test_verify_pass_and_fail(tmp_path, channel_file, capsys):
     assert "choi_dist=" in capsys.readouterr().out
 
 
+def test_verify_refuses_circuit_of_other_sizes(tmp_path, channel_file, capsys):
+    two = tmp_path / "two.json"
+    two.write_text(channel_to_json(random_channel(2, 1, 4, seed=3)))
+    out = tmp_path / "c.qcirc"
+    assert run(["compile", "--model", "measured", "--in", str(two), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--circuit", str(out), "--channel", str(channel_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: circuit maps 2 to 1 qubits, but the channel maps 1 to 1")
+
+
 def test_info(tmp_path, capsys):
     src = tmp_path / "ch.json"
     src.write_text(channel_to_json(random_channel(1, 1, 2, seed=11)))
@@ -302,6 +313,17 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     proc = _run_cli(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_measured_compile_leaves_scipy_linalg_unloaded(tmp_path):
+    # a (2,2,4) channel takes the Shannon decomposition, which uses numpy.linalg only
+    (tmp_path / "ch.json").write_text(channel_to_json(random_channel(2, 2, 4, seed=5)))
+    code = ("import sys; from chancomp.cli import run; "
+            "code = run(['compile', '--model', 'measured', '--in', 'ch.json', "
+            "'--out', 'c.qcirc']); print(code, 'scipy.linalg' in sys.modules)")
+    proc = _run_cli(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
 
 
 _SIZE_CASES = {

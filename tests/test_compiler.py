@@ -268,3 +268,13 @@ def test_verify_mixture_detects_wrong_weights():
     assert verify_mixture(compiled, mix) < 1e-8
     swapped = [(1.0 - p, c) for p, c in compiled]
     assert verify_mixture(swapped, mix) > 0.1
+
+
+def test_verify_refuses_circuits_of_other_sizes():
+    two_to_one = compile_measured(random_channel(2, 1, 4, seed=3))
+    msg = "circuit maps 2 to 1 qubits, but the channel maps 1 to 1"
+    with pytest.raises(ValueError, match=msg):
+        verify_circuit(two_to_one, dephasing_like())
+    mix = ConvexMixture([(1.0, dephasing_like())])
+    with pytest.raises(ValueError, match=msg):
+        verify_mixture([(1.0, two_to_one)], mix)

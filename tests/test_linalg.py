@@ -149,3 +149,14 @@ def test_frob_phase_distance_identity_vs_x():
 def test_frob_phase_distance_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         frob_distance_up_to_phase(np.eye(2), np.eye(3))
+
+
+def test_qr_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(13)
+    stack = rng.standard_normal((3, 8, 4)) + 1j * rng.standard_normal((3, 8, 4))
+    stack[1, :, 2] = 0.0    # a zero column: that diagonal entry stays 0
+    q, r = qr_rectangular(stack)
+    for b, qb, rb in zip(stack, q, r):
+        want_q, want_r = qr_rectangular(b)
+        assert np.allclose(qb, want_q, atol=1e-13) and np.allclose(rb, want_r, atol=1e-13)
+        assert np.all(np.diagonal(rb).real >= 0) and np.all(np.diagonal(rb).imag == 0)

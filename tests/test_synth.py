@@ -20,7 +20,12 @@ from chancomp.circuit import (
 from chancomp.linalg import qr_rectangular
 from chancomp.simulator import simulate_unitary
 from chancomp.synth import (
+    _cs_split,
+    _phase,
     _reduction_segments,
+    _u_gates,
+    _unitary_eig,
+    decompose_column_by_column,
     decompose_isometry,
     multiplexed_rotation,
     n_iso,
@@ -186,8 +191,8 @@ def test_column_by_column_invariant():
 
 def test_cost_model_matches_emitted_counts():
     rng = np.random.default_rng(29)
-    for m in range(0, 4):
-        for n in range(max(m, 1), 5):
+    for m in range(0, 6):
+        for n in range(max(m, 1), 6):
             v = random_isometry(2**n, 2**m, rng)
             circ = decompose_isometry(v)
             assert count_cnots(circ) == n_iso(m, n), (m, n)
@@ -197,7 +202,10 @@ def test_cost_model_known_values():
     assert n_iso(1, 1) == 0
     assert n_iso(0, 1) == 0
     assert n_iso(1, 2) == 18
-    assert n_iso(2, 2) == 22
+    assert n_iso(2, 2) == 6
+    assert n_iso(2, 3) == 26
+    assert n_iso(3, 4) == 124
+    assert n_iso(4, 4) == 168
 
 
 def test_worst_case_count_equals_plain_count_for_unconditioned():
@@ -351,7 +359,7 @@ def test_block_update_matches_gate_by_gate(kind, p):
 def test_decompose_matches_loop_reference(rows, cols):
     rng = np.random.default_rng(rows + 3 * cols)
     v = random_isometry(rows, cols, rng)
-    got = decompose_isometry(v).gates
+    got = decompose_column_by_column(v).gates
     want = reference_decompose(v)
     assert [(g.kind, g.qubits, g.condition) for g in got] == \
         [(g.kind, g.qubits, g.condition) for g in want]
@@ -367,7 +375,9 @@ def test_decompose_fortran_ordered_input():
     assert np.linalg.norm(got - v) < 1e-10
 
 
-@pytest.mark.parametrize("rows,cols", [(2, 1), (4, 1), (4, 2), (8, 2), (8, 4), (16, 4), (16, 16)])
+@pytest.mark.parametrize(
+    "rows,cols", [(2, 1), (4, 1), (4, 2), (8, 2), (8, 4), (16, 4), (16, 8), (16, 16)]
+)
 def test_angles_ignore_the_sign_of_round_off_on_real_inputs(rows, cols):
     # A real isometry's negative entries sit on np.angle's branch cut; a
     # +-1e-18 imaginary part there must not move any emitted angle.
@@ -380,3 +390,120 @@ def test_angles_ignore_the_sign_of_round_off_on_real_inputs(rows, cols):
             err = max((abs(a - b) for g, h in zip(gates, variants[0])
                        for a, b in zip(g.params, h.params)), default=0.0)
             assert err <= 1e-12
+
+
+# --- Shannon decomposition path ---------------------------------------------
+
+
+def random_unitary(d, rng):
+    return random_isometry(d, d, rng)
+
+
+def cs_isometry(theta, u1, u2, v1h):
+    """[u1 C v1h; u2 S v1h] with C = diag(cos(theta / 2)), S = diag(sin(theta / 2))."""
+    half = 0.5 * np.asarray(theta, dtype=float)[:, None]
+    return np.vstack([u1 @ (np.cos(half) * v1h), u2 @ (np.sin(half) * v1h)])
+
+
+def structured_inputs():
+    """(name, matrix) pairs for the round and square shapes the Shannon
+    decomposition takes: basis-aligned, real and degenerate cases."""
+    rng = np.random.default_rng(71)
+    cases = []
+    for d in (4, 8, 16):
+        eye = np.eye(d)
+        perm = eye[rng.permutation(d)]
+        rot = qr_rectangular(rng.standard_normal((d, d)))[0].real
+        cases += [
+            (f"identity{d}", eye),
+            (f"permutation{d}", perm),
+            (f"orthogonal{d}", rot),
+            (f"top{d}", np.vstack([eye, 0 * eye])),                     # [I; 0]
+            (f"bottom{d}", np.vstack([0 * eye, eye])),                  # [0; I]
+            (f"round-permutation{d}", np.eye(2 * d)[rng.permutation(2 * d)][:, :d]),
+            (f"round-orthogonal{d}", qr_rectangular(rng.standard_normal((2 * d, d)))[0].real),
+            (f"block-diagonal{d}", np.kron(np.diag([1, 0]), random_unitary(d // 2, rng))
+             + np.kron(np.diag([0, 1]), random_unitary(d // 2, rng))),
+            (f"antidiagonal{d}", np.kron([[0, 1], [1, 0]], random_unitary(d // 2, rng))),
+        ]
+        u1, u2, v1h = (random_unitary(d, rng) for _ in range(3))
+        # s = 0 and c = 0 next to generic angles
+        theta = np.resize([0.0, np.pi, 1.2, 0.0, np.pi, 2.5], d)
+        cases.append((f"zero-halves{d}", cs_isometry(theta, u1, u2, v1h)))
+        # s of 1e-9 to 1e-7, where c rounds to 1 and the SVD of the top half
+        # leaves v1h free; and c of 1e-9 next to them
+        theta = np.resize([2e-9, 6e-9, 2e-7, 1.0, np.pi - 2e-9], d)
+        cases.append((f"near-degenerate{d}", cs_isometry(theta, u1, u2, v1h)))
+        # u1 u2^dag with repeated eigenvalues
+        x = u2 @ np.diag(np.resize([1, 1, 1j, -1], d)) @ u2.conj().T
+        cases.append((f"repeated-eig{d}", cs_isometry(np.linspace(0.2, 3.0, d), x @ u2, u2, v1h)))
+        cases.append((f"equal-halves{d}", cs_isometry(np.full(d, np.pi / 2), u2, u2, v1h)))
+    return cases
+
+
+@pytest.mark.parametrize("name,v", structured_inputs(), ids=lambda x: x if isinstance(x, str) else "")
+def test_qsd_is_exact_on_structured_inputs(name, v):
+    circ = decompose_isometry(v)
+    rows, cols = v.shape
+    m, n = cols.bit_length() - 1, rows.bit_length() - 1
+    assert count_cnots(circ) == n_iso(m, n)
+    assert np.linalg.norm(simulate_unitary(circ) - v) <= 1e-12, name
+
+
+@pytest.mark.parametrize("rows,cols", [(8, 4), (16, 8), (32, 16), (4, 4), (8, 8), (16, 16)])
+def test_qsd_is_exact_and_shape_determined_on_random_inputs(rows, cols):
+    rng = np.random.default_rng(rows + 5 * cols)
+    shapes = set()
+    for _ in range(3):
+        v = random_isometry(rows, cols, rng)
+        circ = decompose_isometry(v)
+        assert np.linalg.norm(simulate_unitary(circ) - v) <= 1e-12
+        shapes.add(tuple((g.kind, g.qubits) for g in circ.gates))
+    assert len(shapes) == 1
+
+
+def _unitary_eig_cases():
+    rng = np.random.default_rng(83)
+    q = random_unitary(8, rng)
+    return [
+        np.eye(4),
+        np.eye(8)[rng.permutation(8)],
+        qr_rectangular(rng.standard_normal((8, 8)))[0].real,
+        random_unitary(16, rng),
+        q @ np.diag([1, 1, 1, 1j, 1j, -1, -1, -1]) @ q.conj().T,
+        q @ np.diag(np.exp(1j * (np.pi + 0.5 + 1e-9 * np.arange(8)))) @ q.conj().T,
+        -np.eye(2),
+    ]
+
+
+@pytest.mark.parametrize("x", _unitary_eig_cases())
+def test_unitary_eig_residual(x):
+    z, lam = _unitary_eig(x.astype(complex))
+    assert np.linalg.norm(z.conj().T @ z - np.eye(len(x))) <= 1e-13
+    assert np.linalg.norm(z @ np.diag(lam) @ z.conj().T - x) <= 1e-13
+    assert np.all(np.diff(_phase(lam)) >= 0)
+
+
+@pytest.mark.parametrize("name,v", [c for c in structured_inputs() if c[1].shape[0] > c[1].shape[1]],
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_cs_split_residual(name, v):
+    h = v.shape[1]
+    a, b = v[:h].astype(complex), v[h:].astype(complex)
+    u1, u2, theta, v1h = _cs_split(a, b)
+    for u in (u1, u2, v1h):
+        assert np.linalg.norm(u.conj().T @ u - np.eye(h)) <= 1e-13
+    assert np.linalg.norm(u1 @ (np.cos(theta / 2)[:, None] * v1h) - a) <= 1e-13, name
+    assert np.linalg.norm(u2 @ (np.sin(theta / 2)[:, None] * v1h) - b) <= 1e-13, name
+
+
+def test_u_gates_are_exact_with_global_phase():
+    rng = np.random.default_rng(97)
+    y = np.array([[0, -1], [1, 0]])
+    mats = [random_unitary(2, rng) for _ in range(4)]
+    mats += [np.eye(2), -np.eye(2), np.diag([1, -1]), np.diag([1j, 1]), y, 1j * y,
+             np.array([[0, 1], [1, 0]]), np.array([[1, 1], [1, -1]]) / np.sqrt(2)]
+    stack = np.array(mats, dtype=complex)
+    for u, g in zip(stack, _u_gates(stack, 0)):
+        assert g.kind == U and all(type(x) is float for x in g.params)
+        got = simulate_unitary(Circuit(1, (0,), (0,), (g,), 0))
+        assert np.linalg.norm(got - u) <= 1e-14
