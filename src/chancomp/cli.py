@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 
@@ -51,6 +52,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
+def _positive_float(text: str) -> float:
+    """A finite number > 0; argparse turns the error into a usage error."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return x
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="chancomp", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -67,7 +89,7 @@ def _build_parser() -> _Parser:
     v = sub.add_parser("verify", help="check a circuit against a channel")
     v.add_argument("--circuit", required=True)
     v.add_argument("--channel", required=True)
-    v.add_argument("--tol", type=float, default=VERIFY_TOL)
+    v.add_argument("--tol", type=_positive_float, default=VERIFY_TOL)
 
     i = sub.add_parser("info", help="print channel facts")
     i.add_argument("--in", dest="infile", required=True)
@@ -90,7 +112,7 @@ def _build_parser() -> _Parser:
     f.add_argument("--in", dest="infile", required=True)
     f.add_argument("--starts", type=int, default=20)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--max-iters", type=int, default=6000)
+    f.add_argument("--max-iters", type=_positive_int, default=6000)
     f.add_argument("--out", dest="outfile", default=None)
     return p
 

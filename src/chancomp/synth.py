@@ -8,11 +8,12 @@ Two constructions, chosen from the shape of the isometry alone:
   columns.  A cosine-sine split of the top qubit gives
   (u1 + u2) . Ry-mux . (v1 + v2)^dag; each block-diagonal factor is
   demultiplexed into qsd(W), an Rz multiplexor and qsd(Z) on the lower
-  qubits, down to one U gate per qubit.  For a round only v1^dag acts,
-  since the top qubit starts in |0>.  The split, the eigendecomposition
-  and the QR steps are numpy.linalg calls, one batch per level of the
-  recursion; scipy.linalg (cossin, schur) would add its import time to
-  every CLI compile.
+  qubits, down to two-qubit unitaries.  Those take the three-CNOT
+  magic-basis (KAK) form of Vatan and Williams (arXiv:quant-ph/0308006).
+  For a round only v1^dag acts, since the top qubit starts in |0>.  The
+  split, the eigendecompositions and the QR steps are numpy.linalg
+  calls, one batch per level of the recursion; scipy.linalg (cossin,
+  schur) would add its import time to every CLI compile.
 * Every other shape goes column by column: for column j the reduction
   walks the target qubits from least to most significant, each step
   using a multiplexed Rz (phase alignment) followed by a multiplexed Ry
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import CNOT, RY, RZ, U, Circuit, Gate, rotate_pairs, walsh_hadamard
+from .circuit import CNOT, RY, RZ, U, Circuit, Gate, rotate_pairs, rz_matrix, walsh_hadamard
 from .linalg import is_isometry, qr_rectangular
 
 _ZERO_AMP = 1e-12
@@ -296,18 +297,102 @@ def _demultiplex(u1: np.ndarray, u2: np.ndarray):
     return w, 0.0 - phi, z
 
 
+# The magic basis: M^dag (A x B) M is real orthogonal for A, B in SU(2),
+# and M^dag (a XX + b YY + c ZZ) M = diag(_XYZ.T @ (a, b, c)).
+_MAGIC = _SQRT_HALF * np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]])
+_XYZ = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]])
+# The r of Re s + r Im s that `_real_eigvecs` tries in turn, and the
+# off-diagonal residual past which it moves on to the next.
+_MIXES = (2.0**0.5 - 1.0, np.e - 2.0, np.pi - 3.0)
+_KAK_ATOL = 1e-13
+# Weights that fix the sign of each real eigenvector: their sum against
+# a nonzero algebraic vector is never zero, since cos(k) is a polynomial
+# in cos(1) (Chebyshev) and cos(1) is transcendental.
+_SIGN_WEIGHTS = np.cos(np.arange(4))
+_RZ_QUARTER = rz_matrix(0.5 * np.pi)
+
+
+def _real_eigvecs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, lam) with p in SO(4) real and p^T s p = diag(lam), for each
+    symmetric unitary in the stack s.
+
+    The real and imaginary parts of s commute, so the eigenvectors of
+    Re s + r Im s serve both unless two eigenvalues meet by accident;
+    the off-diagonal residual finds those and the next r is tried.  Each
+    column's sign makes its `_SIGN_WEIGHTS` sum positive, the last one
+    excepted, which makes det p = +1."""
+    p = np.empty(s.shape)
+    todo = np.arange(len(s))
+    for r in _MIXES:
+        p[todo] = np.linalg.eigh(s[todo].real + r * s[todo].imag)[1]
+        d = p[todo].swapaxes(-1, -2) @ s[todo] @ p[todo]
+        todo = todo[np.linalg.norm(d - d * np.eye(4), axis=(-2, -1)) > _KAK_ATOL]
+        if not todo.size:
+            break
+    p *= np.where(_SIGN_WEIGHTS @ p < 0.0, -1.0, 1.0)[:, None, :]
+    p[..., 3] *= np.sign(np.linalg.det(p))[:, None]
+    return p, np.diagonal(p.swapaxes(-1, -2) @ s @ p, axis1=-2, axis2=-1)
+
+
+def _local_factors(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with k = a x b, for each local 4x4 unitary in the stack k.
+
+    Reshaped to R[(i, j), (k, l)] = a[i, j] b[k, l], k is the rank-one
+    a b^T; its largest row is a multiple of b, which gets the canonical
+    phase and norm sqrt(2), and then a = R b^* / 2."""
+    n = len(k)
+    r = k.reshape(n, 2, 2, 2, 2).swapaxes(2, 3).reshape(n, 4, 4)
+    b = r[np.arange(n), np.argmax(np.linalg.norm(r, axis=-1), axis=-1)]
+    b = _canonical_phases(b[..., None])
+    b *= 2.0**0.5 / np.linalg.norm(b, axis=-2, keepdims=True)
+    return (r @ b.conj()).reshape(n, 2, 2) / 2.0, b.reshape(n, 2, 2)
+
+
+def _kak(u: np.ndarray, q0: int, q1: int) -> list[list[Gate]]:
+    """Three-CNOT circuit of each 4x4 unitary in the stack u, on qubits
+    q0 (most significant) and q1, global phase included.
+
+    The magic-basis decomposition (Vatan and Williams,
+    arXiv:quant-ph/0308006): u / det(u)^(1/4) = K1 N(a, b, c) K2 with K1,
+    K2 local and N(a, b, c) = exp(i (a XX + b YY + c ZZ)), which is
+    e^{i pi/4} (I x Rz(pi/2)) CNOT(q1->q0) (Rz(pi/2 - 2c) x Ry(2a - pi/2))
+    CNOT(q0->q1) (I x Ry(pi/2 - 2b)) CNOT(q1->q0) (Rz(-pi/2) x I).  The
+    outer Rz(+-pi/2) fold into the four U gates.  In the magic basis
+    u / det(u)^(1/4) is O1 diag(e^{i phi}) O2 with O1, O2 in SO(4): O2^T
+    diagonalizes the symmetric unitary (O1 D O2)^T (O1 D O2) = O2^T D^2 O2."""
+    g = 0.25 * _phase(np.linalg.det(u))
+    um = _dagger(_MAGIC) @ (u * np.exp(-1j * g)[:, None, None]) @ _MAGIC
+    p, lam = _real_eigvecs(um.swapaxes(-1, -2) @ um)
+    phi = 0.5 * _phase(lam)
+    # det diag(e^{i phi}) = +-1; make it +1 so that O1 is in SO(4) too
+    phi[:, 0] += np.where(np.cos(phi.sum(axis=-1)) < 0.0, np.pi, 0.0)
+    o1 = ((um @ p) * np.exp(-1j * phi)[:, None, :]).real
+    a1, b1 = _local_factors(_MAGIC @ o1 @ _dagger(_MAGIC))
+    a2, b2 = _local_factors(_MAGIC @ p.swapaxes(-1, -2) @ _dagger(_MAGIC))
+    a, b, c = 0.25 * (_XYZ * phi[:, None, :]).sum(axis=-1).T
+    phase = np.exp(1j * (g + 0.25 * phi.sum(axis=-1) + 0.25 * np.pi))[:, None, None]
+    first = zip(_u_gates(phase * (_dagger(_RZ_QUARTER) @ a2), q0), _u_gates(b2, q1))
+    middle = zip((0.5 * np.pi - 2.0 * b).tolist(), (0.5 * np.pi - 2.0 * c).tolist(),
+                 (2.0 * a - 0.5 * np.pi).tolist())
+    last = zip(_u_gates(a1, q0), _u_gates(b1 @ _RZ_QUARTER, q1))
+    cx10, cx01 = Gate(CNOT, (q1, q0)), Gate(CNOT, (q0, q1))
+    return [[*f, cx10, Gate(RY, (q1,), (ry1,)), cx01, Gate(RZ, (q0,), (rz0,)),
+             Gate(RY, (q1,), (ry2,)), cx10, *l]
+            for f, (ry1, rz0, ry2), l in zip(first, middle, last)]
+
+
 def _qsd(u: np.ndarray, qubits: list[int]) -> list[list[Gate]]:
     """Shannon decomposition of each matrix in the stack u, one gate list
     per matrix, on `qubits` (qubits[0] most significant).
 
     The matrices are unitaries, or rounds: 2^p x 2^(p-1) with qubits[0]
     starting in |0>.  Every matrix of a level is split by the same batched
-    numpy calls, and their factors form the stack of the level below.  A
-    unitary takes c(p) = 4 c(p-1) + 3 2^(p-1) CNOTs (c(1) = 0), a round
-    3 c(p-1) + 2^p."""
+    numpy calls, and their factors form the stack of the level below;
+    two-qubit unitaries end the recursion in `_kak`.  A unitary takes
+    c(p) = 4 c(p-1) + 3 2^(p-1) CNOTs (c(2) = 3), a round 3 c(p-1) + 2^p."""
+    if len(qubits) == 2:
+        return _kak(u, *qubits)
     top, lower = qubits[0], qubits[1:]
-    if not lower:
-        return [[g] for g in _u_gates(u, top)]
     n, h = len(u), u.shape[1] // 2
 
     def mux(kind, angles):
@@ -377,13 +462,14 @@ def n_iso(m: int, n: int) -> int:
     """CNOT count `decompose_isometry` emits for any m-to-n isometry.
 
     The Shannon decomposition of a p-qubit unitary takes
-    c(p) = 4 c(p-1) + 3 2^(p-1) = 3 (4^(p-1) - 2^(p-1)) CNOTs, and a
-    round (n = m + 1) takes 3 c(m) + 2^(m+1).  The column-by-column count
-    is summed over the steps the reduction takes."""
+    c(p) = 4 c(p-1) + 3 2^(p-1) with c(2) = 3, that is
+    (9 4^p - 24 2^p) / 16 CNOTs, and a round (n = m + 1) takes
+    3 c(m) + 2^(m+1).  The column-by-column count is summed over the
+    steps the reduction takes."""
     if m < 0 or n < m:
         raise ValueError("need 0 <= m <= n")
     if _uses_qsd(m, n):
-        c = 3 * (4 ** (m - 1) - 2 ** (m - 1))
+        c = (9 * 4**m - 24 * 2**m) // 16
         return c if n == m else 3 * c + 2 ** (m + 1)
     p = n
     per_multiplex = 2 ** (p - 1) if p >= 2 else 0

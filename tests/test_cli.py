@@ -367,3 +367,35 @@ def test_verify_malformed_circuit_exits_one_without_traceback(tmp_path, line):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines()[-1].startswith("error: ")
     assert "line 6: " in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tol", "nan"], ["verify", "--tol", "-1"], ["verify", "--tol", "0"],
+    ["verify", "--tol", "inf"], ["verify", "--tol", "-inf"], ["verify", "--tol", "tiny"],
+    ["fit", "--max-iters", "0"], ["fit", "--max-iters", "-5"], ["fit", "--max-iters", "2.5"],
+])
+def test_out_of_range_knobs_exit_one_without_traceback(tmp_path, argv):
+    # a correct circuit, so the exit code can only come from the knob
+    ch = tmp_path / "ch.json"
+    ch.write_text(channel_to_json(random_channel(1, 1, 2, seed=7)))
+    circ = tmp_path / "c.qcirc"
+    assert run(["compile", "--model", "measured", "--in", str(ch), "--out", str(circ)]) == 0
+    if argv[0] == "verify":
+        args = ["verify", "--circuit", str(circ), "--channel", str(ch), *argv[1:]]
+    else:
+        args = ["fit", "--template", "1to1", "--in", str(ch), "--starts", "1", *argv[1:]]
+    proc = _run_cli(["-m", "chancomp.cli", *args], tmp_path, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: argument " + argv[1] + ": "), proc.stderr
+
+
+def test_in_range_knobs_are_accepted(tmp_path, channel_file):
+    circ = tmp_path / "c.qcirc"
+    assert run(["compile", "--model", "measured", "--in", str(channel_file),
+                "--out", str(circ)]) == 0
+    def verify(tol):
+        return run(["verify", "--circuit", str(circ), "--channel", str(channel_file),
+                    "--tol", tol])
+    assert verify("1e-8") == 0 and verify("1e308") == 0
+    assert verify("5e-324") in (0, 2)   # accepted; the circuit is then judged

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chancomp.channel import choi_distance, choi_from_kraus, random_channel
 from chancomp.circuit import (
     CNOT,
     MEASURE,
+    RESET,
     RY,
     RZ,
     TRACE,
@@ -107,6 +109,9 @@ def test_classicalize_chain_of_cnots():
     c = Circuit(3, (0, 1, 2), (1, 2), gates, 1)
     out = classicalize_controls(c)
     assert cnot_count(out)[0] == 0
+    # CNOT(0,2) frees CNOT(0,1) once it goes; each X lands right after the MEASURE
+    assert out.gates == (Gate(MEASURE, (0,), creg=0), Gate(X, (1,), condition=((0, 1),)),
+                         Gate(X, (2,), condition=((0, 1),)))
     assert_channel_preserved(c, out)
 
 
@@ -212,3 +217,118 @@ def test_standard_passes_preserve_channel_property(c):
     out = standard_passes(c)
     assert_channel_preserved(c, out)
     assert cnot_count(out)[0] <= cnot_count(c)[0]
+
+
+# --- the rewrites against their plain-loop form ------------------------------
+
+
+def reference_drop_dead(c):
+    """drop_dead_unitaries as a fixpoint of backward scans with live sets."""
+    gates = c.gates
+    while True:
+        used = {r for g in gates if g.condition for r, _ in g.condition}
+        live, kept = set(c.output_qubits), []
+        for g in reversed(gates):
+            if g.kind == TRACE:
+                live.discard(g.qubits[0])
+            elif g.kind == MEASURE:
+                if g.creg in used:
+                    live.add(g.qubits[0])
+            elif g.kind != RESET:
+                if not live & set(g.qubits):
+                    continue
+                live.update(g.qubits)
+            kept.append(g)
+        new = tuple(reversed(kept))
+        if new == gates:
+            return gates
+        gates = new
+
+
+def reference_classicalize(c):
+    """classicalize_controls rescanning from the first gate after every rewrite."""
+    gates = list(c.gates)
+    while True:
+        hit = None
+        for i, g in enumerate(gates):
+            if g.kind != CNOT:
+                continue
+            ctrl, tgt = g.qubits
+            for j in range(i + 1, len(gates)):
+                h = gates[j]
+                if tgt in h.qubits:
+                    break
+                if ctrl not in h.qubits:
+                    continue
+                if h.kind == MEASURE:
+                    hit = i, j
+                break
+            if hit:
+                break
+        if hit is None:
+            return tuple(gates)
+        i, j = hit
+        cnot = gates.pop(i)
+        meas = gates[j - 1]
+        gates.insert(j, Gate(X, (cnot.qubits[1],),
+                             condition=tuple(cnot.condition or ()) + ((meas.creg, 1),)))
+
+
+@st.composite
+def measured_cnot_circuits(draw):
+    """Circuits dense in CNOTs and measurements, so that rewrites chain."""
+    p = draw(st.integers(2, 4))
+    gates, nregs = [], 0
+    for _ in range(draw(st.integers(0, 30))):
+        q = draw(st.integers(0, p - 1))
+        kind = draw(st.sampled_from([CNOT, CNOT, CNOT, MEASURE, MEASURE, X, RZ]))
+        if kind == CNOT:
+            t = draw(st.integers(0, p - 2))
+            cond = ((0, 1),) if nregs and draw(st.booleans()) else None
+            gates.append(Gate(CNOT, (q, t + (t >= q)), condition=cond))
+        elif kind == MEASURE:
+            gates.append(Gate(MEASURE, (q,), creg=nregs))
+            nregs += 1
+        elif kind == X and nregs:
+            gates.append(Gate(X, (q,), condition=((draw(st.integers(0, nregs - 1)), 1),)))
+        else:
+            gates.append(Gate(RZ, (q,), (0.5,)))
+    traced = draw(st.lists(st.integers(0, p - 1), unique=True, max_size=p - 1))
+    gates.extend(Gate(TRACE, (q,)) for q in traced)
+    outputs = tuple(q for q in range(p) if q not in traced)
+    return Circuit(p, tuple(range(p)), outputs, tuple(gates), nregs)
+
+
+def _check_against_reference(c):
+    for pass_fn, reference in ((drop_dead_unitaries, reference_drop_dead),
+                               (classicalize_controls, reference_classicalize)):
+        want = reference(c)
+        out = pass_fn(c)
+        assert out.gates == want
+        if want == c.gates:
+            assert out is c
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.one_of(circuits(), measured_cnot_circuits()))
+def test_passes_match_plain_loop_form_property(c):
+    _check_against_reference(c)
+
+
+@pytest.mark.parametrize("idx,circ", list(enumerate(rewrite_corpus())))
+def test_passes_match_plain_loop_form_on_corpus(idx, circ):
+    _check_against_reference(circ)
+    _check_against_reference(drop_dead_unitaries(circ))
+
+
+def test_classicalize_rescan_stops_at_an_inserted_x():
+    # once CNOT(0,1) is classicalized, X on qubit 1 sits between CNOT(2,1)
+    # and the MEASURE of its control, so CNOT(2,1) must stay
+    gates = (Gate(CNOT, (2, 1)), Gate(CNOT, (0, 1)), Gate(MEASURE, (0,), creg=0),
+             Gate(MEASURE, (2,), creg=1))
+    c = Circuit(3, (0, 1, 2), (1,), gates, 2)
+    out = classicalize_controls(c)
+    assert out.gates == (Gate(CNOT, (2, 1)), Gate(MEASURE, (0,), creg=0),
+                         Gate(X, (1,), condition=((0, 1),)), Gate(MEASURE, (2,), creg=1))
+    assert out.gates == reference_classicalize(c)
+    assert_channel_preserved(c, out)

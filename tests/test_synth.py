@@ -17,10 +17,14 @@ from chancomp.circuit import (
     rotate_pairs,
     rz_matrix,
 )
+from chancomp.bounds import lb_qcm_isometry
 from chancomp.linalg import qr_rectangular
 from chancomp.simulator import simulate_unitary
 from chancomp.synth import (
+    _MAGIC,
+    _MIXES,
     _cs_split,
+    _kak,
     _phase,
     _reduction_segments,
     _u_gates,
@@ -202,10 +206,13 @@ def test_cost_model_known_values():
     assert n_iso(1, 1) == 0
     assert n_iso(0, 1) == 0
     assert n_iso(1, 2) == 18
-    assert n_iso(2, 2) == 6
-    assert n_iso(2, 3) == 26
-    assert n_iso(3, 4) == 124
-    assert n_iso(4, 4) == 168
+    assert n_iso(2, 2) == 3
+    assert n_iso(2, 3) == 17
+    assert n_iso(3, 4) == 88
+    assert n_iso(4, 4) == 120
+    assert n_iso(2, 2) == lb_qcm_isometry(2, 2)
+    for p in range(2, 7):
+        assert 16 * n_iso(p, p) == 9 * 4**p - 24 * 2**p
 
 
 def test_worst_case_count_equals_plain_count_for_unconditioned():
@@ -376,20 +383,24 @@ def test_decompose_fortran_ordered_input():
 
 
 @pytest.mark.parametrize(
-    "rows,cols", [(2, 1), (4, 1), (4, 2), (8, 2), (8, 4), (16, 4), (16, 8), (16, 16)]
+    "rows,cols", [(2, 1), (4, 1), (4, 2), (4, 4), (8, 2), (8, 4), (16, 4), (16, 8), (16, 16)]
 )
 def test_angles_ignore_the_sign_of_round_off_on_real_inputs(rows, cols):
     # A real isometry's negative entries sit on np.angle's branch cut; a
-    # +-1e-18 imaginary part there must not move any emitted angle.
+    # +-1e-18 imaginary part there must not move any emitted angle.  Square
+    # inputs come in both determinant signs: det -1 puts det(v), and with
+    # it the det(v)^(1/4) of the two-qubit leaves, on the cut.
     rng = np.random.default_rng(rows * 7 + cols)
     for _ in range(3):
         v = qr_rectangular(rng.standard_normal((rows, cols)))[0].real
-        nudge = 1e-18j * (v < 0)
-        variants = [decompose_isometry(w).gates for w in (v + 0j, v + nudge, v - nudge)]
-        for gates in variants[1:]:
-            err = max((abs(a - b) for g, h in zip(gates, variants[0])
-                       for a, b in zip(g.params, h.params)), default=0.0)
-            assert err <= 1e-12
+        flipped = v * np.where(np.arange(cols) == 0, -1.0, 1.0)
+        for u in (v, flipped) if rows == cols else (v,):
+            nudge = 1e-18j * (u < 0)
+            variants = [decompose_isometry(w).gates for w in (u + 0j, u + nudge, u - nudge)]
+            for gates in variants[1:]:
+                err = max((abs(a - b) for g, h in zip(gates, variants[0])
+                           for a, b in zip(g.params, h.params)), default=0.0)
+                assert err <= 1e-12
 
 
 # --- Shannon decomposition path ---------------------------------------------
@@ -507,3 +518,58 @@ def test_u_gates_are_exact_with_global_phase():
         assert g.kind == U and all(type(x) is float for x in g.params)
         got = simulate_unitary(Circuit(1, (0,), (0,), (g,), 0))
         assert np.linalg.norm(got - u) <= 1e-14
+
+
+# --- three-CNOT two-qubit leaves ----------------------------------------------
+
+
+def two_qubit_cases():
+    """(name, 4x4 unitary) pairs for the magic-basis leaf: gates with
+    degenerate Weyl coordinates, local and near-local products, and real
+    orthogonal matrices of both determinant signs."""
+    rng = np.random.default_rng(113)
+    x = np.array([[0, 1], [1, 0]])
+    xx = np.kron(x, x)
+    orth = qr_rectangular(rng.standard_normal((4, 4)))[0].real
+    orth[:, 0] *= np.sign(np.linalg.det(orth))
+    # Weyl phases whose first two squares meet on Re + r Im for the first
+    # r: that leaf needs the second one
+    mix0 = np.arctan(_MIXES[0])
+    phi = np.array([0.5 * mix0 + 0.4, 0.5 * mix0 - 0.4, 1.1, 0.0])
+    phi[3] = -phi[:3].sum()
+    o1, o2 = (qr_rectangular(rng.standard_normal((4, 4)))[0].real for _ in range(2))
+    o1[:, 0] *= np.sign(np.linalg.det(o1))
+    o2[:, 0] *= np.sign(np.linalg.det(o2))
+    collision = _MAGIC @ o1 @ np.diag(np.exp(1j * phi)) @ o2 @ _MAGIC.conj().T
+    return [
+        ("identity", np.eye(4)),
+        ("cnot01", np.eye(4)[[0, 1, 3, 2]]),
+        ("cnot10", np.eye(4)[[0, 3, 2, 1]]),
+        ("swap", np.eye(4)[[0, 2, 1, 3]]),
+        ("iswap", np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])),
+        ("cz", np.diag([1, 1, 1, -1])),
+        ("minus-identity", -np.eye(4)),
+        ("diagonal", np.diag(np.exp(1j * rng.uniform(-3, 3, 4)))),
+        ("local", np.kron(random_unitary(2, rng), random_unitary(2, rng))),
+        ("near-local", np.kron(random_unitary(2, rng), random_unitary(2, rng))
+         @ (np.cos(1e-9) * np.eye(4) + 1j * np.sin(1e-9) * xx)),
+        ("orthogonal-det+1", orth),
+        ("orthogonal-det-1", orth * np.array([-1.0, 1.0, 1.0, 1.0])),
+        ("accidental-collision", collision),
+        ("random", random_unitary(4, rng)),
+    ]
+
+
+@pytest.mark.parametrize("name,u", two_qubit_cases(), ids=lambda x: x if isinstance(x, str) else "")
+def test_kak_leaf_is_exact_with_global_phase(name, u):
+    circ = decompose_isometry(u)
+    assert count_cnots(circ) == 3 == n_iso(2, 2)
+    assert np.linalg.norm(simulate_unitary(circ) - u) <= 1e-12, name
+
+
+def test_kak_batch_matches_one_by_one_and_shares_one_gate_sequence():
+    stack = np.array([u for _, u in two_qubit_cases()], dtype=complex)
+    leaves = _kak(stack, 0, 1)
+    assert leaves == [_kak(u[None], 0, 1)[0] for u in stack]
+    assert len({tuple((g.kind, g.qubits) for g in leaf) for leaf in leaves}) == 1
+    assert [g.kind for g in leaves[0]] == [U, U, CNOT, RY, CNOT, RZ, RY, CNOT, U, U]
