@@ -15,8 +15,6 @@ nothing.
 
 from __future__ import annotations
 
-import heapq
-
 from .circuit import CNOT, MEASURE, RESET, TRACE, X, Circuit, Gate
 
 
@@ -78,59 +76,49 @@ def drop_dead_unitaries(c: Circuit) -> Circuit:
                    gates, c.num_cregs)
 
 
+def _find_classicalizable(gates) -> tuple[int, int] | None:
+    """First (cnot_index, measure_index) pair matching the rewrite pattern."""
+    for i, g in enumerate(gates):
+        if g.kind != CNOT:
+            continue
+        ctrl, tgt = g.qubits
+        for j in range(i + 1, len(gates)):
+            h = gates[j]
+            if tgt in h.qubits:
+                break
+            if ctrl not in h.qubits:
+                continue
+            if h.kind == MEASURE:
+                return i, j
+            break
+    return None
+
+
 def classicalize_controls(c: Circuit) -> Circuit:
     """Commute CNOT controls through the measurement that follows them.
 
-    A CNOT qualifies when the first later gate touching either of its
-    qubits is a MEASURE of its control.  Each rewrite deletes the CNOT
-    and inserts, right after the MEASURE, an X on the former target
-    conditioned on the outcome (merged with the CNOT's own condition).
-    The CNOTs are taken lowest position first, until none qualifies.
-
-    A CNOT's scan stops at the first gate touching its qubits, so a
-    rewrite can only free the CNOTs whose scan stopped at the deleted
-    one: those, all earlier, are scanned again.  The inserted X changes
-    no scan already made: an earlier CNOT on its qubit stopped at the
-    deleted CNOT or before, and no gate between that CNOT and the
-    MEASURE touches it.
+    Each rewrite deletes the CNOT and inserts, right after the MEASURE,
+    an X on the former target conditioned on the outcome (merged with
+    the CNOT's own condition).  Repeats until no pattern remains.
     """
-    gates = c.gates
-    removed = set()
-    fixes = {}        # MEASURE position -> inserted X gates, in circuit order
-    stopped_at = {}   # CNOT position -> the CNOTs whose scan stopped there
-    todo = [i for i, g in enumerate(gates) if g.kind == CNOT]   # sorted, so a heap
-    while todo:
-        i = heapq.heappop(todo)
-        cnot = gates[i]
-        ctrl, tgt = cnot.qubits
-        stop = None
-        for j in range(i + 1, len(gates)):
-            qubits = gates[j].qubits
-            if (ctrl in qubits or tgt in qubits) and j not in removed:
-                stop = j
-                break
-            if j in fixes and any(ctrl in x.qubits or tgt in x.qubits for x in fixes[j]):
-                break
-        if stop is None:
-            continue
-        h = gates[stop]
-        if h.kind == MEASURE and h.qubits[0] == ctrl:
-            removed.add(i)
-            fix = Gate(X, (tgt,), condition=tuple(cnot.condition or ()) + ((h.creg, 1),))
-            fixes.setdefault(stop, []).insert(0, fix)
-            for k in stopped_at.pop(i, ()):
-                heapq.heappush(todo, k)
-        elif h.kind == CNOT:
-            stopped_at.setdefault(stop, []).append(i)
-    if not removed:
+    gates = list(c.gates)
+    changed = False
+    while True:
+        hit = _find_classicalizable(gates)
+        if hit is None:
+            break
+        changed = True
+        i, j = hit
+        cnot = gates.pop(i)
+        j -= 1
+        meas = gates[j]
+        fix = Gate(X, (cnot.qubits[1],),
+                   condition=tuple(cnot.condition or ()) + ((meas.creg, 1),))
+        gates.insert(j + 1, fix)
+    if not changed:
         return c
-    out = []
-    for j, g in enumerate(gates):
-        if j not in removed:
-            out.append(g)
-        out.extend(fixes.get(j, ()))
     return Circuit(c.num_qubits, c.input_qubits, c.output_qubits,
-                   tuple(out), c.num_cregs)
+                   tuple(gates), c.num_cregs)
 
 
 def standard_passes(c: Circuit) -> Circuit:

@@ -301,9 +301,14 @@ def _demultiplex(u1: np.ndarray, u2: np.ndarray):
 # and M^dag (a XX + b YY + c ZZ) M = diag(_XYZ.T @ (a, b, c)).
 _MAGIC = _SQRT_HALF * np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]])
 _XYZ = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]])
-# The r of Re s + r Im s that `_real_eigvecs` tries in turn, and the
-# off-diagonal residual past which it moves on to the next.
-_MIXES = (2.0**0.5 - 1.0, np.e - 2.0, np.pi - 3.0)
+# The r of Re s + r Im s that `_real_eigvecs` tries in turn.  Each r is
+# transcendental, so arctan(r) is no rational multiple of pi (whose
+# tangents are algebraic) and structured eigenphases do not meet on it;
+# the arctans spread over the half-turn.
+_MIXES = (np.e - 2.0, np.pi - 3.0, np.e, -np.e, 2.0 - np.e)
+# Two eigenvalues of s have met on Re s + r Im s when their gap there is
+# below 1 / _KAK_RATIO of their gap on s, and the latter is past _KAK_ATOL.
+_KAK_RATIO = 300.0
 _KAK_ATOL = 1e-13
 # Weights that fix the sign of each real eigenvector: their sum against
 # a nonzero algebraic vector is never zero, since cos(k) is a polynomial
@@ -317,18 +322,25 @@ def _real_eigvecs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     symmetric unitary in the stack s.
 
     The real and imaginary parts of s commute, so the eigenvectors of
-    Re s + r Im s serve both unless two eigenvalues meet by accident;
-    the off-diagonal residual finds those and the next r is tried.  Each
-    column's sign makes its `_SIGN_WEIGHTS` sum positive, the last one
-    excepted, which makes det p = +1."""
+    Re s + r Im s serve both unless two eigenvalues meet by accident
+    there; the members where they do get the next r, and ValueError is
+    raised when the last one fails too.  The test compares gaps rather
+    than the round-off in p^T s p, so it gives the same verdict on inputs
+    that differ by round-off.  Each column's sign makes its
+    `_SIGN_WEIGHTS` sum positive, the last one excepted, which makes
+    det p = +1."""
     p = np.empty(s.shape)
     todo = np.arange(len(s))
     for r in _MIXES:
-        p[todo] = np.linalg.eigh(s[todo].real + r * s[todo].imag)[1]
-        d = p[todo].swapaxes(-1, -2) @ s[todo] @ p[todo]
-        todo = todo[np.linalg.norm(d - d * np.eye(4), axis=(-2, -1)) > _KAK_ATOL]
+        mu, p[todo] = np.linalg.eigh(s[todo].real + r * s[todo].imag)
+        lam = np.diagonal(p[todo].swapaxes(-1, -2) @ s[todo] @ p[todo], axis1=-2, axis2=-1)
+        met = np.abs(mu[:, :, None] - mu[:, None, :])
+        apart = np.abs(lam[:, :, None] - lam[:, None, :])
+        todo = todo[(apart > _KAK_RATIO * met + _KAK_ATOL).any(axis=(-2, -1))]
         if not todo.size:
             break
+    else:
+        raise ValueError("KAK: no real eigenbasis found")
     p *= np.where(_SIGN_WEIGHTS @ p < 0.0, -1.0, 1.0)[:, None, :]
     p[..., 3] *= np.sign(np.linalg.det(p))[:, None]
     return p, np.diagonal(p.swapaxes(-1, -2) @ s @ p, axis1=-2, axis2=-1)

@@ -19,10 +19,12 @@ from chancomp.circuit import (
 )
 from chancomp.bounds import lb_qcm_isometry
 from chancomp.linalg import qr_rectangular
+from chancomp import synth
 from chancomp.simulator import simulate_unitary
 from chancomp.synth import (
     _MAGIC,
     _MIXES,
+    _XYZ,
     _cs_split,
     _kak,
     _phase,
@@ -541,6 +543,12 @@ def two_qubit_cases():
     o1[:, 0] *= np.sign(np.linalg.det(o1))
     o2[:, 0] *= np.sign(np.linalg.det(o2))
     collision = _MAGIC @ o1 @ np.diag(np.exp(1j * phi)) @ o2 @ _MAGIC.conj().T
+
+    def local_sandwich(a, b, c):
+        # K1 exp(i (a XX + b YY + c ZZ)) K2 with random local K1, K2
+        n = _MAGIC @ np.diag(np.exp(1j * (_XYZ.T @ (a, b, c)))) @ _MAGIC.conj().T
+        k1, k2 = (np.kron(random_unitary(2, rng), random_unitary(2, rng)) for _ in range(2))
+        return k1 @ n @ k2
     return [
         ("identity", np.eye(4)),
         ("cnot01", np.eye(4)[[0, 1, 3, 2]]),
@@ -555,6 +563,9 @@ def two_qubit_cases():
          @ (np.cos(1e-9) * np.eye(4) + 1j * np.sin(1e-9) * xx)),
         ("orthogonal-det+1", orth),
         ("orthogonal-det-1", orth * np.array([-1.0, 1.0, 1.0, 1.0])),
+        # eigenphase pairs summing to pi/4 meet on Re + r Im for r = tan(pi/8)
+        ("xx+yy-pi/16", local_sandwich(np.pi / 16, np.pi / 16, 0.0)),
+        ("pi/16-multiples", local_sandwich(3 * np.pi / 16, np.pi / 8, np.pi / 16)),
         ("accidental-collision", collision),
         ("random", random_unitary(4, rng)),
     ]
@@ -573,3 +584,20 @@ def test_kak_batch_matches_one_by_one_and_shares_one_gate_sequence():
     assert leaves == [_kak(u[None], 0, 1)[0] for u in stack]
     assert len({tuple((g.kind, g.qubits) for g in leaf) for leaf in leaves}) == 1
     assert [g.kind for g in leaves[0]] == [U, U, CNOT, RY, CNOT, RZ, RY, CNOT, U, U]
+
+
+def test_kak_first_mix_alone_serves_structured_inputs(monkeypatch):
+    monkeypatch.setattr(synth, "_MIXES", _MIXES[:1])
+    for name, u in two_qubit_cases():
+        if name == "accidental-collision":
+            continue
+        leaf = _kak(np.array([u], dtype=complex), 0, 1)[0]
+        assert np.linalg.norm(simulate_unitary(Circuit(2, (0, 1), (0, 1), tuple(leaf), 0)) - u) \
+            <= 1e-12, name
+
+
+def test_kak_raises_when_no_mix_finds_a_real_eigenbasis(monkeypatch):
+    monkeypatch.setattr(synth, "_MIXES", _MIXES[:1])
+    u = dict(two_qubit_cases())["accidental-collision"]
+    with pytest.raises(ValueError, match="no real eigenbasis"):
+        decompose_isometry(u)
