@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import MAX_DENSE_ENTRIES, MAX_DENSE_QUBITS, partial_trace, qr_rectangular
+from .linalg import (
+    MAX_DENSE_ENTRIES,
+    MAX_DENSE_QUBITS,
+    canonical_phases,
+    partial_trace,
+    qr_rectangular,
+)
 
 TP_ATOL = 1e-9
 RANK_RTOL = 1e-9
@@ -94,20 +100,20 @@ def choi_from_kraus(ks: KrausSet) -> ChoiMatrix:
 def kraus_from_choi(c: ChoiMatrix) -> KrausSet:
     """Minimal Kraus form via eigendecomposition of the Choi matrix.
 
-    Keeps eigenvalues above RANK_RTOL * tr(J), largest first.
+    Keeps eigenvalues above RANK_RTOL * tr(J), largest first.  Each
+    eigenvector gets the phase of `canonical_phases` rather than LAPACK's,
+    which round-off can flip; a Kraus operator's phase does not change
+    the channel.
     """
     evals, evecs = np.linalg.eigh(c.j)
     tr = float(np.trace(c.j).real)
     if evals.min() < -RANK_RTOL * max(tr, 1.0):
         raise ValueError("invalid Choi matrix")
     order = np.argsort(evals)[::-1]
-    ops = []
-    for idx in order:
-        lam = evals[idx]
-        if lam <= RANK_RTOL * tr:
-            break
-        w = evecs[:, idx]
-        ops.append(np.sqrt(lam) * w.reshape(2**c.m, 2**c.n).T)
+    kept = order[evals[order] > RANK_RTOL * tr]
+    vecs = canonical_phases(evecs[:, kept])
+    ops = [np.sqrt(evals[idx]) * vecs[:, i].reshape(2**c.m, 2**c.n).T
+           for i, idx in enumerate(kept)]
     return KrausSet(c.m, c.n, ops)
 
 

@@ -2,13 +2,24 @@
 and the measured single-ancilla construction.
 
 The measured pipeline stacks the Kraus operators into a dilation
-isometry V, then repeatedly QR-splits it: the top and bottom halves
-B_0, B_1 factor as Q_b R_b with R_b = [T_b; 0; ...], so one round
-applies the 2^{m+1} x 2^m isometry [T_0; T_1] to (ancilla, system),
-measures the ancilla, resets it, and recurses on Q_0 or Q_1 depending
-on the outcome.  After the rounds a residual isometry per outcome
-prefix is synthesized under classical conditions, and any leftover
-environment qubits are measured off and their registers never read.
+isometry V and peels off one environment qubit per round.  Each outcome
+prefix s holds an isometry Q_s (V for the empty one).  Its top and
+bottom halves factor by QR as Q_s0 R_0 and Q_s1 R_1, and the
+cosine-sine split R_0 = u_0 C v^dag, R_1 = u_1 S v^dag (Shende, Bullock
+and Markov, arXiv:quant-ph/0406176) leaves two gates to act before the
+measurement: v^dag on the system, then the Ry multiplexor that turns the
+ancilla from |0> into cos(theta/2) |0> + sin(theta/2) |1> per system
+basis state.  The ancilla is measured and reset.  u_b depends only on
+the outcome b, so it is folded into the child, Q_sb u_b, at no cost.
+A round takes r(m) = c(m) + 2^m - 1 CNOTs, c(m) = n_iso(m, m).
+
+After the rounds, a residual per outcome prefix is synthesized under
+classical conditions.  With m < n there are k rounds, and each residual
+is a 2^n x 2^m isometry on all n qubits.  With m >= n there are
+n + k - m rounds, and each residual is an m-qubit unitary on the
+system; the first m - n system qubits then hold leftover environment,
+which is measured off into registers that are never read.  Each round's
+v^dag, and the m >= n residuals, are synthesized by one batched call.
 
 Qubit layout: one reused ancilla at index 0, the m system qubits last.
 A channel with m >= n compiles to exactly m+1 qubits (the ancilla may
@@ -24,21 +35,25 @@ import numpy as np
 from .channel import KrausSet, choi_distance, choi_from_kraus, stinespring_isometry
 from .circuit import MEASURE, RESET, TRACE, Circuit, Gate
 from .linalg import is_isometry, qr_rectangular
-from .synth import decompose_isometry, n_iso
+from .synth import (
+    _cs_split,
+    decompose_isometry,
+    decompose_unitaries,
+    n_iso,
+    ry_multiplexor_from_zero,
+)
 
 
 @dataclass(frozen=True)
 class CompilePlan:
-    """Case split and per-outcome-prefix isometry tree for one channel."""
+    """Case split and per-outcome-prefix factors for one channel."""
 
     m: int
     n: int
     k: int
-    l: int
-    k_tilde: int
-    stages: tuple = field(repr=False)   # round i -> {prefix: 2^{m+1} x 2^m isometry}
+    k_tilde: int                        # rounds; k - k_tilde leftover measurements
+    stages: tuple = field(repr=False)   # round i -> {prefix: (v^dag, theta)}
     finals: dict = field(repr=False)    # full prefix -> residual isometry
-    final_measure_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -69,62 +84,59 @@ class ConvexMixture:
         return self.components[0][1].n
 
 
+def _prefixes(depth: int) -> list[str]:
+    """The outcome prefixes of `depth` rounds, in register order."""
+    return [format(j, f"0{depth}b") for j in range(2**depth)] if depth else [""]
+
+
 def plan_measured(ks: KrausSet, force_k: int | None = None) -> CompilePlan:
-    """QR recursion of the stacked dilation into rounds and residuals."""
+    """QR recursion of the stacked dilation into rounds and residuals.
+
+    Each round is one batch over its prefixes: QR of every half, then the
+    cosine-sine split of every [R_0; R_1], whose left factors go into the
+    children.  QR keeps the Gram matrix, so V is the one factor to check."""
     v, k = stinespring_isometry(ks, force_k=force_k)
     m, n = ks.m, ks.n
-    if n + k == m:
-        return CompilePlan(m, n, k, n + k - m, 0, (), {"": v}, k)
-    k_tilde = k if m < n else n + k - m - 1
-    l = n - m if m < n else 1
-    prefixes = {"": v}
+    if not is_isometry(v):
+        raise ValueError("the dilation is not an isometry")
+    k_tilde = k if m < n else n + k - m
+    q = v[None]   # Q_s for every prefix s, in prefix order
     stages = []
-    for _ in range(k_tilde):
-        stage = {}
-        children = {}
-        for s in sorted(prefixes):
-            q = prefixes[s]
-            half = q.shape[0] // 2
-            blocks = []
-            for b, part in enumerate((q[:half], q[half:])):
-                children[s + str(b)], r = qr_rectangular(part)
-                blocks.append(r)
-            g = np.vstack(blocks)
-            if not is_isometry(g):
-                raise ValueError("rank/shape mismatch in QR recursion")
-            stage[s] = g
-        stages.append(stage)
-        prefixes = children
-    for q in prefixes.values():
-        if not is_isometry(q):
-            raise ValueError("rank/shape mismatch in QR recursion")
-    return CompilePlan(m, n, k, l, k_tilde, tuple(stages), prefixes, k - k_tilde)
+    for i in range(k_tilde):
+        # the halves of prefix j sit at 2 j and 2 j + 1
+        q, r = qr_rectangular(q.reshape(2 * len(q), q.shape[1] // 2, q.shape[2]))
+        u0, u1, theta, vh = _cs_split(r[0::2], r[1::2])
+        q[0::2] = q[0::2] @ u0
+        q[1::2] = q[1::2] @ u1
+        stages.append({s: (vh[j], theta[j]) for j, s in enumerate(_prefixes(i))})
+    finals = dict(zip(_prefixes(k_tilde), q))
+    return CompilePlan(m, n, k, k_tilde, tuple(stages), finals)
 
 
 def reconstruct_dilation(plan: CompilePlan) -> np.ndarray:
     """Rebuild the stacked dilation from the plan's factors.
 
     Inverts the recursion: V = vstack over outcome prefixes s of
-    finals[s] times the product of the round factors T along s.
+    finals[s] times the product of the round factors C v^dag (outcome 0)
+    or S v^dag (outcome 1) along s.
     """
-    dm = 2**plan.m
     blocks = []
-    for idx in range(2**plan.k_tilde):
-        s = format(idx, f"0{plan.k_tilde}b") if plan.k_tilde else ""
-        w = np.eye(dm, dtype=np.complex128)
+    for s in _prefixes(plan.k_tilde):
+        w = np.eye(2**plan.m, dtype=np.complex128)
         for i, stage in enumerate(plan.stages):
-            g = stage[s[:i]]
-            b = int(s[i])
-            w = g[b * dm : (b + 1) * dm, :] @ w
+            vh, theta = stage[s[:i]]
+            scale = np.sin(0.5 * theta) if s[i] == "1" else np.cos(0.5 * theta)
+            w = scale[:, None] * vh @ w
         blocks.append(plan.finals[s] @ w)
     return np.vstack(blocks)
 
 
-def _place(block: Circuit, mapping: dict, cond: tuple) -> list[Gate]:
-    """The block's gates on the mapped qubits, each also conditioned on `cond`."""
-    return [Gate(g.kind, tuple(mapping[q] for q in g.qubits), g.params, g.creg,
-                 ((g.condition or ()) + cond) or None)
-            for g in block.gates]
+def _conditioned(gates, prefix: str) -> list[Gate]:
+    """The gates, each conditioned on the registers reading `prefix`."""
+    if not prefix:
+        return list(gates)
+    cond = tuple((r, int(b)) for r, b in enumerate(prefix))
+    return [Gate(g.kind, g.qubits, g.params, g.creg, cond) for g in gates]
 
 
 def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
@@ -132,46 +144,33 @@ def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
     k measurements, and per-branch CNOT count that only depends on
     (m, n, k)."""
     plan = plan_measured(ks, force_k=force_k)
-    m, n, k = plan.m, plan.n, plan.k
-    square_v = n + k == m  # V fits the system register alone
+    m, n, k, k_tilde = plan.m, plan.n, plan.k, plan.k_tilde
+    p = n if m < n else m + 1
+    ancilla, system = 0, list(range(p - m, p))
     gates: list[Gate] = []
-    ancilla = 0
-    if m < n:
-        p = n
-        system = list(range(n - m, n))
-        outputs = tuple(range(n))
-        discard: list[int] = []
-    else:
-        p = m + 1
-        system = list(range(1, m + 1))
-        # the ancilla stays idle when V is already an m-qubit isometry
-        discard = system[:k] if square_v else list(range(k - plan.k_tilde))
-        outputs = tuple(q for q in range(1, p) if q not in discard)
-    inputs = tuple(system)
-
-    for i, stage in enumerate(plan.stages, start=1):
-        mapping = {0: ancilla, **{1 + t: system[t] for t in range(m)}}
-        for s in sorted(stage):
-            block = decompose_isometry(stage[s])
-            cond = tuple((r, int(s[r])) for r in range(i - 1))
-            gates.extend(_place(block, mapping, cond))
-        gates.append(Gate(MEASURE, (ancilla,), creg=i - 1))
+    for i, stage in enumerate(plan.stages):
+        prefixes = _prefixes(i)
+        vh_gates = decompose_unitaries(np.stack([stage[s][0] for s in prefixes]), system)
+        for s, block in zip(prefixes, vh_gates):
+            block = block + ry_multiplexor_from_zero(system, ancilla, stage[s][1])
+            gates += _conditioned(block, s)
+        gates.append(Gate(MEASURE, (ancilla,), creg=i))
         gates.append(Gate(RESET, (ancilla,)))
 
-    for idx in range(2**plan.k_tilde):
-        s = format(idx, f"0{plan.k_tilde}b") if plan.k_tilde else ""
-        block = decompose_isometry(plan.finals[s])
-        if m >= n and square_v:
-            mapping = {t: 1 + t for t in range(block.num_qubits)}
-        else:
-            mapping = dict(enumerate(range(p)))
-        cond = tuple((r, int(s[r])) for r in range(plan.k_tilde))
-        gates.extend(_place(block, mapping, cond))
+    prefixes = _prefixes(k_tilde)
+    if m < n:
+        residuals = [decompose_isometry(plan.finals[s]).gates for s in prefixes]
+        outputs = tuple(range(p))
+    else:
+        residuals = decompose_unitaries(np.stack([plan.finals[s] for s in prefixes]), system)
+        outputs = tuple(system[k - k_tilde:])
+    for s, block in zip(prefixes, residuals):
+        gates += _conditioned(block, s)
+    # leftover environment qubits (m >= n only), into registers nobody reads
+    for t, q in enumerate(system[: k - k_tilde]):
+        gates.append(Gate(MEASURE, (q,), creg=k_tilde + t))
 
-    for t, q in enumerate(discard):
-        gates.append(Gate(MEASURE, (q,), creg=plan.k_tilde + t))
-
-    return Circuit(p, inputs, outputs, tuple(gates), num_cregs=k)
+    return Circuit(p, tuple(system), outputs, tuple(gates), num_cregs=k)
 
 
 def _dilation_circuit(m: int, n: int, v: np.ndarray, k: int) -> Circuit:
@@ -202,19 +201,25 @@ def compile_random_qcm(mix: ConvexMixture) -> list[tuple[float, Circuit]]:
             for (prob, _), (v, k) in zip(mix.components, dilations)]
 
 
+def round_cnots(m: int) -> int:
+    """r(m): CNOTs of one measured round on m system qubits, c(m) for
+    v^dag and 2^m - 1 for the Ry multiplexor without its closing CNOT."""
+    return n_iso(m, m) + 2**m - 1
+
+
 def predict_upper_bound(m: int, n: int, k: int) -> int:
-    """Worst-case CNOT count of the measured pipeline.
+    """Worst-case CNOT count of the measured pipeline: k rounds and an
+    m-to-n residual when m < n, n + k - m rounds and an m-qubit unitary
+    residual when m >= n.
 
     A channel from m to n qubits has Kraus rank at least 2^(m-n), so its
     environment takes k >= max(0, m - n) qubits; smaller k is refused.
     """
     if k < max(0, m - n):
         raise ValueError(f"a channel from {m} to {n} qubits needs k >= {max(0, m - n)}, got {k}")
-    if n + k == m:
-        return n_iso(m, m)
     if m < n:
-        return k * n_iso(m, m + 1) + n_iso(m, n)
-    return (k + n - m) * n_iso(m, m + 1)
+        return k * round_cnots(m) + n_iso(m, n)
+    return (n + k - m) * round_cnots(m) + n_iso(m, m)
 
 
 def _check_sizes(circ: Circuit, m: int, n: int) -> None:

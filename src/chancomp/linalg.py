@@ -1,4 +1,5 @@
-"""Dense complex matrix kernel: rectangular QR, isometry check, partial trace.
+"""Dense complex matrix kernel: rectangular QR, canonical column phases,
+isometry check, partial trace.
 
 All matrices are numpy arrays of dtype complex128.  Qubit 0 is the most
 significant bit of a basis index throughout the package.
@@ -45,6 +46,22 @@ def qr_rectangular(b) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(mag.shape[-1])
     r[..., idx, idx] = mag
     return q, r
+
+
+def canonical_phases(x: np.ndarray) -> np.ndarray:
+    """x with each column scaled by the phase that makes sum_k e^{ik} x[k]
+    real and positive, for a matrix or a stack of them.
+
+    LAPACK picks the phase of a singular vector or an eigenvector by sign
+    tests and largest entries, which round-off can flip.  This weighted
+    sum moves continuously with x, and the irrational weights keep it off
+    zero on the structured vectors (basis vectors, +-1/sqrt(2) pairs)
+    where an argmax would tie."""
+    f = np.exp(1j * np.arange(x.shape[-2])) @ x
+    mag = np.abs(f)
+    phase = np.ones_like(f)
+    np.divide(f.conj(), mag, out=phase, where=mag > 0.0)
+    return x * phase[..., None, :]
 
 
 def is_isometry(v) -> bool:

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import CNOT, RY, RZ, U, Circuit, Gate, rotate_pairs, rz_matrix, walsh_hadamard
-from .linalg import is_isometry, qr_rectangular
+from .linalg import canonical_phases, is_isometry, qr_rectangular
 
 _ZERO_AMP = 1e-12
 _SQRT_HALF = 0.5**0.5
@@ -95,6 +95,23 @@ def multiplexed_rotation(axis: str, controls, target: int, angles) -> list[Gate]
         gates.append(Gate(kind, (target,), (phi,)))
         gates.append(cx)
     return gates
+
+
+def ry_multiplexor_from_zero(controls, target: int, theta) -> list[Gate]:
+    """The Ry multiplexor of `multiplexed_rotation` without its closing
+    CNOT, for a target that starts in |0>: 2^c - 1 CNOTs for c >= 1
+    controls.
+
+    The closing CNOT is controlled by controls[0].  On a target in |0> it
+    only flips the target where that control is 1, so those patterns take
+    pi - theta, whose rotated |0> is the flip of that of theta."""
+    controls = tuple(controls)
+    if not controls:
+        return multiplexed_rotation(RY, controls, target, theta)
+    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+    half = theta.size // 2
+    psi = np.concatenate([theta[:half], np.pi - theta[half:]])
+    return multiplexed_rotation(RY, controls, target, psi)[:-1]
 
 
 def _phase(z) -> np.ndarray:
@@ -189,10 +206,8 @@ def _reduction_segments(v: np.ndarray):
 
 def _column_gates(v: np.ndarray, p: int) -> list[Gate]:
     """The column-by-column reduction run backwards: the inverse diagonal,
-    then each step's inverse from the last step to the first.  That
-    inverse is the Gray-code multiplexor for the negated angles, which
-    ends in a bare CNOT: what lets the classicalization rewrite fire on
-    compiled m = 1 rounds."""
+    then each step's inverse from the last step to the first, which is
+    the Gray-code multiplexor for the negated angles."""
     segments, lams, _ = _reduction_segments(v)
     gates = [] if lams is None else _diag_gates(lams.tolist(), list(range(p)))
     for seg in reversed(segments):
@@ -226,22 +241,6 @@ def _dagger(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
-def _canonical_phases(x: np.ndarray) -> np.ndarray:
-    """x with each column scaled by the phase that makes sum_k e^{ik} x[k]
-    real and positive.
-
-    LAPACK picks the phase of a singular vector or an eigenvector by sign
-    tests and largest entries, which round-off can flip.  This weighted
-    sum moves continuously with x, and the irrational weights keep it off
-    zero on the structured vectors (basis vectors, +-1/sqrt(2) pairs)
-    where an argmax would tie."""
-    f = np.exp(1j * np.arange(x.shape[-2])) @ x
-    mag = np.abs(f)
-    phase = np.ones_like(f)
-    np.divide(f.conj(), mag, out=phase, where=mag > 0.0)
-    return x * phase[..., None, :]
-
-
 def _unitary_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(z, lam) with x = z diag(lam) z^dag and z unitary, for each unitary
     in the stack x.
@@ -253,7 +252,7 @@ def _unitary_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lam, vec = np.linalg.eig(x)
     order = np.argsort(_phase(lam), axis=-1, kind="stable")
     vec = np.take_along_axis(vec, order[..., None, :], axis=-1)
-    return _canonical_phases(qr_rectangular(vec)[0]), np.take_along_axis(lam, order, axis=-1)
+    return canonical_phases(qr_rectangular(vec)[0]), np.take_along_axis(lam, order, axis=-1)
 
 
 def _cs_split(a: np.ndarray, b: np.ndarray):
@@ -276,7 +275,7 @@ def _cs_split(a: np.ndarray, b: np.ndarray):
     apart = np.where(near_one, 0.0, 2.0 + np.arange(n))[..., None, :] * np.eye(n)
     zh = np.linalg.svd(np.concatenate([(b @ v1) * near_one[..., None, :], apart], axis=-2),
                        full_matrices=False)[2]
-    v1 = _canonical_phases(v1 @ _dagger(zh)[..., ::-1])
+    v1 = canonical_phases(v1 @ _dagger(zh)[..., ::-1])
     u1, r1 = qr_rectangular(a @ v1)
     u2, r2 = qr_rectangular((b @ v1)[..., ::-1])
     c = np.diagonal(r1, axis1=-2, axis2=-1).real
@@ -355,7 +354,7 @@ def _local_factors(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(k)
     r = k.reshape(n, 2, 2, 2, 2).swapaxes(2, 3).reshape(n, 4, 4)
     b = r[np.arange(n), np.argmax(np.linalg.norm(r, axis=-1), axis=-1)]
-    b = _canonical_phases(b[..., None])
+    b = canonical_phases(b[..., None])
     b *= 2.0**0.5 / np.linalg.norm(b, axis=-2, keepdims=True)
     return (r @ b.conj()).reshape(n, 2, 2) / 2.0, b.reshape(n, 2, 2)
 
@@ -424,6 +423,19 @@ def _qsd(u: np.ndarray, qubits: list[int]) -> list[list[Gate]]:
     sub = _qsd(np.concatenate([w, z]), lower)
     return [sub[j] + mux(RZ, rz[j]) + sub[2 * n + j] + mux(RY, theta[j])
             + sub[n + j] + mux(RZ, rz[n + j]) + sub[3 * n + j] for j in range(n)]
+
+
+def decompose_unitaries(u: np.ndarray, qubits) -> list[list[Gate]]:
+    """One gate list per unitary in the stack u, on `qubits` (qubits[0]
+    most significant), by one batched call: a U gate on one qubit, the
+    Shannon decomposition on two or more, and no gate on none (a 1 x 1
+    unitary is a global phase).  Each list holds n_iso(p, p) CNOTs."""
+    qubits = list(qubits)
+    if not qubits:
+        return [[] for _ in u]
+    if len(qubits) == 1:
+        return [[g] for g in _u_gates(u, qubits[0])]
+    return _qsd(u, qubits)
 
 
 def _checked_isometry(v) -> tuple[np.ndarray, int, int]:

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import chancomp
-from chancomp.channel import channel_to_json, random_channel
+from chancomp.channel import channel_from_json, channel_to_json, random_channel
 from chancomp.cli import run
-from chancomp.circuit import parse
+from chancomp.circuit import parse, serialize
+from chancomp.compiler import compile_measured
+from chancomp.rewrite import standard_passes
 
 
 @pytest.fixture
@@ -50,13 +52,36 @@ def test_compile_is_deterministic(tmp_path, channel_file):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_compile_no_rewrite_keeps_more_cnots(tmp_path, channel_file):
-    a, b = tmp_path / "a.qcirc", tmp_path / "b.qcirc"
-    run(["compile", "--model", "measured", "--in", str(channel_file), "--out", str(a)])
-    run(["compile", "--model", "measured", "--in", str(channel_file), "--out", str(b),
-         "--no-rewrite"])
-    count = lambda p: sum(1 for line in p.read_text().splitlines() if line.startswith("CNOT"))
-    assert count(a) < count(b)
+def test_compile_no_rewrite_skips_the_passes(tmp_path):
+    # on a 2->1 channel the passes drop the last gate on the discarded qubit
+    ks = random_channel(2, 1, 4, seed=7)
+    src, a, b = tmp_path / "ch.json", tmp_path / "a.qcirc", tmp_path / "b.qcirc"
+    src.write_text(channel_to_json(ks))
+    assert run(["compile", "--model", "measured", "--in", str(src), "--out", str(a)]) == 0
+    assert run(["compile", "--model", "measured", "--in", str(src), "--out", str(b),
+                "--no-rewrite"]) == 0
+    raw = compile_measured(channel_from_json(src.read_text()))
+    assert b.read_text() == serialize(raw)
+    assert a.read_text() == serialize(standard_passes(raw))
+    assert a.read_text() != b.read_text()
+
+
+def test_readme_compile_example_matches_the_cli(tmp_path, capsys, monkeypatch):
+    # the README's `random --seed 7` -> `compile --report` session, run as written
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.splitlines()
+    commands = [line[len("$ chancomp "):].split() for line in lines
+                if line.startswith(("$ chancomp random", "$ chancomp compile --model measured"))]
+    assert [c[0] for c in commands] == ["random", "compile"]
+    shown = lines[lines.index("$ chancomp " + " ".join(commands[1])) + 1]
+    monkeypatch.chdir(tmp_path)
+    assert run(commands[0]) == 0
+    capsys.readouterr()
+    assert run(commands[1]) == 0
+    printed = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    want = dict(kv.split("=") for kv in shown.split())
+    for key in ("qubits", "cnots", "measurements"):
+        assert printed[key] == want[key], key
 
 
 def test_compile_force_k(tmp_path, channel_file):

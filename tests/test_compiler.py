@@ -11,10 +11,13 @@ from chancomp.compiler import (
     plan_measured,
     predict_upper_bound,
     reconstruct_dilation,
+    round_cnots,
     verify_circuit,
     verify_mixture,
 )
+from chancomp.linalg import qr_rectangular
 from chancomp.synth import n_iso
+from chancomp.templates import TEMPLATES
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,26 +35,35 @@ def test_plan_unitary_channel():
     plan = plan_measured(KrausSet(1, 1, [I2]))
     assert plan.k == 0 and plan.k_tilde == 0
     assert plan.stages == () and set(plan.finals) == {""}
-    assert plan.final_measure_count == 0
+    assert plan.finals[""].shape == (2, 2)
+
+
+def assert_round(stage_entry, m):
+    """One round is (v^dag, theta): an m-qubit unitary and 2^m angles."""
+    vh, theta = stage_entry
+    assert vh.shape == (2**m, 2**m) and theta.shape == (2**m,)
+    assert np.linalg.norm(vh @ vh.conj().T - np.eye(2**m)) < 1e-12
 
 
 def test_plan_rank2_square_channel():
+    # m >= n: n + k - m rounds, then one m-qubit unitary per outcome
     plan = plan_measured(dephasing_like())
     assert (plan.m, plan.n, plan.k) == (1, 1, 1)
-    assert plan.k_tilde == 0 and plan.l == 1
-    assert plan.finals[""].shape == (4, 2)
-    assert plan.final_measure_count == 1
+    assert plan.k_tilde == 1
+    assert len(plan.stages) == 1 and set(plan.stages[0]) == {""}
+    assert_round(plan.stages[0][""], 1)
+    assert set(plan.finals) == {"0", "1"}
+    assert all(v.shape == (2, 2) for v in plan.finals.values())
 
 
 def test_plan_one_to_two_rank2():
     ks = random_channel(1, 2, 2, seed=3)
     plan = plan_measured(ks)
-    assert (plan.k, plan.k_tilde, plan.l) == (1, 1, 1)
+    assert (plan.k, plan.k_tilde) == (1, 1)
     assert len(plan.stages) == 1 and set(plan.stages[0]) == {""}
-    assert plan.stages[0][""].shape == (4, 2)
+    assert_round(plan.stages[0][""], 1)
     assert set(plan.finals) == {"0", "1"}
     assert all(v.shape == (4, 2) for v in plan.finals.values())
-    assert plan.final_measure_count == 0
 
 
 @pytest.mark.parametrize(
@@ -157,6 +169,62 @@ def test_compile_measured_grid(m, n, kr, seed):
     assert verify_circuit(circ, ks) < 1e-8
 
 
+@pytest.mark.parametrize("m,n,kr,calls", [(3, 3, 8, 4), (2, 1, 4, 2), (2, 3, 4, 2)])
+def test_compile_synthesizes_each_stage_in_one_batch(monkeypatch, m, n, kr, calls):
+    # one decompose_unitaries call per round, plus one for the m >= n
+    # residuals; decompose_isometry only for the m < n residuals
+    import chancomp.compiler as compiler
+
+    seen = {"unitaries": 0, "isometry": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            seen[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(compiler, "decompose_unitaries",
+                        counted("unitaries", compiler.decompose_unitaries))
+    monkeypatch.setattr(compiler, "decompose_isometry",
+                        counted("isometry", compiler.decompose_isometry))
+    ks = random_channel(m, n, kr, seed=60)
+    circ = compile_measured(ks)
+    assert seen == {"unitaries": calls, "isometry": 0 if m >= n else 2 ** plan_measured(ks).k_tilde}
+    assert verify_circuit(circ, ks) < 1e-8
+
+
+def test_one_to_one_rank2_takes_the_template_count():
+    # one round of one CNOT: T11's count, with no template fit
+    for seed in range(5):
+        ks = random_channel(1, 1, 2, seed)
+        circ = compile_measured(ks)
+        assert cnot_count(circ) == (TEMPLATES["T11"].cnot_count, True) == (1, True)
+        assert verify_circuit(circ, ks) < 1e-8
+
+
+def real_channel(m, n, kr, seed):
+    rng = np.random.default_rng(seed)
+    v = qr_rectangular(rng.standard_normal((kr * 2**n, 2**m)))[0].real
+    return [v[i * 2**n:(i + 1) * 2**n] for i in range(kr)]
+
+
+@pytest.mark.parametrize("m,n,kr", [(1, 1, 2), (1, 1, 4), (1, 2, 2), (2, 1, 4),
+                                    (2, 2, 4), (1, 3, 4), (2, 3, 2)])
+def test_compiled_angles_ignore_the_sign_of_round_off_on_real_channels(m, n, kr):
+    # A +-1e-18 imaginary part on the negative entries of real Kraus operators
+    # must not move any emitted angle: the Choi eigenvectors' phases, like
+    # the synthesizer's, follow the entries rather than LAPACK's sign tests.
+    for seed in range(3):
+        ops = real_channel(m, n, kr, seed)
+        variants = [compile_measured(KrausSet(m, n, [a + sign * 1e-18j * (a < 0) for a in ops])).gates
+                    for sign in (0, 1, -1)]
+        for gates in variants[1:]:
+            assert [(g.kind, g.qubits) for g in gates] == [(g.kind, g.qubits) for g in variants[0]]
+            err = max((abs(a - b) for g, h in zip(gates, variants[0])
+                       for a, b in zip(g.params, h.params)), default=0.0)
+            assert err <= 1e-10
+
+
 def test_compile_measured_force_k():
     ks = dephasing_like()
     circ = compile_measured(ks, force_k=2)
@@ -164,13 +232,20 @@ def test_compile_measured_force_k():
     assert verify_circuit(circ, ks) < 1e-8
 
 
+def test_round_cnots_values():
+    # c(m) for v^dag plus 2^m - 1 for the opened Ry multiplexor
+    assert [round_cnots(m) for m in range(5)] == [0, 1, 6, 31, 135]
+
+
 def test_predict_upper_bound_cases():
-    assert predict_upper_bound(1, 2, 1) == 2 * n_iso(1, 2)
+    assert predict_upper_bound(1, 2, 1) == round_cnots(1) + n_iso(1, 2) == 19
     assert predict_upper_bound(2, 2, 0) == n_iso(2, 2)
-    assert predict_upper_bound(2, 1, 2) == n_iso(2, 3)
+    assert predict_upper_bound(2, 1, 2) == round_cnots(2) + n_iso(2, 2) == 9
     assert predict_upper_bound(2, 1, 1) == n_iso(2, 2)  # n+k = m
-    assert predict_upper_bound(1, 2, 2) == 2 * n_iso(1, 2) + n_iso(1, 2)
+    assert predict_upper_bound(1, 2, 2) == 2 * round_cnots(1) + n_iso(1, 2)
     assert predict_upper_bound(1, 3, 0) == n_iso(1, 3)
+    assert predict_upper_bound(1, 1, 1) == 1
+    assert predict_upper_bound(3, 3, 3) == 3 * round_cnots(3) + n_iso(3, 3) == 117
 
 
 @pytest.mark.parametrize("m,n,k,least", [(3, 1, 1, 2), (2, 1, 0, 1), (4, 1, 2, 3), (1, 1, -1, 0)])
@@ -184,7 +259,7 @@ def test_plan_isometry_channel_has_no_rounds():
     # k = 0 with m < n takes the general path: no rounds, one residual
     ks = random_channel(1, 3, 1, seed=41)
     plan = plan_measured(ks)
-    assert (plan.k, plan.l, plan.k_tilde, plan.final_measure_count) == (0, 2, 0, 0)
+    assert (plan.k, plan.k_tilde) == (0, 0)
     assert plan.stages == () and set(plan.finals) == {""}
     assert plan.finals[""].shape == (8, 2)
 

@@ -33,8 +33,10 @@ from chancomp.synth import (
     _unitary_eig,
     decompose_column_by_column,
     decompose_isometry,
+    decompose_unitaries,
     multiplexed_rotation,
     n_iso,
+    ry_multiplexor_from_zero,
 )
 
 
@@ -106,6 +108,21 @@ def test_multiplexed_rotation_single_control_structure():
     assert gates[0].params[0] == pytest.approx((t0 + t1) / 2)
     assert gates[2].params[0] == pytest.approx((t0 - t1) / 2)
     assert gates[1].qubits == (0, 1) and gates[3].qubits == (0, 1)
+
+
+@pytest.mark.parametrize("c", [0, 1, 2, 3, 4])
+def test_ry_multiplexor_from_zero_matches_the_full_one_on_zero(c):
+    # the target (qubit 0) starts in |0>; the controls are the inputs
+    rng = np.random.default_rng(40 + c)
+    theta = rng.uniform(-3, 3, 2**c)
+    controls, p = list(range(1, c + 1)), c + 1
+
+    def on_zero(gates):
+        return simulate_unitary(Circuit(p, tuple(controls), tuple(range(p)), tuple(gates), 0))
+
+    opened = ry_multiplexor_from_zero(controls, 0, theta)
+    assert np.linalg.norm(on_zero(opened) - on_zero(multiplexed_rotation(RY, controls, 0, theta))) < 1e-12
+    assert sum(1 for g in opened if g.kind == CNOT) == (2**c - 1 if c else 0)
 
 
 def test_multiplexed_rotation_wrong_angle_count():
@@ -507,6 +524,21 @@ def test_cs_split_residual(name, v):
         assert np.linalg.norm(u.conj().T @ u - np.eye(h)) <= 1e-13
     assert np.linalg.norm(u1 @ (np.cos(theta / 2)[:, None] * v1h) - a) <= 1e-13, name
     assert np.linalg.norm(u2 @ (np.sin(theta / 2)[:, None] * v1h) - b) <= 1e-13, name
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_decompose_unitaries_is_one_batch_of_exact_circuits(p):
+    rng = np.random.default_rng(90 + p)
+    stack = np.stack([random_unitary(2**p, rng) for _ in range(3)])
+    lists = decompose_unitaries(stack, list(range(p)))
+    if not p:  # a 1 x 1 unitary is a global phase
+        assert lists == [[], [], []]
+        return
+    assert len(lists) == 3
+    for u, gates in zip(stack, lists):
+        circ = Circuit(p, tuple(range(p)), tuple(range(p)), tuple(gates), 0)
+        assert sum(1 for g in gates if g.kind == CNOT) == n_iso(p, p)
+        assert np.linalg.norm(simulate_unitary(circ) - u) < 1e-12
 
 
 def test_u_gates_are_exact_with_global_phase():
