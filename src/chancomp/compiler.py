@@ -19,7 +19,9 @@ is a 2^n x 2^m isometry on all n qubits.  With m >= n there are
 n + k - m rounds, and each residual is an m-qubit unitary on the
 system; the first m - n system qubits then hold leftover environment,
 which is measured off into registers that are never read.  Each round's
-v^dag, and the m >= n residuals, are synthesized by one batched call.
+v^dag, and the residuals, are synthesized by one batched call (the
+column-by-column reduction of thin residuals still takes one matrix at a
+time).
 
 Qubit layout: one reused ancilla at index 0, the m system qubits last.
 A channel with m >= n compiles to exactly m+1 qubits (the ancilla may
@@ -37,6 +39,7 @@ from .circuit import MEASURE, RESET, TRACE, Circuit, Gate
 from .linalg import is_isometry, qr_rectangular
 from .synth import (
     _cs_split,
+    decompose_isometries,
     decompose_isometry,
     decompose_unitaries,
     n_iso,
@@ -158,11 +161,12 @@ def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
         gates.append(Gate(RESET, (ancilla,)))
 
     prefixes = _prefixes(k_tilde)
+    finals = np.stack([plan.finals[s] for s in prefixes])
     if m < n:
-        residuals = [decompose_isometry(plan.finals[s]).gates for s in prefixes]
+        residuals = decompose_isometries(finals)
         outputs = tuple(range(p))
     else:
-        residuals = decompose_unitaries(np.stack([plan.finals[s] for s in prefixes]), system)
+        residuals = decompose_unitaries(finals, system)
         outputs = tuple(system[k - k_tilde:])
     for s, block in zip(prefixes, residuals):
         gates += _conditioned(block, s)

@@ -14,15 +14,18 @@ Two constructions, chosen from the shape of the isometry alone:
   split, the eigendecompositions and the QR steps are numpy.linalg
   calls, one batch per level of the recursion; scipy.linalg (cossin,
   schur) would add its import time to every CLI compile.
-* Every other shape goes column by column: for column j the reduction
-  walks the target qubits from least to most significant, each step
-  using a multiplexed Rz (phase alignment) followed by a multiplexed Ry
-  (mass concentration) over the remaining qubits, with rotation angles
-  forced to zero on control patterns that would disturb already-reduced
-  columns.  A final diagonal cascade cancels the per-column phases, so
-  an isometry of two or more columns is reproduced exactly, global
-  phase included.  A single column (state preparation) skips the
-  cascade and is reproduced up to a global phase.
+* Every other shape goes column by column (Iten et al., arXiv:1501.06911):
+  for column j the reduction walks the target qubits from least to most
+  significant, each step using a multiplexed Rz (phase alignment)
+  followed by a multiplexed Ry (mass concentration).  A step's
+  multiplexors are controlled only by the qubits that tell its active
+  patterns apart from one another and from the patterns holding rows
+  of already-reduced columns, whose angles are zero; for column 0 that
+  is Moettoenen state preparation (arXiv:quant-ph/0407010), 2^(p+1) - 4
+  CNOTs.  A final diagonal on the input qubits cancels the per-column
+  phases, so an isometry of two or more columns is reproduced exactly,
+  global phase included.  A single column (state preparation) skips
+  the diagonal and is reproduced up to a global phase.
 
 Both keep rotations whose angle happens to be zero, so the set of
 emitted gates depends only on the matrix dimensions, never on its
@@ -144,6 +147,48 @@ def _active_mask(j: int, b: int, p: int) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=4096)
+def _step_controls(j: int, b: int, p: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """(controls, index, rep) of the multiplexors that reduce column j at
+    target bit b.
+
+    The controls are the qubits whose values tell the active patterns
+    (`_active_mask`) apart from one another and from the protected ones,
+    whose pair touches a reduced row below j.  Starting from the bits above
+    b and the bits below b that are 1 in j, which always separate, each
+    bit is dropped in turn, least significant first, while the separation
+    still holds.  index[s] is the control pattern of the full pattern s,
+    and rep[t] the full pattern whose angle control pattern t carries: its
+    active pattern where it has one.  The other patterns (no amplitude in
+    column j, no reduced row) are don't-cares.
+    """
+    active = _active_mask(j, b, p)
+    low_mask = (1 << b) - 1
+    s = np.arange(1 << (p - 1))
+    protected = (((s >> b) << (b + 1)) | (s & low_mask)) < j
+
+    own, others = s[active].tolist(), s[protected].tolist()
+
+    def separates(bits: int) -> bool:
+        keys = {x & bits for x in own}
+        return len(keys) == len(own) and keys.isdisjoint([x & bits for x in others])
+
+    bits = ((1 << (p - 1)) - 1) & ~low_mask | (j & low_mask)
+    for i in range(p - 1):
+        if (bits >> i) & 1 and separates(bits & ~(1 << i)):
+            bits &= ~(1 << i)
+    kept = [i for i in reversed(range(p - 1)) if (bits >> i) & 1]   # most significant first
+    # pattern bit i is row bit i below b and row bit i + 1 above it
+    controls = tuple(p - 1 - i - (i >= b) for i in kept)
+    index = np.zeros_like(s)
+    for i in kept:
+        index = (index << 1) | ((s >> i) & 1)
+    rep = np.unique(index, return_index=True)[1]   # the first pattern of each
+    rep[index[active]] = s[active]
+    index.flags.writeable = rep.flags.writeable = False
+    return controls, index, rep
+
+
 def _diag_gates(lams, qubits) -> list[Gate]:
     """Exact diagonal phase gate diag(e^{-i lam_x}): a phased Rz carrying
     the mean, then a cascade of multiplexed Rz.  Angles are negated as
@@ -163,11 +208,12 @@ def _reduction_segments(v: np.ndarray):
     """Per-column steps of the reduction, the final diagonal's phases and
     the reduced working copy.
 
-    A step (kind, target, angles) gives the target qubit R_kind(angles[s])
-    for every pattern s of the other qubits (high to low).  The steps in
-    order, then diag(e^{i lams}) (None for one column), map v to [I; 0]
-    exactly.  Each step is one block update of the working copy
-    (rotate_pairs), its angles read off the column pairs in bulk.
+    A step (kind, target, controls, angles) gives the target qubit
+    R_kind(angles[t]) where the controls (high to low) read t, and the
+    qubits outside them do not matter (`_step_controls`).  The steps in
+    order, then diag(e^{i lams}) on the first rows (None for one column),
+    map v to [I; 0] exactly.  Each step is one block update of the working
+    copy (rotate_pairs), its angles read off the column pairs in bulk.
     """
     rows, cols = v.shape
     p = rows.bit_length() - 1
@@ -179,40 +225,39 @@ def _reduction_segments(v: np.ndarray):
             active = _active_mask(j, b, p)
             if not active.any():
                 continue
+            controls, index, rep = _step_controls(j, b, p)
             target = p - 1 - b
             col = work[:, j].reshape(-1, 2, 1 << b)
             # phase alignment within each active pair
             a0, a1 = col[:, 0].reshape(-1), col[:, 1].reshape(-1)
             both = active & (np.minimum(np.abs(a0), np.abs(a1)) >= _ZERO_AMP)
-            rz = np.where(both, _phase(a0 * a1.conj()), 0.0)
-            seg.append((RZ, target, rz))
-            rotate_pairs(work, RZ, b, rz)
+            rz = np.where(both, _phase(a0 * a1.conj()), 0.0)[rep]
+            seg.append((RZ, target, controls, rz))
+            rotate_pairs(work, RZ, b, rz[index])
             # rotate mass onto the component matching bit b of j
             a0, a1 = np.abs(col[:, 0].reshape(-1)), np.abs(col[:, 1].reshape(-1))
             either = active & (np.maximum(a0, a1) >= _ZERO_AMP)
             if (j >> b) & 1:
-                ry = np.where(either, 2.0 * np.arctan2(a0, a1), 0.0)
+                ry = np.where(either, 2.0 * np.arctan2(a0, a1), 0.0)[rep]
             else:
-                ry = np.where(either, -2.0 * np.arctan2(a1, a0), 0.0)
-            seg.append((RY, target, ry))
-            rotate_pairs(work, RY, b, ry)
+                ry = np.where(either, -2.0 * np.arctan2(a1, a0), 0.0)[rep]
+            seg.append((RY, target, controls, ry))
+            rotate_pairs(work, RY, b, ry[index])
         segments.append(seg)
-    lams = None
-    if cols >= 2:
-        lams = np.zeros(2**p)
-        lams[:cols] = -_phase(np.diagonal(work))
+    lams = -_phase(np.diagonal(work)) if cols >= 2 else None
     return segments, lams, work
 
 
 def _column_gates(v: np.ndarray, p: int) -> list[Gate]:
     """The column-by-column reduction run backwards: the inverse diagonal,
     then each step's inverse from the last step to the first, which is
-    the Gray-code multiplexor for the negated angles."""
+    the Gray-code multiplexor for the negated angles.  The diagonal acts
+    on the input qubits alone, since the others start in |0>."""
     segments, lams, _ = _reduction_segments(v)
-    gates = [] if lams is None else _diag_gates(lams.tolist(), list(range(p)))
+    m = v.shape[1].bit_length() - 1
+    gates = [] if lams is None else _diag_gates(lams.tolist(), list(range(p - m, p)))
     for seg in reversed(segments):
-        for kind, target, angles in reversed(seg):
-            controls = [q for q in range(p) if q != target]
+        for kind, target, controls, angles in reversed(seg):
             gates += multiplexed_rotation(kind, controls, target, 0.0 - angles)
     return gates
 
@@ -468,11 +513,19 @@ def decompose_isometry(v) -> Circuit:
     emitted gates and their CNOT count depend only on the shape of v.
     """
     v, p, mc = _checked_isometry(v)
-    if _uses_qsd(mc, p):
-        gates = _qsd(v[None], list(range(p)))[0]
-    else:
-        gates = _column_gates(v, p)
+    gates = decompose_isometries(v[None])[0]
     return Circuit(p, tuple(range(p - mc, p)), tuple(range(p)), tuple(gates), 0)
+
+
+def decompose_isometries(v: np.ndarray) -> list[list[Gate]]:
+    """The gates of `decompose_isometry` for each isometry in the stack v,
+    on qubits 0..p-1: one batched Shannon decomposition where the shape
+    takes it, else the column-by-column reduction of each."""
+    rows, cols = v.shape[1:]
+    p, mc = rows.bit_length() - 1, cols.bit_length() - 1
+    if _uses_qsd(mc, p):
+        return _qsd(v, list(range(p)))
+    return [_column_gates(x, p) for x in v]
 
 
 def decompose_column_by_column(v) -> Circuit:
@@ -489,19 +542,18 @@ def n_iso(m: int, n: int) -> int:
     c(p) = 4 c(p-1) + 3 2^(p-1) with c(2) = 3, that is
     (9 4^p - 24 2^p) / 16 CNOTs, and a round (n = m + 1) takes
     3 c(m) + 2^(m+1).  The column-by-column count is summed over the
-    steps the reduction takes."""
+    steps the reduction takes: 2 * 2^c for a step whose multiplexors
+    have c >= 1 controls (`_step_controls`), none for c = 0, then
+    2^m - 2 for the diagonal on the m input qubits."""
     if m < 0 or n < m:
         raise ValueError("need 0 <= m <= n")
     if _uses_qsd(m, n):
         c = (9 * 4**m - 24 * 2**m) // 16
         return c if n == m else 3 * c + 2 ** (m + 1)
-    p = n
-    per_multiplex = 2 ** (p - 1) if p >= 2 else 0
     count = 0
     for j in range(2**m):
-        for b in range(p):
-            if _active_mask(j, b, p).any():
-                count += 2 * per_multiplex
-    if m >= 1 and p >= 2:
-        count += 2**p - 2
-    return count
+        for b in range(n):
+            if _active_mask(j, b, n).any():
+                c = len(_step_controls(j, b, n)[0])
+                count += 2 * 2**c if c else 0
+    return count + (2**m - 2 if m else 0)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -192,39 +193,52 @@ def test_cnot_count_is_input_independent():
 
 
 def test_column_by_column_invariant():
-    rng = np.random.default_rng(23)
-    v = random_isometry(8, 4, rng)
+    for rows, cols in [(8, 4), (16, 4), (32, 2), (64, 8), (16, 16)]:
+        column_by_column_invariant(rows, cols)
+
+
+def column_by_column_invariant(rows, cols):
+    # every step, with its restricted controls, leaves the reduced columns
+    # e_0 .. e_{j-1} where they are, and column j ends as a phase times e_j
+    rng = np.random.default_rng(23 + rows + cols)
+    v = random_isometry(rows, cols, rng)
+    p = rows.bit_length() - 1
     segments, lams, reduced = _reduction_segments(v)
     work = v.copy()
     for j, seg in enumerate(segments):
-        for kind, target, angles in seg:
-            controls = [q for q in range(3) if q != target]
+        for kind, target, controls, angles in seg:
+            assert target not in controls and len(angles) == 2 ** len(controls)
+            before = work[:, :j].copy()
             for g in multiplexed_rotation(kind, controls, target, angles):
-                work = apply_unitary_gate(work, g, 3)
+                work = apply_unitary_gate(work, g, p)
+            assert np.max(np.abs(work[:, :j] - before), initial=0.0) < 1e-12
         for i in range(j + 1):
             col = work[:, i]
             assert abs(abs(col[i]) - 1.0) < 1e-10
             off = np.delete(col, i)
             assert np.linalg.norm(off) < 1e-10
     assert np.linalg.norm(work - reduced) < 1e-10
-    done = np.exp(1j * lams)[:, None] * reduced
-    assert np.linalg.norm(done[:4] - np.eye(4)) < 1e-10
-    assert np.linalg.norm(done[4:]) < 1e-10
+    done = np.exp(1j * lams) * reduced[:cols]
+    assert np.linalg.norm(done - np.eye(cols)) < 1e-10
+    assert np.linalg.norm(reduced[cols:]) < 1e-10
 
 
 def test_cost_model_matches_emitted_counts():
+    # every shape up to five qubits, and the thin ones (state preparation
+    # included) up to eight
     rng = np.random.default_rng(29)
     for m in range(0, 6):
-        for n in range(max(m, 1), 6):
+        for n in range(max(m, 1), 9 if m <= 3 else 6):
             v = random_isometry(2**n, 2**m, rng)
             circ = decompose_isometry(v)
             assert count_cnots(circ) == n_iso(m, n), (m, n)
+            assert frob_distance_up_to_phase(simulate_unitary(circ), v) < 1e-10, (m, n)
 
 
 def test_cost_model_known_values():
     assert n_iso(1, 1) == 0
     assert n_iso(0, 1) == 0
-    assert n_iso(1, 2) == 18
+    assert n_iso(1, 2) == 12
     assert n_iso(2, 2) == 3
     assert n_iso(2, 3) == 17
     assert n_iso(3, 4) == 88
@@ -299,9 +313,31 @@ def reference_diag(lams, qubits):
             + reference_diag(means, qubits[:-1]))
 
 
+def fewest_controls(p, others, active, protected):
+    """The smallest set of the qubits `others` on whose values the rows
+    `active` all differ from one another and from every row in
+    `protected`, found by trying every subset in order of size; the test
+    requires it to be the only one of its size."""
+    def key(row, controls):
+        return tuple((row >> (p - 1 - q)) & 1 for q in controls)
+
+    for size in range(len(others) + 1):
+        found = []
+        for controls in itertools.combinations(others, size):
+            keys = [key(r, controls) for r in active]
+            if len(set(keys)) == len(keys) and not set(keys) & {key(r, controls) for r in protected}:
+                found.append(list(controls))
+        if found:
+            assert len(found) == 1, found
+            return found[0]
+    raise AssertionError("no control set separates the active rows")
+
+
 def reference_decompose(v):
     """The reduction written as loops: per-pattern angles from cmath/math,
-    and every emitted gate applied to the working copy one at a time."""
+    each step's controls from a search over every subset of the other
+    qubits, and every emitted gate applied to the working copy one at a
+    time."""
     rows, cols = v.shape
     p = rows.bit_length() - 1
     work = v.astype(complex)
@@ -316,34 +352,45 @@ def reference_decompose(v):
     for j in range(cols):
         for b in range(p):
             target = p - 1 - b
-            controls = [q for q in range(p) if q != target]
+            others = [q for q in range(p) if q != target]
             jb = (j >> b) & 1
             low_j = j & ((1 << b) - 1)
-            pairs = []
+            pairs, protected = [], []
             for s in range(1 << (p - 1)):
                 r0 = ((s >> b) << (b + 1)) | (s & ((1 << b) - 1))
                 r1 = r0 | (1 << b)
                 if s & ((1 << b) - 1) == low_j and r0 >= j and r1 >= j:
-                    pairs.append((s, r0, r1))
+                    pairs.append((r0, r1))
+                elif r0 < j:   # the pair holds a reduced row
+                    protected.append(r0)
             if not pairs:
                 continue
-            rz = [0.0] * (1 << (p - 1))
-            for s, r0, r1 in pairs:
+            controls = fewest_controls(p, others, [r0 for r0, _ in pairs], protected)
+
+            def pattern(row):
+                t = 0
+                for q in controls:
+                    t = (t << 1) | ((row >> (p - 1 - q)) & 1)
+                return t
+
+            rz = [0.0] * (1 << len(controls))
+            for r0, r1 in pairs:
                 a0, a1 = work[r0, j], work[r1, j]
                 if min(abs(a0), abs(a1)) >= 1e-12:
-                    rz[s] = phase(a0 * a1.conjugate())
+                    rz[pattern(r0)] = phase(a0 * a1.conjugate())
             emit(adjoint(g) for g in
                  reversed(reference_multiplex(RZ, controls, target, [-a for a in rz])))
-            ry = [0.0] * (1 << (p - 1))
-            for s, r0, r1 in pairs:
+            ry = [0.0] * (1 << len(controls))
+            for r0, r1 in pairs:
                 a0, a1 = abs(work[r0, j]), abs(work[r1, j])
                 if max(a0, a1) >= 1e-12:
-                    ry[s] = 2.0 * math.atan2(a0, a1) if jb else -2.0 * math.atan2(a1, a0)
+                    ry[pattern(r0)] = 2.0 * math.atan2(a0, a1) if jb else -2.0 * math.atan2(a1, a0)
             emit(adjoint(g) for g in
                  reversed(reference_multiplex(RY, controls, target, [-a for a in ry])))
     if cols >= 2:
-        lams = [-phase(work[x, x]) if x < cols else 0.0 for x in range(rows)]
-        emit(reference_diag(lams, list(range(p))))
+        # the rows below cols are the inputs' basis states, the top qubits in |0>
+        m = cols.bit_length() - 1
+        emit(reference_diag([-phase(work[x, x]) for x in range(cols)], list(range(p - m, p))))
     return [adjoint(g) for g in reversed(reduction)]
 
 
