@@ -223,26 +223,49 @@ def apply_unitary_gate(mat: np.ndarray, g: Gate, p: int) -> np.ndarray:
     return (gate1_matrix(g) @ mat.reshape(2 ** g.qubits[0], 2, -1)).reshape(mat.shape)
 
 
-def rotate_pairs(work: np.ndarray, kind: str, b: int, angles: np.ndarray) -> None:
-    """Apply a multiplexed rotation on the qubit at significance b to `work`,
-    in place, as one block update.
+def update_pairs(work: np.ndarray, b: int, mats: np.ndarray) -> None:
+    """Multiply, in place, every row pair of `work` that differs only in
+    bit b by its own 2x2 matrix, as one block update.
 
-    Every row pair that differs only in bit b is a control pattern s (the
-    other bits, high to low); the pair gets R_kind(angles[s]), kind RY or
-    RZ.  This is the matrix that `synth.multiplexed_rotation` emits, in
-    either gate order.  The reshape only splits the row axis of the
-    2^p x C `work`, so it is a view for any memory layout.
+    The pair's control pattern s is the other bits, high to low, and it
+    gets mats[s]; mats is (..., 2^(p-1), 2, 2) for a 2^p x C `work`, or
+    for a stack of them (...).  Both the synthesizer's working copy and the
+    simulator's branch matrices go through here.  The reshape only splits
+    the row axis, so it is a view for any memory layout of the rows.
     """
-    t = work.reshape(-1, 2, 1 << b, work.shape[1])   # (high bits, bit b, low bits, col)
-    half = 0.5 * angles.reshape(-1, 1 << b, 1)
-    if kind == RZ:
-        t[:, 0] *= np.exp(-1j * half)
-        t[:, 1] *= np.exp(1j * half)
-        return
-    cos, sin = np.cos(half), np.sin(half)
-    top = t[:, 0].copy()
-    t[:, 0] = cos * top - sin * t[:, 1]
-    t[:, 1] = sin * top + cos * t[:, 1]
+    lead = work.shape[:-2]
+    t = work.reshape(lead + (-1, 2, 1 << b, work.shape[-1]))   # (high bits, bit b, low bits, col)
+    m = mats.reshape(lead + (-1, 1 << b, 4, 1))
+    top, bottom = t[..., 0, :, :], t[..., 1, :, :]
+    new_top = m[..., 0, :] * top + m[..., 1, :] * bottom
+    bottom[...] = m[..., 2, :] * top + m[..., 3, :] * bottom
+    top[...] = new_top
+
+
+# Each single-qubit kind as U angles (alpha, beta, gamma, delta); X's
+# matrix is then set exactly.
+_AS_U = {
+    U: lambda *a: a,
+    RX: lambda t: (0.0, -0.5 * math.pi, t, 0.5 * math.pi),
+    RY: lambda t: (0.0, 0.0, t, 0.0),
+    RZ: lambda t: (0.0, t, 0.0, 0.0),
+    X: lambda: (0.0, 0.0, 0.0, 0.0),
+}
+
+
+def one_qubit_matrices(gates) -> np.ndarray:
+    """The `gate1_matrix` of each single-qubit unitary gate, as one stack
+    from one vectorized e^{i alpha} Rz(beta) Ry(gamma) Rz(delta)."""
+    a = np.array([_AS_U[g.kind](*g.params) for g in gates], dtype=np.float64).reshape(-1, 4)
+    alpha, beta, gamma, delta = a.T
+    cos, sin = np.cos(0.5 * gamma), np.sin(0.5 * gamma)
+    s, d = 0.5 * (beta + delta), 0.5 * (beta - delta)
+    out = np.exp(1j * alpha)[:, None] * np.stack(
+        [np.exp(-1j * s) * cos, -np.exp(-1j * d) * sin, np.exp(1j * d) * sin, np.exp(1j * s) * cos],
+        axis=-1)
+    out = out.reshape(-1, 2, 2)
+    out[[g.kind == X for g in gates]] = X_MATRIX
+    return out
 
 
 def walsh_hadamard(w: np.ndarray) -> np.ndarray:

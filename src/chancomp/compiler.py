@@ -19,9 +19,7 @@ is a 2^n x 2^m isometry on all n qubits.  With m >= n there are
 n + k - m rounds, and each residual is an m-qubit unitary on the
 system; the first m - n system qubits then hold leftover environment,
 which is measured off into registers that are never read.  Each round's
-v^dag, and the residuals, are synthesized by one batched call (the
-column-by-column reduction of thin residuals still takes one matrix at a
-time).
+v^dag, and the residuals, are synthesized by one batched call.
 
 Qubit layout: one reused ancilla at index 0, the m system qubits last.
 A channel with m >= n compiles to exactly m+1 qubits (the ancilla may

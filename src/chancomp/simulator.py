@@ -8,18 +8,18 @@ Kraus operators directly, which is what the compiler's verification
 needs.  Intended for small systems (at most ~8 qubits).
 
 Gates are applied run by run.  A run is a maximal stretch of
-consecutive gates under one condition that act on one target t: RY or
-RZ rotations on t (one axis per run) and CNOTs onto t.  It leaves every
-other bit alone, so for each pattern x of those bits it is a 2x2 matrix
-on t.  The CNOTs seen before rotation i flip t where popcount(x & m_i)
-is odd (m_i is the XOR of their control masks), and X R_a(theta) X =
-R_a(-theta) for a in {Y, Z}; rotations of one axis commute.  So the run
-is exactly the rotation by phi(x) = sum_i (-1)^popcount(x & m_i) theta_i,
-a Walsh-Hadamard transform of the angles summed per mask, followed by a
-swap of the pair wherever popcount(x & m_end) is odd.  That is one block
-update per run (`circuit.rotate_pairs`, the synthesizer's kernel) and at
-most one row permutation.  The Gray-code multiplexors the synthesizer
-emits are each one run.  Other unitary gates are applied one by one.
+consecutive unitary gates under one condition that act on one target t:
+single-qubit gates on t and CNOTs onto t.  It leaves every other bit
+alone, so for each pattern x of those bits it is a 2x2 matrix on t, which
+the run turns into one pair update per branch (`circuit.update_pairs`,
+the synthesizer's kernel).  The CNOTs between two gates flip t where
+popcount(x & f) is odd, f the XOR of their control masks, so the
+product depends on x only through those parities: a pairwise reduction
+over the run's gates (`_run_product`) keeps one matrix per block and
+assignment of the bits its flips read, a few batched products in all.
+The matrices of all single-qubit gates come from one vectorized call.
+A run of CNOTs alone is a row permutation.  Every uniformly controlled
+gate and Gray-code multiplexor the synthesizer emits is one run.
 """
 
 from __future__ import annotations
@@ -32,22 +32,21 @@ import numpy as np
 from .circuit import (
     CNOT,
     MEASURE,
+    OPERANDS,
     RESET,
-    RY,
-    RZ,
-    TRACE,
     UNITARY_KINDS,
     X,
     Circuit,
     Gate,
     apply_unitary_gate,
-    rotate_pairs,
-    walsh_hadamard,
+    one_qubit_matrices,
+    update_pairs,
 )
 from .channel import KrausSet
 from .linalg import MAX_DENSE_ENTRIES, MAX_DENSE_QUBITS
 
 _PRUNE_NORM = 1e-12
+_ONE_QUBIT = frozenset(kind for kind in UNITARY_KINDS if OPERANDS[kind][0] == 1)
 
 
 @dataclass(frozen=True)
@@ -132,68 +131,147 @@ def _parity(p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Run:
-    """A fused run (see the module docstring), ready to apply: `angles`
-    (None without rotations) in `rotate_pairs` pattern order, and the
-    row permutation of the final swap (None when m_end is 0)."""
+    """A fused run (see the module docstring), ready to apply: `mats`
+    holds one 2x2 matrix per pattern in `update_pairs` order; a run of
+    CNOTs alone is the row permutation `perm` instead."""
 
     condition: tuple | None
-    kind: str | None
-    b: int                      # significance of the target bit
-    angles: np.ndarray | None
+    target: int
+    mats: np.ndarray | None
     perm: np.ndarray | None
     qubits: tuple[int, ...]     # every qubit a gate of the run acts on
 
 
-def _make_run(p, target, condition, kind, masks, thetas, m_end, touched) -> _Run:
+@lru_cache(maxsize=4096)
+def _run_plan(flips: tuple[int, ...], lead: int, end: int, npat: int):
+    """What `_run_product` needs of a run's flip masks, which depend on
+    its gate sequence alone: per level of the pairwise reduction (pad,
+    odd), then the pattern index of the result and the patterns whose
+    first gate sees the `lead` flip and whose product the `end` flip (None
+    for no flip), on npat pattern bits.
+
+    A block's product depends only on the bits of the flips inside it, so
+    a level keeps one matrix per block and assignment of the union of
+    those bits, the bits before the level being the low part of the
+    assignment: a uniformly controlled gate's run, with its Gray-code
+    flips, takes 2^c products a level.  odd[i, new, old] says whether the
+    flip between the blocks of pair i is X under that assignment."""
+    par = _parity(npat)
+    bits: list[int] = []
+    levels = []
+    flips = list(flips)
+    while flips:
+        pad = len(flips) % 2 == 0   # an even number of flips: an odd number of blocks
+        if pad:
+            flips.append(0)
+        inner = flips[0::2]
+        union = 0
+        for f in inner:
+            union |= f
+        width = 1 << len(bits)
+        bits += [i for i in range(npat) if (union >> i) & 1 and i not in bits]
+        tau = np.arange(1 << len(bits))
+        mask = np.zeros_like(tau)
+        for k, i in enumerate(bits):
+            mask |= ((tau >> k) & 1) << i
+        odd = par[mask & np.array(inner)[:, None]]
+        levels.append((pad, odd.reshape(len(inner), -1, width, 1, 1)))
+        flips = flips[1::2]
+    x = np.arange(1 << npat)
+    index = np.zeros_like(x)
+    for k, i in enumerate(bits):
+        index |= ((x >> i) & 1) << k
+    lead = par[x & lead][:, None, None] if lead else None
+    end = par[x & end][:, None, None] if end else None
+    for a in [index, lead, end] + [odd for _, odd in levels]:
+        if a is not None:
+            a.flags.writeable = False
+    return levels, index, lead, end
+
+
+def _matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of 2x2 matrices, as column-times-row outer
+    products: three ufunc calls, where numpy's matmul takes about as long
+    per 2x2 core as a whole ufunc call."""
+    return a[..., :, 0:1] * b[..., 0:1, :] + a[..., :, 1:2] * b[..., 1:2, :]
+
+
+def _run_product(mats: np.ndarray, plan) -> np.ndarray:
+    """Per pattern x, X^(end) mats[r-1] X^(f_{r-2}) ... X^(f_0) mats[0] X^(lead),
+    where X^(f) is X if popcount(x & f) is odd and I if not (`_run_plan`):
+    a pairwise reduction, one batched product per level."""
+    levels, index, lead, end = plan
+    blocks = mats[:, None]               # (block, assignment, 2, 2)
+    for pad, odd in levels:
+        if pad:
+            blocks = np.concatenate([blocks, np.broadcast_to(np.eye(2), (1,) + blocks.shape[1:])])
+        first = blocks[0::2, None]
+        both = _matmul2(blocks[1::2, None], np.where(odd, first[..., ::-1, :], first))
+        blocks = both.reshape(len(both), -1, 2, 2)
+    out = blocks[0][index]
+    if lead is not None:
+        out = np.where(lead, out[..., ::-1], out)
+    return out if end is None else np.where(end, out[:, ::-1], out)
+
+
+def _make_run(p: int, spec: list, mats: np.ndarray) -> _Run:
+    """The _Run of spec = [target, condition, single-qubit gates, masks,
+    m_end, touched], where masks[i] is the XOR of the control masks of the
+    run's CNOTs before gate i, m_end that of all of them, and mats the
+    gates' matrices."""
+    target, condition, gates, masks, m_end, touched = spec
     b = p - 1 - target
-    angles = perm = None
-    if thetas:
-        m = np.array(masks)
-        pattern = ((m >> (b + 1)) << b) | (m & ((1 << b) - 1))   # drop bit b
-        angles = walsh_hadamard(np.bincount(pattern, weights=thetas, minlength=1 << (p - 1)))
-    if m_end:
+    qubits = tuple(q for q in range(p) if (touched >> (p - 1 - q)) & 1)
+    if not gates:
         rows = np.arange(1 << p)
         perm = np.where(_parity(p)[rows & m_end], rows ^ (1 << b), rows)
-    qubits = tuple(q for q in range(p) if (touched >> (p - 1 - q)) & 1)
-    return _Run(condition, kind, b, angles, perm, qubits)
+        return _Run(condition, target, None, perm, qubits)
+    low = (1 << b) - 1
+    m = [((x >> (b + 1)) << b) | (x & low) for x in masks + [m_end]]   # drop bit b
+    flips = tuple(f ^ g for f, g in zip(m[1:-1], m[:-2]))
+    out = _run_product(mats, _run_plan(flips, m[0], m[-1] ^ m[-2], p - 1))
+    return _Run(condition, target, out, None, qubits)
 
 
-def _fused_gates(c: Circuit):
+def _fused_gates(c: Circuit) -> list:
     """The gates of c in order, with every run fused into one _Run.
 
-    Row masks: qubit q is bit p - 1 - q of a row index.  `mask` is the
-    XOR of the control masks of the CNOTs seen so far in the run;
-    `touched` ORs in every qubit the run acts on."""
+    Row masks: qubit q is bit p - 1 - q of a row index.  A run's spec
+    collects its single-qubit gates, the XOR of the control masks of the
+    CNOTs seen before each, and every qubit it acts on.  The matrices of
+    all the runs' single-qubit gates come from one call."""
     p = c.num_qubits
-    target = None
+    out, specs = [], []
+    spec = None
     for g in c.gates:
         kind, qs = g.kind, g.qubits
         if kind == CNOT:
             t = qs[1]
-        elif kind == RY or kind == RZ:
+        elif kind in _ONE_QUBIT:
             t = qs[0]
         else:
-            if target is not None:
-                yield _make_run(p, target, cond, axis, masks, thetas, mask, touched)
-                target = None
-            yield g
+            spec = None
+            out.append(g)
             continue
-        gc = g.condition or None
-        if t != target or gc != cond or (kind != CNOT and axis is not None and kind != axis):
-            if target is not None:
-                yield _make_run(p, target, cond, axis, masks, thetas, mask, touched)
-            target, cond, axis, masks, thetas = t, gc, None, [], []
-            mask, touched = 0, 1 << (p - 1 - t)
+        cond = g.condition or None
+        if spec is None or t != spec[0] or cond != spec[1]:
+            spec = [t, cond, [], [], 0, 1 << (p - 1 - t)]
+            specs.append(spec)
+            out.append(spec)
         if kind == CNOT:
             bit = 1 << (p - 1 - qs[0])
-            mask ^= bit
-            touched |= bit
+            spec[4] ^= bit
+            spec[5] |= bit
         else:
-            axis = kind
-            masks.append(mask)
-            thetas.append(g.params[0])
-    if target is not None:
-        yield _make_run(p, target, cond, axis, masks, thetas, mask, touched)
+            spec[2].append(g)
+            spec[3].append(spec[4])
+    mats = one_qubit_matrices([g for s in specs for g in s[2]])
+    runs, k = [], 0
+    for s in specs:
+        runs.append(_make_run(p, s, mats[k:k + len(s[2])]))
+        k += len(s[2])
+    runs = iter(runs)
+    return [next(runs) if type(x) is list else x for x in out]
 
 
 def _walk_branches(c: Circuit) -> list[_Branch]:
@@ -205,10 +283,10 @@ def _walk_branches(c: Circuit) -> list[_Branch]:
             for br in branches:
                 if _fires(g, br.regs):
                     # branch matrices are never shared, so updating in place is safe
-                    if g.angles is not None:
-                        rotate_pairs(br.mat, g.kind, g.b, g.angles)
                     if g.perm is not None:
                         br.mat = br.mat[g.perm]
+                    else:
+                        update_pairs(br.mat, p - 1 - g.target, g.mats)
                     if br.fresh_meas:
                         for q in g.qubits:
                             br.fresh_meas.pop(q, None)
@@ -235,15 +313,9 @@ def _walk_branches(c: Circuit) -> list[_Branch]:
                 if br.fresh_meas[q] == 1:
                     br.mat = apply_unitary_gate(br.mat, Gate(X, (q,)), p)
                 del br.fresh_meas[q]
-        elif g.kind == TRACE:
+        else:   # TRACE
             for br in branches:
                 br.fresh_meas.pop(g.qubits[0], None)
-        else:
-            for br in branches:
-                if _fires(g, br.regs):
-                    br.mat = apply_unitary_gate(br.mat, g, p)
-                    for q in g.qubits:
-                        br.fresh_meas.pop(q, None)
     branches.sort(key=lambda br: br.outcome)
     return branches
 

@@ -16,34 +16,47 @@ Two constructions, chosen from the shape of the isometry alone:
   schur) would add its import time to every CLI compile.
 * Every other shape goes column by column (Iten et al., arXiv:1501.06911):
   for column j the reduction walks the target qubits from least to most
-  significant, each step using a multiplexed Rz (phase alignment)
-  followed by a multiplexed Ry (mass concentration).  A step's
-  multiplexors are controlled only by the qubits that tell its active
-  patterns apart from one another and from the patterns holding rows
-  of already-reduced columns, whose angles are zero; for column 0 that
-  is Moettoenen state preparation (arXiv:quant-ph/0407010), 2^(p+1) - 4
-  CNOTs.  A final diagonal on the input qubits cancels the per-column
-  phases, so an isometry of two or more columns is reproduced exactly,
-  global phase included.  A single column (state preparation) skips
-  the diagonal and is reproduced up to a global phase.
+  significant, each step one uniformly controlled single-qubit gate that
+  moves the mass of every active pair onto the bit of j.  The gate is
+  built up to a diagonal by demultiplexing one control at a time
+  (Bergholm et al., arXiv:quant-ph/0410066): 2^c - 1 CNOTs and 2^c U
+  gates for c controls (`_ucg`).  The diagonal only rephases rows, so the
+  reduction applies the step's actual matrix to its working copy and
+  goes on.  A step is controlled only by the qubits that tell its active
+  patterns apart from one another and from the patterns holding rows of
+  already-reduced columns, where its gate is the identity.  A final
+  diagonal on the input qubits cancels the per-column phases, so an
+  isometry of two or more columns is reproduced exactly, global phase
+  included.  A single column (state preparation) skips the diagonal and
+  is reproduced up to a global phase.
 
-Both keep rotations whose angle happens to be zero, so the set of
-emitted gates depends only on the matrix dimensions, never on its
-entries.  That makes CNOT counts input-independent (`n_iso`), which the
-channel compiler relies on for uniform per-branch costs.
+Both keep gates whose angles happen to be zero, so the set of emitted
+gates depends only on the matrix dimensions, never on its entries.
+That makes CNOT counts input-independent (`n_iso`), which the channel
+compiler relies on for uniform per-branch costs.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .circuit import CNOT, RY, RZ, U, Circuit, Gate, rotate_pairs, rz_matrix, walsh_hadamard
+from .circuit import CNOT, RY, RZ, U, Circuit, Gate, rz_matrix, update_pairs, walsh_hadamard
 from .linalg import canonical_phases, is_isometry, qr_rectangular
 
 _ZERO_AMP = 1e-12
+_ULP = np.finfo(np.float64).eps
 _SQRT_HALF = 0.5**0.5
+# The second entry of the vector (1, e^{-i}) whose projection gives each
+# eigenvector in `_ucg`: the projection's inner product with it is real
+# and positive, the phase `canonical_phases` picks.
+_Q1 = cmath.exp(-1j)
+_EIGHTH = cmath.exp(-0.25j * math.pi)   # D[0]^*, for D of `_ucg`
+_H = _SQRT_HALF * np.array([[1.0, 1.0], [1.0, -1.0]])
+_RZ_H = rz_matrix(-0.5 * np.pi) @ _H
 
 
 def _gray_code_angles(angles: np.ndarray) -> list[float]:
@@ -148,24 +161,28 @@ def _active_mask(j: int, b: int, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _step_controls(j: int, b: int, p: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """(controls, index, rep) of the multiplexors that reduce column j at
-    target bit b.
+def _step_controls(j: int, b: int, p: int):
+    """(controls, index, rows, live) of the uniformly controlled gate that
+    reduces column j at target bit b, or None when no pattern is active.
 
     The controls are the qubits whose values tell the active patterns
     (`_active_mask`) apart from one another and from the protected ones,
     whose pair touches a reduced row below j.  Starting from the bits above
     b and the bits below b that are 1 in j, which always separate, each
     bit is dropped in turn, least significant first, while the separation
-    still holds.  index[s] is the control pattern of the full pattern s,
-    and rep[t] the full pattern whose angle control pattern t carries: its
-    active pattern where it has one.  The other patterns (no amplitude in
-    column j, no reduced row) are don't-cares.
+    still holds.  index[s] is the control pattern of the full pattern s.
+    Control pattern t takes its matrix from one full pattern: its active
+    pattern where it has one, else its first; rows[:, t] holds that
+    pattern's row pair and live[t] whether it is active.  The other
+    patterns (no amplitude in column j, no reduced row) are don't-cares.
     """
     active = _active_mask(j, b, p)
+    if not active.any():
+        return None
     low_mask = (1 << b) - 1
     s = np.arange(1 << (p - 1))
-    protected = (((s >> b) << (b + 1)) | (s & low_mask)) < j
+    row0 = ((s >> b) << (b + 1)) | (s & low_mask)
+    protected = row0 < j
 
     own, others = s[active].tolist(), s[protected].tolist()
 
@@ -185,8 +202,11 @@ def _step_controls(j: int, b: int, p: int) -> tuple[tuple[int, ...], np.ndarray,
         index = (index << 1) | ((s >> i) & 1)
     rep = np.unique(index, return_index=True)[1]   # the first pattern of each
     rep[index[active]] = s[active]
-    index.flags.writeable = rep.flags.writeable = False
-    return controls, index, rep
+    rows = np.stack([row0[rep], row0[rep] | (1 << b)])
+    live = active[rep]
+    for x in (index, rows, live):
+        x.flags.writeable = False
+    return controls, index, rows, live
 
 
 def _diag_gates(lams, qubits) -> list[Gate]:
@@ -204,67 +224,186 @@ def _diag_gates(lams, qubits) -> list[Gate]:
     return _diag_gates(means, qubits[:-1]) + mux[::-1]
 
 
-def _reduction_segments(v: np.ndarray):
-    """Per-column steps of the reduction, the final diagonal's phases and
-    the reduced working copy.
+def _su2(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The special unitaries [[alpha, -conj(beta)], [beta, conj(alpha)]]."""
+    g = np.stack([alpha, -beta.conj(), beta, alpha.conj()], axis=-1)
+    return g.reshape(alpha.shape + (2, 2))
 
-    A step (kind, target, controls, angles) gives the target qubit
-    R_kind(angles[t]) where the controls (high to low) read t, and the
-    qubits outside them do not matter (`_step_controls`).  The steps in
-    order, then diag(e^{i lams}) on the first rows (None for one column),
-    map v to [I; 0] exactly.  Each step is one block update of the working
-    copy (rotate_pairs), its angles read off the column pairs in bulk.
-    """
-    rows, cols = v.shape
+
+def _concentrators(col: np.ndarray, rows: np.ndarray, jb: int, live: np.ndarray):
+    """(alpha, beta) of one special unitary (`_su2`) per control pattern for
+    each column in the stack col, with the row pairs (a0, a1) `rows` of
+    `_step_controls`: for a live pattern with mass, the one that moves its
+    pair onto bit value jb with a real positive entry; the identity
+    elsewhere."""
+    a0, a1 = col[:, rows].transpose(1, 0, 2)
+    norm = np.hypot(np.abs(a0), np.abs(a1))
+    use = live & (norm >= _ZERO_AMP)
+    scale = np.divide(1.0, norm, out=np.zeros_like(norm), where=use)
+    if jb:
+        alpha, beta = a1 * scale, a0.conj() * scale
+    else:
+        alpha, beta = a0.conj() * scale, -a1 * scale
+    return np.where(use, alpha, 1.0), beta
+
+
+def _ucg(alpha: list, beta: list) -> tuple[list, list]:
+    """The uniformly controlled gate g[t] = _su2(alpha[t], beta[t]) (2^c
+    control patterns t, controls[0] most significant) up to a diagonal
+    (Bergholm et al., arXiv:quant-ph/0410066; Iten et al.,
+    arXiv:1501.06911): alpha and beta become, in place, those of leaves w,
+    and (lam0, lam1) is returned, such that H w[0], CNOT, H w[1] Rz(-pi/2) H,
+    CNOT, ..., w[2^c - 1] Rz(-pi/2) H (H on the left of every leaf but the
+    last, Rz(-pi/2) H on the right of every leaf but the first, between
+    the CNOTs of `multiplexed_rotation` less its last) gives
+    diag(lam0[t], lam1[t]) g[t] under pattern t: 2^c - 1 CNOTs.
+
+    Level l demultiplexes control l of every node (a run of patterns that
+    agree on the controls above l): its halves (a, b) become
+    (d a e, b) = (z D w, z D^dag w) with D = diag(e^{i pi/4}, e^{-i pi/4}),
+    w and z the node's children.  The middle gate D + D^dag is
+    exp(i pi/4 Z_l Z_t): the CNOT from control l, H before and H,
+    Rz(-pi/2) after it on the target, and diag(1, -i) on the control,
+    which commutes to the end.  The left diagonal d makes d a e b^dag
+    traceless, so that its eigenvalues are +-i: d0 = i conj(x) / |x| for
+    its corner x, or 1 where x vanishes, and d1 fixes the determinant.
+    The next node of the level takes over conj(d) as its e, so the carry
+    runs along the nodes; the last node's d, and the controls' phases,
+    are what lam collects.  z's first column is the projection of
+    (1, e^{-i}) onto the +i eigenvector.  Every gate stays in SU(2), so
+    the work is scalar: one (alpha, beta) pair per gate, in Python
+    complex numbers."""
+    n = len(alpha)
+    last = []   # per level, the last node's (d0, d1) of each pair
+    q1, iq1, eighth, eighth_c = _Q1, 1j * _Q1, _EIGHTH, _EIGHTH.conjugate()
+    half = n >> 1
+    while half:
+        span = 2 * half
+        ds = []
+        last.append(ds)
+        for s in range(half):
+            e0 = e1 = 1.0
+            for i in range(s, n, span):
+                j = i + half
+                a0, a1, b0, b1 = alpha[i], beta[i], alpha[j].conjugate(), beta[j]
+                x = a0 * b0 * e0 + a1.conjugate() * b1 * e1   # (a e b^dag)[0, 0]
+                r = abs(x)
+                if r >= _ZERO_AMP:   # then d a e b^dag has the corner i r
+                    f0, u0, u1 = x * -1j / r, r, -r
+                else:                # any d0 serves, and the corner is x
+                    f0, u0, u1 = 1.0, -1j * x, -1j * x.conjugate()
+                c0 = f0.conjugate()
+                a0 *= c0 * e0     # d a e with d = conj(f), still in SU(2)
+                a1 *= f0 * e1.conjugate()
+                e0, e1 = f0, e0 * e1 * c0
+                # y = d a e b^dag has the first column (i u0, y1); v = q - i y q
+                y1 = a1 * b0 - a0.conjugate() * b1
+                v0 = (1.0 + u0) + iq1 * y1.conjugate()
+                v1 = q1 * (1.0 + u1) - 1j * y1
+                norm = math.hypot(abs(v0), abs(v1))
+                v0, v1 = v0 / norm, v1 / norm
+                alpha[i] = eighth * (v0.conjugate() * a0 + v1.conjugate() * a1)
+                beta[i] = eighth_c * (v0 * a1 - v1 * a0)
+                alpha[j], beta[j] = v0, v1
+            ds.append((e0.conjugate(), e1.conjugate()))
+        half >>= 1
+    # lam[t] multiplies, over the levels l, the last node's d of the pair
+    # t's low bits select where t's bit l is 0, and where it is 1 the
+    # controls' diag(1, -i) of the 2^l CNOTs on control l, undone
+    lam0 = lam1 = [1.0]
+    for level in reversed(range(len(last))):
+        ph = (1j, -1.0)[level] if level < 2 else 1.0
+        d0, d1 = zip(*last[level])
+        lam0 = [d * x for d, x in zip(d0, lam0)] + [ph * x for x in lam0]
+        lam1 = [d * x for d, x in zip(d1, lam1)] + [ph * x for x in lam1]
+    return lam0, lam1
+
+
+def _emitted_leaves(alpha: np.ndarray, beta: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """The U gate matrices that run `_ucg` circuits backwards, from
+    (alpha, beta) of the leaves of consecutive steps of `sizes` leaves,
+    each step's leaves reversed.  The leaf at reversed position k of a
+    step of n leaves had H folded in on its left unless k = 0 and
+    Rz(-pi/2) H on its right unless k = n - 1; its gate is the adjoint."""
+    pos = np.concatenate([np.arange(n) for n in [0] + sizes])[:, None, None]
+    last = np.repeat(sizes, sizes)[:, None, None] - 1
+    w = _su2(alpha, beta)
+    r0, r1 = w[..., 0, :], w[..., 1, :]
+    w = np.where(pos > 0, _SQRT_HALF * np.stack([r0 + r1, r0 - r1], axis=-2), w)
+    c0, c1 = w[..., :, 0] * _EIGHTH.conjugate(), w[..., :, 1] * _EIGHTH
+    w = np.where(pos < last, _SQRT_HALF * np.stack([c0 + c1, c0 - c1], axis=-1), w)
+    return _dagger(w)
+
+
+def _reduction_segments(v: np.ndarray):
+    """Per-column steps of the reduction of each isometry in the stack v,
+    the final diagonal's phases and the reduced working copies.
+
+    A step (target, controls, alpha, beta) is the `_ucg` circuit, with its
+    leaves' (alpha, beta) for each isometry, of the special unitaries that
+    concentrate column j of every active pattern onto bit b of j
+    (`_concentrators`); the qubits outside the controls do not matter
+    (`_step_controls`).  The steps in order, then diag(e^{i lams}) on the
+    first rows (None for one column), map v to [I; 0] exactly.  Each step
+    is one pair update of the working copies by the matrix its circuit
+    gives each pattern, diag(lam) g: the diagonal only rephases rows, and
+    the final one absorbs the phases."""
+    n_mat, rows, cols = v.shape
     p = rows.bit_length() - 1
     work = v.astype(np.complex128)   # a fresh copy
+    # An imaginary part within round-off of the unit columns is round-off:
+    # the leftover diagonals carry rounding from step to step, so a real
+    # input decomposes as itself whatever the sign of that round-off.
+    work.imag[np.abs(work.imag) <= _ULP] = 0.0
     segments = []
     for j in range(cols):
         seg = []
         for b in range(p):
-            active = _active_mask(j, b, p)
-            if not active.any():
+            step = _step_controls(j, b, p)
+            if step is None:
                 continue
-            controls, index, rep = _step_controls(j, b, p)
-            target = p - 1 - b
-            col = work[:, j].reshape(-1, 2, 1 << b)
-            # phase alignment within each active pair
-            a0, a1 = col[:, 0].reshape(-1), col[:, 1].reshape(-1)
-            both = active & (np.minimum(np.abs(a0), np.abs(a1)) >= _ZERO_AMP)
-            rz = np.where(both, _phase(a0 * a1.conj()), 0.0)[rep]
-            seg.append((RZ, target, controls, rz))
-            rotate_pairs(work, RZ, b, rz[index])
-            # rotate mass onto the component matching bit b of j
-            a0, a1 = np.abs(col[:, 0].reshape(-1)), np.abs(col[:, 1].reshape(-1))
-            either = active & (np.maximum(a0, a1) >= _ZERO_AMP)
-            if (j >> b) & 1:
-                ry = np.where(either, 2.0 * np.arctan2(a0, a1), 0.0)[rep]
-            else:
-                ry = np.where(either, -2.0 * np.arctan2(a1, a0), 0.0)[rep]
-            seg.append((RY, target, controls, ry))
-            rotate_pairs(work, RY, b, ry[index])
+            controls, index, rows, live = step
+            alpha, beta = _concentrators(work[:, :, j], rows, (j >> b) & 1, live)
+            leaves = alpha.tolist(), beta.tolist()
+            lam = np.array([_ucg(x, y) for x, y in zip(*leaves)]).transpose(0, 2, 1)
+            update_pairs(work, b, (lam[..., None] * _su2(alpha, beta))[:, index])
+            seg.append((p - 1 - b, controls) + leaves)
         segments.append(seg)
-    lams = -_phase(np.diagonal(work)) if cols >= 2 else None
+    lams = -_phase(np.diagonal(work, axis1=1, axis2=2)) if cols >= 2 else None
     return segments, lams, work
 
 
-def _column_gates(v: np.ndarray, p: int) -> list[Gate]:
-    """The column-by-column reduction run backwards: the inverse diagonal,
-    then each step's inverse from the last step to the first, which is
-    the Gray-code multiplexor for the negated angles.  The diagonal acts
-    on the input qubits alone, since the others start in |0>."""
+def _column_gates(v: np.ndarray, p: int) -> list[list[Gate]]:
+    """The column-by-column reduction of each isometry in the stack v, run
+    backwards: the inverse diagonal, then each step's inverse from the
+    last step to the first, its leaves adjoint and reversed between the
+    same CNOTs (their sequence is a palindrome).  The diagonal acts on the
+    input qubits alone, since the others start in |0>.  One `_u_angles`
+    call serves every leaf of every isometry."""
     segments, lams, _ = _reduction_segments(v)
-    m = v.shape[1].bit_length() - 1
-    gates = [] if lams is None else _diag_gates(lams.tolist(), list(range(p - m, p)))
-    for seg in reversed(segments):
-        for kind, target, controls, angles in reversed(seg):
-            gates += multiplexed_rotation(kind, controls, target, 0.0 - angles)
-    return gates
+    m = v.shape[2].bit_length() - 1
+    steps = [step for seg in reversed(segments) for step in reversed(seg)]
+    alpha = np.array([[x for _, _, a, _ in steps for x in reversed(a[i])] for i in range(len(v))])
+    beta = np.array([[x for _, _, _, b in steps for x in reversed(b[i])] for i in range(len(v))])
+    per = alpha.shape[1]
+    angles = _u_angles(_emitted_leaves(alpha, beta, [1 << len(c) for _, c, _, _ in steps])
+                       .reshape(-1, 2, 2))
+    out = []
+    for i in range(len(v)):
+        gates = [] if lams is None else _diag_gates(lams[i].tolist(), list(range(p - m, p)))
+        it = iter(angles[i * per:(i + 1) * per])
+        for target, controls, _, _ in steps:
+            for cx in _gray_code_cnots(controls, target)[:-1] if controls else ():
+                gates.append(Gate(U, (target,), next(it)))
+                gates.append(cx)
+            gates.append(Gate(U, (target,), next(it)))
+        out.append(gates)
+    return out
 
 
-def _u_gates(u: np.ndarray, q: int) -> list[Gate]:
-    """One U gate on qubit q per 2x2 unitary in the stack u, each equal to
-    its matrix, global phase included.
+def _u_angles(u: np.ndarray) -> list[tuple[float, float, float, float]]:
+    """The U gate angles of each 2x2 unitary in the stack u, each gate
+    equal to its matrix, global phase included.
 
     The angles of `circuit.zyz_decompose`, but every phase is read through
     `_phase` and none is wrapped, so the entries of real inputs, and
@@ -278,8 +417,12 @@ def _u_gates(u: np.ndarray, q: int) -> list[Gate]:
     # at the degenerate points all z-rotation goes into beta; 0.0 - x keeps zeros +0.0
     beta = np.where(diagonal, 0.0 - 2.0 * pa, np.where(antidiagonal, 2.0 * pb, pb - pa))
     delta = np.where(diagonal | antidiagonal, 0.0, 0.0 - pb - pa)
-    return [Gate(U, (q,), angles) for angles in
-            zip(alpha.tolist(), beta.tolist(), gamma.tolist(), delta.tolist())]
+    return list(zip(alpha.tolist(), beta.tolist(), gamma.tolist(), delta.tolist()))
+
+
+def _u_gates(u: np.ndarray, q: int) -> list[Gate]:
+    """One U gate on qubit q per 2x2 unitary in the stack u (`_u_angles`)."""
+    return [Gate(U, (q,), angles) for angles in _u_angles(u)]
 
 
 def _dagger(x: np.ndarray) -> np.ndarray:
@@ -520,18 +663,19 @@ def decompose_isometry(v) -> Circuit:
 def decompose_isometries(v: np.ndarray) -> list[list[Gate]]:
     """The gates of `decompose_isometry` for each isometry in the stack v,
     on qubits 0..p-1: one batched Shannon decomposition where the shape
-    takes it, else the column-by-column reduction of each."""
+    takes it, else one batched column-by-column reduction."""
     rows, cols = v.shape[1:]
     p, mc = rows.bit_length() - 1, cols.bit_length() - 1
     if _uses_qsd(mc, p):
         return _qsd(v, list(range(p)))
-    return [_column_gates(x, p) for x in v]
+    return _column_gates(v, p)
 
 
 def decompose_column_by_column(v) -> Circuit:
     """`decompose_isometry` by the column-by-column reduction, for any shape."""
     v, p, mc = _checked_isometry(v)
-    return Circuit(p, tuple(range(p - mc, p)), tuple(range(p)), tuple(_column_gates(v, p)), 0)
+    gates = _column_gates(v[None], p)[0]
+    return Circuit(p, tuple(range(p - mc, p)), tuple(range(p)), tuple(gates), 0)
 
 
 @lru_cache(maxsize=None)
@@ -542,9 +686,9 @@ def n_iso(m: int, n: int) -> int:
     c(p) = 4 c(p-1) + 3 2^(p-1) with c(2) = 3, that is
     (9 4^p - 24 2^p) / 16 CNOTs, and a round (n = m + 1) takes
     3 c(m) + 2^(m+1).  The column-by-column count is summed over the
-    steps the reduction takes: 2 * 2^c for a step whose multiplexors
-    have c >= 1 controls (`_step_controls`), none for c = 0, then
-    2^m - 2 for the diagonal on the m input qubits."""
+    steps the reduction takes: 2^c - 1 for a step whose uniformly
+    controlled gate has c controls (`_step_controls`), then 2^m - 2 for
+    the diagonal on the m input qubits."""
     if m < 0 or n < m:
         raise ValueError("need 0 <= m <= n")
     if _uses_qsd(m, n):
@@ -553,7 +697,7 @@ def n_iso(m: int, n: int) -> int:
     count = 0
     for j in range(2**m):
         for b in range(n):
-            if _active_mask(j, b, n).any():
-                c = len(_step_controls(j, b, n)[0])
-                count += 2 * 2**c if c else 0
+            step = _step_controls(j, b, n)
+            if step is not None:
+                count += 2 ** len(step[0]) - 1
     return count + (2**m - 2 if m else 0)

@@ -23,6 +23,7 @@ from chancomp.circuit import (
     apply_unitary_gate,
     cnot_count,
     gate1_matrix,
+    one_qubit_matrices,
     parse,
     ry_matrix,
     rz_matrix,
@@ -175,6 +176,16 @@ def dense_gate(g, p):
         return reduce(np.kron, idle) + reduce(np.kron, flip)
     u = gate1_matrix(g)
     return reduce(np.kron, [u if q == g.qubits[0] else eye for q in range(p)])
+
+
+def test_one_qubit_matrices_match_gate1_matrix():
+    gates = [g for g in all_unitary_gates(1) if g.kind != CNOT]
+    assert {g.kind for g in gates} == {RX, RY, RZ, U, X}
+    mats = one_qubit_matrices(gates)
+    for g, m in zip(gates, mats):
+        assert np.max(np.abs(m - gate1_matrix(g))) <= 1e-15, g.kind
+    assert np.array_equal(mats[[g.kind == X for g in gates]][0], X_MAT)
+    assert one_qubit_matrices([]).shape == (0, 2, 2)
 
 
 def all_unitary_gates(p):

@@ -154,22 +154,25 @@ def test_compile_random_rejects_non_list_components(tmp_path, capsys):
 
 
 def test_compile_is_byte_identical_across_blas_thread_counts(tmp_path):
-    src = tmp_path / "ch.json"
-    src.write_text(channel_to_json(random_channel(2, 3, 8, seed=12)))
+    # a measured compile (Shannon decompositions) and a plain dilation
+    # (column by column, one uniformly controlled gate per step)
     src_dir = str(pathlib.Path(chancomp.__file__).resolve().parents[1])
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-        out = tmp_path / f"t{threads}.qcirc"
-        proc = subprocess.run(
-            [sys.executable, "-m", "chancomp.cli", "compile", "--model", "measured",
-             "--in", str(src), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    for model, (m, n, kr) in (("measured", (2, 3, 8)), ("qcm", (1, 4, 8))):
+        src = tmp_path / f"{model}.json"
+        src.write_text(channel_to_json(random_channel(m, n, kr, seed=12)))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+            out = tmp_path / f"{model}{threads}.qcirc"
+            proc = subprocess.run(
+                [sys.executable, "-m", "chancomp.cli", "compile", "--model", model,
+                 "--in", str(src), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], model
 
 
 def test_size_cap(tmp_path):

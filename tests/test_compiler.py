@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chancomp.bounds import table1
 from chancomp.channel import KrausSet, random_channel, stinespring_isometry
 from chancomp.circuit import CNOT, MEASURE, TRACE, cnot_count
 from chancomp.compiler import (
@@ -210,6 +211,19 @@ def test_batched_residuals_match_one_by_one(kr):
         assert err <= 1e-14
 
 
+@pytest.mark.parametrize("m,n,kr", [(1, 4, 8), (1, 3, 4), (2, 4, 4)])
+def test_batched_thin_residuals_match_one_by_one(m, n, kr):
+    # the column-by-column residuals take one batched reduction; its
+    # numpy steps are elementwise and its gates scalar, so each gate list
+    # is decompose_isometry's for that residual alone, bit for bit
+    plan = plan_measured(random_channel(m, n, kr, seed=80 + kr))
+    finals = np.stack(list(plan.finals.values()))
+    batched = decompose_isometries(finals)
+    assert len(batched) == len(finals) > 1
+    for gates, v in zip(batched, finals):
+        assert gates == list(decompose_isometry(v).gates)
+
+
 def _simd_targets() -> list[str]:
     try:
         from numpy._core import _multiarray_umath as umath
@@ -289,7 +303,7 @@ def test_round_cnots_values():
 
 
 def test_predict_upper_bound_cases():
-    assert predict_upper_bound(1, 2, 1) == round_cnots(1) + n_iso(1, 2) == 13
+    assert predict_upper_bound(1, 2, 1) == round_cnots(1) + n_iso(1, 2) == 4   # T12's count
     assert predict_upper_bound(2, 2, 0) == n_iso(2, 2)
     assert predict_upper_bound(2, 1, 2) == round_cnots(2) + n_iso(2, 2) == 9
     assert predict_upper_bound(2, 1, 1) == n_iso(2, 2)  # n+k = m
@@ -304,6 +318,13 @@ def test_predict_upper_bound_rejects_impossible_shapes(m, n, k, least):
     # a channel from m to n qubits has Kraus rank >= 2^(m-n), so k >= m - n
     with pytest.raises(ValueError, match=f"needs k >= {least}, got {k}"):
         predict_upper_bound(m, n, k)
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (1, 4), (2, 4)])
+def test_thin_predictions_are_within_the_leading_order_bound(m, n):
+    # every Kraus rank a channel can have: k = 0 .. m + n
+    for k in range(m + n + 1):
+        assert predict_upper_bound(m, n, k) <= table1(m, n).ub_asymptotic_measured, k
 
 
 def test_plan_isometry_channel_has_no_rounds():

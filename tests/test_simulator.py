@@ -331,9 +331,9 @@ _ANGLES = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False, allow_
 @st.composite
 def run_circuits(draw):
     """Measured circuits made of same-target runs: rotations that switch
-    axis, CNOTs with repeated (cancelling) controls, CNOT-only runs, runs
-    broken by U/RX/X, changes of condition on one target, measure/reset
-    pairs and mid-circuit traces."""
+    axis, runs that mix U, RX, RY, RZ and X, CNOTs with repeated
+    (cancelling) controls, CNOT-only runs, lone gates, changes of
+    condition on one target, measure/reset pairs and mid-circuit traces."""
     p = draw(st.integers(1, 6))
     nregs = draw(st.integers(0, 3))
     live = list(range(p))
@@ -353,13 +353,16 @@ def run_circuits(draw):
                 target = draw(st.sampled_from(live))
             cond = condition()
             controls = [q for q in live if q != target]
-            axes = [RY, RZ, CNOT, CNOT] if controls else [RY, RZ]
+            axes = draw(st.sampled_from([[RY, RZ], [U, RX, RY, RZ, X]]))
+            axes = axes + [CNOT] * len(axes) if controls else axes
             for kind in draw(st.lists(st.sampled_from(axes), min_size=1, max_size=12)):
                 if kind == CNOT:
                     gates.append(Gate(CNOT, (draw(st.sampled_from(controls)), target),
                                       condition=cond))
                 else:
-                    gates.append(Gate(kind, (target,), (draw(_ANGLES),), condition=cond))
+                    n = {U: 4, X: 0}.get(kind, 1)
+                    gates.append(Gate(kind, (target,), tuple(draw(_ANGLES) for _ in range(n)),
+                                      condition=cond))
         elif block == "lone":
             kind = draw(st.sampled_from([U, RX, X]))
             n = {U: 4, X: 0}.get(kind, 1)
@@ -394,7 +397,11 @@ def test_fused_runs_match_gate_by_gate_on_compiled_circuits(seed):
 
 
 def test_runs_leave_only_lone_gates_to_the_gate_kernel(monkeypatch):
+    # every unitary gate belongs to a run, a lone one to a run of one gate,
+    # so none reaches the gate kernel; only RESET's X does
     circ = compile_qcm(random_channel(1, 3, 2, seed=4))
+    measured = standard_passes(compile_measured(random_channel(1, 2, 4, seed=4)))
+    assert any(g.kind == U for g in circ.gates) and any(g.kind == RESET for g in measured.gates)
     calls = []
 
     def counting(mat, g, p):
@@ -403,7 +410,9 @@ def test_runs_leave_only_lone_gates_to_the_gate_kernel(monkeypatch):
 
     monkeypatch.setattr(simulator, "apply_unitary_gate", counting)
     circuit_to_kraus(circ)
-    assert calls == [g.kind for g in circ.gates if g.kind in (U, RX, X)]
+    assert calls == []
+    circuit_to_kraus(measured)
+    assert set(calls) <= {X}
 
 
 @pytest.mark.parametrize("p", range(1, 9))

@@ -14,9 +14,11 @@ from chancomp.circuit import (
     Gate,
     apply_unitary_gate,
     cnot_count,
+    gate1_matrix,
     ry_matrix,
-    rotate_pairs,
     rz_matrix,
+    update_pairs,
+    zyz_decompose,
 )
 from chancomp.bounds import lb_qcm_isometry
 from chancomp.linalg import qr_rectangular
@@ -143,12 +145,17 @@ def test_decompose_2x2_unitary_zero_cnots():
     assert frob_distance_up_to_phase(simulate_unitary(circ), u) < 1e-10
 
 
+def test_decompose_one_by_one_isometry_is_empty():
+    circ = decompose_isometry(np.array([[1.0]], dtype=complex))
+    assert (circ.num_qubits, circ.gates) == (0, ())
+
+
 def test_decompose_state_prep_of_one():
     circ = decompose_isometry(np.array([[0.0], [1.0]], dtype=complex))
     assert count_cnots(circ) == 0
     got = simulate_unitary(circ)
     assert frob_distance_up_to_phase(got, np.array([[0.0], [1.0]])) < 1e-12
-    assert any(g.kind == RY and abs(abs(g.params[0]) - np.pi) < 1e-12 for g in circ.gates)
+    assert [g.kind for g in circ.gates] == [U] and abs(circ.gates[0].params[2] - np.pi) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -197,30 +204,88 @@ def test_column_by_column_invariant():
         column_by_column_invariant(rows, cols)
 
 
+H_GATE = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+RZ_H = rz_matrix(-0.5 * math.pi) @ H_GATE
+
+
+def step_gates(target, controls, alpha, beta):
+    """A reduction step as it acts, gate by gate: leaf k is the special
+    unitary (alpha[k], beta[k]) with H on its left unless it is the last
+    and Rz(-pi/2) H on its right unless it is the first, and CNOT k
+    (controls[c - 1 - bit], bit the trailing zeros of k + 1) follows it."""
+    n, c = len(alpha), len(controls)
+    gates = []
+    for k, (a, b) in enumerate(zip(alpha, beta)):
+        w = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+        if k < n - 1:
+            w = H_GATE @ w
+        if k > 0:
+            w = w @ RZ_H
+        gates.append(Gate(U, (target,), zyz_decompose(w)))
+        if k < n - 1:
+            bit = ((k + 1) & -(k + 1)).bit_length() - 1
+            gates.append(Gate(CNOT, (controls[c - 1 - bit], target)))
+    return gates
+
+
 def column_by_column_invariant(rows, cols):
     # every step, with its restricted controls, leaves the reduced columns
-    # e_0 .. e_{j-1} where they are, and column j ends as a phase times e_j
+    # e_0 .. e_{j-1} basis vectors up to a phase, and after column j's
+    # steps column j is a phase times e_j
     rng = np.random.default_rng(23 + rows + cols)
     v = random_isometry(rows, cols, rng)
     p = rows.bit_length() - 1
-    segments, lams, reduced = _reduction_segments(v)
+    segments, lams, reduced = _reduction_segments(v[None])
     work = v.copy()
     for j, seg in enumerate(segments):
-        for kind, target, controls, angles in seg:
-            assert target not in controls and len(angles) == 2 ** len(controls)
-            before = work[:, :j].copy()
-            for g in multiplexed_rotation(kind, controls, target, angles):
+        for target, controls, alpha, beta in seg:
+            assert target not in controls and len(alpha[0]) == 2 ** len(controls)
+            before = np.abs(work[:, :j])
+            for g in step_gates(target, controls, alpha[0], beta[0]):
                 work = apply_unitary_gate(work, g, p)
-            assert np.max(np.abs(work[:, :j] - before), initial=0.0) < 1e-12
+            assert np.max(np.abs(np.abs(work[:, :j]) - before), initial=0.0) < 1e-12
         for i in range(j + 1):
             col = work[:, i]
             assert abs(abs(col[i]) - 1.0) < 1e-10
             off = np.delete(col, i)
             assert np.linalg.norm(off) < 1e-10
-    assert np.linalg.norm(work - reduced) < 1e-10
-    done = np.exp(1j * lams) * reduced[:cols]
+    assert np.linalg.norm(work - reduced[0]) < 1e-10
+    done = np.exp(1j * lams[0]) * reduced[0, :cols]
     assert np.linalg.norm(done - np.eye(cols)) < 1e-10
-    assert np.linalg.norm(reduced[cols:]) < 1e-10
+    assert np.linalg.norm(reduced[0, cols:]) < 1e-10
+
+
+def column_path_structured_inputs():
+    """(name, isometry) pairs for the column-by-column shapes whose pairs
+    meet the degenerate cases: basis columns (identity and antidiagonal
+    concentrators, corners that vanish), equal magnitudes and real signs."""
+    rng = np.random.default_rng(131)
+    cases = []
+    for rows, cols in [(4, 1), (4, 2), (8, 2), (16, 4), (32, 2), (64, 4)]:
+        eye = np.eye(rows)
+        hadamard = np.array([[1.0]])
+        for _ in range(rows.bit_length() - 1):
+            hadamard = np.kron(hadamard, np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))
+        cases += [
+            (f"identity{rows}x{cols}", eye[:, :cols]),
+            (f"reversed{rows}x{cols}", eye[:, ::-1][:, :cols]),
+            (f"permutation{rows}x{cols}", eye[:, rng.permutation(rows)][:, :cols]),
+            (f"hadamard{rows}x{cols}", hadamard[:, :cols]),
+            (f"phased{rows}x{cols}",
+             np.exp(0.5j * np.pi * np.arange(rows))[:, None] * hadamard[:, :cols]),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("name,v", column_path_structured_inputs(),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_column_by_column_is_exact_on_structured_inputs(name, v):
+    circ = decompose_isometry(v)
+    rows, cols = v.shape
+    assert count_cnots(circ) == n_iso(cols.bit_length() - 1, rows.bit_length() - 1)
+    got = simulate_unitary(circ)
+    err = frob_distance_up_to_phase(got, v) if cols == 1 else np.linalg.norm(got - v)
+    assert err <= 1e-12, name
 
 
 def test_cost_model_matches_emitted_counts():
@@ -238,7 +303,7 @@ def test_cost_model_matches_emitted_counts():
 def test_cost_model_known_values():
     assert n_iso(1, 1) == 0
     assert n_iso(0, 1) == 0
-    assert n_iso(1, 2) == 12
+    assert n_iso(1, 2) == 3
     assert n_iso(2, 2) == 3
     assert n_iso(2, 3) == 17
     assert n_iso(3, 4) == 88
@@ -246,6 +311,13 @@ def test_cost_model_known_values():
     assert n_iso(2, 2) == lb_qcm_isometry(2, 2)
     for p in range(2, 7):
         assert 16 * n_iso(p, p) == 9 * 4**p - 24 * 2**p
+
+
+def test_cost_model_thin_shapes():
+    # one uniformly controlled gate per column-by-column step: 2^c - 1
+    # CNOTs for c controls
+    want = {(1, 2): 3, (1, 3): 11, (1, 4): 29, (2, 4): 65, (3, 5): 307, (1, 8): 621, (0, 8): 247}
+    assert {mn: n_iso(*mn) for mn in want} == want
 
 
 def test_worst_case_count_equals_plain_count_for_unconditioned():
@@ -265,9 +337,7 @@ def adjoint(g):
         return g
     if g.kind in (RY, RZ):
         return Gate(g.kind, g.qubits, (0.0 - g.params[0],))
-    a, b, gam, d = g.params
-    assert g.kind == U and gam == 0.0 and d == 0.0
-    return Gate(U, g.qubits, (0.0 - a, 0.0 - b, 0.0, 0.0))
+    return Gate(U, g.qubits, zyz_decompose(gate1_matrix(g).conj().T))
 
 
 def direct_gray_angles(angles):
@@ -333,65 +403,98 @@ def fewest_controls(p, others, active, protected):
     raise AssertionError("no control set separates the active rows")
 
 
-def reference_decompose(v):
-    """The reduction written as loops: per-pattern angles from cmath/math,
-    each step's controls from a search over every subset of the other
-    qubits, and every emitted gate applied to the working copy one at a
-    time."""
-    rows, cols = v.shape
+def reference_ucg(g):
+    """The uniformly controlled gate g[t] (2x2 matrices, controls[0] the
+    most significant bit of t) as the leaves of the Bergholm recursion,
+    in loops over dense 2x2 matrices: node by node along each level, the
+    halves (a, b) of a node, the diagonal e carried from the node before,
+    turn into (d a e, b) = (z D w, z D^dag w) with d a e b^dag traceless
+    and of determinant 1."""
+    n = len(g)
+    leaves = [np.array(x, dtype=complex) for x in g]
+    eighth = np.diag(np.exp(0.25j * math.pi * np.array([1, -1])))
+    q = np.array([1.0, cmath.exp(-1j)])
+    half = n // 2
+    while half:
+        for s in range(half):
+            e = np.eye(2)
+            for i in range(s, n, 2 * half):
+                a, b = leaves[i] @ e, leaves[i + half]
+                x = a @ b.conj().T
+                d0 = 1j * np.conj(x[0, 0]) / abs(x[0, 0]) if abs(x[0, 0]) >= 1e-12 else 1.0
+                d = np.diag([d0, 1.0 / (d0 * np.linalg.det(x))])
+                v = (np.eye(2) - 1j * (d @ x)) @ q
+                v /= np.linalg.norm(v)
+                z = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
+                leaves[i], leaves[i + half] = eighth.conj() @ z.conj().T @ d @ a, z
+                e = d.conj()
+        half //= 2
+    if n > 1:
+        leaves = [H_GATE @ leaves[0]] + [H_GATE @ w @ RZ_H for w in leaves[1:-1]] \
+            + [leaves[-1] @ RZ_H]
+    return leaves
+
+
+def dense_products(leaves, controls):
+    """The matrix on the target of leaves[0], CNOT, leaves[1], ... for
+    every control pattern, one pattern at a time."""
+    c, n = len(controls), len(leaves)
+    out = []
+    for t in range(n):
+        acc = np.eye(2)
+        for k, w in enumerate(leaves):
+            acc = w @ acc
+            bit = ((k + 1) & -(k + 1)).bit_length() - 1
+            if k < n - 1 and (t >> bit) & 1:
+                acc = acc[::-1]
+        out.append(acc)
+    return out
+
+
+def reference_step(work, j, b):
+    """(controls, g, leaves) of the reduction step (j, b) on the working
+    copy, written as loops, or None when no pair is active: the controls
+    from a search over every subset of the other qubits, one matrix per
+    control pattern from cmath and math, and the leaves from
+    `reference_ucg`, checked to give g up to a diagonal pattern by
+    pattern."""
+    rows = len(work)
     p = rows.bit_length() - 1
-    work = v.astype(complex)
-    reduction = []
+    target = p - 1 - b
+    others = [q for q in range(p) if q != target]
+    jb = (j >> b) & 1
+    low_j = j & ((1 << b) - 1)
+    pairs, protected = [], []
+    for s in range(1 << (p - 1)):
+        r0 = ((s >> b) << (b + 1)) | (s & ((1 << b) - 1))
+        r1 = r0 | (1 << b)
+        if s & ((1 << b) - 1) == low_j and r0 >= j and r1 >= j:
+            pairs.append((r0, r1))
+        elif r0 < j:   # the pair holds a reduced row
+            protected.append(r0)
+    if not pairs:
+        return None
+    controls = fewest_controls(p, others, [r0 for r0, _ in pairs], protected)
 
-    def emit(gates):
-        nonlocal work
-        for g in gates:
-            reduction.append(g)
-            work = apply_unitary_gate(work, g, p)
+    def pattern(row):
+        t = 0
+        for q in controls:
+            t = (t << 1) | ((row >> (p - 1 - q)) & 1)
+        return t
 
-    for j in range(cols):
-        for b in range(p):
-            target = p - 1 - b
-            others = [q for q in range(p) if q != target]
-            jb = (j >> b) & 1
-            low_j = j & ((1 << b) - 1)
-            pairs, protected = [], []
-            for s in range(1 << (p - 1)):
-                r0 = ((s >> b) << (b + 1)) | (s & ((1 << b) - 1))
-                r1 = r0 | (1 << b)
-                if s & ((1 << b) - 1) == low_j and r0 >= j and r1 >= j:
-                    pairs.append((r0, r1))
-                elif r0 < j:   # the pair holds a reduced row
-                    protected.append(r0)
-            if not pairs:
-                continue
-            controls = fewest_controls(p, others, [r0 for r0, _ in pairs], protected)
-
-            def pattern(row):
-                t = 0
-                for q in controls:
-                    t = (t << 1) | ((row >> (p - 1 - q)) & 1)
-                return t
-
-            rz = [0.0] * (1 << len(controls))
-            for r0, r1 in pairs:
-                a0, a1 = work[r0, j], work[r1, j]
-                if min(abs(a0), abs(a1)) >= 1e-12:
-                    rz[pattern(r0)] = phase(a0 * a1.conjugate())
-            emit(adjoint(g) for g in
-                 reversed(reference_multiplex(RZ, controls, target, [-a for a in rz])))
-            ry = [0.0] * (1 << len(controls))
-            for r0, r1 in pairs:
-                a0, a1 = abs(work[r0, j]), abs(work[r1, j])
-                if max(a0, a1) >= 1e-12:
-                    ry[pattern(r0)] = 2.0 * math.atan2(a0, a1) if jb else -2.0 * math.atan2(a1, a0)
-            emit(adjoint(g) for g in
-                 reversed(reference_multiplex(RY, controls, target, [-a for a in ry])))
-    if cols >= 2:
-        # the rows below cols are the inputs' basis states, the top qubits in |0>
-        m = cols.bit_length() - 1
-        emit(reference_diag([-phase(work[x, x]) for x in range(cols)], list(range(p - m, p))))
-    return [adjoint(g) for g in reversed(reduction)]
+    g = [np.eye(2, dtype=complex) for _ in range(1 << len(controls))]
+    for r0, r1 in pairs:
+        a0, a1 = complex(work[r0, j]), complex(work[r1, j])
+        norm = math.sqrt(abs(a0) ** 2 + abs(a1) ** 2)
+        if norm >= 1e-12:
+            a0, a1 = a0 / norm, a1 / norm
+            g[pattern(r0)] = (np.array([[a1, -a0], [a0.conjugate(), a1.conjugate()]]) if jb
+                              else np.array([[a0.conjugate(), a1.conjugate()], [-a1, a0]]))
+    leaves = reference_ucg(g)
+    for got, want in zip(dense_products(leaves, controls), g):
+        off = got @ want.conj().T
+        assert abs(off[0, 1]) + abs(off[1, 0]) < 1e-12
+    return controls, g, leaves
 
 
 @pytest.mark.parametrize("c", range(8))
@@ -408,8 +511,10 @@ def test_gray_code_angles_match_direct_formula(c):
 @pytest.mark.parametrize("kind", [RY, RZ])
 @pytest.mark.parametrize("p", range(1, 6))
 def test_block_update_matches_gate_by_gate(kind, p):
+    # a multiplexed rotation, as one pair update by its per-pattern matrices
     rng = np.random.default_rng(7 * p + (kind == RY))
     cols = 3
+    rot = ry_matrix if kind == RY else rz_matrix
     for b in range(p):
         target = p - 1 - b
         controls = [q for q in range(p) if q != target]
@@ -422,7 +527,7 @@ def test_block_update_matches_gate_by_gate(kind, p):
             for g in gates:
                 want = apply_unitary_gate(want, g, p)
             got = start.copy()
-            rotate_pairs(got, kind, b, angles)
+            update_pairs(got, b, np.array([rot(a) for a in angles]))
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -430,14 +535,43 @@ def test_block_update_matches_gate_by_gate(kind, p):
     "rows,cols", [(2, 1), (2, 2), (4, 2), (8, 4), (16, 16), (32, 1), (64, 8), (256, 2)]
 )
 def test_decompose_matches_loop_reference(rows, cols):
+    # Step by step on one working copy, which the emitted gates move
+    # along: a step's leaves fix the diagonal it leaves behind, and with
+    # it the phases every later step sees, so two exact decompositions
+    # whose rounding differs drift apart over the columns.
     rng = np.random.default_rng(rows + 3 * cols)
     v = random_isometry(rows, cols, rng)
-    got = decompose_column_by_column(v).gates
-    want = reference_decompose(v)
-    assert [(g.kind, g.qubits, g.condition) for g in got] == \
+    p = rows.bit_length() - 1
+    segments, lams, _ = _reduction_segments(v[None])
+    steps = iter([step for seg in segments for step in seg])
+    work = v.astype(complex)
+    reduction = []
+    for j in range(cols):
+        for b in range(p):
+            ref = reference_step(work, j, b)
+            if ref is None:
+                continue
+            target, controls, alpha, beta = next(steps)
+            assert (target, list(controls)) == (p - 1 - b, ref[0])
+            gates = step_gates(target, controls, alpha[0], beta[0])
+            got = [gate1_matrix(g) for g in gates if g.kind == U]
+            assert max(np.max(np.abs(x - y)) for x, y in zip(got, ref[2])) <= 1e-12
+            for g in gates:
+                work = apply_unitary_gate(work, g, p)
+            reduction += gates
+    assert next(steps, None) is None
+    if cols >= 2:
+        # the rows below cols are the inputs' basis states, the top qubits in |0>
+        want = [-phase(work[x, x]) for x in range(cols)]
+        assert np.max(np.abs(lams[0] - want)) <= 1e-12
+        m = cols.bit_length() - 1
+        reduction += reference_diag(list(lams[0]), list(range(p - m, p)))
+    emitted = decompose_column_by_column(v).gates
+    want = [adjoint(g) for g in reversed(reduction)]
+    assert [(g.kind, g.qubits, g.condition) for g in emitted] == \
         [(g.kind, g.qubits, g.condition) for g in want]
-    err = max((abs(a - b) for g, h in zip(got, want) for a, b in zip(g.params, h.params)),
-              default=0.0)
+    err = max((np.max(np.abs(gate1_matrix(g) - gate1_matrix(h)))
+               for g, h in zip(emitted, want) if g.kind != CNOT), default=0.0)
     assert err <= 1e-12
 
 
