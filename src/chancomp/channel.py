@@ -61,10 +61,6 @@ class KrausSet:
     def K(self) -> int:
         return len(self.ops)
 
-    def apply(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=np.complex128)
-        return sum(a @ rho @ a.conj().T for a in self.ops)
-
 
 @dataclass(frozen=True)
 class ChoiMatrix:
@@ -88,7 +84,10 @@ class ChoiMatrix:
 
 
 def choi_from_kraus(ks: KrausSet) -> ChoiMatrix:
-    """J = sum over Kraus operators of |vec(A)><vec(A)|."""
+    """J = sum over Kraus operators of |vec(A)><vec(A)|, 4^(m+n) entries."""
+    if 2 * (ks.m + ks.n) > MAX_DENSE_QUBITS:
+        raise ValueError(f"the Choi matrix of a channel from {ks.m} to {ks.n} qubits exceeds "
+                         f"the cap of {MAX_DENSE_ENTRIES} dense matrix entries")
     d = 2 ** (ks.m + ks.n)
     j = np.zeros((d, d), dtype=np.complex128)
     for a in ks.ops:

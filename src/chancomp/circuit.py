@@ -253,17 +253,23 @@ _AS_U = {
 }
 
 
-def one_qubit_matrices(gates) -> np.ndarray:
-    """The `gate1_matrix` of each single-qubit unitary gate, as one stack
-    from one vectorized e^{i alpha} Rz(beta) Ry(gamma) Rz(delta)."""
-    a = np.array([_AS_U[g.kind](*g.params) for g in gates], dtype=np.float64).reshape(-1, 4)
-    alpha, beta, gamma, delta = a.T
+def u_matrices(angles: np.ndarray) -> np.ndarray:
+    """`u_matrix` of each row (a, b, g, d) of an (..., 4) angle array, as (..., 2, 2):
+    e^{ia} [[e^{-i(b+d)/2} c, -e^{-i(b-d)/2} s], [e^{i(b-d)/2} s, e^{i(b+d)/2} c]]
+    with c = cos(g/2) and s = sin(g/2)."""
+    alpha, beta, gamma, delta = np.moveaxis(angles, -1, 0)
     cos, sin = np.cos(0.5 * gamma), np.sin(0.5 * gamma)
     s, d = 0.5 * (beta + delta), 0.5 * (beta - delta)
-    out = np.exp(1j * alpha)[:, None] * np.stack(
+    out = np.exp(1j * alpha)[..., None] * np.stack(
         [np.exp(-1j * s) * cos, -np.exp(-1j * d) * sin, np.exp(1j * d) * sin, np.exp(1j * s) * cos],
         axis=-1)
-    out = out.reshape(-1, 2, 2)
+    return out.reshape(angles.shape[:-1] + (2, 2))
+
+
+def one_qubit_matrices(gates) -> np.ndarray:
+    """The `gate1_matrix` of each single-qubit unitary gate, as one stack."""
+    angles = np.array([_AS_U[g.kind](*g.params) for g in gates], dtype=np.float64)
+    out = u_matrices(angles.reshape(-1, 4))
     out[[g.kind == X for g in gates]] = X_MATRIX
     return out
 

@@ -23,7 +23,6 @@ from .channel import (
     is_extreme,
     kraus_rank,
     random_channel,
-    stinespring_isometry,
 )
 from .circuit import MEASURE, Circuit, CircuitParseError, cnot_count, parse, serialize
 from .compiler import (
@@ -37,7 +36,6 @@ from .compiler import (
 from .rewrite import standard_passes
 from .templates import TEMPLATES, fit, instantiate
 
-SIZE_CAP = 8
 VERIFY_TOL = 1e-8
 TEMPLATE_KEYS = {"1to1": "T11", "1to2": "T12", "2to1": "T21", "2to2": "T22"}
 FIT_TOL = {"T11": 1e-6, "T12": 1e-4, "T21": 1e-4, "T22": 1e-4}
@@ -121,13 +119,10 @@ def _load_channel(path: str) -> KrausSet:
     return channel_from_json(pathlib.Path(path).read_text())
 
 
-def _measure_count(circ: Circuit) -> int:
-    return sum(1 for g in circ.gates if g.kind == MEASURE)
-
-
 def _report_line(circ: Circuit, dist: float | None) -> str:
     worst, _ = cnot_count(circ)
-    line = f"qubits={circ.num_qubits} cnots={worst} measurements={_measure_count(circ)}"
+    measures = sum(g.kind == MEASURE for g in circ.gates)
+    line = f"qubits={circ.num_qubits} cnots={worst} measurements={measures}"
     if dist is not None:
         line += f" choi_dist={dist:.3e}"
     return line
@@ -138,11 +133,6 @@ def _cmd_compile(args) -> int:
     if args.model == "random":
         return _compile_random(args, text)
     ks = channel_from_json(text)
-    _, k = stinespring_isometry(ks, force_k=args.k)
-    if ks.m + ks.n + k > SIZE_CAP:
-        print(f"error: m+n+k = {ks.m + ks.n + k} exceeds the supported cap of {SIZE_CAP}",
-              file=sys.stderr)
-        return 1
     compiler = compile_measured if args.model == "measured" else compile_qcm
     circ = compiler(ks, force_k=args.k)
     if not args.no_rewrite:
@@ -179,11 +169,6 @@ def _parse_mixture(text: str) -> ConvexMixture:
 
 def _compile_random(args, text: str) -> int:
     mix = _parse_mixture(text)
-    for _, ks in mix.components:
-        _, k = stinespring_isometry(ks)
-        if ks.m + ks.n + k > SIZE_CAP:
-            print(f"error: component exceeds the m+n+k <= {SIZE_CAP} cap", file=sys.stderr)
-            return 1
     compiled = compile_random_qcm(mix)
     if not args.no_rewrite:
         compiled = [(p, standard_passes(c)) for p, c in compiled]

@@ -44,6 +44,8 @@ from .synth import (
     ry_multiplexor_from_zero,
 )
 
+MAX_COMPILE_QUBITS = 9   # largest m + n + k: the verifier enumerates every branch
+
 
 @dataclass(frozen=True)
 class CompilePlan:
@@ -90,13 +92,27 @@ def _prefixes(depth: int) -> list[str]:
     return [format(j, f"0{depth}b") for j in range(2**depth)] if depth else [""]
 
 
+def _capped(size: int, what: str) -> None:
+    if size > MAX_COMPILE_QUBITS:
+        raise ValueError(f"{what} = {size} exceeds the m+n+k cap of {MAX_COMPILE_QUBITS}")
+
+
+def _dilation(ks: KrausSet, force_k: int | None = None) -> tuple[np.ndarray, int]:
+    """`stinespring_isometry` under the size cap: m + n (plus a forced k)
+    is refused before the Kraus analysis, m + n + k right after it."""
+    _capped(ks.m + ks.n + (force_k or 0), "m+n+k" if force_k else "m+n")
+    v, k = stinespring_isometry(ks, force_k=force_k)
+    _capped(ks.m + ks.n + k, "m+n+k")
+    return v, k
+
+
 def plan_measured(ks: KrausSet, force_k: int | None = None) -> CompilePlan:
     """QR recursion of the stacked dilation into rounds and residuals.
 
     Each round is one batch over its prefixes: QR of every half, then the
     cosine-sine split of every [R_0; R_1], whose left factors go into the
     children.  QR keeps the Gram matrix, so V is the one factor to check."""
-    v, k = stinespring_isometry(ks, force_k=force_k)
+    v, k = _dilation(ks, force_k)
     m, n = ks.m, ks.n
     if not is_isometry(v):
         raise ValueError("the dilation is not an isometry")
@@ -185,7 +201,7 @@ def _dilation_circuit(m: int, n: int, v: np.ndarray, k: int) -> Circuit:
 
 def compile_qcm(ks: KrausSet, force_k: int | None = None) -> Circuit:
     """Plain dilation circuit: synthesize V on n+k qubits, trace out k."""
-    v, k = stinespring_isometry(ks, force_k=force_k)
+    v, k = _dilation(ks, force_k)
     return _dilation_circuit(ks.m, ks.n, v, k)
 
 
@@ -196,7 +212,7 @@ def compile_random_qcm(mix: ConvexMixture) -> list[tuple[float, Circuit]]:
     qubits suffice for each of them; every component is checked before
     any is synthesized.
     """
-    dilations = [stinespring_isometry(ks) for _, ks in mix.components]
+    dilations = [_dilation(ks) for _, ks in mix.components]
     if any(k > mix.m for _, k in dilations):
         raise ValueError("component not implementable in m+n qubits")
     return [(prob, _dilation_circuit(mix.m, mix.n, v, k))

@@ -18,8 +18,8 @@ product depends on x only through those parities: a pairwise reduction
 over the run's gates (`_run_product`) keeps one matrix per block and
 assignment of the bits its flips read, a few batched products in all.
 The matrices of all single-qubit gates come from one vectorized call.
-A run of CNOTs alone is a row permutation.  Every uniformly controlled
-gate and Gray-code multiplexor the synthesizer emits is one run.
+A run of CNOTs alone, and a RESET's X, is a row permutation.  Each
+uniformly controlled gate or Gray-code multiplexor emitted is one run.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ from .circuit import (
     OPERANDS,
     RESET,
     UNITARY_KINDS,
-    X,
     Circuit,
     Gate,
-    apply_unitary_gate,
     one_qubit_matrices,
     update_pairs,
 )
@@ -307,11 +305,12 @@ def _walk_branches(c: Circuit) -> list[_Branch]:
             branches = split
         elif g.kind == RESET:
             q = g.qubits[0]
+            flip = np.arange(1 << p) ^ (1 << (p - 1 - q))   # X on q, as a row permutation
             for br in branches:
                 if q not in br.fresh_meas:
                     raise ValueError("RESET without an immediately preceding MEASURE")
                 if br.fresh_meas[q] == 1:
-                    br.mat = apply_unitary_gate(br.mat, Gate(X, (q,)), p)
+                    br.mat = br.mat[flip]
                 del br.fresh_meas[q]
         else:   # TRACE
             for br in branches:

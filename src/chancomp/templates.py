@@ -25,9 +25,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import KrausSet, choi_from_kraus, kraus_rank
+from .channel import KrausSet, choi_from_kraus, kraus_from_choi
 from .circuit import (
     CNOT, MEASURE, OPERANDS, RESET, RY, RZ, U, X, Circuit, Gate, _cnot_perm, cnot_count,
+    u_matrices,
 )
 from .simulator import _dispose, input_embedding
 
@@ -224,17 +225,10 @@ def _compile(t: Template) -> tuple:
 
 
 def _slot_matrices(params: np.ndarray, slot_index: np.ndarray) -> np.ndarray:
-    """(B, slots, 2, 2) slot matrices for B parameter vectors, from the
-    closed form e^{ia} Rz(b) Ry(g) Rz(d) =
-    [[e^{i(a-(b+d)/2)} c, -e^{i(a-(b-d)/2)} s], [e^{i(a+(b-d)/2)} s, e^{i(a+(b+d)/2)} c]]
-    with c = cos(g/2) and s = sin(g/2)."""
+    """(B, slots, 2, 2) slot matrices for B parameter vectors."""
     angles = np.zeros((len(params), slot_index[-1] // 4 + 1, 4))
     angles.reshape(len(params), -1)[:, slot_index] = params
-    a, b, g, d = np.moveaxis(angles, -1, 0)
-    c, s = np.cos(0.5 * g), np.sin(0.5 * g)
-    phase = np.exp(0.5j * np.stack([2 * a - b - d, 2 * a - b + d, 2 * a + b - d, 2 * a + b + d],
-                                   axis=-1))
-    return (phase * np.stack([c, -s, s, c], axis=-1)).reshape(angles.shape[:2] + (2, 2))
+    return u_matrices(angles)
 
 
 def template_choi(t: Template, params) -> np.ndarray:
@@ -294,18 +288,18 @@ def fit(
     """
     if (target.m, target.n) != (t.m, t.n):
         raise ValueError(f"{t.id} expects a {t.m}->{t.n} channel")
-    if kraus_rank(target) > t.max_rank:
+    choi = choi_from_kraus(target)
+    if kraus_from_choi(choi).K > t.max_rank:
         raise ValueError(f"{t.id} handles Kraus rank <= {t.max_rank}")
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
-    jt = choi_from_kraus(target).j
     dim = reduced_dim(t)
     shift = 0.5 * math.pi * np.eye(dim)
     points = np.vstack([np.zeros(dim), shift, -shift])
 
     def objective(xs):
         js = template_choi(t, expand_reduced(t, xs + points))
-        d = js[0] - jt
+        d = js[0] - choi.j
         slopes = (js[1 : dim + 1] - js[dim + 1 :]).reshape(dim, -1)
         return float(np.vdot(d, d).real), (slopes @ d.conj().reshape(-1)).real
 

@@ -238,6 +238,13 @@ def test_random_channel_size_cap():
     assert random_channel(3, 7, 1, seed=0).K == 1
 
 
+def test_choi_matrix_size_cap():
+    # J has 4^(m+n) entries: m + n = 10 fits the 2^20 cap, 11 is refused unbuilt
+    assert choi_from_kraus(random_channel(5, 5, 1, seed=0)).j.shape == (1024, 1024)
+    with pytest.raises(ValueError, match="Choi matrix of a channel from 5 to 6 qubits .* cap"):
+        choi_from_kraus(random_channel(5, 6, 1, seed=0))
+
+
 def test_kraus_set_rejects_oversized_qubit_counts():
     with pytest.raises(ValueError, match="cap"):
         KrausSet(100_000_000_000, 1, [I2])

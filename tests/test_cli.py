@@ -176,11 +176,46 @@ def test_compile_is_byte_identical_across_blas_thread_counts(tmp_path):
 
 
 def test_size_cap(tmp_path):
-    ks = random_channel(3, 3, 8, seed=3)  # m+n+k = 9
+    ks = random_channel(3, 4, 8, seed=3)  # m+n+k = 10
     src = tmp_path / "big.json"
     src.write_text(channel_to_json(ks))
     out = tmp_path / "c.qcirc"
     assert run(["compile", "--model", "measured", "--in", str(src), "--out", str(out)]) == 1
+
+
+def test_size_cap_refuses_before_the_kraus_analysis(tmp_path, capsys, monkeypatch):
+    import chancomp.channel as channel
+
+    src = tmp_path / "wide.json"
+    src.write_text(channel_to_json(random_channel(5, 6, 1, seed=3)))
+    monkeypatch.setattr(channel, "choi_from_kraus", lambda ks: pytest.fail("analysed"))
+    for model in ("measured", "qcm", "random"):
+        assert run(["compile", "--model", model, "--in", str(src),
+                    "--out", str(tmp_path / "c.qcirc")]) == 1
+        assert capsys.readouterr().err == \
+            "error: m+n = 11 exceeds the m+n+k cap of 9\n"
+
+
+def test_compile_and_verify_at_the_size_cap(tmp_path, capsys):
+    src = tmp_path / "c338.json"
+    src.write_text(channel_to_json(random_channel(3, 3, 8, seed=3)))  # m+n+k = 9
+    out = tmp_path / "c.qcirc"
+    assert run(["compile", "--model", "measured", "--in", str(src), "--out", str(out),
+                "--report"]) == 0
+    assert capsys.readouterr().out.startswith("qubits=4 ")
+    assert run(["verify", "--circuit", str(out), "--channel", str(src)]) == 0
+
+
+@pytest.mark.parametrize("model", ["measured", "qcm", "random"])
+def test_compile_runs_one_kraus_analysis(tmp_path, channel_file, monkeypatch, model):
+    import chancomp.channel as channel
+
+    calls = []
+    analyse = channel.kraus_from_choi
+    monkeypatch.setattr(channel, "kraus_from_choi", lambda c: calls.append(c) or analyse(c))
+    assert run(["compile", "--model", model, "--in", str(channel_file),
+                "--out", str(tmp_path / "c.qcirc")]) == 0
+    assert len(calls) == 1
 
 
 def test_verify_pass_and_fail(tmp_path, channel_file, capsys):
@@ -312,6 +347,23 @@ def _run_cli(args, cwd, timeout=120):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("command", ["info", "verify"])
+def test_choi_matrix_above_the_cap_exits_one_without_traceback(tmp_path, command):
+    # a (5,6) Choi matrix would have 4^11 entries; it is refused before allocation
+    ch = tmp_path / "ch.json"
+    ch.write_text(channel_to_json(random_channel(5, 6, 1, seed=3)))
+    circ = tmp_path / "c.qcirc"
+    circ.write_text("QUBITS 6\nCREGS 0\nINPUTS q1 q2 q3 q4 q5\nOUTPUTS q0 q1 q2 q3 q4 q5\n")
+    args = {"info": ["info", "--in", str(ch)],
+            "verify": ["verify", "--circuit", str(circ), "--channel", str(ch)]}[command]
+    proc = _run_cli(["-m", "chancomp.cli", *args], tmp_path, timeout=30)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("error: the Choi matrix of a channel from 5 to 6 qubits")
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("case", ["verify-40-qubits", "random-too-large", "info-nan"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from chancomp.bounds import table1
 from chancomp.channel import KrausSet, random_channel, stinespring_isometry
 from chancomp.circuit import CNOT, MEASURE, TRACE, cnot_count
 from chancomp.compiler import (
+    MAX_COMPILE_QUBITS,
     ConvexMixture,
     compile_measured,
     compile_qcm,
@@ -407,6 +410,48 @@ def test_compile_random_rejects_before_synthesis(monkeypatch):
     with pytest.raises(ValueError, match="not implementable"):
         compile_random_qcm(mix)
     assert calls == []
+
+
+def _forbid(monkeypatch, module, *names):
+    for name in names:
+        monkeypatch.setattr(module, name, lambda *a, _name=name, **kw: pytest.fail(f"{_name} ran"))
+
+
+@pytest.mark.parametrize("compile_fn", [plan_measured, compile_measured, compile_qcm],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("m,n,force_k,what", [(5, 5, None, "m+n"), (1, 1, 8, "m+n+k")])
+def test_compile_refuses_sizes_above_the_cap_before_the_kraus_analysis(monkeypatch, compile_fn,
+                                                                      m, n, force_k, what):
+    import chancomp.channel as channel
+
+    _forbid(monkeypatch, channel, "choi_from_kraus")
+    ks = KrausSet(m, n, [np.eye(2**n, 2**m)])
+    with pytest.raises(ValueError, match=re.escape(f"{what} = 10 exceeds the m+n+k cap of 9")):
+        compile_fn(ks, force_k=force_k)
+
+
+def test_compile_random_refuses_sizes_above_the_cap_before_the_kraus_analysis(monkeypatch):
+    import chancomp.channel as channel
+
+    _forbid(monkeypatch, channel, "choi_from_kraus")
+    mix = ConvexMixture([(0.5, KrausSet(5, 5, [np.eye(32)])), (0.5, KrausSet(5, 5, [np.eye(32)]))])
+    with pytest.raises(ValueError, match=re.escape("m+n = 10 exceeds the m+n+k cap of 9")):
+        compile_random_qcm(mix)
+
+
+@pytest.mark.parametrize("compile_fn", [plan_measured, compile_measured, compile_qcm,
+                                        lambda ks: compile_random_qcm(ConvexMixture([(1.0, ks)]))],
+                         ids=["plan_measured", "compile_measured", "compile_qcm",
+                              "compile_random_qcm"])
+def test_compile_refuses_m_n_k_above_the_cap_before_synthesis(monkeypatch, compile_fn):
+    import chancomp.compiler as compiler
+
+    _forbid(monkeypatch, compiler, "qr_rectangular", "_cs_split", "decompose_isometry",
+            "decompose_isometries", "decompose_unitaries", "_dilation_circuit")
+    ks = random_channel(3, 4, 8, seed=5)   # m+n = 7 passes; the analysis finds k = 3
+    assert MAX_COMPILE_QUBITS == 9
+    with pytest.raises(ValueError, match=re.escape("m+n+k = 10 exceeds the m+n+k cap of 9")):
+        compile_fn(ks)
 
 
 def test_verify_mixture_detects_wrong_weights():
