@@ -122,7 +122,12 @@ def kraus_rank(ks: KrausSet) -> int:
 
 def is_extreme(ks: KrausSet) -> bool:
     """Choi's criterion: {A_i^dag A_j} linearly independent, on minimal form."""
-    mini = kraus_from_choi(choi_from_kraus(ks))
+    return is_extreme_minimal(kraus_from_choi(choi_from_kraus(ks)))
+
+
+def is_extreme_minimal(mini: KrausSet) -> bool:
+    """`is_extreme` of a channel already in minimal Kraus form, as
+    `kraus_from_choi` returns it."""
     k = mini.K
     if k * k > 4**mini.m:
         return False

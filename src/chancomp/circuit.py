@@ -229,13 +229,13 @@ def update_pairs(work: np.ndarray, b: int, mats: np.ndarray) -> None:
 
     The pair's control pattern s is the other bits, high to low, and it
     gets mats[s]; mats is (..., 2^(p-1), 2, 2) for a 2^p x C `work`, or
-    for a stack of them (...).  Both the synthesizer's working copy and the
-    simulator's branch matrices go through here.  The reshape only splits
-    the row axis, so it is a view for any memory layout of the rows.
+    for a stack of them (...), the leading axes broadcasting.  Both the
+    synthesizer's working copy and the simulator's branch matrices go
+    through here.  The reshape only splits the row axis, so it is a view
+    for any memory layout of the rows.
     """
-    lead = work.shape[:-2]
-    t = work.reshape(lead + (-1, 2, 1 << b, work.shape[-1]))   # (high bits, bit b, low bits, col)
-    m = mats.reshape(lead + (-1, 1 << b, 4, 1))
+    t = work.reshape(work.shape[:-2] + (-1, 2, 1 << b, work.shape[-1]))   # (high, bit b, low, col)
+    m = mats.reshape(mats.shape[:-3] + (-1, 1 << b, 4, 1))
     top, bottom = t[..., 0, :, :], t[..., 1, :, :]
     new_top = m[..., 0, :] * top + m[..., 1, :] * bottom
     bottom[...] = m[..., 2, :] * top + m[..., 3, :] * bottom

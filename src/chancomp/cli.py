@@ -20,8 +20,9 @@ from .channel import (
     KrausSet,
     channel_from_json,
     channel_to_json,
-    is_extreme,
-    kraus_rank,
+    choi_from_kraus,
+    is_extreme_minimal,
+    kraus_from_choi,
     random_channel,
 )
 from .circuit import MEASURE, Circuit, CircuitParseError, cnot_count, parse, serialize
@@ -201,9 +202,10 @@ def _cmd_verify(args) -> int:
 def _cmd_info(args) -> int:
     ks = _load_channel(args.infile)
     tp = sum(a.conj().T @ a for a in ks.ops) - np.eye(2**ks.m)
+    mini = kraus_from_choi(choi_from_kraus(ks))
     print(
-        f"m={ks.m} n={ks.n} kraus_rank={kraus_rank(ks)} "
-        f"extreme={'yes' if is_extreme(ks) else 'no'} "
+        f"m={ks.m} n={ks.n} kraus_rank={mini.K} "
+        f"extreme={'yes' if is_extreme_minimal(mini) else 'no'} "
         f"tp_residual={np.linalg.norm(tp):.3e}"
     )
     return 0

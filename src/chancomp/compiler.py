@@ -36,7 +36,7 @@ from .channel import KrausSet, choi_distance, choi_from_kraus, stinespring_isome
 from .circuit import MEASURE, RESET, TRACE, Circuit, Gate
 from .linalg import is_isometry, qr_rectangular
 from .synth import (
-    _cs_split,
+    cs_split,
     decompose_isometries,
     decompose_isometry,
     decompose_unitaries,
@@ -122,7 +122,7 @@ def plan_measured(ks: KrausSet, force_k: int | None = None) -> CompilePlan:
     for i in range(k_tilde):
         # the halves of prefix j sit at 2 j and 2 j + 1
         q, r = qr_rectangular(q.reshape(2 * len(q), q.shape[1] // 2, q.shape[2]))
-        u0, u1, theta, vh = _cs_split(r[0::2], r[1::2])
+        u0, u1, theta, vh = cs_split(r[0::2], r[1::2])
         q[0::2] = q[0::2] @ u0
         q[1::2] = q[1::2] @ u1
         stages.append({s: (vh[j], theta[j]) for j, s in enumerate(_prefixes(i))})

@@ -5,26 +5,39 @@ Measured circuits are evaluated once per measurement-outcome string
 simply undeclared as outputs, are summed out by treating their final
 basis value as an extra branch index.  This recovers the implemented
 Kraus operators directly, which is what the compiler's verification
-needs.  Intended for small systems (at most ~8 qubits).
+needs.  The branch matrices are dense: a circuit whose qubits, inputs
+and measurements add up to more than `MAX_DENSE_QUBITS` is refused.
 
-Gates are applied run by run.  A run is a maximal stretch of
-consecutive unitary gates under one condition that act on one target t:
-single-qubit gates on t and CNOTs onto t.  It leaves every other bit
-alone, so for each pattern x of those bits it is a 2x2 matrix on t, which
-the run turns into one pair update per branch (`circuit.update_pairs`,
-the synthesizer's kernel).  The CNOTs between two gates flip t where
-popcount(x & f) is odd, f the XOR of their control masks, so the
-product depends on x only through those parities: a pairwise reduction
-over the run's gates (`_run_product`) keeps one matrix per block and
-assignment of the bits its flips read, a few batched products in all.
-The matrices of all single-qubit gates come from one vectorized call.
-A run of CNOTs alone, and a RESET's X, is a row permutation.  Each
-uniformly controlled gate or Gray-code multiplexor emitted is one run.
+Simulation takes two steps, and this module is the one place that
+interprets the circuit's classical semantics.  `static_plan` reads the
+gate list once.  It checks that no register is written twice, that no
+condition reads a register before it is written and that every RESET
+follows a MEASURE of its qubit that no gate has touched since in any
+branch; it fuses runs; it resolves each condition and each RESET to the
+branches it acts on.  `run_plan` evaluates the plan on a stack of B sets
+of single-qubit matrices at once, the branches being one more array
+axis: measurement i is the i-th most significant bit of a branch index,
+so branches come in sorted outcome order.  The circuit functions below
+evaluate B = 1 on the circuit's own angles; the template fitter
+evaluates B parameter vectors of one template.
+
+A run is a maximal stretch of consecutive unitary gates under one
+condition that act on one target t: single-qubit gates on t and CNOTs
+onto t.  It leaves every other bit alone, so for each pattern x of those
+bits it is a 2x2 matrix on t, which the run turns into one pair update
+(`circuit.update_pairs`, the synthesizer's kernel).  The CNOTs between
+two gates flip t where popcount(x & f) is odd, f the XOR of their
+control masks, so the product depends on x only through those parities:
+a pairwise reduction over the run's gates (`_run_product`) keeps one
+matrix per block and assignment of the bits its flips read, a few
+batched products in all.  A run of CNOTs alone, and a RESET's X, is a
+row permutation.  Each uniformly controlled gate or Gray-code
+multiplexor emitted is one run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +45,6 @@ import numpy as np
 from .circuit import (
     CNOT,
     MEASURE,
-    OPERANDS,
     RESET,
     UNITARY_KINDS,
     Circuit,
@@ -44,7 +56,6 @@ from .channel import KrausSet
 from .linalg import MAX_DENSE_ENTRIES, MAX_DENSE_QUBITS
 
 _PRUNE_NORM = 1e-12
-_ONE_QUBIT = frozenset(kind for kind in UNITARY_KINDS if OPERANDS[kind][0] == 1)
 
 
 @dataclass(frozen=True)
@@ -82,41 +93,6 @@ def input_embedding(c: Circuit) -> np.ndarray:
     return e
 
 
-def simulate_unitary(c: Circuit) -> np.ndarray:
-    """Total matrix of a measurement-free circuit, restricted to input columns."""
-    for g in c.gates:
-        if g.kind not in UNITARY_KINDS or g.condition:
-            raise ValueError("simulate_unitary needs a purely unitary circuit")
-    return _walk_branches(c)[0].mat
-
-
-def _project(mat: np.ndarray, p: int, qubit: int, outcome: int) -> np.ndarray:
-    t = mat.reshape((2,) * p + (mat.shape[1],)).copy()
-    idx = [slice(None)] * (p + 1)
-    idx[qubit] = 1 - outcome
-    t[tuple(idx)] = 0.0
-    return t.reshape(mat.shape)
-
-
-@dataclass
-class _Branch:
-    mat: np.ndarray
-    outcome: tuple[int, ...] = ()
-    regs: dict = field(default_factory=dict)
-    fresh_meas: dict = field(default_factory=dict)  # qubit -> outcome, cleared on touch
-
-
-def _fires(g: Gate, regs: dict) -> bool:
-    if not g.condition:
-        return True
-    for r, b in g.condition:
-        if r not in regs:
-            raise ValueError(f"condition references register c{r} before it is written")
-        if regs[r] != b:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _parity(p: int) -> np.ndarray:
     """popcount(v) & 1 for every p-bit value v, as a read-only bool table."""
@@ -125,19 +101,6 @@ def _parity(p: int) -> np.ndarray:
         par = np.concatenate([par, ~par])
     par.flags.writeable = False
     return par
-
-
-@dataclass(frozen=True)
-class _Run:
-    """A fused run (see the module docstring), ready to apply: `mats`
-    holds one 2x2 matrix per pattern in `update_pairs` order; a run of
-    CNOTs alone is the row permutation `perm` instead."""
-
-    condition: tuple | None
-    target: int
-    mats: np.ndarray | None
-    perm: np.ndarray | None
-    qubits: tuple[int, ...]     # every qubit a gate of the run acts on
 
 
 @lru_cache(maxsize=4096)
@@ -195,149 +158,191 @@ def _matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _run_product(mats: np.ndarray, plan) -> np.ndarray:
-    """Per pattern x, X^(end) mats[r-1] X^(f_{r-2}) ... X^(f_0) mats[0] X^(lead),
-    where X^(f) is X if popcount(x & f) is odd and I if not (`_run_plan`):
-    a pairwise reduction, one batched product per level."""
+    """Per set b and pattern x, X^(end) mats[b, r-1] X^(f_{r-2}) ... X^(f_0)
+    mats[b, 0] X^(lead), where X^(f) is X if popcount(x & f) is odd and I if
+    not (`_run_plan`): a pairwise reduction, one batched product per level."""
     levels, index, lead, end = plan
-    blocks = mats[:, None]               # (block, assignment, 2, 2)
+    blocks = mats[:, :, None]            # (set, block, assignment, 2, 2)
     for pad, odd in levels:
         if pad:
-            blocks = np.concatenate([blocks, np.broadcast_to(np.eye(2), (1,) + blocks.shape[1:])])
-        first = blocks[0::2, None]
-        both = _matmul2(blocks[1::2, None], np.where(odd, first[..., ::-1, :], first))
-        blocks = both.reshape(len(both), -1, 2, 2)
-    out = blocks[0][index]
+            eye = np.broadcast_to(np.eye(2), blocks[:, :1].shape)
+            blocks = np.concatenate([blocks, eye], axis=1)
+        first = blocks[:, 0::2, None]
+        both = _matmul2(blocks[:, 1::2, None], np.where(odd, first[..., ::-1, :], first))
+        blocks = both.reshape(both.shape[:2] + (-1, 2, 2))
+    out = blocks[:, 0, index]
     if lead is not None:
         out = np.where(lead, out[..., ::-1], out)
-    return out if end is None else np.where(end, out[:, ::-1], out)
+    return out if end is None else np.where(end, out[..., ::-1, :], out)
 
 
-def _make_run(p: int, spec: list, mats: np.ndarray) -> _Run:
-    """The _Run of spec = [target, condition, single-qubit gates, masks,
-    m_end, touched], where masks[i] is the XOR of the control masks of the
-    run's CNOTs before gate i, m_end that of all of them, and mats the
-    gates' matrices."""
-    target, condition, gates, masks, m_end, touched = spec
+def _run_op(p: int, spec: list) -> tuple:
+    """The plan op of spec = [branches, target, condition, first gate,
+    masks, m_end] (see `static_plan`): ("run", branches, bit, first, last,
+    run plan) or, for a run of CNOTs alone, ("perm", branches, rows)."""
+    sel, target, _, first, masks, m_end = spec
     b = p - 1 - target
-    qubits = tuple(q for q in range(p) if (touched >> (p - 1 - q)) & 1)
-    if not gates:
+    if not masks:
         rows = np.arange(1 << p)
-        perm = np.where(_parity(p)[rows & m_end], rows ^ (1 << b), rows)
-        return _Run(condition, target, None, perm, qubits)
+        return "perm", sel, np.where(_parity(p)[rows & m_end], rows ^ (1 << b), rows)
     low = (1 << b) - 1
     m = [((x >> (b + 1)) << b) | (x & low) for x in masks + [m_end]]   # drop bit b
     flips = tuple(f ^ g for f, g in zip(m[1:-1], m[:-2]))
-    out = _run_product(mats, _run_plan(flips, m[0], m[-1] ^ m[-2], p - 1))
-    return _Run(condition, target, out, None, qubits)
+    return "run", sel, b, first, first + len(masks), _run_plan(flips, m[0], m[-1] ^ m[-2], p - 1)
 
 
-def _fused_gates(c: Circuit) -> list:
-    """The gates of c in order, with every run fused into one _Run.
+def _branches(hold: np.ndarray):
+    """The branches where `hold` is nonzero: a slice when they are evenly
+    spaced (all of them, an outcome prefix, a RESET's half), so that ops
+    act on a view, else their indices; None for none."""
+    idx = np.flatnonzero(hold).tolist()
+    if not idx:
+        return None
+    step = idx[1] - idx[0] if len(idx) > 1 else 1
+    if idx == list(range(idx[0], idx[-1] + 1, step)):
+        return slice(idx[0], idx[-1] + 1, step)
+    return np.array(idx)
+
+
+def _fired(cond, written: dict, nm: int):
+    """The `_branches`, after nm measurements, where every (register,
+    bit) of `cond` holds.  Reading a register that is not written yet is
+    an error in any branch where the pairs before it hold."""
+    if not cond:
+        return slice(None)
+    branch = np.arange(1 << nm)
+    hold = np.ones(1 << nm, dtype=bool)
+    for r, v in cond:
+        if r not in written:
+            if hold.any():
+                raise ValueError(f"condition references register c{r} before it is written")
+            break
+        hold &= ((branch >> (nm - 1 - written[r])) & 1) == v
+    return _branches(hold)
+
+
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """The static pass over a circuit's gate list (see the module docstring).
+
+    `gates` are the circuit's single-qubit unitary gates in order; the
+    evaluation takes one matrix per gate.  Each op is ("run", branches,
+    bit, first, last, run plan), gates first to last fused into one pair
+    update on bit `bit` of the row index; ("perm", branches, rows), a row
+    permutation; or ("measure", masks), which splits every branch into
+    outcomes 0 and 1.  `branches` indexes the branch axis (`_branches`).
+    out_rows[y] are the rows where the disposed qubits read y, in the
+    order of the outputs' value."""
+
+    gates: tuple[Gate, ...]
+    ops: tuple
+    embedding: np.ndarray
+    out_rows: np.ndarray
+    measures: int
+
+
+def static_plan(c: Circuit) -> Plan:
+    """Check the classical semantics of c, fuse its runs and resolve the
+    branches each op acts on.  The plan depends on the gate kinds,
+    qubits and conditions only, never on the angles.
 
     Row masks: qubit q is bit p - 1 - q of a row index.  A run's spec
-    collects its single-qubit gates, the XOR of the control masks of the
-    CNOTs seen before each, and every qubit it acts on.  The matrices of
-    all the runs' single-qubit gates come from one call."""
+    collects, per single-qubit gate, the XOR of the control masks of the
+    CNOTs before it (masks), and that of all of them (m_end)."""
+    embedding = input_embedding(c)
     p = c.num_qubits
-    out, specs = [], []
+    rows = np.arange(1 << p)
+    gates, ops = [], []
+    written = {}      # register -> index of the measurement that wrote it
+    fresh = {}        # qubit -> index of its last measurement, while no gate touched it since
+    selections = {}   # (condition, measurements so far) -> branches
     spec = None
     for g in c.gates:
         kind, qs = g.kind, g.qubits
-        if kind == CNOT:
-            t = qs[1]
-        elif kind in _ONE_QUBIT:
-            t = qs[0]
-        else:
-            spec = None
-            out.append(g)
+        if kind in UNITARY_KINDS:
+            t = qs[-1]
+            cond = g.condition or None
+            if spec is None or t != spec[1] or cond != spec[2]:
+                key = (cond, len(written))
+                if key not in selections:
+                    selections[key] = _fired(cond, written, len(written))
+                spec = [selections[key], t, cond, len(gates), [], 0]
+                ops.append(spec)
+            if fresh and spec[0] is not None:
+                for q in qs:
+                    fresh.pop(q, None)
+            if kind == CNOT:
+                spec[5] ^= 1 << (p - 1 - qs[0])
+            else:
+                spec[4].append(spec[5])
+                gates.append(g)
             continue
-        cond = g.condition or None
-        if spec is None or t != spec[0] or cond != spec[1]:
-            spec = [t, cond, [], [], 0, 1 << (p - 1 - t)]
-            specs.append(spec)
-            out.append(spec)
-        if kind == CNOT:
-            bit = 1 << (p - 1 - qs[0])
-            spec[4] ^= bit
-            spec[5] |= bit
-        else:
-            spec[2].append(g)
-            spec[3].append(spec[4])
-    mats = one_qubit_matrices([g for s in specs for g in s[2]])
-    runs, k = [], 0
-    for s in specs:
-        runs.append(_make_run(p, s, mats[k:k + len(s[2])]))
-        k += len(s[2])
-    runs = iter(runs)
-    return [next(runs) if type(x) is list else x for x in out]
-
-
-def _walk_branches(c: Circuit) -> list[_Branch]:
-    p = c.num_qubits
-    branches = [_Branch(mat=input_embedding(c))]
-    written = set()
-    for g in _fused_gates(c):
-        if type(g) is _Run:
-            for br in branches:
-                if _fires(g, br.regs):
-                    # branch matrices are never shared, so updating in place is safe
-                    if g.perm is not None:
-                        br.mat = br.mat[g.perm]
-                    else:
-                        update_pairs(br.mat, p - 1 - g.target, g.mats)
-                    if br.fresh_meas:
-                        for q in g.qubits:
-                            br.fresh_meas.pop(q, None)
-        elif g.kind == MEASURE:
+        spec = None
+        q = qs[0]
+        if kind == MEASURE:
             if g.creg in written:
                 raise ValueError(f"register c{g.creg} written twice")
-            written.add(g.creg)
-            q = g.qubits[0]
-            split = []
-            for br in branches:
-                for outcome in (0, 1):
-                    mat = _project(br.mat, p, q, outcome)
-                    regs = dict(br.regs)
-                    regs[g.creg] = outcome
-                    fresh = dict(br.fresh_meas)
-                    fresh[q] = outcome
-                    split.append(_Branch(mat, br.outcome + (outcome,), regs, fresh))
-            branches = split
-        elif g.kind == RESET:
-            q = g.qubits[0]
-            flip = np.arange(1 << p) ^ (1 << (p - 1 - q))   # X on q, as a row permutation
-            for br in branches:
-                if q not in br.fresh_meas:
-                    raise ValueError("RESET without an immediately preceding MEASURE")
-                if br.fresh_meas[q] == 1:
-                    br.mat = br.mat[flip]
-                del br.fresh_meas[q]
+            fresh[q] = written[g.creg] = len(written)
+            one = (rows >> (p - 1 - q)) & 1
+            ops.append(("measure", np.stack([one == 0, one == 1])[:, :, None]))
+        elif kind == RESET:   # X where the qubit's last measurement gave 1
+            if q not in fresh:
+                raise ValueError("RESET without an immediately preceding MEASURE")
+            nm = len(written)
+            sel = _branches((np.arange(1 << nm) >> (nm - 1 - fresh.pop(q))) & 1)
+            ops.append(("perm", sel, rows ^ (1 << (p - 1 - q))))
         else:   # TRACE
-            for br in branches:
-                br.fresh_meas.pop(g.qubits[0], None)
-    branches.sort(key=lambda br: br.outcome)
-    return branches
-
-
-def _dispose(mat: np.ndarray, c: Circuit) -> list[np.ndarray]:
-    """Split a full-register matrix into per-disposal-value output operators."""
-    p = c.num_qubits
-    cols = mat.shape[1]
+            fresh.pop(q, None)
+    ops = tuple(_run_op(p, x) if type(x) is list else x for x in ops
+                if type(x) is not list or x[0] is not None)
     disposal = [q for q in range(p) if q not in c.output_qubits]
-    t = mat.reshape((2,) * p + (cols,))
-    order = disposal + list(c.output_qubits) + [p]
-    t = np.transpose(t, order)
-    t = t.reshape(2 ** len(disposal), 2 ** len(c.output_qubits), cols)
-    return [t[y] for y in range(t.shape[0])]
+    out_rows = rows.reshape((2,) * p).transpose(disposal + list(c.output_qubits))
+    out_rows = out_rows.reshape(1 << len(disposal), -1)
+    return Plan(tuple(gates), ops, embedding, out_rows, len(written))
+
+
+def run_plan(plan: Plan, mats: np.ndarray) -> np.ndarray:
+    """Evaluate a plan on B sets of single-qubit matrices, mats being
+    (B, len(plan.gates), 2, 2).  Returns the (B, branches x disposal
+    values, 2^outputs, 2^inputs) branch operators, in sorted outcome
+    order and by disposal value within an outcome."""
+    size = len(mats)
+    state = np.broadcast_to(plan.embedding, (size, 1) + plan.embedding.shape).copy()
+    for op in plan.ops:
+        kind, sel = op[0], op[1]
+        if kind == "measure":
+            state = (state[:, :, None] * sel).reshape(size, -1, *state.shape[2:])
+            continue
+        part = state[:, sel]   # a view for a slice, updated in place
+        if kind == "perm":
+            state[:, sel] = part[:, :, op[2]]
+            continue
+        _, _, b, first, last, rp = op
+        update_pairs(part, b, _run_product(mats[:, first:last], rp)[:, None])
+        if type(sel) is not slice:
+            state[:, sel] = part
+    return state[:, :, plan.out_rows].reshape(size, -1, *plan.out_rows.shape[1:], state.shape[-1])
+
+
+def _branch_ops(c: Circuit) -> tuple[Plan, np.ndarray]:
+    """The plan of c and its branch operators, on the circuit's own angles."""
+    plan = static_plan(c)
+    return plan, run_plan(plan, one_qubit_matrices(plan.gates)[None])[0]
+
+
+def simulate_unitary(c: Circuit) -> np.ndarray:
+    """Total matrix of a measurement-free circuit, restricted to input columns."""
+    for g in c.gates:
+        if g.kind not in UNITARY_KINDS or g.condition:
+            raise ValueError("simulate_unitary needs a purely unitary circuit")
+    return _branch_ops(replace(c, output_qubits=range(c.num_qubits)))[1][0]
 
 
 def circuit_to_branches(c: Circuit) -> list[BranchOperator]:
-    out = []
-    for br in _walk_branches(c):
-        label = "".join(str(b) for b in br.outcome)
-        for op in _dispose(br.mat, c):
-            out.append(BranchOperator(label, op))
-    return out
+    plan, ops = _branch_ops(c)
+    nm, per = plan.measures, len(ops) >> plan.measures
+    labels = ["".join(str((b >> (nm - 1 - i)) & 1) for i in range(nm)) for b in range(1 << nm)]
+    return [BranchOperator(labels[i // per], op) for i, op in enumerate(ops)]
 
 
 def circuit_to_kraus(c: Circuit) -> KrausSet:
@@ -345,7 +350,7 @@ def circuit_to_kraus(c: Circuit) -> KrausSet:
 
     Branch operators of norm at most 1e-12 are dropped (one is kept if
     all are), so unreachable branches add no Kraus operators."""
-    ops = [b.op for b in circuit_to_branches(c)]
+    ops = list(_branch_ops(c)[1])
     ops = [a for a in ops if np.linalg.norm(a) > _PRUNE_NORM] or ops[:1]
     return KrausSet(len(c.input_qubits), len(c.output_qubits), ops, atol=1e-8)
 
@@ -355,6 +360,8 @@ def outcome_distribution(c: Circuit, state) -> dict[str, float]:
     psi = np.asarray(state, dtype=np.complex128).reshape(-1)
     if psi.shape != (2 ** len(c.input_qubits),):
         raise ValueError("input state has wrong dimension")
+    if not np.isfinite(psi).all():
+        raise ValueError("input state must be finite")
     dist: dict[str, float] = {}
     for b in circuit_to_branches(c):
         dist[b.outcome] = dist.get(b.outcome, 0.0) + float(np.linalg.norm(b.op @ psi) ** 2)

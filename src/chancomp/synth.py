@@ -443,7 +443,7 @@ def _unitary_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return canonical_phases(qr_rectangular(vec)[0]), np.take_along_axis(lam, order, axis=-1)
 
 
-def _cs_split(a: np.ndarray, b: np.ndarray):
+def cs_split(a: np.ndarray, b: np.ndarray):
     """(u1, u2, theta, v1h) with a = u1 C v1h and b = u2 S v1h, where
     C = diag(cos(theta / 2)) and S = diag(sin(theta / 2)), for the square
     halves of isometries [a; b] (stacks of them).
@@ -597,7 +597,7 @@ def _qsd(u: np.ndarray, qubits: list[int]) -> list[list[Gate]]:
     def mux(kind, angles):
         return multiplexed_rotation(kind, lower, top, angles)
 
-    u1, u2, theta, v1h = _cs_split(u[:, :h, :h], u[:, h:, :h])
+    u1, u2, theta, v1h = cs_split(u[:, :h, :h], u[:, h:, :h])
     if u.shape[2] == h:
         # only v1h acts on the lower qubits while the top one is |0>
         w, rz, z = _demultiplex(u1, u2)

@@ -5,8 +5,10 @@ exact small-case CNOT counts 1, 4, 7 and 13 (the conditioned blocks
 appear once per measurement outcome, so the worst case over classical
 assignments is the per-branch count).  A template is a plain `Circuit`
 with every angle zero; `instantiate` fills the angles in gate order.
-One batched evaluator, `template_choi`, reads only the template's gates
-and returns the Choi matrices of a whole stack of parameter vectors.
+`template_choi` returns the Choi matrices of a whole stack of parameter
+vectors: it builds the simulator's static plan of a template once and
+evaluates it on one set of gate matrices per parameter vector, so the
+template's gates are interpreted by the simulator alone.
 `fit` minimizes the squared Frobenius distance between Choi matrices
 with a multi-start L-BFGS-B search on exact parameter-shift gradients.
 
@@ -27,10 +29,9 @@ import numpy as np
 
 from .channel import KrausSet, choi_from_kraus, kraus_from_choi
 from .circuit import (
-    CNOT, MEASURE, OPERANDS, RESET, RY, RZ, U, X, Circuit, Gate, _cnot_perm, cnot_count,
-    u_matrices,
+    CNOT, MEASURE, OPERANDS, RESET, RY, RZ, U, X, X_MATRIX, Circuit, Gate, cnot_count, u_matrices,
 )
-from .simulator import _dispose, input_embedding
+from .simulator import run_plan, static_plan
 
 
 @dataclass(frozen=True)
@@ -170,93 +171,46 @@ def expand_reduced(t: Template, reduced) -> np.ndarray:
 # --- batched channel evaluation -------------------------------------------
 
 
-# The entries of a slot's (alpha, beta, gamma, delta) that a gate's angles fill.
-_SLOT_ENTRIES = {U: (0, 1, 2, 3), RY: (2,), RZ: (1,)}
+# The entries of a gate's (alpha, beta, gamma, delta) that its angles fill:
+# RY(t) = u(0, 0, t, 0) and RZ(t) = u(0, t, 0, 0).
+_U_ENTRIES = {U: (0, 1, 2, 3), RY: (2,), RZ: (1,), X: ()}
 
 
 @lru_cache(maxsize=16)
-def _compile(t: Template) -> tuple:
-    """(ops, slot_index, input embedding, output row order) of a template.
-
-    The ops act on a (batch, branch, row, input) array: ("slot", k, qubit,
-    branches) applies slot matrix k, ("perm", rows, branches) permutes
-    rows, ("measure", masks) splits each branch into outcomes 0 and 1;
-    `branches` is slice(None) or the indices of the branches acted on.
-    Every slot is a u_matrix (RY(t) = u(0, 0, t, 0), RZ(t) = u(0, t, 0, 0)):
-    parameter i is entry slot_index[i] of the flattened (slots, 4) angles.
-    """
-    circ = t.circuit
-    p = circ.num_qubits
-    rows = np.arange(2**p)
-    ops, slot_index, k = [], [], 0
-    outcomes = [()]           # per branch, the outcome of each measurement so far
-    reg_at, last_on = {}, {}  # register / qubit -> its latest measurement
-
-    def flip(q):
-        return rows ^ (1 << (p - 1 - q))
-
-    def branches(test):
-        sel = [b for b, out in enumerate(outcomes) if test(out)]
-        return slice(None) if len(sel) == len(outcomes) else np.array(sel)
-
-    def fires(cond):
-        return branches(lambda out: all(out[reg_at[r]] == v for r, v in cond or ()))
-
-    for g in circ.gates:
-        q = g.qubits[0]
-        if g.params:
-            slot_index.extend(4 * k + i for i in _SLOT_ENTRIES[g.kind])
-            ops.append(("slot", k, q, fires(g.condition)))
-            k += 1
-        elif g.kind == CNOT:
-            ops.append(("perm", _cnot_perm(p, *g.qubits), fires(g.condition)))
-        elif g.kind == X:
-            ops.append(("perm", flip(q), fires(g.condition)))
-        elif g.kind == MEASURE:
-            reg_at[g.creg] = last_on[q] = len(outcomes[0])
-            outcomes = [out + (v,) for out in outcomes for v in (0, 1)]
-            one = flip(q) < rows
-            ops.append(("measure", np.stack([~one, one])))
-        else:  # RESET: X where the qubit's last measurement gave 1
-            at = last_on[q]
-            ops.append(("perm", flip(q), branches(lambda out: out[at] == 1)))
-    out_rows = np.concatenate(_dispose(rows.reshape(-1, 1), circ)).reshape(-1)
-    return tuple(ops), np.array(slot_index), input_embedding(circ), out_rows
+def _plan(t: Template) -> tuple:
+    """(simulator plan, angle index, X mask) of a template: parameter i is
+    entry index[i] of the flattened (gates, 4) U angles of the plan's
+    single-qubit gates, and the X gates' matrices are set exactly."""
+    plan = static_plan(t.circuit)
+    index = [4 * k + i for k, g in enumerate(plan.gates) for i in _U_ENTRIES[g.kind]]
+    return plan, np.array(index, dtype=np.intp), np.array([g.kind == X for g in plan.gates])
 
 
-def _slot_matrices(params: np.ndarray, slot_index: np.ndarray) -> np.ndarray:
-    """(B, slots, 2, 2) slot matrices for B parameter vectors."""
-    angles = np.zeros((len(params), slot_index[-1] // 4 + 1, 4))
-    angles.reshape(len(params), -1)[:, slot_index] = params
-    return u_matrices(angles)
+def _gate_matrices(params: np.ndarray, index: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """(B, gates, 2, 2) single-qubit gate matrices for B parameter vectors."""
+    angles = np.zeros((len(params), len(xs), 4))
+    angles.reshape(len(params), -1)[:, index] = params
+    mats = u_matrices(angles)
+    mats[:, xs] = X_MATRIX
+    return mats
 
 
 def template_choi(t: Template, params) -> np.ndarray:
     """Choi matrix of the instantiated template, or a stack of them for a
     (B, param_count) stack of parameter vectors.
 
-    Runs every parameter vector and every measurement branch at once; the
-    Kraus operators are the branch blocks split by the disposed qubits.
+    One simulator plan per template runs every parameter vector and every
+    measurement branch at once; its branch operators are the Kraus
+    operators.
     """
-    ops, slot_index, embed, out_rows = _compile(t)
+    plan, index, xs = _plan(t)
     params = np.asarray(params, dtype=np.float64)
     if params.shape[-1:] != (t.param_count,) or params.ndim > 2:
         raise ValueError(f"{t.id} takes {t.param_count} parameters, got shape {params.shape}")
     batch = params.reshape(-1, t.param_count)
-    mats, size = _slot_matrices(batch, slot_index), len(batch)
-    state = np.broadcast_to(embed, (size, 1) + embed.shape).copy()
-    for op in ops:
-        if op[0] == "slot":
-            _, k, q, sel = op
-            part = state[:, sel]
-            blocks = part.reshape(size, part.shape[1], 2**q, 2, -1)
-            state[:, sel] = (mats[:, k, None, None] @ blocks).reshape(part.shape)
-        elif op[0] == "perm":
-            state[:, op[2]] = state[:, op[2]][:, :, op[1]]
-        else:
-            state = (state[:, :, None] * op[1][:, :, None]).reshape(size, -1, *embed.shape)
-    kraus = state[:, :, out_rows].reshape(size, -1, 2**t.n, embed.shape[1])
-    vecs = kraus.transpose(0, 1, 3, 2).reshape(size, -1, embed.shape[1] * 2**t.n)
+    kraus = run_plan(plan, _gate_matrices(batch, index, xs))
+    size, cols = len(batch), kraus.shape[-1]
+    vecs = kraus.transpose(0, 1, 3, 2).reshape(size, -1, cols * 2**t.n)
     j = vecs.transpose(0, 2, 1) @ vecs.conj()  # sum over Kraus ops of |vec A><vec A|
     return j if params.ndim == 2 else j[0]
 

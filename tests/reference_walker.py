@@ -1,0 +1,97 @@
+"""A gate-by-gate reference for the simulator, with its own branch bookkeeping.
+
+It interprets MEASURE, conditions, RESET and TRACE one branch object at a
+time and applies each unitary gate on its own through the gate kernel
+`apply_unitary_gate`, sharing no code with the simulator's static plan,
+fused runs or branch axis.  Tests compare the simulator and the template
+evaluator against it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from chancomp.circuit import MEASURE, RESET, TRACE, X, Gate, apply_unitary_gate
+
+
+@dataclass
+class Branch:
+    mat: np.ndarray                                  # full register x inputs
+    outcome: tuple[int, ...] = ()
+    regs: dict = field(default_factory=dict)         # register -> bit
+    fresh_meas: dict = field(default_factory=dict)   # qubit -> outcome, cleared on touch
+
+
+def fires(g: Gate, regs: dict) -> bool:
+    for r, b in g.condition or ():
+        if r not in regs:
+            raise ValueError(f"condition references register c{r} before it is written")
+        if regs[r] != b:
+            return False
+    return True
+
+
+def project(mat: np.ndarray, p: int, qubit: int, outcome: int) -> np.ndarray:
+    t = mat.reshape((2,) * p + (mat.shape[1],)).copy()
+    idx = [slice(None)] * (p + 1)
+    idx[qubit] = 1 - outcome
+    t[tuple(idx)] = 0.0
+    return t.reshape(mat.shape)
+
+
+def embedding(c) -> np.ndarray:
+    p, m = c.num_qubits, len(c.input_qubits)
+    e = np.zeros((2**p, 2**m), dtype=np.complex128)
+    for j in range(2**m):
+        bits = [(j >> (m - 1 - t)) & 1 for t in range(m)]
+        e[sum(b << (p - 1 - q) for b, q in zip(bits, c.input_qubits)), j] = 1.0
+    return e
+
+
+def reference_walk(c) -> list[Branch]:
+    """Every branch of c, in sorted outcome order, with its full-register matrix."""
+    p = c.num_qubits
+    branches = [Branch(mat=embedding(c))]
+    written = set()
+    for g in c.gates:
+        if g.kind == MEASURE:
+            if g.creg in written:
+                raise ValueError(f"register c{g.creg} written twice")
+            written.add(g.creg)
+            q = g.qubits[0]
+            branches = [Branch(project(br.mat, p, q, v), br.outcome + (v,),
+                               {**br.regs, g.creg: v}, {**br.fresh_meas, q: v})
+                        for br in branches for v in (0, 1)]
+        elif g.kind == RESET:
+            q = g.qubits[0]
+            for br in branches:
+                if q not in br.fresh_meas:
+                    raise ValueError("RESET without an immediately preceding MEASURE")
+                if br.fresh_meas.pop(q) == 1:
+                    br.mat = apply_unitary_gate(br.mat, Gate(X, (q,)), p)
+        elif g.kind == TRACE:
+            for br in branches:
+                br.fresh_meas.pop(g.qubits[0], None)
+        else:
+            for br in branches:
+                if fires(g, br.regs):
+                    br.mat = apply_unitary_gate(br.mat, g, p)
+                    for q in g.qubits:
+                        br.fresh_meas.pop(q, None)
+    branches.sort(key=lambda br: br.outcome)
+    return branches
+
+
+def reference_branches(c) -> list[tuple[str, np.ndarray]]:
+    """(outcome string, operator) pairs: each branch split by the value of
+    the qubits that are not outputs, in `circuit_to_branches` order."""
+    p = c.num_qubits
+    disposal = [q for q in range(p) if q not in c.output_qubits]
+    out = []
+    for br in reference_walk(c):
+        t = br.mat.reshape((2,) * p + (-1,)).transpose(disposal + list(c.output_qubits) + [p])
+        ops = t.reshape(2 ** len(disposal), 2 ** len(c.output_qubits), -1)
+        out += [("".join(map(str, br.outcome)), op) for op in ops]
+    return out

@@ -250,6 +250,20 @@ def test_info(tmp_path, capsys):
     assert "tp_residual=" in out
 
 
+def test_info_runs_one_kraus_analysis(channel_file, monkeypatch, capsys):
+    import chancomp.channel as channel
+    import chancomp.cli as cli
+
+    calls = []
+    analyse = channel.kraus_from_choi
+    counting = lambda c: calls.append(c) or analyse(c)  # noqa: E731
+    monkeypatch.setattr(channel, "kraus_from_choi", counting)
+    monkeypatch.setattr(cli, "kraus_from_choi", counting)
+    assert run(["info", "--in", str(channel_file)]) == 0
+    assert "kraus_rank=" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_random_roundtrip(tmp_path):
     out = tmp_path / "r.json"
     assert run(["random", "--m", "1", "--n", "2", "--kraus-rank", "2",

@@ -446,7 +446,7 @@ def test_compile_random_refuses_sizes_above_the_cap_before_the_kraus_analysis(mo
 def test_compile_refuses_m_n_k_above_the_cap_before_synthesis(monkeypatch, compile_fn):
     import chancomp.compiler as compiler
 
-    _forbid(monkeypatch, compiler, "qr_rectangular", "_cs_split", "decompose_isometry",
+    _forbid(monkeypatch, compiler, "qr_rectangular", "cs_split", "decompose_isometry",
             "decompose_isometries", "decompose_unitaries", "_dilation_circuit")
     ks = random_channel(3, 4, 8, seed=5)   # m+n = 7 passes; the analysis finds k = 3
     assert MAX_COMPILE_QUBITS == 9

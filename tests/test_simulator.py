@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,23 +21,23 @@ from chancomp.circuit import (
     Circuit,
     Gate,
     apply_unitary_gate,
+    one_qubit_matrices,
     parse,
     serialize,
 )
 from chancomp.compiler import compile_measured, compile_qcm
 from chancomp.rewrite import standard_passes
 from chancomp.simulator import (
-    _Branch,
-    _fires,
     _parity,
-    _project,
-    _walk_branches,
     circuit_to_branches,
     circuit_to_kraus,
     input_embedding,
     outcome_distribution,
+    run_plan,
     simulate_unitary,
+    static_plan,
 )
+from reference_walker import reference_branches
 
 CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -275,54 +278,11 @@ def test_simulator_accepts_largest_compiled_size():
 # --- fused runs ---------------------------------------------------------------
 
 
-def reference_walk(c):
-    """The walker applying every unitary gate on its own: the reference the
-    fused runs are checked against."""
-    p = c.num_qubits
-    branches = [_Branch(mat=input_embedding(c))]
-    written = set()
-    for g in c.gates:
-        if g.kind == MEASURE:
-            if g.creg in written:
-                raise ValueError(f"register c{g.creg} written twice")
-            written.add(g.creg)
-            q = g.qubits[0]
-            split = []
-            for br in branches:
-                for outcome in (0, 1):
-                    mat = _project(br.mat, p, q, outcome)
-                    regs = dict(br.regs)
-                    regs[g.creg] = outcome
-                    fresh = dict(br.fresh_meas)
-                    fresh[q] = outcome
-                    split.append(_Branch(mat, br.outcome + (outcome,), regs, fresh))
-            branches = split
-        elif g.kind == RESET:
-            q = g.qubits[0]
-            for br in branches:
-                if q not in br.fresh_meas:
-                    raise ValueError("RESET without an immediately preceding MEASURE")
-                if br.fresh_meas[q] == 1:
-                    br.mat = apply_unitary_gate(br.mat, Gate(X, (q,)), p)
-                del br.fresh_meas[q]
-        elif g.kind == TRACE:
-            for br in branches:
-                br.fresh_meas.pop(g.qubits[0], None)
-        else:
-            for br in branches:
-                if _fires(g, br.regs):
-                    br.mat = apply_unitary_gate(br.mat, g, p)
-                    for q in g.qubits:
-                        br.fresh_meas.pop(q, None)
-    branches.sort(key=lambda br: br.outcome)
-    return branches
-
-
 def assert_matches_reference(c, tol=1e-12):
-    got, want = _walk_branches(c), reference_walk(c)
-    assert [br.outcome for br in got] == [br.outcome for br in want]
-    for a, b in zip(got, want):
-        assert np.max(np.abs(a.mat - b.mat), initial=0.0) <= tol
+    got, want = circuit_to_branches(c), reference_branches(c)
+    assert [br.outcome for br in got] == [outcome for outcome, _ in want]
+    for a, (_, b) in zip(got, want):
+        assert np.max(np.abs(a.op - b), initial=0.0) <= tol
 
 
 _ANGLES = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
@@ -442,6 +402,17 @@ def test_run_through_measured_qubit_blocks_reset():
              Gate(RESET, (0,)))
     ok = Circuit(3, (1,), (0, 1, 2), gates, 1)
     assert_matches_reference(ok)
+    # so does a gate on q0 whose condition holds in no branch, but not one
+    # that holds in one branch
+    for cond, fresh in ((((0, 0), (0, 1)), True), (((0, 1),), False)):
+        gates = (Gate(MEASURE, (0,), creg=0), Gate(RY, (0,), (0.3,), condition=cond),
+                 Gate(RESET, (0,)))
+        c = Circuit(1, (0,), (0,), gates, 1)
+        if fresh:
+            assert_matches_reference(c)
+        else:
+            with pytest.raises(ValueError, match="RESET without an immediately preceding"):
+                circuit_to_kraus(c)
 
 
 def test_register_written_twice_across_runs():
@@ -450,3 +421,93 @@ def test_register_written_twice_across_runs():
     c = Circuit(2, (1,), (), gates, 1)
     with pytest.raises(ValueError, match="register c0 written twice"):
         circuit_to_kraus(c)
+
+
+@pytest.mark.parametrize("state", [[np.nan, 1.0], [np.inf, 0.0], [1.0, complex(0.0, np.nan)]])
+def test_outcome_distribution_rejects_non_finite_states(state):
+    with pytest.raises(ValueError, match="finite"):
+        outcome_distribution(ancilla_coin_circuit(), state)
+
+
+# --- one plan, B angle sets -----------------------------------------------------
+
+
+@st.composite
+def classical_circuits(draw):
+    """Small measured circuits that exercise the classical semantics:
+    conditions that hold in some, all or no branches (opposite bits of one
+    register never hold) or read a register not yet written, RESETs with
+    and without a fresh MEASURE, a RESET after a gate on its qubit whose
+    condition never holds, registers written twice, and traces."""
+    p = draw(st.integers(1, 4))
+    nregs = draw(st.integers(0, 3))
+    live = list(range(p))
+    gates = []
+
+    def condition():
+        written = len({g.creg for g in gates if g.kind == MEASURE})
+        choice = draw(st.sampled_from(["none", "some", "some", "never", "unwritten"]))
+        if choice == "unwritten" and written < nregs:
+            return ((draw(st.integers(written, nregs - 1)), draw(st.integers(0, 1))),)
+        if choice == "none" or not written:
+            return None
+        if choice == "never":
+            r = draw(st.integers(0, written - 1))
+            return ((r, 0), (r, 1))
+        regs = draw(st.lists(st.integers(0, written - 1), min_size=1, max_size=2, unique=True))
+        return tuple((r, draw(st.integers(0, 1))) for r in regs)
+
+    def unitary(q, cond):
+        kind = draw(st.sampled_from([U, RY, X, CNOT] if len(live) > 1 else [U, RY, X]))
+        if kind == CNOT:
+            other = draw(st.sampled_from([x for x in live if x != q]))
+            qs = draw(st.sampled_from([(q, other), (other, q)]))
+            return Gate(CNOT, qs, condition=cond)
+        return Gate(kind, (q,), (0.0,) * {U: 4, RY: 1, X: 0}[kind], condition=cond)
+
+    for _ in range(draw(st.integers(0, 10))):
+        step = draw(st.sampled_from(["gate", "gate", "measure", "reset", "shielded", "trace",
+                                     "remeasure"]))
+        q = draw(st.sampled_from(live))
+        written = len({g.creg for g in gates if g.kind == MEASURE})
+        if step == "gate":
+            gates.append(unitary(q, condition()))
+        elif step in ("measure", "shielded") and written < nregs:
+            gates.append(Gate(MEASURE, (q,), creg=written))
+            if step == "shielded":
+                gates += [unitary(q, ((written, 0), (written, 1))), Gate(RESET, (q,))]
+        elif step == "remeasure" and written:
+            gates.append(Gate(MEASURE, (q,), creg=0))
+        elif step == "reset":
+            gates.append(Gate(RESET, (q,)))
+        elif step == "trace" and len(live) > 1:
+            live.remove(q)
+            gates.append(Gate(TRACE, (q,)))
+    order = draw(st.permutations(range(p)))
+    inputs = tuple(order[:draw(st.integers(0, p))])
+    return Circuit(p, inputs, tuple(live), tuple(gates), nregs)
+
+
+def with_angles(c, rng):
+    gates = tuple(replace(g, params=tuple(float(x) for x in rng.uniform(-4, 4, len(g.params))))
+                  for g in c.gates)
+    return replace(c, gates=gates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classical_circuits(), st.integers(0, 2**32 - 1))
+def test_one_plan_runs_three_angle_sets_as_three_circuits_and_the_reference(c, seed):
+    try:
+        reference_branches(c)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            static_plan(c)
+        return
+    rng = np.random.default_rng(seed)
+    variants = [with_angles(c, rng) for _ in range(3)]
+    mats = np.stack([one_qubit_matrices(static_plan(v).gates) for v in variants])
+    for v, ops in zip(variants, run_plan(static_plan(c), mats)):
+        single = circuit_to_branches(v)
+        assert np.array_equal(ops, [b.op for b in single])
+        assert_matches_reference(v)
+

@@ -28,7 +28,7 @@ from chancomp.synth import (
     _MAGIC,
     _MIXES,
     _XYZ,
-    _cs_split,
+    cs_split,
     _kak,
     _phase,
     _reduction_segments,
@@ -700,7 +700,7 @@ def test_unitary_eig_residual(x):
 def test_cs_split_residual(name, v):
     h = v.shape[1]
     a, b = v[:h].astype(complex), v[h:].astype(complex)
-    u1, u2, theta, v1h = _cs_split(a, b)
+    u1, u2, theta, v1h = cs_split(a, b)
     for u in (u1, u2, v1h):
         assert np.linalg.norm(u.conj().T @ u - np.eye(h)) <= 1e-13
     assert np.linalg.norm(u1 @ (np.cos(theta / 2)[:, None] * v1h) - a) <= 1e-13, name

@@ -23,11 +23,12 @@ from chancomp.circuit import (
     u_matrix,
 )
 from chancomp.simulator import circuit_to_kraus
+from reference_walker import reference_branches
 from chancomp.templates import (
     TEMPLATES,
     Template,
-    _compile,
-    _slot_matrices,
+    _gate_matrices,
+    _plan,
     expand_reduced,
     fit,
     instantiate,
@@ -92,7 +93,9 @@ def test_closed_form_u_matches_gate_semantics():
     t = Template("slots", 1, 1, 1, Circuit(1, (0,), (0,), gates, 0), ("U3", "R", "R"))
     rng = np.random.default_rng(3)
     params = rng.uniform(-7, 7, (50, 6))
-    mats = _slot_matrices(params, _compile(t)[1])
+    plan, index, xs = _plan(t)
+    assert plan.gates == gates
+    mats = _gate_matrices(params, index, xs)
     for p, (u, ry, rz) in zip(params, mats):
         assert np.linalg.norm(u - u_matrix(*p[:4])) < 1e-13
         assert np.linalg.norm(ry - ry_matrix(p[4])) < 1e-13
@@ -101,14 +104,16 @@ def test_closed_form_u_matches_gate_semantics():
 
 @pytest.mark.parametrize("tid", sorted(TEMPLATES))
 def test_fast_choi_agrees_with_simulator(tid):
+    # against the gate-by-gate reference: circuit_to_kraus runs the same plan
     t = TEMPLATES[tid]
     rng = np.random.default_rng(7)
     batch = rng.uniform(-3, 3, (5, t.param_count))
     js = template_choi(t, batch)
     assert js.shape == (5, 2 ** (t.m + t.n), 2 ** (t.m + t.n))
     for params, j in zip(batch, js):
-        j_sim = choi_from_kraus(circuit_to_kraus(instantiate(t, params))).j
-        assert np.linalg.norm(j - j_sim) < 1e-12
+        ops = [op for _, op in reference_branches(instantiate(t, params))]
+        j_ref = choi_from_kraus(KrausSet(t.m, t.n, ops)).j
+        assert np.linalg.norm(j - j_ref) < 1e-12
         assert np.array_equal(template_choi(t, params), j)
 
 
