@@ -174,6 +174,8 @@ def random_channel(m: int, n: int, kr: int, seed: int) -> KrausSet:
     kr * 2^n >= 2^m (a rank-kr channel from m to n qubits exists iff
     this holds), and the sample must fit the dense-allocation cap.
     """
+    if m < 0 or n < 0:
+        raise ValueError(f"qubit counts must be non-negative, got m={m} n={n}")
     if m + n > MAX_DENSE_QUBITS or kr * 2 ** (m + n) > MAX_DENSE_ENTRIES:
         raise ValueError(f"a rank-{kr} channel from {m} to {n} qubits exceeds the "
                          f"cap of {MAX_DENSE_ENTRIES} dense matrix entries")

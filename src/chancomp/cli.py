@@ -80,7 +80,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--model", choices=("measured", "qcm", "random"), required=True)
     c.add_argument("--in", dest="infile", required=True)
     c.add_argument("--out", dest="outfile", required=True)
-    c.add_argument("--k", type=int, default=None, help="force environment size")
+    c.add_argument("--k", type=int, default=None, help="force environment size (measured, qcm)")
     c.add_argument("--no-verify", action="store_true")
     c.add_argument("--no-rewrite", action="store_true")
     c.add_argument("--report", action="store_true")
@@ -130,6 +130,8 @@ def _report_line(circ: Circuit, dist: float | None) -> str:
 
 
 def _cmd_compile(args) -> int:
+    if args.model == "random" and args.k is not None:
+        raise UsageError("argument --k: applies to --model measured and qcm, not random")
     text = pathlib.Path(args.infile).read_text()
     if args.model == "random":
         return _compile_random(args, text)

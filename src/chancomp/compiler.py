@@ -18,8 +18,10 @@ classical conditions.  With m < n there are k rounds, and each residual
 is a 2^n x 2^m isometry on all n qubits.  With m >= n there are
 n + k - m rounds, and each residual is an m-qubit unitary on the
 system; the first m - n system qubits then hold leftover environment,
-which is measured off into registers that are never read.  Each round's
-v^dag, and the residuals, are synthesized by one batched call.
+which is measured off into registers that are never read.  The plan
+keeps every factor as a stack in prefix order, and each round's v^dag
+over all its prefixes, then the residuals, take one `decompose_isometries`
+call each, whose construction the shape alone picks.
 
 Qubit layout: one reused ancilla at index 0, the m system qubits last.
 A channel with m >= n compiles to exactly m+1 qubits (the ancilla may
@@ -35,28 +37,25 @@ import numpy as np
 from .channel import KrausSet, choi_distance, choi_from_kraus, stinespring_isometry
 from .circuit import MEASURE, RESET, TRACE, Circuit, Gate
 from .linalg import is_isometry, qr_rectangular
-from .synth import (
-    cs_split,
-    decompose_isometries,
-    decompose_isometry,
-    decompose_unitaries,
-    n_iso,
-    ry_multiplexor_from_zero,
-)
+from .synth import (cs_split, decompose_isometries, decompose_isometry, n_iso,
+                    ry_multiplexor_from_zero)
 
 MAX_COMPILE_QUBITS = 9   # largest m + n + k: the verifier enumerates every branch
 
 
 @dataclass(frozen=True)
 class CompilePlan:
-    """Case split and per-outcome-prefix factors for one channel."""
+    """Case split and per-outcome-prefix factors for one channel, each a
+    stack in prefix order: the factors of the prefix of value j (the
+    first outcome most significant) sit at index j, so the children of
+    prefix j sit at 2j and 2j + 1."""
 
     m: int
     n: int
     k: int
-    k_tilde: int                        # rounds; k - k_tilde leftover measurements
-    stages: tuple = field(repr=False)   # round i -> {prefix: (v^dag, theta)}
-    finals: dict = field(repr=False)    # full prefix -> residual isometry
+    k_tilde: int                             # rounds; k - k_tilde leftover measurements
+    stages: tuple = field(repr=False)        # round i -> (v^dag, theta) over its 2^i prefixes
+    finals: np.ndarray = field(repr=False)   # the residual isometry of each full prefix
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,8 @@ class ConvexMixture:
         comps = tuple((float(p), ks) for p, ks in components)
         if not comps:
             raise ValueError("empty mixture")
-        if any(p <= 0 for p, _ in comps):
-            raise ValueError("probabilities must be positive")
+        if not all(np.isfinite(p) and p > 0 for p, _ in comps):
+            raise ValueError("probabilities must be finite and positive")
         if abs(sum(p for p, _ in comps) - 1.0) >= 1e-12:
             raise ValueError("probabilities must sum to one")
         m, n = comps[0][1].m, comps[0][1].n
@@ -125,27 +124,23 @@ def plan_measured(ks: KrausSet, force_k: int | None = None) -> CompilePlan:
         u0, u1, theta, vh = cs_split(r[0::2], r[1::2])
         q[0::2] = q[0::2] @ u0
         q[1::2] = q[1::2] @ u1
-        stages.append({s: (vh[j], theta[j]) for j, s in enumerate(_prefixes(i))})
-    finals = dict(zip(_prefixes(k_tilde), q))
-    return CompilePlan(m, n, k, k_tilde, tuple(stages), finals)
+        stages.append((vh, theta))
+    return CompilePlan(m, n, k, k_tilde, tuple(stages), q)
 
 
 def reconstruct_dilation(plan: CompilePlan) -> np.ndarray:
     """Rebuild the stacked dilation from the plan's factors.
 
-    Inverts the recursion: V = vstack over outcome prefixes s of
-    finals[s] times the product of the round factors C v^dag (outcome 0)
-    or S v^dag (outcome 1) along s.
+    Inverts the recursion: V = vstack over outcome prefixes j, in prefix
+    order, of finals[j] times the product of the round factors C v^dag
+    (outcome 0) or S v^dag (outcome 1) along j.
     """
-    blocks = []
-    for s in _prefixes(plan.k_tilde):
-        w = np.eye(2**plan.m, dtype=np.complex128)
-        for i, stage in enumerate(plan.stages):
-            vh, theta = stage[s[:i]]
-            scale = np.sin(0.5 * theta) if s[i] == "1" else np.cos(0.5 * theta)
-            w = scale[:, None] * vh @ w
-        blocks.append(plan.finals[s] @ w)
-    return np.vstack(blocks)
+    w = np.eye(2**plan.m, dtype=np.complex128)[None]   # the product of each prefix
+    for vh, theta in plan.stages:
+        half = 0.5 * theta[..., None]
+        w = np.stack([np.cos(half) * vh @ w, np.sin(half) * vh @ w], axis=1)
+        w = w.reshape(-1, *w.shape[2:])   # prefix j's children at 2j and 2j + 1
+    return (plan.finals @ w).reshape(-1, 2**plan.m)
 
 
 def _conditioned(gates, prefix: str) -> list[Gate]:
@@ -165,25 +160,17 @@ def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
     p = n if m < n else m + 1
     ancilla, system = 0, list(range(p - m, p))
     gates: list[Gate] = []
-    for i, stage in enumerate(plan.stages):
-        prefixes = _prefixes(i)
-        vh_gates = decompose_unitaries(np.stack([stage[s][0] for s in prefixes]), system)
-        for s, block in zip(prefixes, vh_gates):
-            block = block + ry_multiplexor_from_zero(system, ancilla, stage[s][1])
-            gates += _conditioned(block, s)
+    for i, (vh, theta) in enumerate(plan.stages):
+        for s, block, angles in zip(_prefixes(i), decompose_isometries(vh, system), theta):
+            gates += _conditioned(block + ry_multiplexor_from_zero(system, ancilla, angles), s)
         gates.append(Gate(MEASURE, (ancilla,), creg=i))
         gates.append(Gate(RESET, (ancilla,)))
 
-    prefixes = _prefixes(k_tilde)
-    finals = np.stack([plan.finals[s] for s in prefixes])
-    if m < n:
-        residuals = decompose_isometries(finals)
-        outputs = tuple(range(p))
-    else:
-        residuals = decompose_unitaries(finals, system)
-        outputs = tuple(system[k - k_tilde:])
-    for s, block in zip(prefixes, residuals):
+    # an m-to-n isometry on all n qubits when m < n, else an m-qubit unitary
+    residual_qubits = range(p) if m < n else system
+    for s, block in zip(_prefixes(k_tilde), decompose_isometries(plan.finals, residual_qubits)):
         gates += _conditioned(block, s)
+    outputs = tuple(range(p)) if m < n else tuple(system[k - k_tilde:])
     # leftover environment qubits (m >= n only), into registers nobody reads
     for t, q in enumerate(system[: k - k_tilde]):
         gates.append(Gate(MEASURE, (q,), creg=k_tilde + t))

@@ -1,6 +1,10 @@
 """Decompose isometries into CNOT + single-qubit gates.
 
-Two constructions, chosen from the shape of the isometry alone:
+`decompose_isometries` is the one synthesis entry: a stack of isometries
+of one shape, on named qubits, by one batched call (`decompose_isometry`
+checks and decomposes a single matrix through it).  A one-qubit unitary
+is one U gate; other shapes take one of two constructions, chosen from
+the shape of the isometry alone:
 
 * The quantum Shannon decomposition (Shende, Bullock and Markov,
   arXiv:quant-ph/0406176) takes square unitaries and measured rounds
@@ -95,9 +99,8 @@ def multiplexed_rotation(axis: str, controls, target: int, angles) -> list[Gate]
     controls, a bare rotation for c = 0.  Rotation i carries the
     Walsh-Hadamard coefficient of `angles` at gray(i), scaled by 2^-c.
     """
-    if axis not in (RY, RZ, "Y", "Z"):
-        raise ValueError("axis must be Y or Z")
-    kind = RY if axis in (RY, "Y") else RZ
+    if axis not in (RY, RZ):
+        raise ValueError(f"axis must be {RY} or {RZ}")
     controls = tuple(controls)
     if target in controls:
         raise ValueError("target cannot be a control")
@@ -105,10 +108,10 @@ def multiplexed_rotation(axis: str, controls, target: int, angles) -> list[Gate]
     if angles.size != 2 ** len(controls):
         raise ValueError(f"need {2 ** len(controls)} angles, got {angles.size}")
     if not controls:
-        return [Gate(kind, (target,), (float(angles[0]),))]
+        return [Gate(axis, (target,), (float(angles[0]),))]
     gates = []
     for phi, cx in zip(_gray_code_angles(angles), _gray_code_cnots(controls, target)):
-        gates.append(Gate(kind, (target,), (phi,)))
+        gates.append(Gate(axis, (target,), (phi,)))
         gates.append(cx)
     return gates
 
@@ -373,16 +376,18 @@ def _reduction_segments(v: np.ndarray):
     return segments, lams, work
 
 
-def _column_gates(v: np.ndarray, p: int) -> list[list[Gate]]:
+def _column_gates(v: np.ndarray, qubits: list[int]) -> list[list[Gate]]:
     """The column-by-column reduction of each isometry in the stack v, run
-    backwards: the inverse diagonal, then each step's inverse from the
-    last step to the first, its leaves adjoint and reversed between the
-    same CNOTs (their sequence is a palindrome).  The diagonal acts on the
-    input qubits alone, since the others start in |0>.  One `_u_angles`
+    backwards, on `qubits` (qubits[0] most significant): the inverse
+    diagonal, then each step's inverse from the last step to the first,
+    its leaves adjoint and reversed between the same CNOTs (their sequence
+    is a palindrome).  The diagonal acts on the input qubits, the last
+    log2(columns), alone, since the others start in |0>.  One `_u_angles`
     call serves every leaf of every isometry."""
     segments, lams, _ = _reduction_segments(v)
     m = v.shape[2].bit_length() - 1
-    steps = [step for seg in reversed(segments) for step in reversed(seg)]
+    steps = [(qubits[t], tuple(qubits[c] for c in controls), alpha, beta)
+             for seg in reversed(segments) for t, controls, alpha, beta in reversed(seg)]
     alpha = np.array([[x for _, _, a, _ in steps for x in reversed(a[i])] for i in range(len(v))])
     beta = np.array([[x for _, _, _, b in steps for x in reversed(b[i])] for i in range(len(v))])
     per = alpha.shape[1]
@@ -390,7 +395,7 @@ def _column_gates(v: np.ndarray, p: int) -> list[list[Gate]]:
                        .reshape(-1, 2, 2))
     out = []
     for i in range(len(v)):
-        gates = [] if lams is None else _diag_gates(lams[i].tolist(), list(range(p - m, p)))
+        gates = [] if lams is None else _diag_gates(lams[i].tolist(), qubits[len(qubits) - m:])
         it = iter(angles[i * per:(i + 1) * per])
         for target, controls, _, _ in steps:
             for cx in _gray_code_cnots(controls, target)[:-1] if controls else ():
@@ -613,68 +618,46 @@ def _qsd(u: np.ndarray, qubits: list[int]) -> list[list[Gate]]:
             + sub[n + j] + mux(RZ, rz[n + j]) + sub[3 * n + j] for j in range(n)]
 
 
-def decompose_unitaries(u: np.ndarray, qubits) -> list[list[Gate]]:
-    """One gate list per unitary in the stack u, on `qubits` (qubits[0]
-    most significant), by one batched call: a U gate on one qubit, the
-    Shannon decomposition on two or more, and no gate on none (a 1 x 1
-    unitary is a global phase).  Each list holds n_iso(p, p) CNOTs."""
-    qubits = list(qubits)
-    if not qubits:
-        return [[] for _ in u]
-    if len(qubits) == 1:
-        return [[g] for g in _u_gates(u, qubits[0])]
-    return _qsd(u, qubits)
-
-
-def _checked_isometry(v) -> tuple[np.ndarray, int, int]:
-    """v as complex128 with its qubit counts p (rows) and mc (columns)."""
-    v = np.asarray(v, dtype=np.complex128)
-    rows, cols = v.shape
-    p = rows.bit_length() - 1
-    mc = max(cols - 1, 0).bit_length()
-    if 2**p != rows or 2**mc != cols or rows < cols:
-        raise ValueError("shape must be 2^n x 2^m with n >= m")
-    if not is_isometry(v):
-        raise ValueError("not an isometry")
-    return v, p, mc
-
-
 def _uses_qsd(m: int, n: int) -> bool:
     """Whether an m-to-n isometry takes the Shannon decomposition: square
     unitaries and measured rounds of four or more columns."""
     return m >= 2 and n - m <= 1
 
 
-def decompose_isometry(v) -> Circuit:
-    """Circuit on p qubits reproducing the 2^p x 2^c isometry v (up to a
-    global phase when c = 1).
-
-    The first p - log2(c) qubits start in |0>; the inputs feed the
-    trailing qubits.  Square unitaries and measured rounds of four or more
-    columns take the Shannon decomposition, every other shape the
-    column-by-column reduction (`decompose_column_by_column`).  The
-    emitted gates and their CNOT count depend only on the shape of v.
-    """
-    v, p, mc = _checked_isometry(v)
-    gates = decompose_isometries(v[None])[0]
-    return Circuit(p, tuple(range(p - mc, p)), tuple(range(p)), tuple(gates), 0)
-
-
-def decompose_isometries(v: np.ndarray) -> list[list[Gate]]:
-    """The gates of `decompose_isometry` for each isometry in the stack v,
-    on qubits 0..p-1: one batched Shannon decomposition where the shape
-    takes it, else one batched column-by-column reduction."""
+def decompose_isometries(v: np.ndarray, qubits) -> list[list[Gate]]:
+    """One gate list per isometry in the stack v (2^p x 2^c each) on the p
+    `qubits` (qubits[0] most significant, the inputs on the last c), by
+    one batched call whose construction the shape alone picks: no gate
+    for p = 0 (a 1 x 1 isometry is a global phase), one U gate for a
+    one-qubit unitary, the Shannon decomposition where `_uses_qsd`, else
+    the column-by-column reduction.  Each list holds n_iso(c, p) CNOTs."""
+    qubits = list(qubits)
     rows, cols = v.shape[1:]
     p, mc = rows.bit_length() - 1, cols.bit_length() - 1
+    if p == 0:
+        return [[] for _ in v]
+    if p == mc == 1:
+        return [[g] for g in _u_gates(v, qubits[0])]
     if _uses_qsd(mc, p):
-        return _qsd(v, list(range(p)))
-    return _column_gates(v, p)
+        return _qsd(v, qubits)
+    return _column_gates(v, qubits)
 
 
-def decompose_column_by_column(v) -> Circuit:
-    """`decompose_isometry` by the column-by-column reduction, for any shape."""
-    v, p, mc = _checked_isometry(v)
-    gates = _column_gates(v[None], p)[0]
+def decompose_isometry(v) -> Circuit:
+    """Circuit on p qubits reproducing the 2^p x 2^c isometry v (up to a
+    global phase when c = 1), by `decompose_isometries`.
+
+    The first p - log2(c) qubits start in |0>; the inputs feed the
+    trailing qubits.  The emitted gates and their CNOT count depend only
+    on the shape of v."""
+    v = np.asarray(v, dtype=np.complex128)
+    rows, cols = v.shape
+    p, mc = rows.bit_length() - 1, max(cols - 1, 0).bit_length()
+    if 2**p != rows or 2**mc != cols or rows < cols:
+        raise ValueError("shape must be 2^n x 2^m with n >= m")
+    if not is_isometry(v):
+        raise ValueError("not an isometry")
+    gates = decompose_isometries(v[None], range(p))[0]
     return Circuit(p, tuple(range(p - mc, p)), tuple(range(p)), tuple(gates), 0)
 
 

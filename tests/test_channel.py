@@ -192,6 +192,11 @@ def test_random_channel_infeasible():
     with pytest.raises(ValueError, match="Kraus rank"):
         random_channel(3, 1, 3, seed=0)
 
+    # numpy raised TypeError on the 2**-1 rows of a negative size
+    for m, n in [(-1, 1), (1, -1)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            random_channel(m, n, 1, seed=0)
+
 
 @pytest.mark.parametrize("seed", range(3))
 def test_generated_channels_tp_on_choi(seed):

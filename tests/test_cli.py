@@ -427,6 +427,8 @@ _SIZE_CASES = {
     "info-bool-m": ["info", "--in", "doc.json"],
     "random-huge-m": ["random", "--m", "100000000000", "--n", "1", "--kraus-rank", "1",
                       "--seed", "0", "--out", "r.json"],
+    "random-negative-m": ["random", "--m", "-1", "--n", "1", "--kraus-rank", "1",
+                          "--seed", "0", "--out", "r.json"],
     "bounds-huge-m": ["bounds", "--m", "100000000000", "--n", "1"],
     "bounds-digit-limit": ["bounds", "--m", "5000000", "--n", "1"],
     "verify-huge-qubits": ["verify", "--circuit", "huge.qcirc", "--channel", "doc.json"],
@@ -467,6 +469,7 @@ def test_verify_malformed_circuit_exits_one_without_traceback(tmp_path, line):
     ["verify", "--tol", "nan"], ["verify", "--tol", "-1"], ["verify", "--tol", "0"],
     ["verify", "--tol", "inf"], ["verify", "--tol", "-inf"], ["verify", "--tol", "tiny"],
     ["fit", "--max-iters", "0"], ["fit", "--max-iters", "-5"], ["fit", "--max-iters", "2.5"],
+    ["compile", "--k", "5"],   # --model random took --k and ignored it
 ])
 def test_out_of_range_knobs_exit_one_without_traceback(tmp_path, argv):
     # a correct circuit, so the exit code can only come from the knob
@@ -476,8 +479,11 @@ def test_out_of_range_knobs_exit_one_without_traceback(tmp_path, argv):
     assert run(["compile", "--model", "measured", "--in", str(ch), "--out", str(circ)]) == 0
     if argv[0] == "verify":
         args = ["verify", "--circuit", str(circ), "--channel", str(ch), *argv[1:]]
-    else:
+    elif argv[0] == "fit":
         args = ["fit", "--template", "1to1", "--in", str(ch), "--starts", "1", *argv[1:]]
+    else:
+        args = ["compile", "--model", "random", "--in", str(ch),
+                "--out", str(tmp_path / "r.qcirc"), *argv[1:]]
     proc = _run_cli(["-m", "chancomp.cli", *args], tmp_path, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -38,15 +38,15 @@ def count_measures(circ):
 def test_plan_unitary_channel():
     plan = plan_measured(KrausSet(1, 1, [I2]))
     assert plan.k == 0 and plan.k_tilde == 0
-    assert plan.stages == () and set(plan.finals) == {""}
-    assert plan.finals[""].shape == (2, 2)
+    assert plan.stages == () and plan.finals.shape == (1, 2, 2)
 
 
-def assert_round(stage_entry, m):
-    """One round is (v^dag, theta): an m-qubit unitary and 2^m angles."""
-    vh, theta = stage_entry
-    assert vh.shape == (2**m, 2**m) and theta.shape == (2**m,)
-    assert np.linalg.norm(vh @ vh.conj().T - np.eye(2**m)) < 1e-12
+def assert_round(stage, m, prefixes):
+    """One round is (v^dag, theta) stacked over its prefixes: an m-qubit
+    unitary and 2^m angles per prefix."""
+    vh, theta = stage
+    assert vh.shape == (prefixes, 2**m, 2**m) and theta.shape == (prefixes, 2**m)
+    assert np.linalg.norm(vh @ vh.conj().swapaxes(-1, -2) - np.eye(2**m)) < 1e-12
 
 
 def test_plan_rank2_square_channel():
@@ -54,20 +54,18 @@ def test_plan_rank2_square_channel():
     plan = plan_measured(dephasing_like())
     assert (plan.m, plan.n, plan.k) == (1, 1, 1)
     assert plan.k_tilde == 1
-    assert len(plan.stages) == 1 and set(plan.stages[0]) == {""}
-    assert_round(plan.stages[0][""], 1)
-    assert set(plan.finals) == {"0", "1"}
-    assert all(v.shape == (2, 2) for v in plan.finals.values())
+    assert len(plan.stages) == 1
+    assert_round(plan.stages[0], 1, 1)
+    assert plan.finals.shape == (2, 2, 2)   # prefixes "0" and "1"
 
 
 def test_plan_one_to_two_rank2():
     ks = random_channel(1, 2, 2, seed=3)
     plan = plan_measured(ks)
     assert (plan.k, plan.k_tilde) == (1, 1)
-    assert len(plan.stages) == 1 and set(plan.stages[0]) == {""}
-    assert_round(plan.stages[0][""], 1)
-    assert set(plan.finals) == {"0", "1"}
-    assert all(v.shape == (4, 2) for v in plan.finals.values())
+    assert len(plan.stages) == 1
+    assert_round(plan.stages[0], 1, 1)
+    assert plan.finals.shape == (2, 4, 2)
 
 
 @pytest.mark.parametrize(
@@ -173,27 +171,28 @@ def test_compile_measured_grid(m, n, kr, seed):
     assert verify_circuit(circ, ks) < 1e-8
 
 
-@pytest.mark.parametrize("m,n,kr,calls", [(3, 3, 8, 4), (2, 1, 4, 2), (2, 3, 4, 2)])
+@pytest.mark.parametrize("m,n,kr,calls", [(3, 3, 8, 4), (2, 1, 4, 2), (2, 3, 4, 3)])
 def test_compile_synthesizes_each_stage_in_one_batch(monkeypatch, m, n, kr, calls):
-    # one decompose_unitaries call per round, plus one for the m >= n
-    # residuals; one decompose_isometries call for the m < n residuals
+    # one decompose_isometries call per round, on the system qubits, and one
+    # for the residuals: on all n qubits when m < n, else on the system
     import chancomp.compiler as compiler
 
-    seen = {"unitaries": 0, "isometries": 0}
+    seen = []
 
-    def counted(name, fn):
-        def call(*args):
-            seen[name] += 1
-            return fn(*args)
-        return call
+    def counted(v, qubits):
+        seen.append((len(v), list(qubits)))
+        return decompose_isometries(v, qubits)
 
-    monkeypatch.setattr(compiler, "decompose_unitaries",
-                        counted("unitaries", compiler.decompose_unitaries))
-    monkeypatch.setattr(compiler, "decompose_isometries",
-                        counted("isometries", compiler.decompose_isometries))
+    monkeypatch.setattr(compiler, "decompose_isometries", counted)
+    monkeypatch.setattr(compiler, "decompose_isometry", lambda v: pytest.fail("one by one"))
     ks = random_channel(m, n, kr, seed=60)
     circ = compile_measured(ks)
-    assert seen == {"unitaries": calls, "isometries": 0 if m >= n else 1}
+    k_tilde = plan_measured(ks).k_tilde
+    assert len(seen) == k_tilde + 1 == calls
+    p = n if m < n else m + 1
+    system = list(range(p - m, p))
+    assert seen == [(2**i, system) for i in range(k_tilde)] + \
+        [(2**k_tilde, list(range(p)) if m < n else system)]
     assert verify_circuit(circ, ks) < 1e-8
 
 
@@ -203,9 +202,8 @@ def test_batched_residuals_match_one_by_one(kr):
     # decompose_isometry's for that residual alone.  Angles may differ in
     # the last bit: numpy's SIMD arctan2 can round an element differently
     # depending on where it falls in the batch.
-    plan = plan_measured(random_channel(2, 3, kr, seed=70 + kr))
-    finals = np.stack(list(plan.finals.values()))
-    batched = decompose_isometries(finals)
+    finals = plan_measured(random_channel(2, 3, kr, seed=70 + kr)).finals
+    batched = decompose_isometries(finals, range(3))
     assert len(batched) == len(finals) > 1
     for gates, v in zip(batched, finals):
         alone = decompose_isometry(v).gates
@@ -219,9 +217,8 @@ def test_batched_thin_residuals_match_one_by_one(m, n, kr):
     # the column-by-column residuals take one batched reduction; its
     # numpy steps are elementwise and its gates scalar, so each gate list
     # is decompose_isometry's for that residual alone, bit for bit
-    plan = plan_measured(random_channel(m, n, kr, seed=80 + kr))
-    finals = np.stack(list(plan.finals.values()))
-    batched = decompose_isometries(finals)
+    finals = plan_measured(random_channel(m, n, kr, seed=80 + kr)).finals
+    batched = decompose_isometries(finals, range(n))
     assert len(batched) == len(finals) > 1
     for gates, v in zip(batched, finals):
         assert gates == list(decompose_isometry(v).gates)
@@ -335,8 +332,7 @@ def test_plan_isometry_channel_has_no_rounds():
     ks = random_channel(1, 3, 1, seed=41)
     plan = plan_measured(ks)
     assert (plan.k, plan.k_tilde) == (0, 0)
-    assert plan.stages == () and set(plan.finals) == {""}
-    assert plan.finals[""].shape == (8, 2)
+    assert plan.stages == () and plan.finals.shape == (1, 8, 2)
 
 
 def test_compile_qcm_unitary_channel():
@@ -375,6 +371,28 @@ def test_convex_mixture_validation():
         ConvexMixture([(0.5, ks)])
     with pytest.raises(ValueError, match="positive"):
         ConvexMixture([(1.5, ks), (-0.5, ks)])
+    # NaN passes both p <= 0 and the sum check; infinities are refused too
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ConvexMixture([(bad, ks), (1.0, ks)])
+
+
+@pytest.mark.parametrize("how", ["decompose_isometry", "compile_qcm", "compile_random_qcm"])
+def test_one_qubit_unitary_takes_one_u_gate(how):
+    # a rank-1 1 -> 1 channel: its 2x2 dilation is one U gate, global phase included
+    from chancomp.simulator import simulate_unitary
+
+    for seed in (1, 2, 3):
+        ks = random_channel(1, 1, 1, seed)
+        v, _ = stinespring_isometry(ks)
+        if how == "decompose_isometry":
+            circ = decompose_isometry(v)
+        elif how == "compile_qcm":
+            circ = compile_qcm(ks)
+        else:
+            [(_, circ)] = compile_random_qcm(ConvexMixture([(1.0, ks)]))
+        assert [g.kind for g in circ.gates] == ["U"]
+        assert np.linalg.norm(simulate_unitary(circ) - v) < 1e-12
 
 
 def test_compile_random_single_unitary():
@@ -447,7 +465,7 @@ def test_compile_refuses_m_n_k_above_the_cap_before_synthesis(monkeypatch, compi
     import chancomp.compiler as compiler
 
     _forbid(monkeypatch, compiler, "qr_rectangular", "cs_split", "decompose_isometry",
-            "decompose_isometries", "decompose_unitaries", "_dilation_circuit")
+            "decompose_isometries", "_dilation_circuit")
     ks = random_channel(3, 4, 8, seed=5)   # m+n = 7 passes; the analysis finds k = 3
     assert MAX_COMPILE_QUBITS == 9
     with pytest.raises(ValueError, match=re.escape("m+n+k = 10 exceeds the m+n+k cap of 9")):

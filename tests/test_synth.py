@@ -29,14 +29,14 @@ from chancomp.synth import (
     _MIXES,
     _XYZ,
     cs_split,
+    _column_gates,
     _kak,
     _phase,
     _reduction_segments,
     _u_gates,
     _unitary_eig,
-    decompose_column_by_column,
+    decompose_isometries,
     decompose_isometry,
-    decompose_unitaries,
     multiplexed_rotation,
     n_iso,
     ry_multiplexor_from_zero,
@@ -143,6 +143,21 @@ def test_decompose_2x2_unitary_zero_cnots():
     circ = decompose_isometry(u)
     assert count_cnots(circ) == 0
     assert frob_distance_up_to_phase(simulate_unitary(circ), u) < 1e-10
+
+
+@pytest.mark.parametrize("rows,cols", [(8, 2), (4, 1), (8, 8), (4, 4), (16, 8), (2, 2)],
+                         ids=["column", "state-prep", "qsd-square", "kak", "qsd-round", "u"])
+def test_decompose_isometries_on_relabelled_qubits(rows, cols):
+    # the qubits only name the wires: each gate list is the range(p) one with
+    # every gate's qubits mapped, for a reversed and an offset labelling
+    rng = np.random.default_rng(rows + 7 * cols)
+    stack = np.stack([random_isometry(rows, cols, rng) for _ in range(2)])
+    p = rows.bit_length() - 1
+    base = decompose_isometries(stack, range(p))
+    for qubits in (list(reversed(range(p))), list(range(1, p + 1))):
+        want = [[Gate(g.kind, tuple(qubits[q] for q in g.qubits), g.params) for g in gates]
+                for gates in base]
+        assert decompose_isometries(stack, qubits) == want
 
 
 def test_decompose_one_by_one_isometry_is_empty():
@@ -566,7 +581,7 @@ def test_decompose_matches_loop_reference(rows, cols):
         assert np.max(np.abs(lams[0] - want)) <= 1e-12
         m = cols.bit_length() - 1
         reduction += reference_diag(list(lams[0]), list(range(p - m, p)))
-    emitted = decompose_column_by_column(v).gates
+    emitted = _column_gates(v[None], list(range(p)))[0]   # square shapes too
     want = [adjoint(g) for g in reversed(reduction)]
     assert [(g.kind, g.qubits, g.condition) for g in emitted] == \
         [(g.kind, g.qubits, g.condition) for g in want]
@@ -711,7 +726,7 @@ def test_cs_split_residual(name, v):
 def test_decompose_unitaries_is_one_batch_of_exact_circuits(p):
     rng = np.random.default_rng(90 + p)
     stack = np.stack([random_unitary(2**p, rng) for _ in range(3)])
-    lists = decompose_unitaries(stack, list(range(p)))
+    lists = decompose_isometries(stack, range(p))
     if not p:  # a 1 x 1 unitary is a global phase
         assert lists == [[], [], []]
         return
