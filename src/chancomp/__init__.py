@@ -24,8 +24,8 @@ from .channel import (
     choi_distance,
     choi_from_kraus,
     is_extreme,
-    kraus_from_choi,
     kraus_rank,
+    minimal_kraus,
     random_channel,
     stinespring_isometry,
 )

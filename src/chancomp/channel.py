@@ -1,5 +1,9 @@
 """Channel representations: Kraus sets, Choi matrices, Stinespring dilations.
 
+The analysis (minimal Kraus form, rank, extremality, dilation) is one SVD
+of the Kraus operators; a Choi matrix is built only to measure a distance
+(verification and the template objective).
+
 Conventions (fixed once, used everywhere):
   * A channel maps m qubits to n qubits; Kraus operators are 2^n x 2^m.
   * The Choi matrix is J = sum_{ij} |i><j|_in (x) E(|i><j|), unnormalized,
@@ -96,38 +100,34 @@ def choi_from_kraus(ks: KrausSet) -> ChoiMatrix:
     return ChoiMatrix(ks.m, ks.n, j)
 
 
-def kraus_from_choi(c: ChoiMatrix) -> KrausSet:
-    """Minimal Kraus form via eigendecomposition of the Choi matrix.
+def minimal_kraus(ks: KrausSet) -> KrausSet:
+    """Minimal Kraus form from one SVD of W = [vec A_1 ... vec A_K], any K.
 
-    Keeps eigenvalues above RANK_RTOL * tr(J), largest first.  Each
-    eigenvector gets the phase of `canonical_phases` rather than LAPACK's,
-    which round-off can flip; a Kraus operator's phase does not change
-    the channel.
+    J = W W^dag, so W's left singular vectors times its singular values
+    are J's eigenvectors times the roots of its eigenvalues.  Keeps those
+    with s^2 > RANK_RTOL * tr(J), largest first.  Each gets the phase of
+    `canonical_phases` rather than LAPACK's, which round-off can flip; a
+    Kraus operator's phase does not change the channel.
     """
-    evals, evecs = np.linalg.eigh(c.j)
-    tr = float(np.trace(c.j).real)
-    if evals.min() < -RANK_RTOL * max(tr, 1.0):
-        raise ValueError("invalid Choi matrix")
-    order = np.argsort(evals)[::-1]
-    kept = order[evals[order] > RANK_RTOL * tr]
-    vecs = canonical_phases(evecs[:, kept])
-    ops = [np.sqrt(evals[idx]) * vecs[:, i].reshape(2**c.m, 2**c.n).T
-           for i, idx in enumerate(kept)]
-    return KrausSet(c.m, c.n, ops)
+    w = np.stack([a.T.reshape(-1) for a in ks.ops], axis=1)  # w[i*2^n + r] = A[r, i]
+    u, s, _ = np.linalg.svd(w, full_matrices=False)
+    kept = s**2 > RANK_RTOL * np.sum(s**2)
+    vecs = canonical_phases(u[:, kept]) * s[kept]
+    return KrausSet(ks.m, ks.n, vecs.T.reshape(-1, 2**ks.m, 2**ks.n).transpose(0, 2, 1))
 
 
 def kraus_rank(ks: KrausSet) -> int:
-    return kraus_from_choi(choi_from_kraus(ks)).K
+    return minimal_kraus(ks).K
 
 
 def is_extreme(ks: KrausSet) -> bool:
     """Choi's criterion: {A_i^dag A_j} linearly independent, on minimal form."""
-    return is_extreme_minimal(kraus_from_choi(choi_from_kraus(ks)))
+    return is_extreme_minimal(minimal_kraus(ks))
 
 
 def is_extreme_minimal(mini: KrausSet) -> bool:
     """`is_extreme` of a channel already in minimal Kraus form, as
-    `kraus_from_choi` returns it."""
+    `minimal_kraus` returns it."""
     k = mini.K
     if k * k > 4**mini.m:
         return False
@@ -152,7 +152,7 @@ def stinespring_isometry(ks: KrausSet, force_k: int | None = None) -> tuple[np.n
     stack is padded with zero blocks up to 2^k operators.  `force_k`
     allows a larger environment than the minimal one.
     """
-    base = kraus_from_choi(choi_from_kraus(ks))
+    base = minimal_kraus(ks)
     kk = base.K
     k = max(kk - 1, 0).bit_length()  # ceil(log2 kk)
     if force_k is not None:

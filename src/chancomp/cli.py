@@ -20,9 +20,8 @@ from .channel import (
     KrausSet,
     channel_from_json,
     channel_to_json,
-    choi_from_kraus,
     is_extreme_minimal,
-    kraus_from_choi,
+    minimal_kraus,
     random_channel,
 )
 from .circuit import MEASURE, Circuit, CircuitParseError, cnot_count, parse, serialize
@@ -204,7 +203,7 @@ def _cmd_verify(args) -> int:
 def _cmd_info(args) -> int:
     ks = _load_channel(args.infile)
     tp = sum(a.conj().T @ a for a in ks.ops) - np.eye(2**ks.m)
-    mini = kraus_from_choi(choi_from_kraus(ks))
+    mini = minimal_kraus(ks)
     print(
         f"m={ks.m} n={ks.n} kraus_rank={mini.K} "
         f"extreme={'yes' if is_extreme_minimal(mini) else 'no'} "

@@ -43,7 +43,7 @@ from .synth import (cs_split, decompose_isometries, decompose_isometry, n_iso,
 MAX_COMPILE_QUBITS = 9   # largest m + n + k: the verifier enumerates every branch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompilePlan:
     """Case split and per-outcome-prefix factors for one channel, each a
     stack in prefix order: the factors of the prefix of value j (the

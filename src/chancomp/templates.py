@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import KrausSet, choi_from_kraus, kraus_from_choi
+from .channel import KrausSet, choi_from_kraus, minimal_kraus
 from .circuit import (
     CNOT, MEASURE, OPERANDS, RESET, RY, RZ, U, X, X_MATRIX, Circuit, Gate, cnot_count, u_matrices,
 )
@@ -242,11 +242,11 @@ def fit(
     """
     if (target.m, target.n) != (t.m, t.n):
         raise ValueError(f"{t.id} expects a {t.m}->{t.n} channel")
-    choi = choi_from_kraus(target)
-    if kraus_from_choi(choi).K > t.max_rank:
+    if minimal_kraus(target).K > t.max_rank:
         raise ValueError(f"{t.id} handles Kraus rank <= {t.max_rank}")
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
+    choi = choi_from_kraus(target)
     dim = reduced_dim(t)
     shift = 0.5 * math.pi * np.eye(dim)
     points = np.vstack([np.zeros(dim), shift, -shift])

@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chancomp.channel import (
-    ChoiMatrix,
     KrausSet,
     channel_from_json,
     channel_to_json,
     choi_distance,
     choi_from_kraus,
     is_extreme,
-    kraus_from_choi,
     kraus_rank,
+    minimal_kraus,
     random_channel,
     stinespring_isometry,
 )
@@ -90,26 +89,48 @@ def test_kraus_equivalent():
     assert not equivalent(identity_channel(), depolarizing_channel())
 
 
-def test_kraus_from_choi_counts():
-    assert kraus_from_choi(choi_from_kraus(identity_channel())).K == 1
-    assert kraus_from_choi(ChoiMatrix(1, 1, np.eye(4) / 2)).K == 4
+def redundant_channel(seed):
+    # each Kraus operator of a rank-4 1->1 channel split into three copies:
+    # 12 operators, more than the 2^(m+n) = 4 a minimal form can have
+    ks = random_channel(1, 1, 4, seed)
+    return KrausSet(1, 1, [a / np.sqrt(3) for a in ks.ops for _ in range(3)])
+
+
+def zero_padded_channel(seed):
+    ks = random_channel(1, 2, 2, seed)
+    return KrausSet(1, 2, list(ks.ops) + [np.zeros((4, 2))] * 3)
+
+
+def assert_minimal_form_of(ks, expected_k):
+    mini = minimal_kraus(ks)
+    assert mini.K == expected_k
+    j = choi_from_kraus(ks).j
+    assert np.linalg.norm(choi_from_kraus(mini).j - j) < 1e-12
+    # the squared norms are the Choi matrix's nonzero eigenvalues, largest first
+    norms = np.array([np.linalg.norm(a) for a in mini.ops])
+    assert np.all(np.diff(norms) <= 1e-12)   # ties are equal only to round-off
+    assert np.allclose(norms**2, np.linalg.eigvalsh(j)[::-1][:expected_k], atol=1e-12)
+    for a in mini.ops:
+        vec = a.T.reshape(-1)
+        f = np.exp(1j * np.arange(vec.size)) @ vec   # the `canonical_phases` sum
+        assert f.real > 0 and abs(f.imag) <= 1e-12 * abs(f)
+
+
+def test_minimal_kraus_counts():
+    assert minimal_kraus(identity_channel()).K == 1
+    assert_minimal_form_of(depolarizing_channel(), 4)   # J = I/2: one fourfold eigenvalue
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("build,expected_k", [(redundant_channel, 4), (zero_padded_channel, 2)],
+                         ids=["three-copies", "zeros-appended"])
+def test_minimal_kraus_of_redundant_lists(build, expected_k, seed):
+    assert_minimal_form_of(build(seed), expected_k)
 
 
 @pytest.mark.parametrize("seed,m,n,kr", [(0, 1, 1, 2), (1, 1, 2, 3), (2, 2, 1, 4), (3, 2, 2, 4)])
 def test_choi_kraus_round_trip(seed, m, n, kr):
-    ks = random_channel(m, n, kr, seed)
-    c1 = choi_from_kraus(ks)
-    ks2 = kraus_from_choi(c1)
-    c2 = choi_from_kraus(ks2)
-    assert choi_distance(c1, c2) < 1e-8
-    assert ks2.K == kr
-
-
-def test_kraus_from_choi_rejects_non_psd():
-    # Hermitian and trace preserving, but with a negative eigenvalue
-    j = np.diag([1.5, -0.5, 0.5, 0.5])
-    with pytest.raises(ValueError, match="invalid Choi"):
-        kraus_from_choi(ChoiMatrix(1, 1, j))
+    assert_minimal_form_of(random_channel(m, n, kr, seed), kr)
 
 
 def test_kraus_rank_examples():

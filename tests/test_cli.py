@@ -188,7 +188,7 @@ def test_size_cap_refuses_before_the_kraus_analysis(tmp_path, capsys, monkeypatc
 
     src = tmp_path / "wide.json"
     src.write_text(channel_to_json(random_channel(5, 6, 1, seed=3)))
-    monkeypatch.setattr(channel, "choi_from_kraus", lambda ks: pytest.fail("analysed"))
+    monkeypatch.setattr(channel, "minimal_kraus", lambda ks: pytest.fail("analysed"))
     for model in ("measured", "qcm", "random"):
         assert run(["compile", "--model", model, "--in", str(src),
                     "--out", str(tmp_path / "c.qcirc")]) == 1
@@ -211,11 +211,36 @@ def test_compile_runs_one_kraus_analysis(tmp_path, channel_file, monkeypatch, mo
     import chancomp.channel as channel
 
     calls = []
-    analyse = channel.kraus_from_choi
-    monkeypatch.setattr(channel, "kraus_from_choi", lambda c: calls.append(c) or analyse(c))
+    analyse = channel.minimal_kraus
+    monkeypatch.setattr(channel, "minimal_kraus", lambda ks: calls.append(ks) or analyse(ks))
     assert run(["compile", "--model", model, "--in", str(channel_file),
                 "--out", str(tmp_path / "c.qcirc")]) == 0
     assert len(calls) == 1
+
+
+def test_analysis_builds_no_choi_matrix(tmp_path, channel_file, monkeypatch, capsys):
+    # a Choi matrix is built only to measure a distance, never to analyse
+    import chancomp.channel as channel
+    from chancomp.compiler import ConvexMixture, compile_qcm, compile_random_qcm
+    from chancomp.templates import TEMPLATES, fit
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a Choi matrix was built")
+
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "chancomp"]:
+        if hasattr(mod, "choi_from_kraus"):
+            monkeypatch.setattr(mod, "choi_from_kraus", refuse)
+    monkeypatch.setattr(channel.ChoiMatrix, "__init__", refuse)
+    for m, n, kr in [(1, 1, 2), (2, 2, 3), (2, 1, 4), (1, 2, 1)]:
+        ks = random_channel(m, n, kr, seed=7)
+        compile_measured(ks)
+        compile_qcm(ks)
+    compile_random_qcm(ConvexMixture([(0.5, random_channel(2, 2, 4, seed=8)),
+                                      (0.5, random_channel(2, 2, 1, seed=9))]))
+    assert run(["info", "--in", str(channel_file)]) == 0
+    assert "kraus_rank=" in capsys.readouterr().out
+    with pytest.raises(ValueError, match="handles Kraus rank <= 2"):
+        fit(TEMPLATES["T11"], random_channel(1, 1, 3, seed=7))
 
 
 def test_verify_pass_and_fail(tmp_path, channel_file, capsys):
@@ -255,10 +280,10 @@ def test_info_runs_one_kraus_analysis(channel_file, monkeypatch, capsys):
     import chancomp.cli as cli
 
     calls = []
-    analyse = channel.kraus_from_choi
-    counting = lambda c: calls.append(c) or analyse(c)  # noqa: E731
-    monkeypatch.setattr(channel, "kraus_from_choi", counting)
-    monkeypatch.setattr(cli, "kraus_from_choi", counting)
+    analyse = channel.minimal_kraus
+    counting = lambda ks: calls.append(ks) or analyse(ks)  # noqa: E731
+    monkeypatch.setattr(channel, "minimal_kraus", counting)
+    monkeypatch.setattr(cli, "minimal_kraus", counting)
     assert run(["info", "--in", str(channel_file)]) == 0
     assert "kraus_rank=" in capsys.readouterr().out
     assert len(calls) == 1
@@ -363,21 +388,30 @@ def _run_cli(args, cwd, timeout=120):
                           capture_output=True, text=True, timeout=timeout)
 
 
-@pytest.mark.parametrize("command", ["info", "verify"])
+@pytest.mark.parametrize("command", ["verify"])
 def test_choi_matrix_above_the_cap_exits_one_without_traceback(tmp_path, command):
     # a (5,6) Choi matrix would have 4^11 entries; it is refused before allocation
     ch = tmp_path / "ch.json"
     ch.write_text(channel_to_json(random_channel(5, 6, 1, seed=3)))
     circ = tmp_path / "c.qcirc"
     circ.write_text("QUBITS 6\nCREGS 0\nINPUTS q1 q2 q3 q4 q5\nOUTPUTS q0 q1 q2 q3 q4 q5\n")
-    args = {"info": ["info", "--in", str(ch)],
-            "verify": ["verify", "--circuit", str(circ), "--channel", str(ch)]}[command]
+    args = {"verify": ["verify", "--circuit", str(circ), "--channel", str(ch)]}[command]
     proc = _run_cli(["-m", "chancomp.cli", *args], tmp_path, timeout=30)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("error: the Choi matrix of a channel from 5 to 6 qubits")
     assert proc.stdout == ""
+
+
+def test_info_above_the_choi_cap_exits_zero(tmp_path):
+    # info analyses the Kraus operators alone, so the (5,6) channel whose
+    # Choi matrix verify refuses is analysed without one
+    ch = tmp_path / "ch.json"
+    ch.write_text(channel_to_json(random_channel(5, 6, 1, seed=3)))
+    proc = _run_cli(["-m", "chancomp.cli", "info", "--in", str(ch)], tmp_path, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "m=5 n=6 kraus_rank=1 extreme=yes" in proc.stdout
 
 
 @pytest.mark.parametrize("case", ["verify-40-qubits", "random-too-large", "info-nan"])

@@ -233,11 +233,10 @@ def _simd_targets() -> list[str]:
 
 
 def test_compiled_text_of_square_and_wide_channels_is_pinned():
-    # every m >= n corpus shape compiles to the text it had before the
-    # column-by-column reduction took restricted controls: that change
-    # touches only thin shapes.  The digests hold for the numpy build and
-    # SIMD level they were recorded with; elsewhere the last bits of
-    # LAPACK and of numpy's SIMD math may differ.
+    # every m >= n corpus shape compiles to the text recorded with the
+    # minimal Kraus form taken by SVD of the Kraus operators.  The digests
+    # hold for the numpy build and SIMD level they were recorded with;
+    # elsewhere the last bits of LAPACK and of numpy's SIMD math may differ.
     import hashlib
     import json
     import pathlib
@@ -256,6 +255,14 @@ def test_compiled_text_of_square_and_wide_channels_is_pinned():
         text = serialize(compile_measured(random_channel(m, n, kr, 500 + kr)))
         got[key] = hashlib.sha256(text.encode()).hexdigest()
     assert got == golden["digests"]
+
+
+def test_plans_compare_by_identity():
+    # the generated field-wise __eq__ would compare numpy arrays and raise
+    ks = random_channel(2, 2, 3, seed=1)
+    a, b = plan_measured(ks), plan_measured(ks)
+    assert a == a and a != b
+    assert len({a, b}) == 2
 
 
 def test_one_to_one_rank2_takes_the_template_count():
@@ -277,7 +284,7 @@ def real_channel(m, n, kr, seed):
                                     (2, 2, 4), (1, 3, 4), (2, 3, 2)])
 def test_compiled_angles_ignore_the_sign_of_round_off_on_real_channels(m, n, kr):
     # A +-1e-18 imaginary part on the negative entries of real Kraus operators
-    # must not move any emitted angle: the Choi eigenvectors' phases, like
+    # must not move any emitted angle: the minimal Kraus form's phases, like
     # the synthesizer's, follow the entries rather than LAPACK's sign tests.
     for seed in range(3):
         ops = real_channel(m, n, kr, seed)
@@ -442,7 +449,7 @@ def test_compile_refuses_sizes_above_the_cap_before_the_kraus_analysis(monkeypat
                                                                       m, n, force_k, what):
     import chancomp.channel as channel
 
-    _forbid(monkeypatch, channel, "choi_from_kraus")
+    _forbid(monkeypatch, channel, "minimal_kraus")
     ks = KrausSet(m, n, [np.eye(2**n, 2**m)])
     with pytest.raises(ValueError, match=re.escape(f"{what} = 10 exceeds the m+n+k cap of 9")):
         compile_fn(ks, force_k=force_k)
@@ -451,7 +458,7 @@ def test_compile_refuses_sizes_above_the_cap_before_the_kraus_analysis(monkeypat
 def test_compile_random_refuses_sizes_above_the_cap_before_the_kraus_analysis(monkeypatch):
     import chancomp.channel as channel
 
-    _forbid(monkeypatch, channel, "choi_from_kraus")
+    _forbid(monkeypatch, channel, "minimal_kraus")
     mix = ConvexMixture([(0.5, KrausSet(5, 5, [np.eye(32)])), (0.5, KrausSet(5, 5, [np.eye(32)]))])
     with pytest.raises(ValueError, match=re.escape("m+n = 10 exceeds the m+n+k cap of 9")):
         compile_random_qcm(mix)
