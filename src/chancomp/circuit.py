@@ -22,7 +22,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -195,32 +194,6 @@ def zyz_decompose(u) -> tuple[float, float, float, float]:
     idx = np.unravel_index(np.argmax(np.abs(rec)), rec.shape)
     alpha = _wrap_angle(cmath.phase(u[idx] / rec[idx]))
     return alpha, beta, gamma, delta
-
-
-@lru_cache(maxsize=1024)
-def _cnot_perm(p: int, ctrl: int, tgt: int) -> np.ndarray:
-    """Row permutation of a CNOT on p qubits: row r of the result is row
-    perm[r] of the input (the target bit flipped where the control is 1)."""
-    rows = np.arange(2**p)
-    perm = np.where(rows & (1 << (p - 1 - ctrl)), rows ^ (1 << (p - 1 - tgt)), rows)
-    perm.flags.writeable = False
-    return perm
-
-
-def apply_unitary_gate(mat: np.ndarray, g: Gate, p: int) -> np.ndarray:
-    """Left-multiply the 2^p x C matrix `mat` by the gate's embedding.
-
-    A CNOT is a cached row permutation.  A single-qubit gate on qubit q
-    views `mat` as 2^q stacked 2 x (2^(p-q-1) C) blocks, one row pair per
-    value of the q bit, and multiplies each block by the 2x2 matrix in
-    one broadcast product.  Returns a new array; `mat` is not modified.
-
-    Only unitary kinds are valid here; conditions are ignored (callers
-    decide whether the gate fires).
-    """
-    if g.kind == CNOT:
-        return mat[_cnot_perm(p, *g.qubits)]
-    return (gate1_matrix(g) @ mat.reshape(2 ** g.qubits[0], 2, -1)).reshape(mat.shape)
 
 
 def update_pairs(work: np.ndarray, b: int, mats: np.ndarray) -> None:

@@ -13,13 +13,13 @@ interprets the circuit's classical semantics.  `static_plan` reads the
 gate list once.  It checks that no register is written twice, that no
 condition reads a register before it is written and that every RESET
 follows a MEASURE of its qubit that no gate has touched since in any
-branch; it fuses runs; it resolves each condition and each RESET to the
-branches it acts on.  `run_plan` evaluates the plan on a stack of B sets
-of single-qubit matrices at once, the branches being one more array
-axis: measurement i is the i-th most significant bit of a branch index,
-so branches come in sorted outcome order.  The circuit functions below
-evaluate B = 1 on the circuit's own angles; the template fitter
-evaluates B parameter vectors of one template.
+branch; it fuses runs and merges segments; it resolves each condition
+and each RESET to the branches it acts on.  `run_plan` evaluates the
+plan on a stack of B sets of single-qubit matrices at once, the branches
+being one more array axis: measurement i is the i-th most significant
+bit of a branch index, so branches come in sorted outcome order.  The
+circuit functions below evaluate B = 1 on the circuit's own angles; the
+template fitter evaluates B parameter vectors of one template.
 
 A run is a maximal stretch of consecutive unitary gates under one
 condition that act on one target t: single-qubit gates on t and CNOTs
@@ -33,6 +33,21 @@ matrix per block and assignment of the bits its flips read, a few
 batched products in all.  A run of CNOTs alone, and a RESET's X, is a
 row permutation.  Each uniformly controlled gate or Gray-code
 multiplexor emitted is one run.
+
+A segment is a maximal stretch of runs under one condition with no
+MEASURE or RESET inside.  A measured circuit conditions each block on
+the outcomes so far, so consecutive segments often read the same
+registers and have the same runs, target for target and CNOT mask for
+CNOT mask, differing only in their single-qubit kinds and angles.  Such
+segments merge into one group when the branch sets they fire in are
+pairwise disjoint: each run position of the group is one op on the union
+of those branches, one `_run_product` over every member's gathered
+matrices and one pair update in which each branch takes the product of
+the member that fires there.  No branch sees two members, so each branch
+still sees its gates in circuit order.  Disjointness is checked on the
+branch sets themselves, not on the condition values: a value that comes
+back (s = 0, 1, 0) starts a new group.  A segment that fires nowhere
+makes no op.
 """
 
 from __future__ import annotations
@@ -176,19 +191,40 @@ def _run_product(mats: np.ndarray, plan) -> np.ndarray:
     return out if end is None else np.where(end, out[..., ::-1, :], out)
 
 
-def _run_op(p: int, spec: list) -> tuple:
-    """The plan op of spec = [branches, target, condition, first gate,
-    masks, m_end] (see `static_plan`): ("run", branches, bit, first, last,
-    run plan) or, for a run of CNOTs alone, ("perm", branches, rows)."""
-    sel, target, _, first, masks, m_end = spec
+def _run_op(p: int, specs: list, sel, owner) -> tuple:
+    """The plan op of one run position of a group's members, specs holding
+    each member's [branches, target, key, first gate, masks, m_end] (see
+    `static_plan`): ("run", sel, bit, gather, owner, run plan) or, for a run
+    of CNOTs alone, ("perm", sel, rows).  The members' flips are equal, so
+    they share the run plan; gather holds each member's gate indices."""
+    _, target, _, first, masks, m_end = specs[0]
     b = p - 1 - target
     if not masks:
         rows = np.arange(1 << p)
         return "perm", sel, np.where(_parity(p)[rows & m_end], rows ^ (1 << b), rows)
+    n = len(masks)
+    gather = (slice(first, first + n) if len(specs) == 1
+              else np.array([s[3] for s in specs])[:, None] + np.arange(n))
     low = (1 << b) - 1
     m = [((x >> (b + 1)) << b) | (x & low) for x in masks + [m_end]]   # drop bit b
     flips = tuple(f ^ g for f, g in zip(m[1:-1], m[:-2]))
-    return "run", sel, b, first, first + len(masks), _run_plan(flips, m[0], m[-1] ^ m[-2], p - 1)
+    return "run", sel, b, gather, owner, _run_plan(flips, m[0], m[-1] ^ m[-2], p - 1)
+
+
+def _same_shape(a: list, b: list) -> bool:
+    """Whether two segments' conditions read the same registers and their
+    runs have the same targets and CNOT masks, gate for gate."""
+    return (len(a) == len(b)
+            and {r for r, _ in a[0][2][0] or ()} == {r for r, _ in b[0][2][0] or ()}
+            and all(x[1] == y[1] and x[5] == y[5] and x[4] == y[4] for x, y in zip(a, b)))
+
+
+def _group_ops(p: int, group: list, owner) -> list:
+    """The plan ops of a group of segments: one op per run position."""
+    if len(group) == 1:
+        return [_run_op(p, [s], s[0], slice(None)) for s in group[0]]
+    sel = _branches(owner >= 0)
+    return [_run_op(p, specs, sel, owner[sel]) for specs in zip(*group)]
 
 
 def _branches(hold: np.ndarray):
@@ -226,13 +262,16 @@ class Plan:
     """The static pass over a circuit's gate list (see the module docstring).
 
     `gates` are the circuit's single-qubit unitary gates in order; the
-    evaluation takes one matrix per gate.  Each op is ("run", branches,
-    bit, first, last, run plan), gates first to last fused into one pair
-    update on bit `bit` of the row index; ("perm", branches, rows), a row
-    permutation; or ("measure", masks), which splits every branch into
-    outcomes 0 and 1.  `branches` indexes the branch axis (`_branches`).
-    out_rows[y] are the rows where the disposed qubits read y, in the
-    order of the outputs' value."""
+    evaluation takes one matrix per gate.  Each op is one of:
+    ("run", branches, bit, gather, owner, run plan), one run position of a
+    group of segments fused into one pair update on bit `bit` of the row
+    index: member k's gates are gather[k] (for a lone segment, gather is
+    the slice of its gates and owner slice(None)), and the i-th branch of
+    `branches` takes the product of member owner[i]; ("perm", branches,
+    rows), a row permutation; or ("measure", masks), which splits every
+    branch into outcomes 0 and 1.  `branches` indexes the branch axis
+    (`_branches`).  out_rows[y] are the rows where the disposed qubits
+    read y, in the order of the outputs' value."""
 
     gates: tuple[Gate, ...]
     ops: tuple
@@ -248,7 +287,8 @@ def static_plan(c: Circuit) -> Plan:
 
     Row masks: qubit q is bit p - 1 - q of a row index.  A run's spec
     collects, per single-qubit gate, the XOR of the control masks of the
-    CNOTs before it (masks), and that of all of them (m_end)."""
+    CNOTs before it (masks), and that of all of them (m_end).  `ops`
+    holds the measure and RESET ops and the segments, lists of specs."""
     embedding = input_embedding(c)
     p = c.num_qubits
     rows = np.arange(1 << p)
@@ -261,13 +301,17 @@ def static_plan(c: Circuit) -> Plan:
         kind, qs = g.kind, g.qubits
         if kind in UNITARY_KINDS:
             t = qs[-1]
-            cond = g.condition or None
-            if spec is None or t != spec[1] or cond != spec[2]:
-                key = (cond, len(written))
+            key = (g.condition or None, len(written))
+            if spec is None or t != spec[1] or key != spec[2]:
                 if key not in selections:
-                    selections[key] = _fired(cond, written, len(written))
-                spec = [selections[key], t, cond, len(gates), [], 0]
-                ops.append(spec)
+                    selections[key] = _fired(key[0], written, len(written))
+                spec = [selections[key], t, key, len(gates), [], 0]
+                if spec[0] is None:   # fires nowhere: no op
+                    pass
+                elif ops and type(ops[-1]) is list and ops[-1][-1][2] == key:
+                    ops[-1].append(spec)
+                else:
+                    ops.append([spec])   # a new segment
             if fresh and spec[0] is not None:
                 for q in qs:
                     fresh.pop(q, None)
@@ -293,12 +337,29 @@ def static_plan(c: Circuit) -> Plan:
             ops.append(("perm", sel, rows ^ (1 << (p - 1 - q))))
         else:   # TRACE
             fresh.pop(q, None)
-    ops = tuple(_run_op(p, x) if type(x) is list else x for x in ops
-                if type(x) is not list or x[0] is not None)
+    # group consecutive segments of one shape that fire in disjoint branches;
+    # owner[i] is the member that fires in branch i, -1 for none
+    plan_ops, group, owner = [], [], None
+    for x in ops + [None]:
+        if type(x) is list and group and _same_shape(group[0], x):
+            if owner is None:   # one entry per branch, key[1] being the measurements so far
+                owner = np.full(1 << x[0][2][1], -1)
+                owner[group[0][0][0]] = 0
+            if (owner[x[0][0]] < 0).all():
+                owner[x[0][0]] = len(group)
+                group.append(x)
+                continue
+        if group:
+            plan_ops += _group_ops(p, group, owner)
+        group, owner = [], None
+        if type(x) is list:
+            group = [x]
+        elif x is not None:
+            plan_ops.append(x)
     disposal = [q for q in range(p) if q not in c.output_qubits]
     out_rows = rows.reshape((2,) * p).transpose(disposal + list(c.output_qubits))
     out_rows = out_rows.reshape(1 << len(disposal), -1)
-    return Plan(tuple(gates), ops, embedding, out_rows, len(written))
+    return Plan(tuple(gates), tuple(plan_ops), embedding, out_rows, len(written))
 
 
 def run_plan(plan: Plan, mats: np.ndarray) -> np.ndarray:
@@ -317,8 +378,10 @@ def run_plan(plan: Plan, mats: np.ndarray) -> np.ndarray:
         if kind == "perm":
             state[:, sel] = part[:, :, op[2]]
             continue
-        _, _, b, first, last, rp = op
-        update_pairs(part, b, _run_product(mats[:, first:last], rp)[:, None])
+        _, _, b, gather, owner, rp = op
+        each = mats[:, gather]
+        prod = _run_product(each.reshape((-1,) + each.shape[-3:]), rp)
+        update_pairs(part, b, prod.reshape((size, -1) + prod.shape[1:])[:, owner])
         if type(sel) is not slice:
             state[:, sel] = part
     return state[:, :, plan.out_rows].reshape(size, -1, *plan.out_rows.shape[1:], state.shape[-1])

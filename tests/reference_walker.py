@@ -2,18 +2,45 @@
 
 It interprets MEASURE, conditions, RESET and TRACE one branch object at a
 time and applies each unitary gate on its own through the gate kernel
-`apply_unitary_gate`, sharing no code with the simulator's static plan,
-fused runs or branch axis.  Tests compare the simulator and the template
-evaluator against it.
+`apply_unitary_gate` below, sharing no code with the simulator's static
+plan, fused runs or branch axis.  Tests compare the simulator, the
+template evaluator and the synthesizer's working copy against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from chancomp.circuit import MEASURE, RESET, TRACE, X, Gate, apply_unitary_gate
+from chancomp.circuit import CNOT, MEASURE, RESET, TRACE, X, Gate, gate1_matrix
+
+
+@lru_cache(maxsize=1024)
+def _cnot_perm(p: int, ctrl: int, tgt: int) -> np.ndarray:
+    """Row permutation of a CNOT on p qubits: row r of the result is row
+    perm[r] of the input (the target bit flipped where the control is 1)."""
+    rows = np.arange(2**p)
+    perm = np.where(rows & (1 << (p - 1 - ctrl)), rows ^ (1 << (p - 1 - tgt)), rows)
+    perm.flags.writeable = False
+    return perm
+
+
+def apply_unitary_gate(mat: np.ndarray, g: Gate, p: int) -> np.ndarray:
+    """Left-multiply the 2^p x C matrix `mat` by the gate's embedding.
+
+    A CNOT is a cached row permutation.  A single-qubit gate on qubit q
+    views `mat` as 2^q stacked 2 x (2^(p-q-1) C) blocks, one row pair per
+    value of the q bit, and multiplies each block by the 2x2 matrix in
+    one broadcast product.  Returns a new array; `mat` is not modified.
+
+    Only unitary kinds are valid here; conditions are ignored (callers
+    decide whether the gate fires).
+    """
+    if g.kind == CNOT:
+        return mat[_cnot_perm(p, *g.qubits)]
+    return (gate1_matrix(g) @ mat.reshape(2 ** g.qubits[0], 2, -1)).reshape(mat.shape)
 
 
 @dataclass

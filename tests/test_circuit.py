@@ -20,7 +20,6 @@ from chancomp.circuit import (
     Circuit,
     CircuitParseError,
     Gate,
-    apply_unitary_gate,
     cnot_count,
     gate1_matrix,
     one_qubit_matrices,
@@ -31,6 +30,7 @@ from chancomp.circuit import (
     u_matrix,
     zyz_decompose,
 )
+from reference_walker import apply_unitary_gate
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 

@@ -20,7 +20,6 @@ from chancomp.circuit import (
     X,
     Circuit,
     Gate,
-    apply_unitary_gate,
     one_qubit_matrices,
     parse,
     serialize,
@@ -37,6 +36,7 @@ from chancomp.simulator import (
     simulate_unitary,
     static_plan,
 )
+from chancomp.templates import TEMPLATES
 from reference_walker import reference_branches
 
 CNOT_MATRIX = np.array(
@@ -356,24 +356,20 @@ def test_fused_runs_match_gate_by_gate_on_compiled_circuits(seed):
         assert_matches_reference(circ)
 
 
-def test_runs_leave_only_lone_gates_to_the_gate_kernel(monkeypatch):
-    # every unitary gate belongs to a run, a lone one to a run of one gate,
-    # and RESET's X is a row flip, so nothing reaches the gate kernel
+def test_runs_leave_only_lone_gates_to_the_gate_kernel():
+    # every single-qubit gate belongs to exactly one run op, a lone one to a
+    # run of one gate, and RESET's X is a row flip; the gate-by-gate kernel
+    # lives in the reference walker alone, out of the simulator's reach
     circ = compile_qcm(random_channel(1, 3, 2, seed=4))
     measured = standard_passes(compile_measured(random_channel(1, 2, 4, seed=4)))
     assert any(g.kind == U for g in circ.gates) and any(g.kind == RESET for g in measured.gates)
-    calls = []
-
-    def counting(mat, g, p):
-        calls.append(g.kind)
-        return apply_unitary_gate(mat, g, p)
-
-    # the simulator holds no binding of its own that the patch would miss
+    for c in (circ, measured):
+        plan = static_plan(c)
+        index = np.arange(len(plan.gates))
+        covered = [i for op in plan.ops if op[0] == "run" for i in index[op[3]].ravel()]
+        assert sorted(covered) == index.tolist()
+    assert not hasattr(chancomp.circuit, "apply_unitary_gate")
     assert not hasattr(chancomp.simulator, "apply_unitary_gate")
-    monkeypatch.setattr(chancomp.circuit, "apply_unitary_gate", counting)
-    circuit_to_kraus(circ)
-    circuit_to_kraus(measured)
-    assert calls == []
 
 
 @pytest.mark.parametrize("p", range(1, 9))
@@ -503,6 +499,12 @@ def test_one_plan_runs_three_angle_sets_as_three_circuits_and_the_reference(c, s
         with pytest.raises(ValueError, match=re.escape(str(exc))):
             static_plan(c)
         return
+    assert_three_angle_sets_match(c, seed)
+
+
+def assert_three_angle_sets_match(c, seed):
+    # one plan on a B = 3 stack gives what each angle set gives on its own,
+    # bit for bit, and what the reference walker gives
     rng = np.random.default_rng(seed)
     variants = [with_angles(c, rng) for _ in range(3)]
     mats = np.stack([one_qubit_matrices(static_plan(v).gates) for v in variants])
@@ -510,4 +512,102 @@ def test_one_plan_runs_three_angle_sets_as_three_circuits_and_the_reference(c, s
         single = circuit_to_branches(v)
         assert np.array_equal(ops, [b.op for b in single])
         assert_matches_reference(v)
+
+
+# --- merged segments --------------------------------------------------------------
+
+
+@st.composite
+def conditioned_blocks(draw):
+    """Measured circuits shaped like the measured compiler's rounds: after
+    each measurement, blocks under conditions on the registers written so
+    far, each a copy of the round's template in full, in part, with other
+    single-qubit kinds or with other CNOTs.  Conditions list their
+    registers in any order, repeat values (s = 0, 1, 0), skip prefixes,
+    read only some registers or hold in no branch."""
+    p = draw(st.integers(2, 4))
+    qubits = st.integers(0, p - 1)
+    one_qubit = st.sampled_from([U, RX, RY, RZ, X])
+
+    def gate(kind, qs, cond=None):
+        return Gate(kind, qs, (0.0,) * {U: 4, X: 0, CNOT: 0}.get(kind, 1), condition=cond)
+
+    def template():
+        out = []
+        for _ in range(draw(st.integers(1, 3))):
+            t = draw(qubits)
+            for _ in range(draw(st.integers(1, 5))):
+                c = draw(qubits)
+                out.append((CNOT, (c, t)) if c != t and draw(st.booleans())
+                           else (draw(one_qubit), (t,)))
+        return out
+
+    gates = [gate(U, (q,)) for q in range(p)] + [gate(CNOT, (q - 1, q)) for q in range(1, p)]
+    nregs = draw(st.integers(1, 3))
+    for written in range(1, nregs + 1):
+        gates.append(Gate(MEASURE, (draw(qubits),), creg=written - 1))
+        base = template()
+        for _ in range(draw(st.integers(1, 5))):
+            regs = draw(st.permutations(range(written)))
+            value = draw(st.integers(0, 2**written - 1))
+            cond = [(r, (value >> r) & 1) for r in regs]
+            shape = draw(st.sampled_from(["full", "full", "full", "part", "kinds", "cnots",
+                                          "some registers", "never"]))
+            block = base
+            if shape == "part":
+                block = base[:draw(st.integers(0, len(base)))] + template()
+            elif shape == "kinds":
+                block = [(k if k == CNOT else draw(one_qubit), qs) for k, qs in base]
+            elif shape == "cnots":
+                block = base + [(CNOT, (base[-1][1][-1] - 1, base[-1][1][-1]) if base[-1][1][-1]
+                                 else (1, 0))]
+            elif shape == "some registers":
+                cond = cond[:draw(st.integers(1, written))]
+            elif shape == "never":
+                cond = cond + [(cond[0][0], 1 - cond[0][1])]
+            gates += [gate(k, qs, tuple(cond)) for k, qs in block]
+    order = draw(st.permutations(range(p)))
+    inputs = tuple(order[:draw(st.integers(0, p))])
+    return Circuit(p, inputs, tuple(range(p)), tuple(gates), nregs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(conditioned_blocks(), st.integers(0, 2**32 - 1))
+def test_merged_segments_match_the_reference_on_angle_stacks(c, seed):
+    assert_three_angle_sets_match(c, seed)
+
+
+def test_a_repeated_condition_value_starts_a_new_group():
+    # blocks under c0 = 0, 1, 0: the first two merge into one op per run,
+    # the third fires where the first did and runs after both
+    def block(s, angle):
+        cond = ((0, s),)
+        return (Gate(RY, (1,), (angle,), condition=cond), Gate(CNOT, (0, 1), condition=cond),
+                Gate(RZ, (1,), (angle,), condition=cond))
+
+    gates = ((Gate(U, (0,), (0.1, 0.2, 0.7, 0.3)), Gate(MEASURE, (0,), creg=0))
+             + block(0, 0.4) + block(1, 1.1) + block(0, 2.3))
+    c = Circuit(2, (0, 1), (0, 1), gates, 1)
+    runs = [op[3] for op in static_plan(c).ops if op[0] == "run"]
+    assert [np.shape(g) if type(g) is not slice else g for g in runs] == [
+        slice(0, 1), (2, 2), slice(5, 7)]   # the U, blocks 1 and 2, block 3
+    assert_matches_reference(c)
+    assert_three_angle_sets_match(c, 0)
+
+
+# Upper bounds on the plan ops of seed-1 measured compiles and of the
+# templates: a change that stops merging conditioned blocks fails here.
+@pytest.mark.parametrize("shape,most", [((2, 2, 4), 32), ((2, 3, 8), 64), ((3, 3, 8), 160),
+                                        ((1, 4, 8), 24), ((4, 4, 1), 143)])
+def test_measured_plan_sizes(shape, most):
+    c = standard_passes(compile_measured(random_channel(*shape, seed=1)))
+    ops = len(static_plan(c).ops)
+    assert ops <= most
+    if shape == (4, 4, 1):   # no conditioned blocks: nothing to merge
+        assert ops == most
+
+
+@pytest.mark.parametrize("name,most", [("T12", 14), ("T22", 22)])
+def test_template_plan_sizes(name, most):
+    assert len(static_plan(TEMPLATES[name].circuit).ops) <= most
 

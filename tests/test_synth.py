@@ -12,7 +12,6 @@ from chancomp.circuit import (
     U,
     Circuit,
     Gate,
-    apply_unitary_gate,
     cnot_count,
     gate1_matrix,
     ry_matrix,
@@ -41,6 +40,7 @@ from chancomp.synth import (
     n_iso,
     ry_multiplexor_from_zero,
 )
+from reference_walker import apply_unitary_gate
 
 
 def random_isometry(rows, cols, rng):
