@@ -2,9 +2,8 @@
 
 `OPERANDS` is the one description of a gate kind: how many qubits and
 angles it takes, whether it writes a classical register and whether it
-may carry a condition.  `Gate` checks itself against it, and the text
-format writes a gate's operands in one order for every kind: qubits,
-then the register, then the angles.
+may carry a condition.  The text format writes a gate's operands in one
+order for every kind: qubits, then the register, then the angles.
 
 Gate kinds: RX, RY, RZ (one angle), U (ZYZ with global phase: four
 angles alpha, beta, gamma, delta), X, CNOT (control, target), MEASURE
@@ -12,6 +11,14 @@ angles alpha, beta, gamma, delta), X, CNOT (control, target), MEASURE
 condition: a tuple of (register, bit) pairs that must all match for the
 gate to fire.  MEASURE, RESET and TRACE always act.  RESET means: apply
 X if the immediately preceding MEASURE on the same qubit gave outcome 1.
+
+Trust boundary: each gate is checked once, where it enters the program.
+The public `Gate` constructor checks every field against `OPERANDS`.
+`parse` checks each line, the faults its text can still have included,
+and then builds the gate trusted, without a second check.  `conditioned`
+copies gates that were already checked, adding a condition, and checks
+only that their kinds take one.  `Circuit` checks the whole gate tuple
+against the circuit (qubit and register ranges, traced-out qubits).
 
 Qubit 0 is the most significant bit of a basis index.
 """
@@ -42,6 +49,18 @@ OPERANDS = {
 }
 UNITARY_KINDS = frozenset(kind for kind, row in OPERANDS.items() if row[3])
 
+# The gate faults that `parse` and `conditioned` raise as well as `Gate`,
+# worded here once.
+_NOT_FINITE = "gate angles must be finite"
+
+
+def _self_control(kind: str) -> str:
+    return f"{kind} control equals target"
+
+
+def _no_condition(kind: str) -> str:
+    return f"{kind} takes no condition"
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -62,19 +81,45 @@ class Gate:
         if len(qubits) != nq:
             raise ValueError(f"{kind} expects {nq} qubit(s)")
         if nq == 2 and qubits[0] == qubits[1]:
-            raise ValueError(f"{kind} control equals target")
+            raise ValueError(_self_control(kind))
         if len(self.params) != na:
             raise ValueError(f"{kind} expects {na} angle(s)")
         for x in self.params:
             if not math.isfinite(x):
-                raise ValueError("gate angles must be finite")
+                raise ValueError(_NOT_FINITE)
         if self.creg is None:
             if register:
                 raise ValueError(f"{kind} needs a classical register")
         elif not register:
             raise ValueError(f"{kind} takes no classical register")
         if self.condition and not conditional:
-            raise ValueError(f"{kind} takes no condition")
+            raise ValueError(_no_condition(kind))
+
+
+def _gate(kind, qubits, params, creg, condition) -> Gate:
+    """A `Gate` of fields that already passed `Gate`'s checks, built without
+    running them again.  It fills the instance dict in field order, as the
+    dataclass's own `__init__` does, so equality, hashing, `replace` and
+    pickling see no difference."""
+    g = object.__new__(Gate)
+    d = g.__dict__
+    d["kind"] = kind
+    d["qubits"] = qubits
+    d["params"] = params
+    d["creg"] = creg
+    d["condition"] = condition
+    return g
+
+
+def conditioned(gates, condition) -> list[Gate]:
+    """Copies of checked gates, each carrying `condition`.  Only the kinds
+    are checked: a copy keeps its source's kind, qubits, angles and register."""
+    out = [_gate(g.kind, g.qubits, g.params, g.creg, condition) for g in gates]
+    if condition:
+        for g in out:
+            if g.kind not in UNITARY_KINDS:
+                raise ValueError(_no_condition(g.kind))
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,11 +164,6 @@ class Circuit:
 # --- rotation algebra -----------------------------------------------------
 
 
-def rx_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
 def ry_matrix(theta: float) -> np.ndarray:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
@@ -133,25 +173,7 @@ def rz_matrix(theta: float) -> np.ndarray:
     return np.array([[cmath.exp(-0.5j * theta), 0], [0, cmath.exp(0.5j * theta)]])
 
 
-def u_matrix(alpha: float, beta: float, gamma: float, delta: float) -> np.ndarray:
-    return cmath.exp(1j * alpha) * (rz_matrix(beta) @ ry_matrix(gamma) @ rz_matrix(delta))
-
-
 X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def gate1_matrix(g: Gate) -> np.ndarray:
-    if g.kind == RX:
-        return rx_matrix(*g.params)
-    if g.kind == RY:
-        return ry_matrix(*g.params)
-    if g.kind == RZ:
-        return rz_matrix(*g.params)
-    if g.kind == U:
-        return u_matrix(*g.params)
-    if g.kind == X:
-        return X_MATRIX
-    raise ValueError(f"{g.kind} has no single-qubit matrix")
 
 
 def _wrap_angle(t: float) -> float:
@@ -227,7 +249,7 @@ _AS_U = {
 
 
 def u_matrices(angles: np.ndarray) -> np.ndarray:
-    """`u_matrix` of each row (a, b, g, d) of an (..., 4) angle array, as (..., 2, 2):
+    """e^{ia} Rz(b) Ry(g) Rz(d) of each row (a, b, g, d) of an (..., 4) angle array, as (..., 2, 2):
     e^{ia} [[e^{-i(b+d)/2} c, -e^{-i(b-d)/2} s], [e^{i(b-d)/2} s, e^{i(b+d)/2} c]]
     with c = cos(g/2) and s = sin(g/2)."""
     alpha, beta, gamma, delta = np.moveaxis(angles, -1, 0)
@@ -240,7 +262,7 @@ def u_matrices(angles: np.ndarray) -> np.ndarray:
 
 
 def one_qubit_matrices(gates) -> np.ndarray:
-    """The `gate1_matrix` of each single-qubit unitary gate, as one stack."""
+    """The 2x2 matrix of each single-qubit unitary gate, as one stack."""
     angles = np.array([_AS_U[g.kind](*g.params) for g in gates], dtype=np.float64)
     out = u_matrices(angles.reshape(-1, 4))
     out[[g.kind == X for g in gates]] = X_MATRIX
@@ -321,35 +343,69 @@ def serialize(c: Circuit) -> str:
         "INPUTS " + " ".join(f"q{q}" for q in c.input_qubits),
         "OUTPUTS " + " ".join(f"q{q}" for q in c.output_qubits),
     ]
+    # condition -> its "IF ... " text, qubits -> theirs: each built once
+    prefixes, operands = {}, {}
     for g in c.gates:
-        line = g.kind
-        for q in g.qubits:
-            line += " q" + str(q)
+        qubits = g.qubits
+        text = operands.get(qubits)
+        if text is None:
+            text = operands[qubits] = "".join([f" q{q}" for q in qubits])
+        line = g.kind + text
         if g.creg is not None:
             line += " c" + str(g.creg)
-        for x in g.params:
-            line += " " + format(float(x), ".17g")
-        if g.condition:
-            line = "IF " + ",".join(f"c{r}={b}" for r, b in g.condition) + " " + line
+        params = g.params
+        if params:
+            # "%.17g" % x is the text of format(float(x), ".17g")
+            line += " %.17g" * len(params) % params
+        cond = g.condition
+        if cond:
+            prefix = prefixes.get(cond)
+            if prefix is None:
+                prefix = prefixes[cond] = "IF " + ",".join(f"c{r}={b}" for r, b in cond) + " "
+            line = prefix + line
         lines.append(line)
     return "\n".join(lines) + "\n"
 
 
 def _index(tok: str, prefix: str) -> int:
     """The number in a `q<int>` (prefix "q") or `c<int>` (prefix "c") token."""
-    if tok[:1] != prefix or not tok[1:].isdecimal():
+    digits = tok[1:]
+    if tok[:1] != prefix or not digits.isdecimal():
         raise ValueError(f"expected {'qubit' if prefix == 'q' else 'register'} token, "
                          f"got {tok!r}")
-    return int(tok[1:])
+    return int(digits)
+
+
+def _condition(text: str) -> tuple[tuple[int, int], ...]:
+    """The (register, bit) pairs of an `IF` condition such as `c0=1,c2=0`."""
+    pairs = []
+    for part in text.split(","):
+        reg, eq, val = part.partition("=")
+        if not eq:
+            raise ValueError(f"bad condition {part!r}")
+        if val not in ("0", "1"):
+            raise ValueError(f"condition bit must be 0 or 1, got {val!r}")
+        pairs.append((_index(reg, "c"), int(val)))
+    return tuple(pairs)
 
 
 def parse(text: str) -> Circuit:
     """Inverse of `serialize`; `#` starts a comment.  Every fault is a
-    `CircuitParseError` naming the line (0 for the circuit as a whole)."""
+    `CircuitParseError` naming the line (0 for the circuit as a whole).
+
+    Each gate line is checked here, in `Gate`'s order: the token shapes
+    (messages below), then the faults its values can still have, worded
+    by the helpers `Gate` raises them with (`_self_control`, `_NOT_FINITE`,
+    `_no_condition`).  Every other `Gate` check holds by construction, so
+    the gate is built trusted."""
     header = dict.fromkeys(("QUBITS", "CREGS", "INPUTS", "OUTPUTS"))
     gates = []
+    # condition text -> its tuple, qubit tokens -> theirs: each read once
+    conditions, operands = {}, {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split("#", 1)[0].split()
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        toks = raw.split()
         if not toks:
             continue
         key = toks[0]
@@ -366,21 +422,15 @@ def parse(text: str) -> Circuit:
             if key == "IF":
                 if len(toks) < 3:
                     raise ValueError("IF needs a condition and an instruction")
-                pairs = []
-                for part in toks[1].split(","):
-                    reg, eq, val = part.partition("=")
-                    if not eq:
-                        raise ValueError(f"bad condition {part!r}")
-                    if val not in ("0", "1"):
-                        raise ValueError(f"condition bit must be 0 or 1, got {val!r}")
-                    pairs.append((_index(reg, "c"), int(val)))
-                condition = tuple(pairs)
+                condition = conditions.get(toks[1])
+                if condition is None:
+                    condition = conditions[toks[1]] = _condition(toks[1])
                 toks = toks[2:]
                 key = toks[0]
             row = OPERANDS.get(key)
             if row is None:
                 raise ValueError(f"unknown instruction {key!r}")
-            nq, na, register, _ = row
+            nq, na, register, conditional = row
             fixed = nq + register   # operand tokens before the angles
             if len(toks) <= fixed:
                 names = ["qubit" if nq == 1 else f"{nq} qubits"]
@@ -388,10 +438,21 @@ def parse(text: str) -> Circuit:
                 raise ValueError(f"{key} needs {' and '.join(names)}")
             if len(toks) - 1 - fixed != na:
                 raise ValueError(f"expected {na} angle(s), got {len(toks) - 1 - fixed}")
+            operand = toks[1] if nq == 1 else (toks[1], toks[2])   # nq is 1 or 2
+            qubits = operands.get(operand)
+            if qubits is None:
+                qubits = operands[operand] = tuple([_index(t, "q") for t in toks[1:nq + 1]])
+            params = tuple(map(float, toks[fixed + 1:])) if na else ()
+            creg = _index(toks[fixed], "c") if register else None
+            if nq == 2 and qubits[0] == qubits[1]:
+                raise ValueError(_self_control(key))
+            for x in params:
+                if not math.isfinite(x):
+                    raise ValueError(_NOT_FINITE)
+            if condition and not conditional:
+                raise ValueError(_no_condition(key))
             # sys.intern: every gate of a kind shares one kind string
-            gates.append(Gate(sys.intern(key), tuple(_index(t, "q") for t in toks[1:nq + 1]),
-                              tuple(map(float, toks[fixed + 1:])),
-                              _index(toks[fixed], "c") if register else None, condition))
+            gates.append(_gate(sys.intern(key), qubits, params, creg, condition))
         except ValueError as exc:
             raise CircuitParseError(line_no, str(exc)) from None
     for key, value in header.items():

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import KrausSet, choi_distance, choi_from_kraus, stinespring_isometry
-from .circuit import MEASURE, RESET, TRACE, Circuit, Gate
+from .circuit import MEASURE, RESET, TRACE, Circuit, Gate, conditioned
 from .linalg import is_isometry, qr_rectangular
 from .synth import (cs_split, decompose_isometries, decompose_isometry, n_iso,
                     ry_multiplexor_from_zero)
@@ -147,8 +147,7 @@ def _conditioned(gates, prefix: str) -> list[Gate]:
     """The gates, each conditioned on the registers reading `prefix`."""
     if not prefix:
         return list(gates)
-    cond = tuple((r, int(b)) for r, b in enumerate(prefix))
-    return [Gate(g.kind, g.qubits, g.params, g.creg, cond) for g in gates]
+    return conditioned(gates, tuple((r, int(b)) for r, b in enumerate(prefix)))
 
 
 def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:

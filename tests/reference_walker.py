@@ -2,7 +2,7 @@
 
 It interprets MEASURE, conditions, RESET and TRACE one branch object at a
 time and applies each unitary gate on its own through the gate kernel
-`apply_unitary_gate` below, sharing no code with the simulator's static
+`apply_unitary_gate` and the per-gate matrices of `gate1_matrix` below, sharing no code with the simulator's static
 plan, fused runs or branch axis.  Tests compare the simulator, the
 template evaluator and the synthesizer's working copy against it.
 """
@@ -12,9 +12,37 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import cmath
+import math
+
 import numpy as np
 
-from chancomp.circuit import CNOT, MEASURE, RESET, TRACE, X, Gate, gate1_matrix
+from chancomp.circuit import (CNOT, MEASURE, RESET, RX, RY, RZ, TRACE, U, X, X_MATRIX, Gate,
+                              ry_matrix, rz_matrix)
+
+
+def rx_matrix(theta: float) -> np.ndarray:
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+def u_matrix(alpha: float, beta: float, gamma: float, delta: float) -> np.ndarray:
+    return cmath.exp(1j * alpha) * (rz_matrix(beta) @ ry_matrix(gamma) @ rz_matrix(delta))
+
+
+def gate1_matrix(g: Gate) -> np.ndarray:
+    """The 2x2 matrix of a single-qubit unitary gate, one gate at a time."""
+    if g.kind == RX:
+        return rx_matrix(*g.params)
+    if g.kind == RY:
+        return ry_matrix(*g.params)
+    if g.kind == RZ:
+        return rz_matrix(*g.params)
+    if g.kind == U:
+        return u_matrix(*g.params)
+    if g.kind == X:
+        return X_MATRIX
+    raise ValueError(f"{g.kind} has no single-qubit matrix")
 
 
 @lru_cache(maxsize=1024)

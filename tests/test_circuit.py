@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from functools import reduce
 
 import numpy as np
@@ -21,16 +23,15 @@ from chancomp.circuit import (
     CircuitParseError,
     Gate,
     cnot_count,
-    gate1_matrix,
+    conditioned,
     one_qubit_matrices,
     parse,
     ry_matrix,
     rz_matrix,
     serialize,
-    u_matrix,
     zyz_decompose,
 )
-from reference_walker import apply_unitary_gate
+from reference_walker import apply_unitary_gate, gate1_matrix, u_matrix
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -338,6 +339,13 @@ def test_round_trip_fuzzed_circuits(seed):
          "line 6: RESET takes no condition"),
         ("QUBITS 2\nCREGS 2\nINPUTS\nOUTPUTS\nMEASURE q0 c0\nIF c0=1 MEASURE q1 c1",
          "line 6: MEASURE takes no condition"),
+        # the gate faults parse checks itself, matched whole
+        ("QUBITS 1\nCREGS 0\nINPUTS\nOUTPUTS\nRZ q0 nan", "^line 5: gate angles must be finite$"),
+        ("QUBITS 1\nCREGS 0\nINPUTS\nOUTPUTS\nU q0 0.5 inf 0 0",
+         "^line 5: gate angles must be finite$"),
+        ("QUBITS 2\nCREGS 0\nINPUTS\nOUTPUTS\nCNOT q1 q1", "^line 5: CNOT control equals target$"),
+        ("QUBITS 1\nCREGS 1\nINPUTS\nOUTPUTS\nMEASURE q0 c0\nIF c0=1 TRACE q0",
+         "^line 6: TRACE takes no condition$"),
     ],
 )
 def test_parse_errors_carry_line_and_reason(text, frag):
@@ -349,6 +357,47 @@ def test_parse_error_reports_line_number():
     text = "QUBITS 1\nCREGS 0\nINPUTS\nOUTPUTS\nX q0\nBAD q0\n"
     with pytest.raises(CircuitParseError, match="line 6"):
         parse(text)
+
+
+def test_conditioned_copies_equal_checked_gates():
+    gates = list(all_unitary_gates(3))
+    cond = ((0, 1), (2, 0))
+    copies = conditioned(gates, cond)
+    checked = [Gate(g.kind, g.qubits, g.params, g.creg, cond) for g in gates]
+    assert copies == checked
+    assert conditioned(iter(gates), cond) == checked   # one pass over the input
+    assert [hash(g) for g in copies] == [hash(g) for g in checked]
+    assert [repr(g) for g in copies] == [repr(g) for g in checked]
+    assert pickle.loads(pickle.dumps(copies)) == checked
+    # replace goes through the public constructor, so it still checks
+    assert dataclasses.replace(copies[0], params=(0.25,)) == Gate(RX, (0,), (0.25,), None, cond)
+    with pytest.raises(ValueError, match="gate angles must be finite"):
+        dataclasses.replace(copies[0], params=(math.nan,))
+    # an empty condition is accepted for every kind, as Gate accepts it
+    assert conditioned([Gate(MEASURE, (0,), creg=0)], ()) == [Gate(MEASURE, (0,), creg=0,
+                                                                    condition=())]
+
+
+def test_conditioned_rejects_kinds_without_a_condition():
+    messages = {message for _, message in GATE_FAULTS}
+    for g in (Gate(MEASURE, (0,), creg=0), Gate(RESET, (0,)), Gate(TRACE, (0,))):
+        with pytest.raises(ValueError) as info:
+            conditioned([Gate(X, (1,)), g], ((0, 1),))
+        assert str(info.value) == f"{g.kind} takes no condition"
+        assert str(info.value) in messages
+
+
+def test_serialize_writes_angles_as_format_17g():
+    # doubles over the whole exponent range, signed zeros, the extremes,
+    # numpy scalars and ints
+    bits = np.random.default_rng(5).integers(0, 2**64, size=4000, dtype=np.uint64)
+    doubles = [float(x) for x in bits.view(np.float64) if np.isfinite(x)]
+    angles = doubles + [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1 + 0.2, 2.0**53 + 1]
+    angles += [np.float64(x) for x in doubles[:200]] + [np.float64(-0.0)]
+    angles += [0, 1, -7, 3, 10**17 + 1, -(2**60)]
+    c = Circuit(1, (0,), (0,), tuple(Gate(RZ, (0,), (x,)) for x in angles), 0)
+    lines = serialize(c).splitlines()[4:]
+    assert lines == [f"RZ q0 {format(float(x), '.17g')}" for x in angles]
 
 
 def test_angles_survive_17_digit_round_trip():
@@ -471,3 +520,6 @@ def test_parse_returns_circuit_or_raises_parse_error(lines, with_header):
         assert str(exc).startswith(f"line {exc.line_no}: ")
     else:
         assert parse(serialize(c)) == c
+        # parse builds its gates unchecked: each must be one Gate accepts
+        for g in c.gates:
+            assert g == Gate(g.kind, g.qubits, g.params, g.creg, g.condition)

@@ -20,9 +20,6 @@ def test_no_module_imports_a_private_name_of_another():
 
 # Public names that only the tests call, each kept for a reason of its own.
 TEST_ONLY = {
-    # the per-gate matrix of the reference walker's gate kernel, and the
-    # reference the stacked one_qubit_matrices is checked against
-    ("circuit", "gate1_matrix"),
     # the oracle the plan tests check the QR recursion against
     ("compiler", "reconstruct_dilation"),
 }

@@ -13,7 +13,6 @@ from chancomp.circuit import (
     Circuit,
     Gate,
     cnot_count,
-    gate1_matrix,
     ry_matrix,
     rz_matrix,
     update_pairs,
@@ -40,7 +39,7 @@ from chancomp.synth import (
     n_iso,
     ry_multiplexor_from_zero,
 )
-from reference_walker import apply_unitary_gate
+from reference_walker import apply_unitary_gate, gate1_matrix
 
 
 def random_isometry(rows, cols, rng):

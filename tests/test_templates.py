@@ -20,10 +20,9 @@ from chancomp.circuit import (
     cnot_count,
     ry_matrix,
     rz_matrix,
-    u_matrix,
 )
 from chancomp.simulator import circuit_to_kraus
-from reference_walker import reference_branches
+from reference_walker import reference_branches, u_matrix
 from chancomp.templates import (
     TEMPLATES,
     Template,
