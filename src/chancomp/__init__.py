@@ -24,6 +24,7 @@ from .channel import (
     choi_distance,
     choi_from_kraus,
     is_extreme,
+    kraus_distance,
     kraus_rank,
     minimal_kraus,
     random_channel,

@@ -1,8 +1,8 @@
 """Channel representations: Kraus sets, Choi matrices, Stinespring dilations.
 
 The analysis (minimal Kraus form, rank, extremality, dilation) is one SVD
-of the Kraus operators; a Choi matrix is built only to measure a distance
-(verification and the template objective).
+of the Kraus operators and a Choi distance one QR of them; a Choi matrix
+is built only for the template objective.
 
 Conventions (fixed once, used everywhere):
   * A channel maps m qubits to n qubits; Kraus operators are 2^n x 2^m.
@@ -87,6 +87,12 @@ class ChoiMatrix:
         object.__setattr__(self, "j", j)
 
 
+def kraus_vectors(ops) -> np.ndarray:
+    """W with w[..., i*2^n + r, k] = A_k[r, i] for a (..., K, 2^n, 2^m) Kraus stack: J = W W^dag."""
+    a = np.asarray(ops)
+    return a.swapaxes(-1, -2).reshape(*a.shape[:-2], -1).swapaxes(-1, -2)
+
+
 def choi_from_kraus(ks: KrausSet) -> ChoiMatrix:
     """J = sum over Kraus operators of |vec(A)><vec(A)|, 4^(m+n) entries."""
     if 2 * (ks.m + ks.n) > MAX_DENSE_QUBITS:
@@ -94,8 +100,7 @@ def choi_from_kraus(ks: KrausSet) -> ChoiMatrix:
                          f"the cap of {MAX_DENSE_ENTRIES} dense matrix entries")
     d = 2 ** (ks.m + ks.n)
     j = np.zeros((d, d), dtype=np.complex128)
-    for a in ks.ops:
-        w = a.T.reshape(-1)  # w[i*2^n + r] = A[r, i]
+    for w in kraus_vectors(ks.ops).T:
         j += np.outer(w, w.conj())
     return ChoiMatrix(ks.m, ks.n, j)
 
@@ -109,8 +114,7 @@ def minimal_kraus(ks: KrausSet) -> KrausSet:
     `canonical_phases` rather than LAPACK's, which round-off can flip; a
     Kraus operator's phase does not change the channel.
     """
-    w = np.stack([a.T.reshape(-1) for a in ks.ops], axis=1)  # w[i*2^n + r] = A[r, i]
-    u, s, _ = np.linalg.svd(w, full_matrices=False)
+    u, s, _ = np.linalg.svd(kraus_vectors(ks.ops), full_matrices=False)
     kept = s**2 > RANK_RTOL * np.sum(s**2)
     vecs = canonical_phases(u[:, kept]) * s[kept]
     return KrausSet(ks.m, ks.n, vecs.T.reshape(-1, 2**ks.m, 2**ks.n).transpose(0, 2, 1))
@@ -142,6 +146,17 @@ def is_extreme_minimal(mini: KrausSet) -> bool:
 
 def choi_distance(a: ChoiMatrix, b: ChoiMatrix) -> float:
     return float(np.linalg.norm(a.j - b.j))
+
+
+def kraus_distance(a, b) -> float:
+    """||J_a - J_b||_F of two weighted lists [(p, KrausSet)], with no Choi
+    matrix: one reduced QR [sqrt(p) W_a | sqrt(p) W_b] = Q [R_a | R_b] makes
+    it ||R_a R_a^dag - R_b R_b^dag||_F, at most (K_a + K_b)-square."""
+    if not all(np.isfinite(p) and p >= 0 for p, _ in (*a, *b)):
+        raise ValueError("weights must be finite and nonnegative")
+    w = np.hstack([np.sqrt(p) * kraus_vectors(ks.ops) for p, ks in (*a, *b)])
+    ra, rb = np.hsplit(np.linalg.qr(w, mode="r"), [sum(ks.K for _, ks in a)])
+    return float(np.linalg.norm(ra @ ra.conj().T - rb @ rb.conj().T))
 
 
 def stinespring_isometry(ks: KrausSet, force_k: int | None = None) -> tuple[np.ndarray, int]:

@@ -411,6 +411,8 @@ def parse(text: str) -> Circuit:
         key = toks[0]
         try:
             if key in header:
+                if header[key] is not None:
+                    raise ValueError(f"duplicate {key} header")
                 if key in ("INPUTS", "OUTPUTS"):
                     header[key] = tuple(_index(t, "q") for t in toks[1:])
                 elif len(toks) != 2 or not toks[1].isdecimal():

@@ -34,9 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausSet, choi_distance, choi_from_kraus, stinespring_isometry
+from .channel import KrausSet, kraus_distance, stinespring_isometry
 from .circuit import MEASURE, RESET, TRACE, Circuit, Gate, conditioned
 from .linalg import is_isometry, qr_rectangular
+from .simulator import circuit_to_kraus
 from .synth import (cs_split, decompose_isometries, decompose_isometry, n_iso,
                     ry_multiplexor_from_zero)
 
@@ -235,19 +236,12 @@ def _check_sizes(circ: Circuit, m: int, n: int) -> None:
 
 
 def verify_circuit(circ: Circuit, ks: KrausSet) -> float:
-    """Choi distance between the simulated circuit and the channel."""
-    from .simulator import circuit_to_kraus
-
-    _check_sizes(circ, ks.m, ks.n)
-    return choi_distance(choi_from_kraus(circuit_to_kraus(circ)), choi_from_kraus(ks))
+    """Choi distance of the simulated circuit to the channel: `verify_mixture` of one."""
+    return verify_mixture([(1.0, circ)], ConvexMixture([(1.0, ks)]))
 
 
 def verify_mixture(compiled: list[tuple[float, Circuit]], mix: ConvexMixture) -> float:
-    """Choi distance between the weighted compiled circuits and the mixture."""
-    from .simulator import circuit_to_kraus
-
+    """Choi distance of the weighted simulated circuits to the mixture, by `kraus_distance`."""
     for _, c in compiled:
         _check_sizes(c, mix.m, mix.n)
-    got = sum(p * choi_from_kraus(circuit_to_kraus(c)).j for p, c in compiled)
-    want = sum(p * choi_from_kraus(ks).j for p, ks in mix.components)
-    return float(np.linalg.norm(got - want))
+    return kraus_distance([(p, circuit_to_kraus(c)) for p, c in compiled], mix.components)

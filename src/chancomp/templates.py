@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import KrausSet, choi_from_kraus, minimal_kraus
+from .channel import KrausSet, choi_from_kraus, kraus_vectors, minimal_kraus
 from .circuit import (
     CNOT, MEASURE, OPERANDS, RESET, RY, RZ, U, X, X_MATRIX, Circuit, Gate, cnot_count, u_matrices,
 )
@@ -208,10 +208,8 @@ def template_choi(t: Template, params) -> np.ndarray:
     if params.shape[-1:] != (t.param_count,) or params.ndim > 2:
         raise ValueError(f"{t.id} takes {t.param_count} parameters, got shape {params.shape}")
     batch = params.reshape(-1, t.param_count)
-    kraus = run_plan(plan, _gate_matrices(batch, index, xs))
-    size, cols = len(batch), kraus.shape[-1]
-    vecs = kraus.transpose(0, 1, 3, 2).reshape(size, -1, cols * 2**t.n)
-    j = vecs.transpose(0, 2, 1) @ vecs.conj()  # sum over Kraus ops of |vec A><vec A|
+    w = kraus_vectors(run_plan(plan, _gate_matrices(batch, index, xs)))
+    j = w @ w.swapaxes(-1, -2).conj()  # sum over Kraus ops of |vec A><vec A|
     return j if params.ndim == 2 else j[0]
 
 

@@ -12,6 +12,7 @@ from chancomp.channel import (
     choi_distance,
     choi_from_kraus,
     is_extreme,
+    kraus_distance,
     kraus_rank,
     minimal_kraus,
     random_channel,
@@ -308,3 +309,64 @@ def test_channel_json_fuzz_loads_or_raises_value_error(doc):
     except ValueError:
         return
     assert isinstance(ks, KrausSet)
+
+
+def _weighted_choi_distance(a, b):
+    """||sum p J_a - sum p J_b||_F from the Choi matrices themselves."""
+    def choi(side):
+        return sum((p * choi_from_kraus(ks).j for p, ks in side), np.zeros((1, 1)))
+    return float(np.linalg.norm(choi(a) - choi(b)))
+
+
+def _kraus_forms(ks, seed):
+    """One channel in several Kraus forms: minimal, split into scaled copies
+    past 2^(m+n) operators, with zero operators appended, unitarily mixed."""
+    copies = 2 ** (ks.m + ks.n) // ks.K + 1
+    split = [a / np.sqrt(copies) for a in ks.ops for _ in range(copies)]
+    padded = list(ks.ops) + [np.zeros_like(ks.ops[0])] * 2
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((len(padded),) * 2) + 1j * rng.standard_normal((len(padded),) * 2)
+    u = np.linalg.qr(g)[0]
+    mixed = np.einsum("ij,jrc->irc", u, np.array(padded))
+    return [minimal_kraus(ks), KrausSet(ks.m, ks.n, split), KrausSet(ks.m, ks.n, padded),
+            KrausSet(ks.m, ks.n, mixed)]
+
+
+@pytest.mark.parametrize("m,n,kr", [(1, 1, 2), (1, 2, 3), (2, 1, 4), (2, 2, 1)])
+def test_kraus_distance_is_the_choi_distance(m, n, kr):
+    ks = random_channel(m, n, kr, seed=11)
+    forms = _kraus_forms(ks, seed=12)
+    assert forms[1].K > 2 ** (m + n)   # more columns than rows in [W_a | W_b]
+    others = [random_channel(m, n, r, seed=13 + r) for r in (2 ** max(m - n, 0), kr)]
+    for form in [ks] + forms:
+        # the same channel, then different ones
+        assert kraus_distance([(1.0, form)], [(1.0, ks)]) <= 1e-12
+        for b in others:
+            want = choi_distance(choi_from_kraus(ks), choi_from_kraus(b))
+            assert abs(kraus_distance([(1.0, form)], [(1.0, b)]) - want) <= 1e-12
+    # weighted mixtures, and an empty side
+    a = [(0.3, forms[1]), (0.7, others[0])]
+    b = [(0.5, others[1]), (0.25, forms[3]), (0.25, ks)]
+    for x, y in [(a, b), (b, a), (a, a[::-1]), ([], b), (a, [])]:
+        assert abs(kraus_distance(x, y) - _weighted_choi_distance(x, y)) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12])
+def test_kraus_distance_resolves_small_perturbations(eps):
+    ks = random_channel(1, 2, 3, seed=21)
+    rng = np.random.default_rng(22)
+    e = rng.standard_normal(ks.ops[0].shape) + 1j * rng.standard_normal(ks.ops[0].shape)
+    bent = KrausSet(1, 2, [ks.ops[0] + eps * e, *ks.ops[1:]], atol=1e-6)
+    got = kraus_distance([(1.0, bent)], [(1.0, ks)])
+    want = choi_distance(choi_from_kraus(bent), choi_from_kraus(ks))
+    assert eps < want < 10 * eps
+    assert abs(got - want) <= 1e-4 * want   # 4 significant digits
+
+
+@pytest.mark.parametrize("p", [-0.5, -1e-300, np.nan, np.inf, -np.inf])
+def test_kraus_distance_refuses_a_negative_or_non_finite_weight(p):
+    ks = random_channel(1, 1, 2, seed=1)
+    with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+        kraus_distance([(1.0, ks)], [(p, ks)])
+    with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+        kraus_distance([(p, ks), (1.0, ks)], [(1.0, ks)])

@@ -346,6 +346,12 @@ def test_round_trip_fuzzed_circuits(seed):
         ("QUBITS 2\nCREGS 0\nINPUTS\nOUTPUTS\nCNOT q1 q1", "^line 5: CNOT control equals target$"),
         ("QUBITS 1\nCREGS 1\nINPUTS\nOUTPUTS\nMEASURE q0 c0\nIF c0=1 TRACE q0",
          "^line 6: TRACE takes no condition$"),
+        # a second header line would silently override the first
+        ("QUBITS 2\nCREGS 0\nQUBITS 3\nINPUTS q1\nOUTPUTS q1", "^line 3: duplicate QUBITS header$"),
+        ("QUBITS 2\nCREGS 0\nCREGS 1\nINPUTS q1\nOUTPUTS q1", "^line 3: duplicate CREGS header$"),
+        ("QUBITS 2\nCREGS 0\nINPUTS q1\nINPUTS\nOUTPUTS q1", "^line 4: duplicate INPUTS header$"),
+        ("QUBITS 2\nCREGS 0\nINPUTS q1\nOUTPUTS q1\nX q0\nOUTPUTS q0",
+         "^line 6: duplicate OUTPUTS header$"),
     ],
 )
 def test_parse_errors_carry_line_and_reason(text, frag):
@@ -479,7 +485,8 @@ def _mostly(*good):
 
 _QUBIT = _mostly("q0", "q1", "q2")
 _REG = _mostly("c0", "c1")
-_ANGLE = _mostly("0.5", "-0.0", "1e-300")
+# the non-finite angles are as frequent as the others: parse refuses them itself
+_ANGLE = _mostly("0.5", "-0.0", "1e-300", "nan", "inf", "-1e999")
 
 
 def _conditions(regs, bits):
@@ -508,14 +515,9 @@ def _lines(draw):
     return " ".join((prefix if draw(st.booleans()) else []) + [kind] + ops)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_lines(), max_size=5), st.booleans())
-def test_parse_returns_circuit_or_raises_parse_error(lines, with_header):
-    # lines of random tokens, with missing or extra operands, never escape
-    # as anything but a CircuitParseError
-    header = ["QUBITS 3", "CREGS 2", "INPUTS q0 q1", "OUTPUTS q2"] if with_header else []
+def _parses_or_raises_parse_error(text):
     try:
-        c = parse("\n".join(header + lines))
+        c = parse(text)
     except CircuitParseError as exc:
         assert str(exc).startswith(f"line {exc.line_no}: ")
     else:
@@ -523,3 +525,15 @@ def test_parse_returns_circuit_or_raises_parse_error(lines, with_header):
         # parse builds its gates unchecked: each must be one Gate accepts
         for g in c.gates:
             assert g == Gate(g.kind, g.qubits, g.params, g.creg, g.condition)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_lines(), max_size=5), st.booleans())
+def test_parse_returns_circuit_or_raises_parse_error(lines, with_header):
+    # lines of random tokens, with missing or extra operands, never escape
+    # as anything but a CircuitParseError: together, and each alone under
+    # the header, so that a well-formed line is often a whole circuit
+    header = ["QUBITS 3", "CREGS 2", "INPUTS q0 q1", "OUTPUTS q2"]
+    _parses_or_raises_parse_error("\n".join((header if with_header else []) + lines))
+    for line in lines:
+        _parses_or_raises_parse_error("\n".join(header + [line]))

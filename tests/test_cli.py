@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import chancomp
-from chancomp.channel import channel_from_json, channel_to_json, random_channel
+from chancomp.channel import KrausSet, channel_from_json, channel_to_json, random_channel
 from chancomp.cli import run
 from chancomp.circuit import parse, serialize
 from chancomp.compiler import compile_measured
@@ -67,12 +67,14 @@ def test_compile_no_rewrite_skips_the_passes(tmp_path):
 
 
 def test_readme_compile_example_matches_the_cli(tmp_path, capsys, monkeypatch):
-    # the README's `random --seed 7` -> `compile --report` session, run as written
+    # the README's `random --seed 7` -> `compile --report` -> `verify` session,
+    # run as written; choi_dist moves at round-off, so only its bound is checked
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     lines = readme.splitlines()
     commands = [line[len("$ chancomp "):].split() for line in lines
-                if line.startswith(("$ chancomp random", "$ chancomp compile --model measured"))]
-    assert [c[0] for c in commands] == ["random", "compile"]
+                if line.startswith(("$ chancomp random", "$ chancomp compile --model measured",
+                                    "$ chancomp verify"))]
+    assert [c[0] for c in commands] == ["random", "compile", "verify"]
     shown = lines[lines.index("$ chancomp " + " ".join(commands[1])) + 1]
     monkeypatch.chdir(tmp_path)
     assert run(commands[0]) == 0
@@ -82,6 +84,9 @@ def test_readme_compile_example_matches_the_cli(tmp_path, capsys, monkeypatch):
     want = dict(kv.split("=") for kv in shown.split())
     for key in ("qubits", "cnots", "measurements"):
         assert printed[key] == want[key], key
+    assert run(commands[2]) == 0
+    name, value = capsys.readouterr().out.strip().split("=")
+    assert name == "choi_dist" and float(value) < 1e-8
 
 
 def test_compile_force_k(tmp_path, channel_file):
@@ -219,9 +224,11 @@ def test_compile_runs_one_kraus_analysis(tmp_path, channel_file, monkeypatch, mo
 
 
 def test_analysis_builds_no_choi_matrix(tmp_path, channel_file, monkeypatch, capsys):
-    # a Choi matrix is built only to measure a distance, never to analyse
+    # a Choi matrix is built only for the template objective, never to
+    # analyse a channel or to verify a circuit
     import chancomp.channel as channel
-    from chancomp.compiler import ConvexMixture, compile_qcm, compile_random_qcm
+    from chancomp.compiler import (ConvexMixture, compile_qcm, compile_random_qcm,
+                                   verify_circuit, verify_mixture)
     from chancomp.templates import TEMPLATES, fit
 
     def refuse(*args, **kwargs):
@@ -233,12 +240,19 @@ def test_analysis_builds_no_choi_matrix(tmp_path, channel_file, monkeypatch, cap
     monkeypatch.setattr(channel.ChoiMatrix, "__init__", refuse)
     for m, n, kr in [(1, 1, 2), (2, 2, 3), (2, 1, 4), (1, 2, 1)]:
         ks = random_channel(m, n, kr, seed=7)
-        compile_measured(ks)
-        compile_qcm(ks)
-    compile_random_qcm(ConvexMixture([(0.5, random_channel(2, 2, 4, seed=8)),
-                                      (0.5, random_channel(2, 2, 1, seed=9))]))
+        assert verify_circuit(compile_measured(ks), ks) < 1e-8
+        assert verify_circuit(compile_qcm(ks), ks) < 1e-8
+    mix = ConvexMixture([(0.5, random_channel(2, 2, 4, seed=8)),
+                         (0.5, random_channel(2, 2, 1, seed=9))])
+    assert verify_mixture(compile_random_qcm(mix), mix) < 1e-8
     assert run(["info", "--in", str(channel_file)]) == 0
     assert "kraus_rank=" in capsys.readouterr().out
+    out = tmp_path / "c.qcirc"
+    for model in ("measured", "qcm", "random"):
+        assert run(["compile", "--model", model, "--in", str(channel_file),
+                    "--out", str(out)]) == 0
+    assert run(["verify", "--circuit", str(out), "--channel", str(channel_file)]) == 0
+    assert "choi_dist=" in capsys.readouterr().out
     with pytest.raises(ValueError, match="handles Kraus rank <= 2"):
         fit(TEMPLATES["T11"], random_channel(1, 1, 3, seed=7))
 
@@ -388,25 +402,27 @@ def _run_cli(args, cwd, timeout=120):
                           capture_output=True, text=True, timeout=timeout)
 
 
-@pytest.mark.parametrize("command", ["verify"])
-def test_choi_matrix_above_the_cap_exits_one_without_traceback(tmp_path, command):
-    # a (5,6) Choi matrix would have 4^11 entries; it is refused before allocation
-    ch = tmp_path / "ch.json"
-    ch.write_text(channel_to_json(random_channel(5, 6, 1, seed=3)))
+def test_verify_above_the_choi_cap_runs_without_traceback(tmp_path):
+    # a (5,6) Choi matrix would have 4^11 entries; verify builds none, so
+    # only the simulator's cap limits it
     circ = tmp_path / "c.qcirc"
     circ.write_text("QUBITS 6\nCREGS 0\nINPUTS q1 q2 q3 q4 q5\nOUTPUTS q0 q1 q2 q3 q4 q5\n")
-    args = {"verify": ["verify", "--circuit", str(circ), "--channel", str(ch)]}[command]
-    proc = _run_cli(["-m", "chancomp.cli", *args], tmp_path, timeout=30)
-    assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
-    last = proc.stderr.strip().splitlines()[-1]
-    assert last.startswith("error: the Choi matrix of a channel from 5 to 6 qubits")
-    assert proc.stdout == ""
+    embedding = KrausSet(5, 6, [np.eye(64, 32)])   # |0> (x) I, what the gate-free circuit does
+    for ks, code in [(random_channel(5, 6, 1, seed=3), 2), (embedding, 0)]:
+        ch = tmp_path / "ch.json"
+        ch.write_text(channel_to_json(ks))
+        proc = _run_cli(["-m", "chancomp.cli", "verify", "--circuit", str(circ),
+                         "--channel", str(ch)], tmp_path, timeout=30)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        name, value = proc.stdout.strip().split("=")
+        assert name == "choi_dist"
+        assert (float(value) < 1e-12) == (code == 0)
 
 
 def test_info_above_the_choi_cap_exits_zero(tmp_path):
     # info analyses the Kraus operators alone, so the (5,6) channel whose
-    # Choi matrix verify refuses is analysed without one
+    # Choi matrix choi_from_kraus refuses is analysed without one
     ch = tmp_path / "ch.json"
     ch.write_text(channel_to_json(random_channel(5, 6, 1, seed=3)))
     proc = _run_cli(["-m", "chancomp.cli", "info", "--in", str(ch)], tmp_path, timeout=30)
