@@ -94,15 +94,12 @@ def kraus_vectors(ops) -> np.ndarray:
 
 
 def choi_from_kraus(ks: KrausSet) -> ChoiMatrix:
-    """J = sum over Kraus operators of |vec(A)><vec(A)|, 4^(m+n) entries."""
+    """J = W W^dag for W of `kraus_vectors`, 4^(m+n) entries."""
     if 2 * (ks.m + ks.n) > MAX_DENSE_QUBITS:
         raise ValueError(f"the Choi matrix of a channel from {ks.m} to {ks.n} qubits exceeds "
                          f"the cap of {MAX_DENSE_ENTRIES} dense matrix entries")
-    d = 2 ** (ks.m + ks.n)
-    j = np.zeros((d, d), dtype=np.complex128)
-    for w in kraus_vectors(ks.ops).T:
-        j += np.outer(w, w.conj())
-    return ChoiMatrix(ks.m, ks.n, j)
+    w = kraus_vectors(ks.ops)
+    return ChoiMatrix(ks.m, ks.n, w @ w.conj().T)
 
 
 def minimal_kraus(ks: KrausSet) -> KrausSet:

@@ -164,16 +164,40 @@ class Circuit:
 # --- rotation algebra -----------------------------------------------------
 
 
-def ry_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def rz_matrix(theta: float) -> np.ndarray:
     return np.array([[cmath.exp(-0.5j * theta), 0], [0, cmath.exp(0.5j * theta)]])
 
 
 X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
+_ZERO_AMP = 1e-12
+
+
+def phase(z) -> np.ndarray:
+    """np.angle mapped into (-pi + 1/2, pi + 1/2], a cut on which no
+    multiple of pi/4 lies.  np.angle cuts the negative real axis, where the
+    entries of real isometries sit and round-off moves the angle by 2 pi."""
+    a = np.angle(z)
+    return np.where(a <= 0.5 - np.pi, a + 2.0 * np.pi, a)
+
+
+def u_angles(u: np.ndarray) -> list[tuple[float, float, float, float]]:
+    """The U gate angles (alpha, beta, gamma, delta) of each 2x2 unitary in
+    the stack u, with u = e^{ia} Rz(b) Ry(g) Rz(d), global phase included.
+
+    gamma is in [0, pi]; at the gamma = 0 or pi degeneracy delta is 0 and
+    all z-rotation folds into beta.  Every phase is read through `phase`
+    and none is wrapped, so the entries of real inputs, and their
+    round-off, stay off the cut."""
+    det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
+    alpha = 0.5 * phase(det)
+    a, b = (u[:, :, 0] * np.exp(-1j * alpha)[:, None]).T
+    gamma = 2.0 * np.arctan2(np.abs(b), np.abs(a))
+    pa, pb = phase(a), phase(b)
+    diagonal, antidiagonal = np.abs(b) < _ZERO_AMP, np.abs(a) < _ZERO_AMP
+    # at the degenerate points all z-rotation goes into beta; 0.0 - x keeps zeros +0.0
+    beta = np.where(diagonal, 0.0 - 2.0 * pa, np.where(antidiagonal, 2.0 * pb, pb - pa))
+    delta = np.where(diagonal | antidiagonal, 0.0, 0.0 - pb - pa)
+    return list(zip(alpha.tolist(), beta.tolist(), gamma.tolist(), delta.tolist()))
 
 
 def _wrap_angle(t: float) -> float:
@@ -187,35 +211,16 @@ def _wrap_angle(t: float) -> float:
 
 
 def zyz_decompose(u) -> tuple[float, float, float, float]:
-    """Angles (alpha, beta, gamma, delta) with u = e^{ia} Rz(b) Ry(c) Rz(d).
-
-    Canonical branch: gamma in [0, pi]; beta, delta, alpha in (-pi, pi];
-    at the gamma = 0 or pi degeneracy delta is set to 0 and all z-rotation
-    folds into beta.
-    """
+    """The `u_angles` of one 2x2 unitary, with beta, delta and alpha
+    wrapped into (-pi, pi]: Rz(t + 2 pi) = -Rz(t), so each turn taken off
+    beta or delta adds pi to alpha before alpha is wrapped."""
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (2, 2) or np.linalg.norm(u.conj().T @ u - np.eye(2)) >= 1e-10:
         raise ValueError("not a 2x2 unitary")
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    alpha = 0.5 * cmath.phase(det)
-    v = cmath.exp(-1j * alpha) * u  # special unitary now
-    gamma = 2.0 * math.atan2(abs(v[1, 0]), abs(v[0, 0]))
-    if abs(v[1, 0]) < 1e-12:      # gamma ~ 0: diagonal
-        beta = _wrap_angle(2.0 * cmath.phase(v[1, 1]))
-        delta = 0.0
-    elif abs(v[0, 0]) < 1e-12:    # gamma ~ pi: antidiagonal
-        beta = _wrap_angle(2.0 * cmath.phase(v[1, 0]))
-        delta = 0.0
-    else:
-        pa = cmath.phase(v[0, 0])   # -(beta+delta)/2
-        pb = cmath.phase(v[1, 0])   # (beta-delta)/2
-        beta = _wrap_angle(pb - pa)
-        delta = _wrap_angle(-pb - pa)
-    # wrapping may have flipped the sign of the SU(2) part; fix alpha
-    rec = rz_matrix(beta) @ ry_matrix(gamma) @ rz_matrix(delta)
-    idx = np.unravel_index(np.argmax(np.abs(rec)), rec.shape)
-    alpha = _wrap_angle(cmath.phase(u[idx] / rec[idx]))
-    return alpha, beta, gamma, delta
+    alpha, beta, gamma, delta = u_angles(u[None])[0]
+    b, d = _wrap_angle(beta), _wrap_angle(delta)
+    turns = round((beta - b + delta - d) / (2 * math.pi))
+    return _wrap_angle(alpha + math.pi * turns), b, gamma, d
 
 
 def update_pairs(work: np.ndarray, b: int, mats: np.ndarray) -> None:
@@ -237,14 +242,14 @@ def update_pairs(work: np.ndarray, b: int, mats: np.ndarray) -> None:
     top[...] = new_top
 
 
-# Each single-qubit kind as U angles (alpha, beta, gamma, delta); X's
-# matrix is then set exactly.
+# Each single-qubit kind as U angles (alpha, beta, gamma, delta): the fixed
+# angles, and the entries its own angles fill.  X's matrix is then set exactly.
 _AS_U = {
-    U: lambda *a: a,
-    RX: lambda t: (0.0, -0.5 * math.pi, t, 0.5 * math.pi),
-    RY: lambda t: (0.0, 0.0, t, 0.0),
-    RZ: lambda t: (0.0, t, 0.0, 0.0),
-    X: lambda: (0.0, 0.0, 0.0, 0.0),
+    U: ((0.0, 0.0, 0.0, 0.0), (0, 1, 2, 3)),
+    RX: ((0.0, -0.5 * math.pi, 0.0, 0.5 * math.pi), (2,)),
+    RY: ((0.0, 0.0, 0.0, 0.0), (2,)),
+    RZ: ((0.0, 0.0, 0.0, 0.0), (1,)),
+    X: ((0.0, 0.0, 0.0, 0.0), ()),
 }
 
 
@@ -261,11 +266,18 @@ def u_matrices(angles: np.ndarray) -> np.ndarray:
     return out.reshape(angles.shape[:-1] + (2, 2))
 
 
-def one_qubit_matrices(gates) -> np.ndarray:
-    """The 2x2 matrix of each single-qubit unitary gate, as one stack."""
-    angles = np.array([_AS_U[g.kind](*g.params) for g in gates], dtype=np.float64)
-    out = u_matrices(angles.reshape(-1, 4))
-    out[[g.kind == X for g in gates]] = X_MATRIX
+def one_qubit_matrices(gates, params=None) -> np.ndarray:
+    """The 2x2 matrix of each single-qubit unitary gate: a (gates, 2, 2)
+    stack on the gates' own angles, or a (B, gates, 2, 2) stack for a
+    (B, angles) array `params` whose rows fill the gates' angles in order."""
+    rows = [_AS_U[g.kind] for g in gates]
+    if params is None:
+        params = [x for g in gates for x in g.params]
+    params = np.asarray(params, dtype=np.float64)
+    angles = np.tile([x for fixed, _ in rows for x in fixed], params.shape[:-1] + (1,))
+    angles[..., [4 * k + i for k, (_, slots) in enumerate(rows) for i in slots]] = params
+    out = u_matrices(angles.reshape(params.shape[:-1] + (-1, 4)))
+    out[..., [g.kind == X for g in gates], :, :] = X_MATRIX
     return out
 
 

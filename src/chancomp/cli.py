@@ -24,7 +24,7 @@ from .channel import (
     minimal_kraus,
     random_channel,
 )
-from .circuit import MEASURE, Circuit, CircuitParseError, cnot_count, parse, serialize
+from .circuit import MEASURE, Circuit, cnot_count, parse, serialize
 from .compiler import (
     ConvexMixture,
     compile_measured,
@@ -284,10 +284,7 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, CircuitParseError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, ValueError, OSError) as exc:   # parse and JSON errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,6 +30,7 @@ be idle in the degenerate cases), one with m < n to exactly n.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,9 +88,11 @@ class ConvexMixture:
         return self.components[0][1].n
 
 
-def _prefixes(depth: int) -> list[str]:
-    """The outcome prefixes of `depth` rounds, in register order."""
-    return [format(j, f"0{depth}b") for j in range(2**depth)] if depth else [""]
+def _conditions(depth: int) -> list:
+    """The condition of each outcome prefix of `depth` rounds, in prefix
+    order: register r reads bit r of the prefix, the first register the
+    most significant.  The one prefix of no round has no condition, None."""
+    return [tuple(enumerate(bits)) or None for bits in itertools.product((0, 1), repeat=depth)]
 
 
 def _capped(size: int, what: str) -> None:
@@ -144,13 +147,6 @@ def reconstruct_dilation(plan: CompilePlan) -> np.ndarray:
     return (plan.finals @ w).reshape(-1, 2**plan.m)
 
 
-def _conditioned(gates, prefix: str) -> list[Gate]:
-    """The gates, each conditioned on the registers reading `prefix`."""
-    if not prefix:
-        return list(gates)
-    return conditioned(gates, tuple((r, int(b)) for r, b in enumerate(prefix)))
-
-
 def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
     """Measured-model circuit for the channel: one reused ancilla,
     k measurements, and per-branch CNOT count that only depends on
@@ -161,15 +157,16 @@ def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
     ancilla, system = 0, list(range(p - m, p))
     gates: list[Gate] = []
     for i, (vh, theta) in enumerate(plan.stages):
-        for s, block, angles in zip(_prefixes(i), decompose_isometries(vh, system), theta):
-            gates += _conditioned(block + ry_multiplexor_from_zero(system, ancilla, angles), s)
+        for cond, block, angles in zip(_conditions(i), decompose_isometries(vh, system), theta):
+            gates += conditioned(block + ry_multiplexor_from_zero(system, ancilla, angles), cond)
         gates.append(Gate(MEASURE, (ancilla,), creg=i))
         gates.append(Gate(RESET, (ancilla,)))
 
     # an m-to-n isometry on all n qubits when m < n, else an m-qubit unitary
     residual_qubits = range(p) if m < n else system
-    for s, block in zip(_prefixes(k_tilde), decompose_isometries(plan.finals, residual_qubits)):
-        gates += _conditioned(block, s)
+    for cond, block in zip(_conditions(k_tilde),
+                           decompose_isometries(plan.finals, residual_qubits)):
+        gates += conditioned(block, cond)
     outputs = tuple(range(p)) if m < n else tuple(system[k - k_tilde:])
     # leftover environment qubits (m >= n only), into registers nobody reads
     for t, q in enumerate(system[: k - k_tilde]):

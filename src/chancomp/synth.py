@@ -3,8 +3,9 @@
 `decompose_isometries` is the one synthesis entry: a stack of isometries
 of one shape, on named qubits, by one batched call (`decompose_isometry`
 checks and decomposes a single matrix through it).  A one-qubit unitary
-is one U gate; other shapes take one of two constructions, chosen from
-the shape of the isometry alone:
+is one U gate, and every U gate takes its angles from the batched ZYZ
+`circuit.u_angles`; other shapes take one of two constructions, chosen
+from the shape of the isometry alone:
 
 * The quantum Shannon decomposition (Shende, Bullock and Markov,
   arXiv:quant-ph/0406176) takes square unitaries and measured rounds
@@ -48,7 +49,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import CNOT, RY, RZ, U, Circuit, Gate, rz_matrix, update_pairs, walsh_hadamard
+from .circuit import (
+    CNOT, RY, RZ, U, Circuit, Gate, phase, rz_matrix, u_angles, update_pairs, walsh_hadamard,
+)
 from .linalg import canonical_phases, is_isometry, qr_rectangular
 
 _ZERO_AMP = 1e-12
@@ -59,8 +62,6 @@ _SQRT_HALF = 0.5**0.5
 # and positive, the phase `canonical_phases` picks.
 _Q1 = cmath.exp(-1j)
 _EIGHTH = cmath.exp(-0.25j * math.pi)   # D[0]^*, for D of `_ucg`
-_H = _SQRT_HALF * np.array([[1.0, 1.0], [1.0, -1.0]])
-_RZ_H = rz_matrix(-0.5 * np.pi) @ _H
 
 
 def _gray_code_angles(angles: np.ndarray) -> list[float]:
@@ -131,14 +132,6 @@ def ry_multiplexor_from_zero(controls, target: int, theta) -> list[Gate]:
     half = theta.size // 2
     psi = np.concatenate([theta[:half], np.pi - theta[half:]])
     return multiplexed_rotation(RY, controls, target, psi)[:-1]
-
-
-def _phase(z) -> np.ndarray:
-    """np.angle mapped into (-pi + 1/2, pi + 1/2], a cut on which no
-    multiple of pi/4 lies.  np.angle cuts the negative real axis, where the
-    entries of real isometries sit and round-off moves the angle by 2 pi."""
-    a = np.angle(z)
-    return np.where(a <= 0.5 - np.pi, a + 2.0 * np.pi, a)
 
 
 @lru_cache(maxsize=4096)
@@ -372,7 +365,7 @@ def _reduction_segments(v: np.ndarray):
             update_pairs(work, b, (lam[..., None] * _su2(alpha, beta))[:, index])
             seg.append((p - 1 - b, controls) + leaves)
         segments.append(seg)
-    lams = -_phase(np.diagonal(work, axis1=1, axis2=2)) if cols >= 2 else None
+    lams = -phase(np.diagonal(work, axis1=1, axis2=2)) if cols >= 2 else None
     return segments, lams, work
 
 
@@ -382,7 +375,7 @@ def _column_gates(v: np.ndarray, qubits: list[int]) -> list[list[Gate]]:
     diagonal, then each step's inverse from the last step to the first,
     its leaves adjoint and reversed between the same CNOTs (their sequence
     is a palindrome).  The diagonal acts on the input qubits, the last
-    log2(columns), alone, since the others start in |0>.  One `_u_angles`
+    log2(columns), alone, since the others start in |0>.  One `u_angles`
     call serves every leaf of every isometry."""
     segments, lams, _ = _reduction_segments(v)
     m = v.shape[2].bit_length() - 1
@@ -391,8 +384,8 @@ def _column_gates(v: np.ndarray, qubits: list[int]) -> list[list[Gate]]:
     alpha = np.array([[x for _, _, a, _ in steps for x in reversed(a[i])] for i in range(len(v))])
     beta = np.array([[x for _, _, _, b in steps for x in reversed(b[i])] for i in range(len(v))])
     per = alpha.shape[1]
-    angles = _u_angles(_emitted_leaves(alpha, beta, [1 << len(c) for _, c, _, _ in steps])
-                       .reshape(-1, 2, 2))
+    angles = u_angles(_emitted_leaves(alpha, beta, [1 << len(c) for _, c, _, _ in steps])
+                      .reshape(-1, 2, 2))
     out = []
     for i in range(len(v)):
         gates = [] if lams is None else _diag_gates(lams[i].tolist(), qubits[len(qubits) - m:])
@@ -406,28 +399,9 @@ def _column_gates(v: np.ndarray, qubits: list[int]) -> list[list[Gate]]:
     return out
 
 
-def _u_angles(u: np.ndarray) -> list[tuple[float, float, float, float]]:
-    """The U gate angles of each 2x2 unitary in the stack u, each gate
-    equal to its matrix, global phase included.
-
-    The angles of `circuit.zyz_decompose`, but every phase is read through
-    `_phase` and none is wrapped, so the entries of real inputs, and
-    their round-off, stay off the cut."""
-    det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
-    alpha = 0.5 * _phase(det)
-    a, b = (u[:, :, 0] * np.exp(-1j * alpha)[:, None]).T
-    gamma = 2.0 * np.arctan2(np.abs(b), np.abs(a))
-    pa, pb = _phase(a), _phase(b)
-    diagonal, antidiagonal = np.abs(b) < _ZERO_AMP, np.abs(a) < _ZERO_AMP
-    # at the degenerate points all z-rotation goes into beta; 0.0 - x keeps zeros +0.0
-    beta = np.where(diagonal, 0.0 - 2.0 * pa, np.where(antidiagonal, 2.0 * pb, pb - pa))
-    delta = np.where(diagonal | antidiagonal, 0.0, 0.0 - pb - pa)
-    return list(zip(alpha.tolist(), beta.tolist(), gamma.tolist(), delta.tolist()))
-
-
 def _u_gates(u: np.ndarray, q: int) -> list[Gate]:
-    """One U gate on qubit q per 2x2 unitary in the stack u (`_u_angles`)."""
-    return [Gate(U, (q,), angles) for angles in _u_angles(u)]
+    """One U gate on qubit q per 2x2 unitary in the stack u (`u_angles`)."""
+    return [Gate(U, (q,), angles) for angles in u_angles(u)]
 
 
 def _dagger(x: np.ndarray) -> np.ndarray:
@@ -443,7 +417,7 @@ def _unitary_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     `eig` need not return orthogonal vectors, across distinct ones they
     already are."""
     lam, vec = np.linalg.eig(x)
-    order = np.argsort(_phase(lam), axis=-1, kind="stable")
+    order = np.argsort(phase(lam), axis=-1, kind="stable")
     vec = np.take_along_axis(vec, order[..., None, :], axis=-1)
     return canonical_phases(qr_rectangular(vec)[0]), np.take_along_axis(lam, order, axis=-1)
 
@@ -484,7 +458,7 @@ def _demultiplex(u1: np.ndarray, u2: np.ndarray):
     u1 u2^dag = z diag(d^2) z^dag gives w = diag(d) z^dag u2, and D + D^dag
     is the Rz multiplexor on the top qubit of angles rz = -2 arg d."""
     z, lam = _unitary_eig(u1 @ _dagger(u2))
-    phi = _phase(lam)
+    phi = phase(lam)
     w = np.exp(0.5j * phi)[..., None] * (_dagger(z) @ u2)
     return w, 0.0 - phi, z
 
@@ -564,18 +538,18 @@ def _kak(u: np.ndarray, q0: int, q1: int) -> list[list[Gate]]:
     outer Rz(+-pi/2) fold into the four U gates.  In the magic basis
     u / det(u)^(1/4) is O1 diag(e^{i phi}) O2 with O1, O2 in SO(4): O2^T
     diagonalizes the symmetric unitary (O1 D O2)^T (O1 D O2) = O2^T D^2 O2."""
-    g = 0.25 * _phase(np.linalg.det(u))
+    g = 0.25 * phase(np.linalg.det(u))
     um = _dagger(_MAGIC) @ (u * np.exp(-1j * g)[:, None, None]) @ _MAGIC
     p, lam = _real_eigvecs(um.swapaxes(-1, -2) @ um)
-    phi = 0.5 * _phase(lam)
+    phi = 0.5 * phase(lam)
     # det diag(e^{i phi}) = +-1; make it +1 so that O1 is in SO(4) too
     phi[:, 0] += np.where(np.cos(phi.sum(axis=-1)) < 0.0, np.pi, 0.0)
     o1 = ((um @ p) * np.exp(-1j * phi)[:, None, :]).real
     a1, b1 = _local_factors(_MAGIC @ o1 @ _dagger(_MAGIC))
     a2, b2 = _local_factors(_MAGIC @ p.swapaxes(-1, -2) @ _dagger(_MAGIC))
     a, b, c = 0.25 * (_XYZ * phi[:, None, :]).sum(axis=-1).T
-    phase = np.exp(1j * (g + 0.25 * phi.sum(axis=-1) + 0.25 * np.pi))[:, None, None]
-    first = zip(_u_gates(phase * (_dagger(_RZ_QUARTER) @ a2), q0), _u_gates(b2, q1))
+    rephase = np.exp(1j * (g + 0.25 * phi.sum(axis=-1) + 0.25 * np.pi))[:, None, None]
+    first = zip(_u_gates(rephase * (_dagger(_RZ_QUARTER) @ a2), q0), _u_gates(b2, q1))
     middle = zip((0.5 * np.pi - 2.0 * b).tolist(), (0.5 * np.pi - 2.0 * c).tolist(),
                  (2.0 * a - 0.5 * np.pi).tolist())
     last = zip(_u_gates(a1, q0), _u_gates(b1 @ _RZ_QUARTER, q1))

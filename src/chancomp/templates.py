@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import KrausSet, choi_from_kraus, kraus_vectors, minimal_kraus
 from .circuit import (
-    CNOT, MEASURE, OPERANDS, RESET, RY, RZ, U, X, X_MATRIX, Circuit, Gate, cnot_count, u_matrices,
+    CNOT, MEASURE, OPERANDS, RESET, RY, RZ, U, X, Circuit, Gate, cnot_count, one_qubit_matrices,
 )
 from .simulator import run_plan, static_plan
 
@@ -171,28 +171,11 @@ def expand_reduced(t: Template, reduced) -> np.ndarray:
 # --- batched channel evaluation -------------------------------------------
 
 
-# The entries of a gate's (alpha, beta, gamma, delta) that its angles fill:
-# RY(t) = u(0, 0, t, 0) and RZ(t) = u(0, t, 0, 0).
-_U_ENTRIES = {U: (0, 1, 2, 3), RY: (2,), RZ: (1,), X: ()}
-
-
 @lru_cache(maxsize=16)
-def _plan(t: Template) -> tuple:
-    """(simulator plan, angle index, X mask) of a template: parameter i is
-    entry index[i] of the flattened (gates, 4) U angles of the plan's
-    single-qubit gates, and the X gates' matrices are set exactly."""
-    plan = static_plan(t.circuit)
-    index = [4 * k + i for k, g in enumerate(plan.gates) for i in _U_ENTRIES[g.kind]]
-    return plan, np.array(index, dtype=np.intp), np.array([g.kind == X for g in plan.gates])
-
-
-def _gate_matrices(params: np.ndarray, index: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """(B, gates, 2, 2) single-qubit gate matrices for B parameter vectors."""
-    angles = np.zeros((len(params), len(xs), 4))
-    angles.reshape(len(params), -1)[:, index] = params
-    mats = u_matrices(angles)
-    mats[:, xs] = X_MATRIX
-    return mats
+def _plan(t: Template):
+    """The simulator plan of a template: its single-qubit gates take the
+    parameters in order."""
+    return static_plan(t.circuit)
 
 
 def template_choi(t: Template, params) -> np.ndarray:
@@ -203,12 +186,12 @@ def template_choi(t: Template, params) -> np.ndarray:
     measurement branch at once; its branch operators are the Kraus
     operators.
     """
-    plan, index, xs = _plan(t)
+    plan = _plan(t)
     params = np.asarray(params, dtype=np.float64)
     if params.shape[-1:] != (t.param_count,) or params.ndim > 2:
         raise ValueError(f"{t.id} takes {t.param_count} parameters, got shape {params.shape}")
     batch = params.reshape(-1, t.param_count)
-    w = kraus_vectors(run_plan(plan, _gate_matrices(batch, index, xs)))
+    w = kraus_vectors(run_plan(plan, one_qubit_matrices(plan.gates, batch)))
     j = w @ w.swapaxes(-1, -2).conj()  # sum over Kraus ops of |vec A><vec A|
     return j if params.ndim == 2 else j[0]
 

@@ -18,7 +18,12 @@ import math
 import numpy as np
 
 from chancomp.circuit import (CNOT, MEASURE, RESET, RX, RY, RZ, TRACE, U, X, X_MATRIX, Gate,
-                              ry_matrix, rz_matrix)
+                              rz_matrix)
+
+
+def ry_matrix(theta: float) -> np.ndarray:
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def rx_matrix(theta: float) -> np.ndarray:

@@ -67,6 +67,15 @@ def test_choi_trace_is_input_dimension(seed):
     assert np.isclose(np.trace(j), 2**m)
 
 
+@pytest.mark.parametrize("m, n, kr", [(1, 1, 1), (1, 2, 3), (2, 1, 4), (2, 2, 5)])
+def test_choi_from_kraus_is_the_sum_of_outer_products(m, n, kr):
+    # the reference: sum over Kraus operators of |vec A><vec A|, with
+    # vec A[i 2^n + r] = A[r, i]
+    ks = random_channel(m, n, kr, seed=kr)
+    want = sum(np.outer(a.T.reshape(-1), a.T.reshape(-1).conj()) for a in ks.ops)
+    assert np.max(np.abs(choi_from_kraus(ks).j - want)) <= 1e-15
+
+
 def test_choi_invariant_under_kraus_mixing():
     ks = amplitude_damping(0.4)
     rng = np.random.default_rng(0)

@@ -13,11 +13,11 @@ from chancomp.circuit import (
     Circuit,
     Gate,
     cnot_count,
-    ry_matrix,
     rz_matrix,
     update_pairs,
     zyz_decompose,
 )
+from chancomp.circuit import phase as _phase
 from chancomp.bounds import lb_qcm_isometry
 from chancomp.linalg import qr_rectangular
 from chancomp import synth
@@ -29,7 +29,6 @@ from chancomp.synth import (
     cs_split,
     _column_gates,
     _kak,
-    _phase,
     _reduction_segments,
     _u_gates,
     _unitary_eig,
@@ -39,7 +38,7 @@ from chancomp.synth import (
     n_iso,
     ry_multiplexor_from_zero,
 )
-from reference_walker import apply_unitary_gate, gate1_matrix
+from reference_walker import apply_unitary_gate, gate1_matrix, ry_matrix
 
 
 def random_isometry(rows, cols, rng):

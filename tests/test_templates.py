@@ -12,21 +12,23 @@ from chancomp.channel import (
 )
 from chancomp import templates
 from chancomp.circuit import (
+    RX,
     RY,
     RZ,
     U,
+    X,
+    X_MATRIX,
     Circuit,
     Gate,
     cnot_count,
-    ry_matrix,
+    one_qubit_matrices,
     rz_matrix,
 )
 from chancomp.simulator import circuit_to_kraus
-from reference_walker import reference_branches, u_matrix
+from reference_walker import reference_branches, rx_matrix, ry_matrix, u_matrix
 from chancomp.templates import (
     TEMPLATES,
     Template,
-    _gate_matrices,
     _plan,
     expand_reduced,
     fit,
@@ -87,18 +89,27 @@ def test_t11_zero_params_matches_golden_choi():
 
 
 def test_closed_form_u_matches_gate_semantics():
-    # one slot of each kind; the slot matrices follow circuit's gate matrices
-    gates = (Gate(U, (0,), (0.0,) * 4), Gate(RY, (0,), (0.0,)), Gate(RZ, (0,), (0.0,)))
-    t = Template("slots", 1, 1, 1, Circuit(1, (0,), (0,), gates, 0), ("U3", "R", "R"))
+    # one slot of each single-qubit kind; the stacked form of
+    # one_qubit_matrices follows the gate-by-gate matrices, and each of its
+    # rows the gates' own-angle form on the instantiated circuit
+    gates = (Gate(U, (0,), (0.0,) * 4), Gate(RY, (0,), (0.0,)), Gate(RZ, (0,), (0.0,)),
+             Gate(RX, (0,), (0.0,)), Gate(X, (0,)))
+    t = Template("slots", 1, 1, 1, Circuit(1, (0,), (0,), gates, 0), ("U3", "R", "R", "R"))
     rng = np.random.default_rng(3)
-    params = rng.uniform(-7, 7, (50, 6))
-    plan, index, xs = _plan(t)
+    params = rng.uniform(-7, 7, (50, 7))
+    plan = _plan(t)
     assert plan.gates == gates
-    mats = _gate_matrices(params, index, xs)
-    for p, (u, ry, rz) in zip(params, mats):
+    mats = one_qubit_matrices(plan.gates, params)
+    assert mats.shape == (50, 5, 2, 2)
+    for p, row in zip(params, mats):
+        u, ry, rz, rx, x = row
         assert np.linalg.norm(u - u_matrix(*p[:4])) < 1e-13
         assert np.linalg.norm(ry - ry_matrix(p[4])) < 1e-13
         assert np.linalg.norm(rz - rz_matrix(p[5])) < 1e-13
+        assert np.linalg.norm(rx - rx_matrix(p[6])) < 1e-13
+        assert np.array_equal(x, X_MATRIX)
+        own = one_qubit_matrices(instantiate(t, p).gates)
+        assert np.max(np.abs(own - row)) <= 1e-15
 
 
 @pytest.mark.parametrize("tid", sorted(TEMPLATES))
