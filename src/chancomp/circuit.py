@@ -29,6 +29,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,7 +170,7 @@ def rz_matrix(theta: float) -> np.ndarray:
 
 
 X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
-_ZERO_AMP = 1e-12
+ZERO_AMP = 1e-12
 
 
 def phase(z) -> np.ndarray:
@@ -193,7 +194,7 @@ def u_angles(u: np.ndarray) -> list[tuple[float, float, float, float]]:
     a, b = (u[:, :, 0] * np.exp(-1j * alpha)[:, None]).T
     gamma = 2.0 * np.arctan2(np.abs(b), np.abs(a))
     pa, pb = phase(a), phase(b)
-    diagonal, antidiagonal = np.abs(b) < _ZERO_AMP, np.abs(a) < _ZERO_AMP
+    diagonal, antidiagonal = np.abs(b) < ZERO_AMP, np.abs(a) < ZERO_AMP
     # at the degenerate points all z-rotation goes into beta; 0.0 - x keeps zeros +0.0
     beta = np.where(diagonal, 0.0 - 2.0 * pa, np.where(antidiagonal, 2.0 * pb, pb - pa))
     delta = np.where(diagonal | antidiagonal, 0.0, 0.0 - pb - pa)
@@ -245,12 +246,15 @@ def update_pairs(work: np.ndarray, b: int, mats: np.ndarray) -> None:
 # Each single-qubit kind as U angles (alpha, beta, gamma, delta): the fixed
 # angles, and the entries its own angles fill.  X's matrix is then set exactly.
 _AS_U = {
-    U: ((0.0, 0.0, 0.0, 0.0), (0, 1, 2, 3)),
-    RX: ((0.0, -0.5 * math.pi, 0.0, 0.5 * math.pi), (2,)),
-    RY: ((0.0, 0.0, 0.0, 0.0), (2,)),
-    RZ: ((0.0, 0.0, 0.0, 0.0), (1,)),
-    X: ((0.0, 0.0, 0.0, 0.0), ()),
+    U: ((0.0, 0.0, 0.0, 0.0), (1, 1, 1, 1)),
+    RX: ((0.0, -0.5 * math.pi, 0.0, 0.5 * math.pi), (0, 0, 1, 0)),
+    RY: ((0.0, 0.0, 0.0, 0.0), (0, 0, 1, 0)),
+    RZ: ((0.0, 0.0, 0.0, 0.0), (0, 1, 0, 0)),
+    X: ((0.0, 0.0, 0.0, 0.0), (0, 0, 0, 0)),
 }
+_KIND_CODE = {k: i for i, k in enumerate(_AS_U)}
+_FIXED = np.array([f for f, _ in _AS_U.values()])
+_FILLS = np.array([s for _, s in _AS_U.values()], dtype=bool)
 
 
 def u_matrices(angles: np.ndarray) -> np.ndarray:
@@ -266,18 +270,25 @@ def u_matrices(angles: np.ndarray) -> np.ndarray:
     return out.reshape(angles.shape[:-1] + (2, 2))
 
 
+@lru_cache(maxsize=8)
+def _layout(kinds: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat (gates, 4) fixed U angles, angle entries and X mask of a kind sequence."""
+    codes = np.array([_KIND_CODE[k] for k in kinds], dtype=np.intp)
+    return _FIXED[codes].reshape(-1), np.flatnonzero(_FILLS[codes]), codes == _KIND_CODE[X]
+
+
 def one_qubit_matrices(gates, params=None) -> np.ndarray:
     """The 2x2 matrix of each single-qubit unitary gate: a (gates, 2, 2)
     stack on the gates' own angles, or a (B, gates, 2, 2) stack for a
     (B, angles) array `params` whose rows fill the gates' angles in order."""
-    rows = [_AS_U[g.kind] for g in gates]
+    fixed, slots, xs = _layout(tuple([g.kind for g in gates]))
     if params is None:
         params = [x for g in gates for x in g.params]
     params = np.asarray(params, dtype=np.float64)
-    angles = np.tile([x for fixed, _ in rows for x in fixed], params.shape[:-1] + (1,))
-    angles[..., [4 * k + i for k, (_, slots) in enumerate(rows) for i in slots]] = params
+    angles = np.tile(fixed, params.shape[:-1] + (1,))
+    angles[..., slots] = params
     out = u_matrices(angles.reshape(params.shape[:-1] + (-1, 4)))
-    out[..., [g.kind == X for g in gates], :, :] = X_MATRIX
+    out[..., xs, :, :] = X_MATRIX
     return out
 
 

@@ -49,12 +49,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import (
-    CNOT, RY, RZ, U, Circuit, Gate, phase, rz_matrix, u_angles, update_pairs, walsh_hadamard,
-)
+from .circuit import (CNOT, RY, RZ, U, ZERO_AMP, Circuit, Gate, phase, rz_matrix, u_angles,
+                      update_pairs, walsh_hadamard)
 from .linalg import canonical_phases, is_isometry, qr_rectangular
 
-_ZERO_AMP = 1e-12
 _ULP = np.finfo(np.float64).eps
 _SQRT_HALF = 0.5**0.5
 # The second entry of the vector (1, e^{-i}) whose projection gives each
@@ -234,7 +232,7 @@ def _concentrators(col: np.ndarray, rows: np.ndarray, jb: int, live: np.ndarray)
     elsewhere."""
     a0, a1 = col[:, rows].transpose(1, 0, 2)
     norm = np.hypot(np.abs(a0), np.abs(a1))
-    use = live & (norm >= _ZERO_AMP)
+    use = live & (norm >= ZERO_AMP)
     scale = np.divide(1.0, norm, out=np.zeros_like(norm), where=use)
     if jb:
         alpha, beta = a1 * scale, a0.conj() * scale
@@ -284,7 +282,7 @@ def _ucg(alpha: list, beta: list) -> tuple[list, list]:
                 a0, a1, b0, b1 = alpha[i], beta[i], alpha[j].conjugate(), beta[j]
                 x = a0 * b0 * e0 + a1.conjugate() * b1 * e1   # (a e b^dag)[0, 0]
                 r = abs(x)
-                if r >= _ZERO_AMP:   # then d a e b^dag has the corner i r
+                if r >= ZERO_AMP:   # then d a e b^dag has the corner i r
                     f0, u0, u1 = x * -1j / r, r, -r
                 else:                # any d0 serves, and the corner is x
                     f0, u0, u1 = 1.0, -1j * x, -1j * x.conjugate()
