@@ -244,7 +244,7 @@ def update_pairs(work: np.ndarray, b: int, mats: np.ndarray) -> None:
 
 
 # Each single-qubit kind as U angles (alpha, beta, gamma, delta): the fixed
-# angles, and the entries its own angles fill.  X's matrix is then set exactly.
+# angles, and 1 on each entry its own angles fill.  X's matrix is then set exactly.
 _AS_U = {
     U: ((0.0, 0.0, 0.0, 0.0), (1, 1, 1, 1)),
     RX: ((0.0, -0.5 * math.pi, 0.0, 0.5 * math.pi), (0, 0, 1, 0)),
