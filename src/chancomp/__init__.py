@@ -37,7 +37,6 @@ from .circuit import (
     cnot_count,
     parse,
     serialize,
-    zyz_decompose,
 )
 from .compiler import (
     CompilePlan,

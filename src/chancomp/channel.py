@@ -227,13 +227,13 @@ def channel_to_json(ks: KrausSet) -> str:
 
 
 def channel_from_json(text: str) -> KrausSet:
-    doc = json.loads(text)
     try:
+        doc = json.loads(text)   # nesting too deep for the decoder is a RecursionError
         m, n = doc["m"], doc["n"]
         for name, x in (("m", m), ("n", n)):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise TypeError(f'"{name}" must be an integer, got {x!r}')
         ops = [_matrix_from_json(a) for a in doc["kraus"]]
-    except (KeyError, TypeError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError, RecursionError) as exc:
         raise ValueError(f"malformed channel JSON: {exc}") from exc
     return KrausSet(m, n, ops)

@@ -201,29 +201,6 @@ def u_angles(u: np.ndarray) -> list[tuple[float, float, float, float]]:
     return list(zip(alpha.tolist(), beta.tolist(), gamma.tolist(), delta.tolist()))
 
 
-def _wrap_angle(t: float) -> float:
-    """Map to (-pi, pi]."""
-    t = math.fmod(t, 2 * math.pi)
-    if t <= -math.pi:
-        t += 2 * math.pi
-    elif t > math.pi:
-        t -= 2 * math.pi
-    return t
-
-
-def zyz_decompose(u) -> tuple[float, float, float, float]:
-    """The `u_angles` of one 2x2 unitary, with beta, delta and alpha
-    wrapped into (-pi, pi]: Rz(t + 2 pi) = -Rz(t), so each turn taken off
-    beta or delta adds pi to alpha before alpha is wrapped."""
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2) or np.linalg.norm(u.conj().T @ u - np.eye(2)) >= 1e-10:
-        raise ValueError("not a 2x2 unitary")
-    alpha, beta, gamma, delta = u_angles(u[None])[0]
-    b, d = _wrap_angle(beta), _wrap_angle(delta)
-    turns = round((beta - b + delta - d) / (2 * math.pi))
-    return _wrap_angle(alpha + math.pi * turns), b, gamma, d
-
-
 def update_pairs(work: np.ndarray, b: int, mats: np.ndarray) -> None:
     """Multiply, in place, every row pair of `work` that differs only in
     bit b by its own 2x2 matrix, as one block update.

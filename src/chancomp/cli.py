@@ -8,6 +8,7 @@ given, so a run that exits 0 has passed the channel oracle.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import pathlib
@@ -152,7 +153,10 @@ def _cmd_compile(args) -> int:
 
 
 def _parse_mixture(text: str) -> ConvexMixture:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"malformed channel JSON: {exc}") from exc
     if not isinstance(doc, dict) or "components" not in doc:
         return ConvexMixture([(1.0, channel_from_json(text))])
     entries = doc["components"]
@@ -218,11 +222,8 @@ def _cmd_random(args) -> int:
     return 0
 
 
-_BOUND_FIELDS = (
-    "lb_qcm", "lb_random", "lb_measured", "param_count_extreme",
-    "ub_asymptotic_qcm", "ub_asymptotic_random", "ub_asymptotic_measured",
-    "qubits_qcm", "qubits_random", "qubits_measured",
-)
+_BOUND_FIELDS = tuple(f.name for f in dataclasses.fields(bounds_mod.BoundsReport)
+                      if f.name not in ("m", "n"))
 # The most rows `bounds --grid` prints; a row near m + n = 7000 takes about 1 ms.
 _MAX_GRID_ROWS = 10_000
 

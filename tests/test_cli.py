@@ -452,6 +452,27 @@ def test_oversized_or_non_finite_input_exits_one_without_traceback(tmp_path, cas
     assert proc.stderr.strip().splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["info", "compile-measured", "compile-random", "verify"])
+def test_too_deeply_nested_json_exits_one_without_traceback(tmp_path, command):
+    # json.loads raises RecursionError on nesting this deep, not a ValueError
+    deep = 100_000
+    ch = tmp_path / "deep.json"
+    ch.write_text('{"m": 1, "n": 1, "kraus": ' + "[" * deep + "]" * deep + "}")
+    if command == "info":
+        args = ["info", "--in", str(ch)]
+    elif command == "verify":
+        circ = tmp_path / "c.qcirc"
+        circ.write_text("QUBITS 1\nCREGS 0\nINPUTS q0\nOUTPUTS q0\n")
+        args = ["verify", "--circuit", str(circ), "--channel", str(ch)]
+    else:
+        args = ["compile", "--model", command.split("-")[1], "--in", str(ch),
+                "--out", str(tmp_path / "out.qcirc")]
+    proc = _run_cli(["-m", "chancomp.cli", *args], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1].startswith("error: malformed channel JSON")
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     code = "import sys, chancomp.cli; print('scipy.optimize' in sys.modules)"
     proc = _run_cli(["-c", code], tmp_path)

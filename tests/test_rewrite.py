@@ -186,7 +186,41 @@ def rewrite_corpus():
     circuits.append(compile_measured(random_channel(2, 1, 4, 8)))
     for _ in range(15):
         circuits.append(random_measured_circuit(rng))
+    circuits += [cascade_across_two_measures(), cnot_run_on_one_control()]
     return circuits
+
+
+def cascade_across_two_measures():
+    # CNOT b->t goes first and frees CNOT a->t; each X follows its own MEASURE
+    gates = (Gate(CNOT, (0, 2)), Gate(CNOT, (1, 2)),
+             Gate(MEASURE, (0,), creg=0), Gate(MEASURE, (1,), creg=1))
+    return Circuit(3, (0, 1, 2), (2,), gates, 2)
+
+
+def cnot_run_on_one_control():
+    # six CNOTs from qubit 0, some onto the same target, some conditioned
+    gates = [Gate(RY, (0,), (0.7,)), Gate(MEASURE, (3,), creg=0)]
+    for t in (1, 2, 1, 3, 2, 1):
+        gates.append(Gate(CNOT, (0, t), condition=((0, 1),) if t == 3 else None))
+    gates.append(Gate(MEASURE, (0,), creg=1))
+    return Circuit(4, (0, 1, 2, 3), (1, 2), tuple(gates), 2)
+
+
+def test_classicalize_cascade_across_two_measures():
+    c = cascade_across_two_measures()
+    out = classicalize_controls(c)
+    assert out.gates == (Gate(MEASURE, (0,), creg=0), Gate(X, (2,), condition=((0, 1),)),
+                         Gate(MEASURE, (1,), creg=1), Gate(X, (2,), condition=((1, 1),)))
+    assert_channel_preserved(c, out)
+
+
+def test_classicalize_run_keeps_the_cnot_order():
+    c = cnot_run_on_one_control()
+    out = classicalize_controls(c)
+    fixes = [Gate(X, (t,), condition=((0, 1), (1, 1)) if t == 3 else ((1, 1),))
+             for t in (1, 2, 1, 3, 2, 1)]
+    assert out.gates == c.gates[:2] + (c.gates[-1],) + tuple(fixes)
+    assert_channel_preserved(c, out)
 
 
 @pytest.mark.parametrize("idx,circ", list(enumerate(rewrite_corpus())))
@@ -220,7 +254,7 @@ def test_standard_passes_preserve_channel_property(c):
     assert cnot_count(out)[0] <= cnot_count(c)[0]
 
 
-# --- the fast paths against the plain loop form ------------------------------
+# --- the one-scan passes against the plain loop forms ------------------------
 
 
 def reference_drop_dead(c):
@@ -244,6 +278,29 @@ def reference_drop_dead(c):
         if new == gates:
             return gates
         gates = new
+
+
+def reference_classicalize(c):
+    """classicalize_controls as a restart loop: rewrite the first CNOT whose
+    next gate on control or target is a MEASURE of its control, then start
+    the search again from gate 0."""
+    gates = list(c.gates)
+    while True:
+        for i, g in enumerate(gates):
+            if g.kind != CNOT:
+                continue
+            ctrl, tgt = g.qubits
+            nxt = next((j for j in range(i + 1, len(gates))
+                        if {ctrl, tgt} & set(gates[j].qubits)), None)
+            if (nxt is not None and gates[nxt].kind == MEASURE
+                    and gates[nxt].qubits == (ctrl,)):
+                break
+        else:
+            return tuple(gates)
+        meas = gates[nxt]
+        fix = Gate(X, (tgt,), condition=tuple(g.condition or ()) + ((meas.creg, 1),))
+        gates.insert(nxt + 1, fix)
+        del gates[i]
 
 
 @st.composite
@@ -272,13 +329,12 @@ def measured_cnot_circuits(draw):
 
 
 def _check_against_reference(c):
-    want = reference_drop_dead(c)
-    out = drop_dead_unitaries(c)
-    assert out.gates == want
-    if want == c.gates:
-        assert out is c
-    out = classicalize_controls(c)
-    assert (out is c) == (out.gates == c.gates)
+    for pass_fn, reference in ((drop_dead_unitaries, reference_drop_dead),
+                               (classicalize_controls, reference_classicalize)):
+        want = reference(c)
+        out = pass_fn(c)
+        assert out.gates == want
+        assert (out is c) == (want == c.gates)
 
 
 @settings(max_examples=800, deadline=None)

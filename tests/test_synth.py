@@ -14,8 +14,8 @@ from chancomp.circuit import (
     Gate,
     cnot_count,
     rz_matrix,
+    u_angles,
     update_pairs,
-    zyz_decompose,
 )
 from chancomp.circuit import phase as _phase
 from chancomp.bounds import lb_qcm_isometry
@@ -234,7 +234,7 @@ def step_gates(target, controls, alpha, beta):
             w = H_GATE @ w
         if k > 0:
             w = w @ RZ_H
-        gates.append(Gate(U, (target,), zyz_decompose(w)))
+        gates.append(Gate(U, (target,), u_angles(w[None])[0]))
         if k < n - 1:
             bit = ((k + 1) & -(k + 1)).bit_length() - 1
             gates.append(Gate(CNOT, (controls[c - 1 - bit], target)))
@@ -350,7 +350,7 @@ def adjoint(g):
         return g
     if g.kind in (RY, RZ):
         return Gate(g.kind, g.qubits, (0.0 - g.params[0],))
-    return Gate(U, g.qubits, zyz_decompose(gate1_matrix(g).conj().T))
+    return Gate(U, g.qubits, u_angles(gate1_matrix(g).conj().T[None])[0])
 
 
 def direct_gray_angles(angles):
