@@ -49,11 +49,9 @@ from .compiler import (
     verify_circuit,
     verify_mixture,
 )
-from .linalg import partial_trace, qr_rectangular
+from .linalg import qr_rectangular
 from .rewrite import classicalize_controls, drop_dead_unitaries, standard_passes
 from .simulator import (
-    BranchOperator,
-    circuit_to_branches,
     circuit_to_kraus,
     outcome_distribution,
     simulate_unitary,

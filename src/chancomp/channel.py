@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    MAX_DENSE_ENTRIES,
-    MAX_DENSE_QUBITS,
-    canonical_phases,
-    partial_trace,
-    qr_rectangular,
-)
+from .linalg import MAX_DENSE_ENTRIES, MAX_DENSE_QUBITS, canonical_phases, qr_rectangular
 
 TP_ATOL = 1e-9
 RANK_RTOL = 1e-9
@@ -68,23 +62,11 @@ class KrausSet:
 
 @dataclass(frozen=True)
 class ChoiMatrix:
+    """The Choi matrix j of a channel from m to n qubits, as `choi_from_kraus` returns it."""
+
     m: int
     n: int
     j: np.ndarray = field(repr=False)
-
-    def __init__(self, m: int, n: int, j):
-        j = np.asarray(j, dtype=np.complex128)
-        d = 2 ** (m + n)
-        if j.shape != (d, d):
-            raise ValueError("Choi matrix has wrong dimension")
-        if np.linalg.norm(j - j.conj().T) >= 1e-10:
-            raise ValueError("Choi matrix is not Hermitian")
-        tr_out = partial_trace(j, range(m))
-        if np.linalg.norm(tr_out - np.eye(2**m)) >= 1e-8:
-            raise ValueError("Choi matrix is not trace preserving")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "j", j)
 
 
 def kraus_vectors(ops) -> np.ndarray:
@@ -211,10 +193,14 @@ def _matrix_to_json(a: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in a]
 
 
+def _entry_from_json(e) -> complex:
+    if not (type(e) is list and len(e) == 2 and all(type(x) in (int, float) for x in e)):
+        raise TypeError("a matrix entry must be a [re, im] pair of numbers")
+    return complex(e[0], e[1])
+
+
 def _matrix_from_json(rows) -> np.ndarray:
-    return np.array(
-        [[complex(e[0], e[1]) for e in row] for row in rows], dtype=np.complex128
-    )
+    return np.array([[_entry_from_json(e) for e in row] for row in rows], dtype=np.complex128)
 
 
 def channel_to_json(ks: KrausSet) -> str:

@@ -1,5 +1,5 @@
 """Dense complex matrix kernel: rectangular QR, canonical column phases,
-isometry check, partial trace.
+isometry check.
 
 All matrices are numpy arrays of dtype complex128.  Qubit 0 is the most
 significant bit of a basis index throughout the package.
@@ -69,26 +69,3 @@ def is_isometry(v) -> bool:
     g = v.conj().T @ v
     return bool(np.linalg.norm(g - np.eye(v.shape[1])) < ISOMETRY_ATOL)
 
-
-def partial_trace(rho, keep) -> np.ndarray:
-    """Trace out all qubits not in `keep` from a 2^p x 2^p matrix.
-
-    Kept qubits stay in ascending index order; qubit 0 is the most
-    significant bit.
-    """
-    rho = _as_complex(rho)
-    d = rho.shape[0]
-    p = d.bit_length() - 1
-    if rho.shape != (d, d) or 2**p != d:
-        raise ValueError("matrix is not square with power-of-two dimension")
-    keep = sorted(set(keep))
-    if any(q < 0 or q >= p for q in keep):
-        raise ValueError("qubit index out of range")
-    drop = [q for q in range(p) if q not in keep]
-    t = rho.reshape((2,) * (2 * p))
-    for k, q in enumerate(drop):
-        # axes shift left as previously traced axes disappear
-        ax = q - k
-        t = np.trace(t, axis1=ax, axis2=ax + (p - k))
-    dk = 2 ** len(keep)
-    return t.reshape(dk, dk)

@@ -52,7 +52,7 @@ makes no op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -71,19 +71,6 @@ from .channel import KrausSet
 from .linalg import MAX_DENSE_ENTRIES, MAX_DENSE_QUBITS
 
 _PRUNE_NORM = 1e-12
-
-
-@dataclass(frozen=True)
-class BranchOperator:
-    """Linear map applied when the measurements gave `outcome` (a bit string).
-
-    Disposal of non-output qubits can split one outcome into several
-    operators, so outcomes may repeat; together all operators satisfy
-    sum op^dag op = I.
-    """
-
-    outcome: str
-    op: np.ndarray = field(repr=False)
 
 
 def input_embedding(c: Circuit) -> np.ndarray:
@@ -401,13 +388,6 @@ def simulate_unitary(c: Circuit) -> np.ndarray:
     return _branch_ops(replace(c, output_qubits=range(c.num_qubits)))[1][0]
 
 
-def circuit_to_branches(c: Circuit) -> list[BranchOperator]:
-    plan, ops = _branch_ops(c)
-    nm, per = plan.measures, len(ops) >> plan.measures
-    labels = ["".join(str((b >> (nm - 1 - i)) & 1) for i in range(nm)) for b in range(1 << nm)]
-    return [BranchOperator(labels[i // per], op) for i, op in enumerate(ops)]
-
-
 def circuit_to_kraus(c: Circuit) -> KrausSet:
     """The channel implemented by the circuit, from inputs to outputs.
 
@@ -425,7 +405,8 @@ def outcome_distribution(c: Circuit, state) -> dict[str, float]:
         raise ValueError("input state has wrong dimension")
     if not np.isfinite(psi).all():
         raise ValueError("input state must be finite")
-    dist: dict[str, float] = {}
-    for b in circuit_to_branches(c):
-        dist[b.outcome] = dist.get(b.outcome, 0.0) + float(np.linalg.norm(b.op @ psi) ** 2)
-    return dict(sorted(dist.items()))
+    plan, ops = _branch_ops(c)
+    nm = plan.measures
+    probs = (np.abs(ops @ psi) ** 2).reshape(1 << nm, -1).sum(axis=1)
+    # outcome b is measurement i in bit nm - 1 - i; no measurement is the outcome ""
+    return {format(b, f"0{nm}b")[:nm]: float(x) for b, x in enumerate(probs)}

@@ -146,7 +146,8 @@ def reference_walk(c) -> list[Branch]:
 
 def reference_branches(c) -> list[tuple[str, np.ndarray]]:
     """(outcome string, operator) pairs: each branch split by the value of
-    the qubits that are not outputs, in `circuit_to_branches` order."""
+    the qubits that are not outputs, in the order of the simulator's branch
+    operators: sorted by outcome, then by the value of those qubits."""
     p = c.num_qubits
     disposal = [q for q in range(p) if q not in c.output_qubits]
     out = []

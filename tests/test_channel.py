@@ -231,8 +231,11 @@ def test_random_channel_infeasible():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_generated_channels_tp_on_choi(seed):
-    ks = random_channel(2, 2, 5, seed)
-    choi_from_kraus(ks)  # constructor checks tr_out J = I at 1e-8
+    j = choi_from_kraus(random_channel(2, 2, 5, seed)).j
+    # J's index is (input, output), the input most significant: tr_out J = I
+    tr_out = np.einsum("iaja->ij", j.reshape(4, 4, 4, 4))
+    assert np.linalg.norm(tr_out - np.eye(4)) < 1e-8
+    assert np.linalg.norm(j - j.conj().T) < 1e-10
 
 
 def test_channel_json_round_trip():
@@ -246,8 +249,11 @@ def test_channel_json_round_trip():
 
 
 def test_channel_json_malformed():
-    with pytest.raises(ValueError, match="malformed"):
-        channel_from_json('{"m": 1}')
+    # an entry is exactly two numbers: no bools, no third item
+    entries = ["[true, false]", '[1, 0, "junk"]']
+    for text in ['{"m": 1}'] + [f'{{"m": 0, "n": 0, "kraus": [[[{e}]]]}}' for e in entries]:
+        with pytest.raises(ValueError, match="malformed"):
+            channel_from_json(text)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])

@@ -430,7 +430,11 @@ def test_info_above_the_choi_cap_exits_zero(tmp_path):
     assert "m=5 n=6 kraus_rank=1 extreme=yes" in proc.stdout
 
 
-@pytest.mark.parametrize("case", ["verify-40-qubits", "random-too-large", "info-nan"])
+_BAD_ENTRIES = {"info-nan": [float("nan"), 0.0], "info-bool-entry": [True, False],
+                "info-three-item-entry": [1, 0, "junk"]}
+
+
+@pytest.mark.parametrize("case", ["verify-40-qubits", "random-too-large", *_BAD_ENTRIES])
 def test_oversized_or_non_finite_input_exits_one_without_traceback(tmp_path, case):
     ch = tmp_path / "ch.json"
     ch.write_text(channel_to_json(random_channel(1, 1, 2, seed=7)))
@@ -443,7 +447,7 @@ def test_oversized_or_non_finite_input_exits_one_without_traceback(tmp_path, cas
                 "--out", str(tmp_path / "r.json")]
     else:
         doc = json.loads(ch.read_text())
-        doc["kraus"][0][0][0] = [float("nan"), 0.0]
+        doc["kraus"][0][0][0] = _BAD_ENTRIES[case]
         ch.write_text(json.dumps(doc))  # json writes the bare token NaN
         args = ["info", "--in", str(ch)]
     proc = _run_cli(["-m", "chancomp.cli", *args], tmp_path)

@@ -18,28 +18,49 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
+def _package():
+    """The module trees other than __init__'s, the names __init__ exports
+    and the names the modules refer to, a module's own names included."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    exported = {alias.name for node in ast.walk(trees.pop("__init__"))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    return trees, exported, used
+
+
 # Public names that only the tests call, each kept for a reason of its own.
 TEST_ONLY = {
     # the oracle the plan tests check the QR recursion against
     ("compiler", "reconstruct_dilation"),
 }
 
+# Exported names that no chancomp module calls: the library API that the
+# acceptance criteria and the tests check the pipeline with.
+LIBRARY_API = {
+    "choi_distance": "criteria 1, 4 and 6 bound the Choi distance of circuit and channel",
+    "is_extreme": "criterion 7 checks Choi's extremality criterion on named channels",
+    "outcome_distribution": "criterion 9 checks that rank-1 circuits give input-free outcomes",
+    "predict_upper_bound": "criterion 3 checks the emitted CNOT count against the formula",
+    "simulate_unitary": "the synthesizer's tests check emitted unitaries against it",
+}
+
 
 def test_every_public_function_and_class_is_used_or_exported():
-    # a public top-level def that no chancomp module refers to, its own
-    # included, and that __init__ does not export, is dead weight
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(PACKAGE.glob("*.py"))}
-    exported = {alias.name for node in ast.walk(trees.pop("__init__"))
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    # a public top-level def that no chancomp module refers to, and that
+    # __init__ does not export, is dead weight
+    trees, exported, used = _package()
     unused = [(module, node.name) for module, tree in trees.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in used | exported]
     assert sorted(unused) == sorted(TEST_ONLY)
+
+
+def test_every_export_no_module_refers_to_is_listed():
+    # an export is not exempt for being exported: one that no chancomp
+    # module refers to is library API with a reason in LIBRARY_API, so the
+    # next unused export fails here
+    _, exported, used = _package()
+    assert sorted(exported - used) == sorted(LIBRARY_API)

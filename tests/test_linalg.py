@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chancomp.linalg import partial_trace, qr_rectangular
+from chancomp.linalg import qr_rectangular
 from test_synth import frob_distance_up_to_phase
 
 I2 = np.eye(2)
@@ -98,40 +98,6 @@ def test_qr_deterministic():
     q2, r2 = qr_rectangular(b)
     assert np.array_equal(q1, q2)
     assert np.array_equal(r1, r2)
-
-
-def test_partial_trace_keep_all():
-    rng = np.random.default_rng(1)
-    rho = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.allclose(partial_trace(rho, [0, 1]), rho)
-
-
-def test_partial_trace_bell():
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / np.sqrt(2)
-    rho = np.outer(bell, bell.conj())
-    assert np.allclose(partial_trace(rho, [0]), np.eye(2) / 2)
-    assert np.allclose(partial_trace(rho, [1]), np.eye(2) / 2)
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = np.kron(a, b)
-    assert np.allclose(partial_trace(rho, [0]), a * np.trace(b))
-    assert np.allclose(partial_trace(rho, [1, 2]), b * np.trace(a))
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(4)
-    rho = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    assert np.isclose(np.trace(partial_trace(rho, [1])), np.trace(rho))
-
-
-def test_partial_trace_bad_index():
-    with pytest.raises(ValueError, match="out of range"):
-        partial_trace(np.eye(4), [2])
 
 
 def test_frob_phase_distance_zero_cases():

@@ -27,8 +27,8 @@ from chancomp.circuit import (
 from chancomp.compiler import compile_measured, compile_qcm
 from chancomp.rewrite import standard_passes
 from chancomp.simulator import (
+    _branch_ops,
     _parity,
-    circuit_to_branches,
     circuit_to_kraus,
     input_embedding,
     outcome_distribution,
@@ -163,9 +163,9 @@ def test_reset_reuses_ancilla():
         Gate(RESET, (0,)),
     )
     c = Circuit(2, (1,), (0, 1), gates, 1)
-    for b in circuit_to_branches(c):
+    for op in _branch_ops(c)[1]:
         # ancilla (most significant qubit) must carry no |1> amplitude
-        assert np.linalg.norm(b.op[2:, :]) < 1e-12
+        assert np.linalg.norm(op[2:, :]) < 1e-12
 
 
 def test_reset_requires_fresh_measure():
@@ -272,17 +272,29 @@ def test_simulator_accepts_largest_compiled_size():
     # (3,3,8) compiles to 4 qubits, 3 inputs and 3 measurements: 10 of 20
     gates = tuple(Gate(MEASURE, (0,), creg=r) for r in range(3))
     c = Circuit(4, (1, 2, 3), (1, 2, 3), gates, 3)
-    assert len(circuit_to_branches(c)) == 2 * 2**3
+    assert len(_branch_ops(c)[1]) == 2 * 2**3
 
 
 # --- fused runs ---------------------------------------------------------------
 
 
 def assert_matches_reference(c, tol=1e-12):
-    got, want = circuit_to_branches(c), reference_branches(c)
-    assert [br.outcome for br in got] == [outcome for outcome, _ in want]
+    # the branch operators, and the outcome distribution of one seeded state
+    (plan, got), want = _branch_ops(c), reference_branches(c)
+    nm, per = plan.measures, len(got) >> plan.measures
+    labels = ["".join(str((b >> (nm - 1 - i)) & 1) for i in range(nm)) for b in range(1 << nm)]
+    assert [labels[i // per] for i in range(len(got))] == [o for o, _ in want]
     for a, (_, b) in zip(got, want):
-        assert np.max(np.abs(a.op - b), initial=0.0) <= tol
+        assert np.max(np.abs(a - b), initial=0.0) <= tol
+    d = 2 ** len(c.input_qubits)
+    psi = [1, 1j] @ np.random.default_rng(d).standard_normal((2, d))
+    psi /= np.linalg.norm(psi)
+    probs = {}
+    for outcome, b in want:
+        probs[outcome] = probs.get(outcome, 0.0) + np.linalg.norm(b @ psi) ** 2
+    dist = outcome_distribution(c, psi)
+    assert list(dist) == list(probs)
+    assert max(abs(dist[o] - probs[o]) for o in probs) <= 1e-10
 
 
 _ANGLES = st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
@@ -509,8 +521,7 @@ def assert_three_angle_sets_match(c, seed):
     variants = [with_angles(c, rng) for _ in range(3)]
     mats = np.stack([one_qubit_matrices(static_plan(v).gates) for v in variants])
     for v, ops in zip(variants, run_plan(static_plan(c), mats)):
-        single = circuit_to_branches(v)
-        assert np.array_equal(ops, [b.op for b in single])
+        assert np.array_equal(ops, _branch_ops(v)[1])
         assert_matches_reference(v)
 
 
