@@ -25,7 +25,7 @@ RANK_RTOL = 1e-9
 GRAM_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """A channel from m to n qubits as a list of 2^n x 2^m Kraus operators."""
 
@@ -60,7 +60,7 @@ class KrausSet:
         return len(self.ops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """The Choi matrix j of a channel from m to n qubits, as `choi_from_kraus` returns it."""
 
@@ -91,12 +91,14 @@ def minimal_kraus(ks: KrausSet) -> KrausSet:
     are J's eigenvectors times the roots of its eigenvalues.  Keeps those
     with s^2 > RANK_RTOL * tr(J), largest first.  Each gets the phase of
     `canonical_phases` rather than LAPACK's, which round-off can flip; a
-    Kraus operator's phase does not change the channel.
+    Kraus operator's phase does not change the channel.  The kept set's TP
+    residual is at most the input's plus the dropped weight sum s^2.
     """
     u, s, _ = np.linalg.svd(kraus_vectors(ks.ops), full_matrices=False)
     kept = s**2 > RANK_RTOL * np.sum(s**2)
     vecs = canonical_phases(u[:, kept]) * s[kept]
-    return KrausSet(ks.m, ks.n, vecs.T.reshape(-1, 2**ks.m, 2**ks.n).transpose(0, 2, 1))
+    return KrausSet(ks.m, ks.n, vecs.T.reshape(-1, 2**ks.m, 2**ks.n).transpose(0, 2, 1),
+                    atol=TP_ATOL + np.sum(s[~kept] ** 2))
 
 
 def kraus_rank(ks: KrausSet) -> int:

@@ -60,7 +60,7 @@ class CompilePlan:
     finals: np.ndarray = field(repr=False)   # the residual isometry of each full prefix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexMixture:
     """Probabilistic mixture of channels sharing input/output sizes."""
 

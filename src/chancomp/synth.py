@@ -133,50 +133,31 @@ def ry_multiplexor_from_zero(controls, target: int, theta) -> list[Gate]:
 
 
 @lru_cache(maxsize=4096)
-def _active_mask(j: int, b: int, p: int) -> np.ndarray:
-    """Control patterns that may need a rotation when reducing column j.
-
-    A pattern s (the p - 1 bits other than bit b) is active when the pair
-    member on the wrong side of target bit b can carry mass: it must
-    agree with j below bit b and both pair members must sit at or above
-    row j (rows below j belong to columns already reduced to basis
-    vectors and must not be touched).
-    """
-    jb = (j >> b) & 1
-    low_mask = (1 << b) - 1
-    s = np.arange(1 << (p - 1))
-    low = s & low_mask
-    high = (s >> b) << (b + 1)
-    wrong = high | ((1 - jb) << b) | low
-    right = high | (jb << b) | low
-    mask = (low == (j & low_mask)) & (wrong >= j) & (right >= j)
-    mask.flags.writeable = False
-    return mask
-
-
-@lru_cache(maxsize=4096)
 def _step_controls(j: int, b: int, p: int):
     """(controls, index, rows, live) of the uniformly controlled gate that
     reduces column j at target bit b, or None when no pattern is active.
 
-    The controls are the qubits whose values tell the active patterns
-    (`_active_mask`) apart from one another and from the protected ones,
-    whose pair touches a reduced row below j.  Starting from the bits above
-    b and the bits below b that are 1 in j, which always separate, each
-    bit is dropped in turn, least significant first, while the separation
+    A pattern s (the p - 1 bits other than bit b) is active, so may need a
+    rotation, when it agrees with j below bit b and its row pair sits at or
+    above row j.  It is protected when its pair touches a row below j: those
+    rows belong to columns already reduced to basis vectors.  The controls
+    are the qubits whose values tell the active patterns apart from one
+    another and from the protected ones.  Starting from the bits above b
+    and the bits below b that are 1 in j, which always separate, each bit
+    is dropped in turn, least significant first, while the separation
     still holds.  index[s] is the control pattern of the full pattern s.
     Control pattern t takes its matrix from one full pattern: its active
     pattern where it has one, else its first; rows[:, t] holds that
     pattern's row pair and live[t] whether it is active.  The other
     patterns (no amplitude in column j, no reduced row) are don't-cares.
     """
-    active = _active_mask(j, b, p)
-    if not active.any():
-        return None
     low_mask = (1 << b) - 1
     s = np.arange(1 << (p - 1))
     row0 = ((s >> b) << (b + 1)) | (s & low_mask)
     protected = row0 < j
+    active = ((s & low_mask) == (j & low_mask)) & ~protected
+    if not active.any():
+        return None
 
     own, others = s[active].tolist(), s[protected].tolist()
 

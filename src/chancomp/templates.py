@@ -11,6 +11,9 @@ evaluates it on one set of gate matrices per parameter vector, so the
 template's gates are interpreted by the simulator alone.
 `fit` minimizes the squared Frobenius distance between Choi matrices
 with a multi-start L-BFGS-B search on exact parameter-shift gradients.
+Its coordinates come from the gate kinds alone: a U gate keeps its
+three rotation angles (its global phase cancels in the Choi matrix) and
+a rotation keeps its one.
 
 Transcription conventions: qubit 0 is the most significant wire, the
 measured ancilla sits on top, and two-qubit unitary slots are expanded
@@ -29,9 +32,11 @@ import numpy as np
 
 from .channel import KrausSet, choi_from_kraus, kraus_vectors, minimal_kraus
 from .circuit import (
-    CNOT, MEASURE, OPERANDS, RESET, RY, RZ, U, X, Circuit, Gate, cnot_count, one_qubit_matrices,
+    CNOT, MEASURE, OPERANDS, RESET, RY, RZ, U, X, Circuit, Gate, cnot_count, conditioned,
+    one_qubit_matrices,
 )
 from .simulator import run_plan, static_plan
+from .synth import multiplexed_rotation
 
 
 @dataclass(frozen=True)
@@ -40,8 +45,7 @@ class Template:
     m: int
     n: int
     max_rank: int
-    circuit: Circuit = field(repr=False)      # the topology, every angle zero
-    reduced_spec: tuple = field(repr=False)  # per param slot: "U3", "U2" or "R"
+    circuit: Circuit = field(repr=False)  # the topology, every angle zero
 
     @property
     def param_count(self) -> int:
@@ -72,9 +76,8 @@ def _three_cnot_block(a: int, b: int, cond) -> tuple:
 
 
 def _ry_ladder(target: int, c1: int, c2: int, cond) -> tuple:
-    """Expanded two-control multiplexed Ry after one CNOT cancellation."""
-    return _gates(cond, (RY, target), (CNOT, c1, target), (RY, target), (CNOT, c2, target),
-                  (RY, target), (CNOT, c1, target), (RY, target))
+    """The synthesizer's two-control Ry multiplexor without its closing CNOT."""
+    return tuple(conditioned(multiplexed_rotation(RY, (c2, c1), target, [0.0] * 4)[:-1], cond))
 
 
 def _iso12_block(cond) -> tuple:
@@ -86,49 +89,40 @@ def _iso12_block(cond) -> tuple:
 def _t11() -> Template:
     gates = _gates(None, (U, 0), (U, 1), (CNOT, 0, 1), (RY, 0), (RY, 1))
     gates += (Gate(MEASURE, (0,), creg=0),) + _gates(((0, 1),), (X, 1)) + _gates(None, (U, 1))
-    reduced = ("U2", "U3", "R", "R", "U3")
-    return Template("T11", 1, 1, 2, Circuit(2, (1,), (1,), gates, 1), reduced)
+    return Template("T11", 1, 1, 2, Circuit(2, (1,), (1,), gates, 1))
 
 
 def _t12() -> Template:
     gates = _iso12_block(None) + (Gate(MEASURE, (0,), creg=0), Gate(RESET, (0,)))
-    reduced = ["U2", "U3", "R", "R", "U3", "U3"]
     for b in (0, 1):
         gates += _iso12_block(((0, b),))
-        reduced += ["U2", "U3", "R", "R", "U3", "U3"]
-    return Template("T12", 1, 2, 2, Circuit(2, (1,), (0, 1), gates, 1), tuple(reduced))
+    return Template("T12", 1, 2, 2, Circuit(2, (1,), (0, 1), gates, 1))
 
 
 def _t21() -> Template:
     gates = _two_cnot_block(1, 2, None) + _ry_ladder(0, 1, 2, None)
     gates += (Gate(MEASURE, (0,), creg=0),)
-    reduced = ["U3", "U3", "R", "R", "U3", "U3", "R", "R", "R", "R"]
     for b in (0, 1):
         gates += _gates(((0, b),), (U, 1), (U, 2), (CNOT, 1, 2), (RY, 1), (RZ, 2), (CNOT, 2, 1),
                         (RY, 1))
-        reduced += ["U3", "U3", "R", "R", "R"]
     gates += (Gate(MEASURE, (1,), creg=1),)
     for b in (0, 1):
         gates += _gates(((0, b), (1, 1)), (X, 2))
     for b in (0, 1):
         gates += _gates(((0, b),), (U, 2))
-        reduced += ["U3"]
-    return Template("T21", 2, 1, 4, Circuit(3, (1, 2), (2,), gates, 2), tuple(reduced))
+    return Template("T21", 2, 1, 4, Circuit(3, (1, 2), (2,), gates, 2))
 
 
 def _t22() -> Template:
     gates = _two_cnot_block(2, 3, None) + _ry_ladder(0, 2, 3, None)
     gates += (Gate(MEASURE, (0,), creg=0),)
-    reduced = ["U3", "U3", "R", "R", "U3", "U3", "R", "R", "R", "R"]
     for b in (0, 1):
         cond = ((0, b),)
         gates += _two_cnot_block(2, 3, cond)
         gates += _ry_ladder(1, 2, 3, cond)
         gates += _three_cnot_block(2, 3, cond)
-        reduced += ["U3", "U3", "R", "R", "U3", "U3", "R", "R", "R", "R",
-                    "U3", "U3", "R", "R", "R", "U3", "U3"]
     gates += (Gate(MEASURE, (1,), creg=1),)
-    return Template("T22", 2, 2, 4, Circuit(4, (2, 3), (2, 3), gates, 2), tuple(reduced))
+    return Template("T22", 2, 2, 4, Circuit(4, (2, 3), (2, 3), gates, 2))
 
 
 TEMPLATES = {t.id: t for t in (_t11(), _t12(), _t21(), _t22())}
@@ -145,26 +139,27 @@ def instantiate(t: Template, params) -> Circuit:
     return replace(t.circuit, gates=gates)
 
 
-# Angles the optimizer keeps per slot: a U acting on a freshly prepared |0>
-# keeps (beta, gamma), other U slots keep (beta, gamma, delta) (the global
-# phase is per-branch and cancels in the Choi matrix), rotations keep theirs.
-_KEPT = {"U2": (1, 2), "U3": (1, 2, 3), "R": (0,)}
+def _kept(t: Template) -> list[int]:
+    """Indices of the angles the optimizer moves: every angle but each U
+    gate's global phase alpha, which is per-branch and cancels in the Choi
+    matrix."""
+    kept, at = [], 0
+    for g in t.circuit.gates:
+        kept.extend(range(at + (g.kind == U), at + len(g.params)))
+        at += len(g.params)
+    return kept
 
 
 def reduced_dim(t: Template) -> int:
-    return sum(len(_KEPT[role]) for role in t.reduced_spec)
+    return len(_kept(t))
 
 
 def expand_reduced(t: Template, reduced) -> np.ndarray:
     """Map optimizer coordinates, one vector or a stack of them, to full
     template parameters; the angles left out are zero."""
-    pos, at = [], 0
-    for role in t.reduced_spec:
-        pos.extend(at + i for i in _KEPT[role])
-        at += 1 if role == "R" else 4
     reduced = np.asarray(reduced, dtype=np.float64)
-    full = np.zeros(reduced.shape[:-1] + (at,))
-    full[..., pos] = reduced
+    full = np.zeros(reduced.shape[:-1] + (t.param_count,))
+    full[..., _kept(t)] = reduced
     return full
 
 

@@ -143,6 +143,23 @@ def test_choi_kraus_round_trip(seed, m, n, kr):
     assert_minimal_form_of(random_channel(m, n, kr, seed), kr)
 
 
+def test_minimal_kraus_keeps_a_channel_after_dropping_its_tail():
+    # the tail weight e sits under RANK_RTOL * tr J = 2e-9, so the minimal
+    # form drops it, and the kept operator misses TP_ATOL = 1e-9 by e
+    e = 9e-10
+    ks = KrausSet(1, 1, [np.sqrt(1 - e) * I2, np.sqrt(e) * X])
+    assert minimal_kraus(ks).K == kraus_rank(ks) == 1
+    assert is_extreme(ks)
+
+
+def test_records_compare_by_identity():
+    # the generated field-wise __eq__ would compare numpy arrays and raise
+    for build in (identity_channel, lambda: choi_from_kraus(identity_channel())):
+        a, b = build(), build()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+
 def test_kraus_rank_examples():
     assert kraus_rank(identity_channel()) == 1
     assert kraus_rank(amplitude_damping(0.5)) == 2

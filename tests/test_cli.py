@@ -430,6 +430,22 @@ def test_info_above_the_choi_cap_exits_zero(tmp_path):
     assert "m=5 n=6 kraus_rank=1 extreme=yes" in proc.stdout
 
 
+def test_channel_with_a_dropped_tail_is_analysed_and_refused_cleanly(tmp_path):
+    # the minimal form drops a 9e-10 tail; info reports rank 1, and compiling
+    # such a channel is refused with an error line
+    e = 9e-10
+    ch = tmp_path / "ch.json"
+    ch.write_text(channel_to_json(KrausSet(1, 1, [np.sqrt(1 - e) * np.eye(2),
+                                                  np.sqrt(e) * np.array([[0, 1], [1, 0]])])))
+    proc = _run_cli(["-m", "chancomp.cli", "info", "--in", str(ch)], tmp_path, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "m=1 n=1 kraus_rank=1 extreme=yes" in proc.stdout
+    proc = _run_cli(["-m", "chancomp.cli", "compile", "--in", str(ch), "--out",
+                     str(tmp_path / "c.qcirc")], tmp_path, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 _BAD_ENTRIES = {"info-nan": [float("nan"), 0.0], "info-bool-entry": [True, False],
                 "info-three-item-entry": [1, 0, "junk"]}
 

@@ -265,6 +265,13 @@ def test_plans_compare_by_identity():
     assert len({a, b}) == 2
 
 
+def test_mixtures_compare_by_identity():
+    ks = random_channel(1, 1, 2, seed=1)
+    a, b = ConvexMixture([(1.0, ks)]), ConvexMixture([(1.0, ks)])
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_one_to_one_rank2_takes_the_template_count():
     # one round of one CNOT: T11's count, with no template fit
     for seed in range(5):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 from types import SimpleNamespace
@@ -23,6 +24,7 @@ from chancomp.circuit import (
     cnot_count,
     one_qubit_matrices,
     rz_matrix,
+    serialize,
 )
 from chancomp.simulator import circuit_to_kraus
 from reference_walker import reference_branches, rx_matrix, ry_matrix, u_matrix
@@ -40,6 +42,20 @@ from chancomp.templates import (
 DATA = pathlib.Path(__file__).parent / "data"
 
 EXPECTED_CNOTS = {"T11": 1, "T12": 4, "T21": 7, "T22": 13}
+
+# sha256 of serialize(t.circuit): the topologies as transcribed
+TOPOLOGY_SHA256 = {
+    "T11": "06a446e480a411b883dd6ba13ee52d971dadc89c0a8c021898782a6768c42621",
+    "T12": "1ce4e8d481bc403c6daf36ad4abdbe7ad030f0194a2bfa2829c216fb8fe14645",
+    "T21": "422b0ae60262d250330bafe8eea1c64c6b05dcece9d8d77ea08d7a03c269bf4f",
+    "T22": "ca95d21b789a7f71d6dcf62cf6bb21b1c8fc5db44f457fd26a66b642081aea05",
+}
+
+
+@pytest.mark.parametrize("tid", sorted(TEMPLATES))
+def test_template_topology_is_pinned(tid):
+    text = serialize(TEMPLATES[tid].circuit)
+    assert hashlib.sha256(text.encode()).hexdigest() == TOPOLOGY_SHA256[tid]
 
 
 @pytest.mark.parametrize("tid", sorted(TEMPLATES))
@@ -94,7 +110,7 @@ def test_closed_form_u_matches_gate_semantics():
     # rows the gates' own-angle form on the instantiated circuit
     gates = (Gate(U, (0,), (0.0,) * 4), Gate(RY, (0,), (0.0,)), Gate(RZ, (0,), (0.0,)),
              Gate(RX, (0,), (0.0,)), Gate(X, (0,)))
-    t = Template("slots", 1, 1, 1, Circuit(1, (0,), (0,), gates, 0), ("U3", "R", "R", "R"))
+    t = Template("slots", 1, 1, 1, Circuit(1, (0,), (0,), gates, 0))
     rng = np.random.default_rng(3)
     params = rng.uniform(-7, 7, (50, 7))
     plan = _plan(t)
@@ -156,9 +172,13 @@ def test_parameter_shift_gradient_matches_central_differences(tid, monkeypatch):
 
 def test_expand_reduced_round_trip_dimensions():
     for t in TEMPLATES.values():
+        n_u = sum(g.kind == U for g in t.circuit.gates)
+        assert reduced_dim(t) == t.param_count - n_u
         full = expand_reduced(t, [0.1] * reduced_dim(t))
         assert len(full) == t.param_count
-        instantiate(t, full)
+        # every angle but each U gate's global phase alpha is a coordinate
+        for g in instantiate(t, full).gates:
+            assert g.params == ((0.0, 0.1, 0.1, 0.1) if g.kind == U else (0.1,) * len(g.params))
 
 
 def test_fit_rejects_wrong_dimensions():
