@@ -146,7 +146,10 @@ def stinespring_isometry(ks: KrausSet, force_k: int | None = None) -> tuple[np.n
 
     k = ceil(log2 K) for the Kraus rank K is as small as possible; the
     stack is padded with zero blocks up to 2^k operators.  `force_k`
-    allows a larger environment than the minimal one.
+    allows a larger environment than the minimal one.  Where the minimal
+    form drops a tail, the kept operators miss trace preservation by the
+    dropped weight, so V is replaced by its polar factor V (V^dag V)^(-1/2),
+    the isometry nearest to it.
     """
     base = minimal_kraus(ks)
     kk = base.K
@@ -159,7 +162,11 @@ def stinespring_isometry(ks: KrausSet, force_k: int | None = None) -> tuple[np.n
         np.zeros((2**base.n, 2**base.m), dtype=np.complex128)
         for _ in range(2**k - kk)
     ]
-    return np.vstack(ops), k
+    v = np.vstack(ops)
+    if kk < min(ks.K, 2 ** (ks.m + ks.n)):   # fewer kept than W's singular values
+        u, _, wh = np.linalg.svd(v, full_matrices=False)
+        v = u @ wh
+    return v, k
 
 
 def random_channel(m: int, n: int, kr: int, seed: int) -> KrausSet:

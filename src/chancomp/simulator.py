@@ -10,16 +10,21 @@ and measurements add up to more than `MAX_DENSE_QUBITS` is refused.
 
 Simulation takes two steps, and this module is the one place that
 interprets the circuit's classical semantics.  `static_plan` reads the
-gate list once.  It checks that no register is written twice, that no
+gate structure: each gate's kind, qubits, register and condition, never
+its angles.  It checks that no register is written twice, that no
 condition reads a register before it is written and that every RESET
 follows a MEASURE of its qubit that no gate has touched since in any
 branch; it fuses runs and merges segments; it resolves each condition
-and each RESET to the branches it acts on.  `run_plan` evaluates the
-plan on a stack of B sets of single-qubit matrices at once, the branches
-being one more array axis: measurement i is the i-th most significant
-bit of a branch index, so branches come in sorted outcome order.  The
-circuit functions below evaluate B = 1 on the circuit's own angles; the
-template fitter evaluates B parameter vectors of one template.
+and each RESET to the branches it acts on.  One plan is built per
+structure and cached, so circuits that differ only in their angles share
+it (a measured compile's structure depends on the channel's shape
+alone); the plan holds no gates and its arrays are read-only.  `run_plan`
+evaluates the plan on a stack of B sets of single-qubit matrices at
+once, the branches being one more array axis: measurement i is the i-th
+most significant bit of a branch index, so branches come in sorted
+outcome order.  The circuit functions below evaluate B = 1 on the
+circuit's own angles; the template fitter evaluates B parameter vectors
+of one template.
 
 A run is a maximal stretch of consecutive unitary gates under one
 condition that act on one target t: single-qubit gates on t and CNOTs
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -71,24 +77,33 @@ from .channel import KrausSet
 from .linalg import MAX_DENSE_ENTRIES, MAX_DENSE_QUBITS
 
 _PRUNE_NORM = 1e-12
+_ONE_QUBIT = UNITARY_KINDS - {CNOT}
 
 
-def input_embedding(c: Circuit) -> np.ndarray:
-    """2^p x 2^m matrix sending input basis states into the full register.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, read-only: a cached plan's arrays are shared by every circuit of
+    its structure."""
+    a.flags.writeable = False
+    return a
 
-    input_qubits[0] carries the most significant input bit; every other
-    qubit starts in |0>.  Rejects a circuit whose branch matrices, one
-    2^p x 2^m per outcome string, would together pass the dense cap.
+
+def input_embedding(p: int, inputs: tuple[int, ...], measures: int) -> np.ndarray:
+    """2^p x 2^m matrix sending the basis states of the m input qubits
+    into the p-qubit register.
+
+    inputs[0] carries the most significant input bit; every other qubit
+    starts in |0>.  Rejects a circuit whose branch matrices, one 2^p x 2^m
+    per outcome string of its `measures` measurements, would together
+    pass the dense cap.
     """
-    p, m = c.num_qubits, len(c.input_qubits)
-    measures = sum(1 for g in c.gates if g.kind == MEASURE)
+    m = len(inputs)
     if p + m + measures > MAX_DENSE_QUBITS:
         raise ValueError(f"simulating {p} qubits, {m} inputs and {measures} measurements "
                          f"exceeds the cap of {MAX_DENSE_ENTRIES} dense matrix entries")
     e = np.zeros((2**p, 2**m), dtype=np.complex128)
     for j in range(2**m):
         pos = 0
-        for t, q in enumerate(c.input_qubits):
+        for t, q in enumerate(inputs):
             bit = (j >> (m - 1 - t)) & 1
             pos |= bit << (p - 1 - q)
         e[pos, j] = 1.0
@@ -188,10 +203,10 @@ def _run_op(p: int, specs: list, sel, owner) -> tuple:
     b = p - 1 - target
     if not masks:
         rows = np.arange(1 << p)
-        return "perm", sel, np.where(_parity(p)[rows & m_end], rows ^ (1 << b), rows)
+        return "perm", sel, _frozen(np.where(_parity(p)[rows & m_end], rows ^ (1 << b), rows))
     n = len(masks)
     gather = (slice(first, first + n) if len(specs) == 1
-              else np.array([s[3] for s in specs])[:, None] + np.arange(n))
+              else _frozen(np.array([s[3] for s in specs])[:, None] + np.arange(n)))
     low = (1 << b) - 1
     m = [((x >> (b + 1)) << b) | (x & low) for x in masks + [m_end]]   # drop bit b
     flips = tuple(f ^ g for f, g in zip(m[1:-1], m[:-2]))
@@ -211,7 +226,7 @@ def _group_ops(p: int, group: list, owner) -> list:
     if len(group) == 1:
         return [_run_op(p, [s], s[0], slice(None)) for s in group[0]]
     sel = _branches(owner >= 0)
-    return [_run_op(p, specs, sel, owner[sel]) for specs in zip(*group)]
+    return [_run_op(p, specs, sel, _frozen(owner[sel])) for specs in zip(*group)]
 
 
 def _branches(hold: np.ndarray):
@@ -224,7 +239,7 @@ def _branches(hold: np.ndarray):
     step = idx[1] - idx[0] if len(idx) > 1 else 1
     if idx == list(range(idx[0], idx[-1] + 1, step)):
         return slice(idx[0], idx[-1] + 1, step)
-    return np.array(idx)
+    return _frozen(np.array(idx))
 
 
 def _fired(cond, written: dict, nm: int):
@@ -246,10 +261,12 @@ def _fired(cond, written: dict, nm: int):
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """The static pass over a circuit's gate list (see the module docstring).
+    """The static pass over a circuit's gate structure (see the module
+    docstring).  It holds no gates: it is shared by every circuit of one
+    structure, and its arrays are read-only.
 
-    `gates` are the circuit's single-qubit unitary gates in order; the
-    evaluation takes one matrix per gate.  Each op is one of:
+    The evaluation takes one matrix per single-qubit unitary gate of the
+    circuit, in order (`one_qubit_gates`).  Each op is one of:
     ("run", branches, bit, gather, owner, run plan), one run position of a
     group of segments fused into one pair update on bit `bit` of the row
     index: member k's gates are gather[k] (for a lone segment, gather is
@@ -260,39 +277,57 @@ class Plan:
     (`_branches`).  out_rows[y] are the rows where the disposed qubits
     read y, in the order of the outputs' value."""
 
-    gates: tuple[Gate, ...]
     ops: tuple
     embedding: np.ndarray
     out_rows: np.ndarray
     measures: int
 
 
+# The fields of a gate that its plan depends on: everything but the angles.
+_STRUCTURE = attrgetter("kind", "qubits", "creg", "condition")
+
+
 def static_plan(c: Circuit) -> Plan:
-    """Check the classical semantics of c, fuse its runs and resolve the
-    branches each op acts on.  The plan depends on the gate kinds,
-    qubits and conditions only, never on the angles.
+    """The plan of c's gate structure: built on the first call for that
+    structure and looked up on every later one, from a cache of the 128
+    structures used last.  A structure that fails a check raises on
+    every call."""
+    return _structure_plan(c.num_qubits, c.input_qubits, c.output_qubits,
+                           tuple(map(_STRUCTURE, c.gates)))
+
+
+def one_qubit_gates(c: Circuit) -> list[Gate]:
+    """The gates the plan of c takes a matrix for: its single-qubit
+    unitary gates, in order, those that fire in no branch included."""
+    return [g for g in c.gates if g.kind in _ONE_QUBIT]
+
+
+@lru_cache(maxsize=128)
+def _structure_plan(p: int, inputs: tuple, outputs: tuple, gates: tuple) -> Plan:
+    """Check the classical semantics of a gate structure, (kind, qubits,
+    creg, condition) per gate, fuse its runs and resolve the branches
+    each op acts on.  It never sees an angle, so a cached plan cannot
+    depend on one.
 
     Row masks: qubit q is bit p - 1 - q of a row index.  A run's spec
     collects, per single-qubit gate, the XOR of the control masks of the
     CNOTs before it (masks), and that of all of them (m_end).  `ops`
     holds the measure and RESET ops and the segments, lists of specs."""
-    embedding = input_embedding(c)
-    p = c.num_qubits
+    embedding = _frozen(input_embedding(p, inputs, sum(g[0] == MEASURE for g in gates)))
     rows = np.arange(1 << p)
-    gates, ops = [], []
+    n_one, ops = 0, []
     written = {}      # register -> index of the measurement that wrote it
     fresh = {}        # qubit -> index of its last measurement, while no gate touched it since
     selections = {}   # (condition, measurements so far) -> branches
     spec = None
-    for g in c.gates:
-        kind, qs = g.kind, g.qubits
+    for kind, qs, creg, condition in gates:
         if kind in UNITARY_KINDS:
             t = qs[-1]
-            key = (g.condition or None, len(written))
+            key = (condition or None, len(written))
             if spec is None or t != spec[1] or key != spec[2]:
                 if key not in selections:
                     selections[key] = _fired(key[0], written, len(written))
-                spec = [selections[key], t, key, len(gates), [], 0]
+                spec = [selections[key], t, key, n_one, [], 0]
                 if spec[0] is None:   # fires nowhere: no op
                     pass
                 elif ops and type(ops[-1]) is list and ops[-1][-1][2] == key:
@@ -306,22 +341,22 @@ def static_plan(c: Circuit) -> Plan:
                 spec[5] ^= 1 << (p - 1 - qs[0])
             else:
                 spec[4].append(spec[5])
-                gates.append(g)
+                n_one += 1
             continue
         spec = None
         q = qs[0]
         if kind == MEASURE:
-            if g.creg in written:
-                raise ValueError(f"register c{g.creg} written twice")
-            fresh[q] = written[g.creg] = len(written)
+            if creg in written:
+                raise ValueError(f"register c{creg} written twice")
+            fresh[q] = written[creg] = len(written)
             one = (rows >> (p - 1 - q)) & 1
-            ops.append(("measure", np.stack([one == 0, one == 1])[:, :, None]))
+            ops.append(("measure", _frozen(np.stack([one == 0, one == 1])[:, :, None])))
         elif kind == RESET:   # X where the qubit's last measurement gave 1
             if q not in fresh:
                 raise ValueError("RESET without an immediately preceding MEASURE")
             nm = len(written)
             sel = _branches((np.arange(1 << nm) >> (nm - 1 - fresh.pop(q))) & 1)
-            ops.append(("perm", sel, rows ^ (1 << (p - 1 - q))))
+            ops.append(("perm", sel, _frozen(rows ^ (1 << (p - 1 - q)))))
         else:   # TRACE
             fresh.pop(q, None)
     # group consecutive segments of one shape that fire in disjoint branches;
@@ -343,17 +378,18 @@ def static_plan(c: Circuit) -> Plan:
             group = [x]
         elif x is not None:
             plan_ops.append(x)
-    disposal = [q for q in range(p) if q not in c.output_qubits]
-    out_rows = rows.reshape((2,) * p).transpose(disposal + list(c.output_qubits))
-    out_rows = out_rows.reshape(1 << len(disposal), -1)
-    return Plan(tuple(gates), tuple(plan_ops), embedding, out_rows, len(written))
+    disposal = [q for q in range(p) if q not in outputs]
+    out_rows = rows.reshape((2,) * p).transpose(disposal + list(outputs))
+    out_rows = _frozen(out_rows.reshape(1 << len(disposal), -1))
+    return Plan(tuple(plan_ops), embedding, out_rows, len(written))
 
 
 def run_plan(plan: Plan, mats: np.ndarray) -> np.ndarray:
     """Evaluate a plan on B sets of single-qubit matrices, mats being
-    (B, len(plan.gates), 2, 2).  Returns the (B, branches x disposal
-    values, 2^outputs, 2^inputs) branch operators, in sorted outcome
-    order and by disposal value within an outcome."""
+    (B, len(one_qubit_gates(c)), 2, 2) for a circuit c of the plan's
+    structure.  Returns the (B, branches x disposal values, 2^outputs,
+    2^inputs) branch operators, in sorted outcome order and by disposal
+    value within an outcome."""
     size = len(mats)
     state = np.broadcast_to(plan.embedding, (size, 1) + plan.embedding.shape).copy()
     for op in plan.ops:
@@ -377,7 +413,7 @@ def run_plan(plan: Plan, mats: np.ndarray) -> np.ndarray:
 def _branch_ops(c: Circuit) -> tuple[Plan, np.ndarray]:
     """The plan of c and its branch operators, on the circuit's own angles."""
     plan = static_plan(c)
-    return plan, run_plan(plan, one_qubit_matrices(plan.gates)[None])[0]
+    return plan, run_plan(plan, one_qubit_matrices(one_qubit_gates(c))[None])[0]
 
 
 def simulate_unitary(c: Circuit) -> np.ndarray:
@@ -393,9 +429,10 @@ def circuit_to_kraus(c: Circuit) -> KrausSet:
 
     Branch operators of norm at most 1e-12 are dropped (one is kept if
     all are), so unreachable branches add no Kraus operators."""
-    ops = list(_branch_ops(c)[1])
-    ops = [a for a in ops if np.linalg.norm(a) > _PRUNE_NORM] or ops[:1]
-    return KrausSet(len(c.input_qubits), len(c.output_qubits), ops, atol=1e-8)
+    ops = _branch_ops(c)[1]
+    kept = ops[np.linalg.norm(ops, axis=(1, 2)) > _PRUNE_NORM]
+    return KrausSet(len(c.input_qubits), len(c.output_qubits), kept if len(kept) else ops[:1],
+                    atol=1e-8)
 
 
 def outcome_distribution(c: Circuit, state) -> dict[str, float]:

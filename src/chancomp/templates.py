@@ -6,9 +6,9 @@ appear once per measurement outcome, so the worst case over classical
 assignments is the per-branch count).  A template is a plain `Circuit`
 with every angle zero; `instantiate` fills the angles in gate order.
 `template_choi` returns the Choi matrices of a whole stack of parameter
-vectors: it builds the simulator's static plan of a template once and
-evaluates it on one set of gate matrices per parameter vector, so the
-template's gates are interpreted by the simulator alone.
+vectors: the simulator's static plan of a template, built once per
+structure, is evaluated on one set of gate matrices per parameter
+vector, so the template's gates are interpreted by the simulator alone.
 `fit` minimizes the squared Frobenius distance between Choi matrices
 with a multi-start L-BFGS-B search on exact parameter-shift gradients.
 Its coordinates come from the gate kinds alone: a U gate keeps its
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .circuit import (
     CNOT, MEASURE, OPERANDS, RESET, RY, RZ, U, X, Circuit, Gate, cnot_count, conditioned,
     one_qubit_matrices,
 )
-from .simulator import run_plan, static_plan
+from .simulator import one_qubit_gates, run_plan, static_plan
 from .synth import multiplexed_rotation
 
 
@@ -166,27 +165,20 @@ def expand_reduced(t: Template, reduced) -> np.ndarray:
 # --- batched channel evaluation -------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _plan(t: Template):
-    """The simulator plan of a template: its single-qubit gates take the
-    parameters in order."""
-    return static_plan(t.circuit)
-
-
 def template_choi(t: Template, params) -> np.ndarray:
     """Choi matrix of the instantiated template, or a stack of them for a
     (B, param_count) stack of parameter vectors.
 
-    One simulator plan per template runs every parameter vector and every
-    measurement branch at once; its branch operators are the Kraus
-    operators.
+    The simulator's plan of the template's structure runs every parameter
+    vector and every measurement branch at once; its branch operators are
+    the Kraus operators.
     """
-    plan = _plan(t)
     params = np.asarray(params, dtype=np.float64)
     if params.shape[-1:] != (t.param_count,) or params.ndim > 2:
         raise ValueError(f"{t.id} takes {t.param_count} parameters, got shape {params.shape}")
     batch = params.reshape(-1, t.param_count)
-    w = kraus_vectors(run_plan(plan, one_qubit_matrices(plan.gates, batch)))
+    mats = one_qubit_matrices(one_qubit_gates(t.circuit), batch)
+    w = kraus_vectors(run_plan(static_plan(t.circuit), mats))
     j = w @ w.swapaxes(-1, -2).conj()  # sum over Kraus ops of |vec A><vec A|
     return j if params.ndim == 2 else j[0]
 

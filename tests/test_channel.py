@@ -152,6 +152,31 @@ def test_minimal_kraus_keeps_a_channel_after_dropping_its_tail():
     assert is_extreme(ks)
 
 
+def test_dilation_of_a_dropped_tail_is_the_nearest_isometry():
+    # the kept operator alone is not an isometry; the dilation is its polar
+    # factor, an isometry to round-off whose channel moves by about e
+    e = 9e-10
+    ks = KrausSet(1, 1, [np.sqrt(1 - e) * I2, np.sqrt(e) * X])
+    v, k = stinespring_isometry(ks)
+    assert k == 0 and v.shape == (2, 2)
+    assert np.linalg.norm(v.conj().T @ v - I2) < 1e-14
+    assert kraus_distance([(1.0, KrausSet(1, 1, [v]))], [(1.0, ks)]) < 1e-8
+
+
+@pytest.mark.parametrize("ks", [random_channel(2, 2, 3, seed=1), random_channel(1, 2, 8, seed=2),
+                                KrausSet(1, 1, [I2 / np.sqrt(2), I2 / np.sqrt(2)])])
+def test_dilation_with_nothing_dropped_is_the_stacked_minimal_form(ks):
+    # an exactly zero tail is a dropped one too (the last case), and its
+    # polar factor is the kept isometry to round-off
+    v, k = stinespring_isometry(ks)
+    mini = np.vstack(minimal_kraus(ks).ops)
+    pad = np.zeros((len(v) - len(mini), v.shape[1]))
+    if minimal_kraus(ks).K == min(ks.K, 2 ** (ks.m + ks.n)):
+        assert np.array_equal(v, np.vstack([mini, pad]))
+    else:
+        assert np.linalg.norm(v - np.vstack([mini, pad])) < 1e-14
+
+
 def test_records_compare_by_identity():
     # the generated field-wise __eq__ would compare numpy arrays and raise
     for build in (identity_channel, lambda: choi_from_kraus(identity_channel())):

@@ -430,9 +430,10 @@ def test_info_above_the_choi_cap_exits_zero(tmp_path):
     assert "m=5 n=6 kraus_rank=1 extreme=yes" in proc.stdout
 
 
-def test_channel_with_a_dropped_tail_is_analysed_and_refused_cleanly(tmp_path):
-    # the minimal form drops a 9e-10 tail; info reports rank 1, and compiling
-    # such a channel is refused with an error line
+def test_channel_with_a_dropped_tail_is_analysed_and_compiled(tmp_path):
+    # the minimal form drops a 9e-10 tail; info reports rank 1, and every
+    # model compiles the kept operator's nearest isometry, which verify
+    # puts within 1e-8 of the channel
     e = 9e-10
     ch = tmp_path / "ch.json"
     ch.write_text(channel_to_json(KrausSet(1, 1, [np.sqrt(1 - e) * np.eye(2),
@@ -440,10 +441,16 @@ def test_channel_with_a_dropped_tail_is_analysed_and_refused_cleanly(tmp_path):
     proc = _run_cli(["-m", "chancomp.cli", "info", "--in", str(ch)], tmp_path, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert "m=1 n=1 kraus_rank=1 extreme=yes" in proc.stdout
-    proc = _run_cli(["-m", "chancomp.cli", "compile", "--in", str(ch), "--out",
-                     str(tmp_path / "c.qcirc")], tmp_path, timeout=30)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    for model in ("measured", "qcm", "random"):
+        circ = tmp_path / f"{model}.qcirc"
+        proc = _run_cli(["-m", "chancomp.cli", "compile", "--model", model, "--in", str(ch),
+                         "--out", str(circ)], tmp_path, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        proc = _run_cli(["-m", "chancomp.cli", "verify", "--circuit", str(circ), "--channel",
+                         str(ch)], tmp_path, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        name, value = proc.stdout.strip().split("=")
+        assert name == "choi_dist" and float(value) < 1e-8
 
 
 _BAD_ENTRIES = {"info-nan": [float("nan"), 0.0], "info-bool-entry": [True, False],

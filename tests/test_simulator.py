@@ -31,6 +31,7 @@ from chancomp.simulator import (
     _parity,
     circuit_to_kraus,
     input_embedding,
+    one_qubit_gates,
     outcome_distribution,
     run_plan,
     simulate_unitary,
@@ -82,7 +83,7 @@ def test_simulate_rejects_reset_trace_and_conditions(gate):
 
 def test_input_embedding_nonstandard_order():
     c = Circuit(2, (1,), (1,), (), 0)
-    e = input_embedding(c)
+    e = input_embedding(c.num_qubits, c.input_qubits, 0)
     assert np.allclose(e, [[1, 0], [0, 1], [0, 0], [0, 0]])
 
 
@@ -265,7 +266,7 @@ def test_simulator_rejects_oversized_circuits(p, inputs, measures):
     with pytest.raises(ValueError, match="cap"):
         circuit_to_kraus(c)
     with pytest.raises(ValueError, match="cap"):
-        input_embedding(c)
+        input_embedding(p, c.input_qubits, measures)
 
 
 def test_simulator_accepts_largest_compiled_size():
@@ -377,7 +378,7 @@ def test_runs_leave_only_lone_gates_to_the_gate_kernel():
     assert any(g.kind == U for g in circ.gates) and any(g.kind == RESET for g in measured.gates)
     for c in (circ, measured):
         plan = static_plan(c)
-        index = np.arange(len(plan.gates))
+        index = np.arange(len(one_qubit_gates(c)))
         covered = [i for op in plan.ops if op[0] == "run" for i in index[op[3]].ravel()]
         assert sorted(covered) == index.tolist()
     assert not hasattr(chancomp.circuit, "apply_unitary_gate")
@@ -519,7 +520,7 @@ def assert_three_angle_sets_match(c, seed):
     # bit for bit, and what the reference walker gives
     rng = np.random.default_rng(seed)
     variants = [with_angles(c, rng) for _ in range(3)]
-    mats = np.stack([one_qubit_matrices(static_plan(v).gates) for v in variants])
+    mats = np.stack([one_qubit_matrices(one_qubit_gates(v)) for v in variants])
     for v, ops in zip(variants, run_plan(static_plan(c), mats)):
         assert np.array_equal(ops, _branch_ops(v)[1])
         assert_matches_reference(v)
@@ -622,3 +623,101 @@ def test_measured_plan_sizes(shape, most):
 def test_template_plan_sizes(name, most):
     assert len(static_plan(TEMPLATES[name].circuit).ops) <= most
 
+
+
+# --- one plan per gate structure ----------------------------------------------
+
+
+PLAN_CACHE = chancomp.simulator._structure_plan
+
+
+def test_circuits_of_one_structure_share_a_plan_and_keep_their_own_angles():
+    base = standard_passes(compile_measured(random_channel(2, 2, 4, seed=3)))
+    rng = np.random.default_rng(5)
+    circuits = [with_angles(base, rng) for _ in range(2)]
+    cold = []
+    for c in circuits:
+        PLAN_CACHE.cache_clear()
+        cold.append(_branch_ops(c)[1])
+    PLAN_CACHE.cache_clear()
+    warm = [_branch_ops(c) for c in circuits]
+    assert warm[0][0] is warm[1][0] and not hasattr(warm[0][0], "gates")
+    assert PLAN_CACHE.cache_info()[:2] == (1, 1)   # one hit, one miss
+    for c, want, (_, got) in zip(circuits, cold, warm):
+        assert np.array_equal(got, want)
+        assert_matches_reference(c)
+
+
+@pytest.mark.parametrize("gates,message", [
+    ((Gate(MEASURE, (0,), creg=0), Gate(MEASURE, (1,), creg=0)), "written twice"),
+    ((Gate(X, (1,), condition=((0, 1),)), Gate(MEASURE, (0,), creg=0)), "before it is written"),
+    ((Gate(RESET, (0,)),), "RESET without"),
+])
+def test_a_structure_that_fails_a_check_raises_on_every_call(gates, message):
+    c = Circuit(2, (0, 1), (0, 1), gates, 1)
+    size = PLAN_CACHE.cache_info().currsize
+    for angles in range(3):
+        with pytest.raises(ValueError, match=message):
+            circuit_to_kraus(with_angles(c, np.random.default_rng(angles)))
+    assert PLAN_CACHE.cache_info().currsize == size
+
+
+def test_the_plan_cache_stays_within_its_bound():
+    bound = PLAN_CACHE.cache_info().maxsize
+    PLAN_CACHE.cache_clear()
+    for r in range(bound + 10):   # r + 1 X gates: bound + 10 structures
+        static_plan(Circuit(1, (0,), (0,), (Gate(X, (0,)),) * (r + 1), 0))
+    info = PLAN_CACHE.cache_info()
+    assert info.misses == bound + 10 and info.currsize == bound
+
+
+def test_unitaries_and_outcomes_read_their_own_angles_from_a_cached_plan():
+    unitary = Circuit(2, (0, 1), (0, 1), (Gate(U, (0,), (0.0,) * 4), Gate(CNOT, (0, 1)),
+                                          Gate(RY, (1,), (0.0,))), 0)
+    measured = Circuit(2, (0,), (1,), (Gate(U, (0,), (0.0,) * 4), Gate(CNOT, (0, 1)),
+                                       Gate(MEASURE, (0,), creg=0),
+                                       Gate(RY, (1,), (0.0,), condition=((0, 1),))), 1)
+    psi = np.array([0.6, 0.8j])
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        a, b = with_angles(unitary, rng), with_angles(measured, rng)
+        hits = PLAN_CACHE.cache_info().hits
+        got_u, got_p = simulate_unitary(a), outcome_distribution(b, psi)
+        if seed:
+            assert PLAN_CACHE.cache_info().hits == hits + 2
+        assert np.max(np.abs(got_u - reference_branches(a)[0][1])) < 1e-12
+        want = {}
+        for outcome, op in reference_branches(b):
+            want[outcome] = want.get(outcome, 0.0) + np.linalg.norm(op @ psi) ** 2
+        assert got_p.keys() == want.keys()
+        assert all(abs(got_p[o] - want[o]) < 1e-12 for o in want)
+
+
+def test_plan_arrays_are_read_only():
+    # a measured compile with RESETs and merged conditioned blocks: every
+    # array of its plan, the shared ones included, refuses writes
+    c = standard_passes(compile_measured(random_channel(1, 2, 4, seed=4)))
+    plan = static_plan(c)
+    arrays = [plan.embedding, plan.out_rows] + [
+        x for op in plan.ops for x in op[1:] if isinstance(x, np.ndarray)]
+    kinds = {op[0] for op in plan.ops}
+    assert {"measure", "perm", "run"} <= kinds
+    assert any(isinstance(op[3], np.ndarray) for op in plan.ops if op[0] == "run")
+    assert all(not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        plan.embedding[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        next(op[2] for op in plan.ops if op[0] == "perm")[0] = 0
+
+
+def test_kraus_operators_are_the_nonzero_branches_in_order():
+    # the disposed ancilla reads its own outcome, so two of the four
+    # branch operators vanish and the other two are kept as they are
+    gates = (Gate(RY, (0,), (1.0,)), Gate(MEASURE, (0,), creg=0),
+             Gate(RY, (1,), (0.4,), condition=((0, 1),)))
+    c = Circuit(2, (1,), (1,), gates, 1)
+    branches = _branch_ops(c)[1]
+    want = [a for a in branches if np.linalg.norm(a) > 1e-12]
+    got = circuit_to_kraus(c).ops
+    assert (len(branches), len(want), len(got)) == (4, 2, 2)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -26,12 +26,11 @@ from chancomp.circuit import (
     rz_matrix,
     serialize,
 )
-from chancomp.simulator import circuit_to_kraus
+from chancomp.simulator import circuit_to_kraus, one_qubit_gates
 from reference_walker import reference_branches, rx_matrix, ry_matrix, u_matrix
 from chancomp.templates import (
     TEMPLATES,
     Template,
-    _plan,
     expand_reduced,
     fit,
     instantiate,
@@ -113,9 +112,8 @@ def test_closed_form_u_matches_gate_semantics():
     t = Template("slots", 1, 1, 1, Circuit(1, (0,), (0,), gates, 0))
     rng = np.random.default_rng(3)
     params = rng.uniform(-7, 7, (50, 7))
-    plan = _plan(t)
-    assert plan.gates == gates
-    mats = one_qubit_matrices(plan.gates, params)
+    assert one_qubit_gates(t.circuit) == list(gates)
+    mats = one_qubit_matrices(one_qubit_gates(t.circuit), params)
     assert mats.shape == (50, 5, 2, 2)
     for p, row in zip(params, mats):
         u, ry, rz, rx, x = row
