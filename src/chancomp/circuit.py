@@ -270,20 +270,23 @@ def one_qubit_matrices(gates, params=None) -> np.ndarray:
 
 
 def walsh_hadamard(w: np.ndarray) -> np.ndarray:
-    """out[x] = sum_s (-1)^popcount(x & s) w[s] over the 2^c entries of w.
+    """out[..., x] = sum_s (-1)^popcount(x & s) w[..., s] over the 2^c
+    entries of the last axis of w, for a vector or a stack of them.
 
     A constant-geometry numpy butterfly: each of the c stages writes the
     sums of adjacent pairs to the first half and their differences to the
-    second.  No BLAS call is made, so the result cannot depend on the
-    BLAS thread count.
+    second.  Every entry takes the same additions whatever the stack, so a
+    row's result is the same alone or in any stack.  No BLAS call is made,
+    so the result cannot depend on the BLAS thread count either.
     """
-    n = w.size
+    n = w.shape[-1]
     half = n // 2
-    w, out = w.astype(np.float64), np.empty(n)   # astype copies
+    w = np.array(w, dtype=np.float64)   # a fresh copy
+    out = np.empty_like(w)
     for _ in range(n.bit_length() - 1):
-        pairs = w.reshape(half, 2)
-        np.add(pairs[:, 0], pairs[:, 1], out=out[:half])
-        np.subtract(pairs[:, 0], pairs[:, 1], out=out[half:])
+        pairs = w.reshape(w.shape[:-1] + (half, 2))
+        np.add(pairs[..., 0], pairs[..., 1], out=out[..., :half])
+        np.subtract(pairs[..., 0], pairs[..., 1], out=out[..., half:])
         w, out = out, w
     return w
 

@@ -19,9 +19,11 @@ is a 2^n x 2^m isometry on all n qubits.  With m >= n there are
 n + k - m rounds, and each residual is an m-qubit unitary on the
 system; the first m - n system qubits then hold leftover environment,
 which is measured off into registers that are never read.  The plan
-keeps every factor as a stack in prefix order, and each round's v^dag
-over all its prefixes, then the residuals, take one `decompose_isometries`
-call each, whose construction the shape alone picks.
+keeps every factor as a stack in prefix order.  Every m-qubit unitary of
+the compile, the v^dag of every round over all its prefixes and the
+residuals when m >= n, goes into one `decompose_isometries` call on the
+system; the m < n residuals take a second call on all n qubits.  The
+shape alone picks each call's construction.
 
 Qubit layout: one reused ancilla at index 0, the m system qubits last.
 A channel with m >= n compiles to exactly m+1 qubits (the ancilla may
@@ -155,17 +157,21 @@ def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
     m, n, k, k_tilde = plan.m, plan.n, plan.k, plan.k_tilde
     p = n if m < n else m + 1
     ancilla, system = 0, list(range(p - m, p))
+    # every m-qubit unitary in one batch: the rounds' v^dag, in round and
+    # prefix order, then the residuals when m >= n
+    square = [vh for vh, _ in plan.stages] + ([plan.finals] if m >= n else [])
+    blocks = iter(decompose_isometries(np.concatenate(square), system) if square else [])
     gates: list[Gate] = []
-    for i, (vh, theta) in enumerate(plan.stages):
-        for cond, block, angles in zip(_conditions(i), decompose_isometries(vh, system), theta):
-            gates += conditioned(block + ry_multiplexor_from_zero(system, ancilla, angles), cond)
+    for i, (_, theta) in enumerate(plan.stages):
+        for cond, angles in zip(_conditions(i), theta):
+            gates += conditioned(next(blocks) + ry_multiplexor_from_zero(system, ancilla, angles),
+                                 cond)
         gates.append(Gate(MEASURE, (ancilla,), creg=i))
         gates.append(Gate(RESET, (ancilla,)))
 
-    # an m-to-n isometry on all n qubits when m < n, else an m-qubit unitary
-    residual_qubits = range(p) if m < n else system
-    for cond, block in zip(_conditions(k_tilde),
-                           decompose_isometries(plan.finals, residual_qubits)):
+    # an m-to-n isometry on all n qubits when m < n, else the batch's rest
+    residuals = blocks if m >= n else decompose_isometries(plan.finals, range(p))
+    for cond, block in zip(_conditions(k_tilde), residuals):
         gates += conditioned(block, cond)
     outputs = tuple(range(p)) if m < n else tuple(system[k - k_tilde:])
     # leftover environment qubits (m >= n only), into registers nobody reads

@@ -62,18 +62,6 @@ _Q1 = cmath.exp(-1j)
 _EIGHTH = cmath.exp(-0.25j * math.pi)   # D[0]^*, for D of `_ucg`
 
 
-def _gray_code_angles(angles: np.ndarray) -> list[float]:
-    """Rotation angles of the Gray-code multiplexor, in emission order.
-
-    phi[i] = 2^-c sum_s (-1)^popcount(gray(i) & s) angles[s] with
-    gray(i) = i ^ (i >> 1): a Walsh-Hadamard transform read out in Gray
-    order.
-    """
-    n = angles.size
-    i = np.arange(n)
-    return (walsh_hadamard(angles)[i ^ (i >> 1)] / n).tolist()
-
-
 @lru_cache(maxsize=1024)
 def _gray_code_cnots(controls: tuple[int, ...], target: int) -> tuple[Gate, ...]:
     """The CNOT after rotation i of the Gray-code multiplexor, for each i.
@@ -89,30 +77,39 @@ def _gray_code_cnots(controls: tuple[int, ...], target: int) -> tuple[Gate, ...]
     return tuple(by_bit[bit] for bit in bits)
 
 
+def _multiplexors(axes, controls: tuple, target: int, angles: np.ndarray) -> list[list[Gate]]:
+    """`multiplexed_rotation` of each row of the stack angles, about axes[i]
+    for row i.  Rotation i of a row carries the Walsh-Hadamard coefficient
+    of that row at gray(i) = i ^ (i >> 1), scaled by 2^-c for c controls:
+    one butterfly (`walsh_hadamard`) gives them for every row."""
+    size = angles.shape[-1]
+    i = np.arange(size)
+    phis = (walsh_hadamard(angles)[:, i ^ (i >> 1)] / size).tolist()
+    if not controls:
+        return [[Gate(axis, (target,), (row[0],))] for axis, row in zip(axes, phis)]
+    cnots = _gray_code_cnots(controls, target)
+    return [[g for phi, cx in zip(row, cnots) for g in (Gate(axis, (target,), (phi,)), cx)]
+            for axis, row in zip(axes, phis)]
+
+
 def multiplexed_rotation(axis: str, controls, target: int, angles) -> list[Gate]:
     """Gate list realizing the block-diagonal rotation family.
 
     For every control pattern s (controls[0] is the most significant
     bit) the target qubit sees R_axis(angles[s]).  Uses the Gray-code
     construction: exactly 2^c rotations and 2^c CNOTs for c >= 1
-    controls, a bare rotation for c = 0.  Rotation i carries the
-    Walsh-Hadamard coefficient of `angles` at gray(i), scaled by 2^-c.
+    controls, a bare rotation for c = 0.  The one-row case of
+    `_multiplexors`.
     """
     if axis not in (RY, RZ):
         raise ValueError(f"axis must be {RY} or {RZ}")
     controls = tuple(controls)
     if target in controls:
         raise ValueError("target cannot be a control")
-    angles = np.array(angles, dtype=np.float64).reshape(-1)
+    angles = np.array(angles, dtype=np.float64).reshape(1, -1)
     if angles.size != 2 ** len(controls):
         raise ValueError(f"need {2 ** len(controls)} angles, got {angles.size}")
-    if not controls:
-        return [Gate(axis, (target,), (float(angles[0]),))]
-    gates = []
-    for phi, cx in zip(_gray_code_angles(angles), _gray_code_cnots(controls, target)):
-        gates.append(Gate(axis, (target,), (phi,)))
-        gates.append(cx)
-    return gates
+    return _multiplexors((axis,), controls, target, angles)[0]
 
 
 def ry_multiplexor_from_zero(controls, target: int, theta) -> list[Gate]:
@@ -516,7 +513,9 @@ def _kak(u: np.ndarray, q0: int, q1: int) -> list[list[Gate]]:
     CNOT(q0->q1) (I x Ry(pi/2 - 2b)) CNOT(q1->q0) (Rz(-pi/2) x I).  The
     outer Rz(+-pi/2) fold into the four U gates.  In the magic basis
     u / det(u)^(1/4) is O1 diag(e^{i phi}) O2 with O1, O2 in SO(4): O2^T
-    diagonalizes the symmetric unitary (O1 D O2)^T (O1 D O2) = O2^T D^2 O2."""
+    diagonalizes the symmetric unitary (O1 D O2)^T (O1 D O2) = O2^T D^2 O2.
+    One `_local_factors` call splits O1 and O2 of the whole stack, and one
+    `u_angles` call reads all four U gates of every leaf."""
     g = 0.25 * phase(np.linalg.det(u))
     um = _dagger(_MAGIC) @ (u * np.exp(-1j * g)[:, None, None]) @ _MAGIC
     p, lam = _real_eigvecs(um.swapaxes(-1, -2) @ um)
@@ -524,18 +523,21 @@ def _kak(u: np.ndarray, q0: int, q1: int) -> list[list[Gate]]:
     # det diag(e^{i phi}) = +-1; make it +1 so that O1 is in SO(4) too
     phi[:, 0] += np.where(np.cos(phi.sum(axis=-1)) < 0.0, np.pi, 0.0)
     o1 = ((um @ p) * np.exp(-1j * phi)[:, None, :]).real
-    a1, b1 = _local_factors(_MAGIC @ o1 @ _dagger(_MAGIC))
-    a2, b2 = _local_factors(_MAGIC @ p.swapaxes(-1, -2) @ _dagger(_MAGIC))
+    n = len(u)
+    # O1 = k0 x k1 (rows :n) and O2 = p^T (rows n:) back from the magic basis, in one call
+    k0, k1 = _local_factors(_MAGIC @ np.concatenate([o1, p.swapaxes(-1, -2)]) @ _dagger(_MAGIC))
     a, b, c = 0.25 * (_XYZ * phi[:, None, :]).sum(axis=-1).T
     rephase = np.exp(1j * (g + 0.25 * phi.sum(axis=-1) + 0.25 * np.pi))[:, None, None]
-    first = zip(_u_gates(rephase * (_dagger(_RZ_QUARTER) @ a2), q0), _u_gates(b2, q1))
+    # the U gates before the CNOTs (q0, then q1), then after them, in one call
+    angles = u_angles(np.concatenate([rephase * (_dagger(_RZ_QUARTER) @ k0[n:]), k1[n:],
+                                      k0[:n], k1[:n] @ _RZ_QUARTER]))
     middle = zip((0.5 * np.pi - 2.0 * b).tolist(), (0.5 * np.pi - 2.0 * c).tolist(),
                  (2.0 * a - 0.5 * np.pi).tolist())
-    last = zip(_u_gates(a1, q0), _u_gates(b1 @ _RZ_QUARTER, q1))
     cx10, cx01 = Gate(CNOT, (q1, q0)), Gate(CNOT, (q0, q1))
-    return [[*f, cx10, Gate(RY, (q1,), (ry1,)), cx01, Gate(RZ, (q0,), (rz0,)),
-             Gate(RY, (q1,), (ry2,)), cx10, *l]
-            for f, (ry1, rz0, ry2), l in zip(first, middle, last)]
+    return [[Gate(U, (q0,), angles[j]), Gate(U, (q1,), angles[n + j]), cx10,
+             Gate(RY, (q1,), (ry1,)), cx01, Gate(RZ, (q0,), (rz0,)), Gate(RY, (q1,), (ry2,)),
+             cx10, Gate(U, (q0,), angles[2 * n + j]), Gate(U, (q1,), angles[3 * n + j])]
+            for j, (ry1, rz0, ry2) in enumerate(middle)]
 
 
 def _qsd(u: np.ndarray, qubits: list[int]) -> list[list[Gate]]:
@@ -545,30 +547,29 @@ def _qsd(u: np.ndarray, qubits: list[int]) -> list[list[Gate]]:
     The matrices are unitaries, or rounds: 2^p x 2^(p-1) with qubits[0]
     starting in |0>.  Every matrix of a level is split by the same batched
     numpy calls, and their factors form the stack of the level below;
-    two-qubit unitaries end the recursion in `_kak`.  A unitary takes
+    one Walsh-Hadamard butterfly (`_multiplexors`) gives the level's
+    multiplexor angles for the whole stack, and two-qubit unitaries end
+    the recursion in one `_kak` call.  A unitary takes
     c(p) = 4 c(p-1) + 3 2^(p-1) CNOTs (c(2) = 3), a round 3 c(p-1) + 2^p."""
     if len(qubits) == 2:
         return _kak(u, *qubits)
-    top, lower = qubits[0], qubits[1:]
+    top, lower = qubits[0], tuple(qubits[1:])
     n, h = len(u), u.shape[1] // 2
-
-    def mux(kind, angles):
-        return multiplexed_rotation(kind, lower, top, angles)
-
     u1, u2, theta, v1h = cs_split(u[:, :h, :h], u[:, h:, :h])
     if u.shape[2] == h:
         # only v1h acts on the lower qubits while the top one is |0>
         w, rz, z = _demultiplex(u1, u2)
         sub = _qsd(np.concatenate([v1h, w, z]), lower)
-        return [sub[j] + mux(RY, theta[j]) + sub[n + j] + mux(RZ, rz[j]) + sub[2 * n + j]
-                for j in range(n)]
+        mux = _multiplexors([RY] * n + [RZ] * n, lower, top, np.concatenate([theta, rz]))
+        return [sub[j] + mux[j] + sub[n + j] + mux[n + j] + sub[2 * n + j] for j in range(n)]
     # the right half is [-u1 S v2h; u2 C v2h]
     cos, sin = np.cos(0.5 * theta)[..., None], np.sin(0.5 * theta)[..., None]
     v2h = cos * (_dagger(u2) @ u[:, h:, h:]) - sin * (_dagger(u1) @ u[:, :h, h:])
     w, rz, z = _demultiplex(np.concatenate([v1h, u1]), np.concatenate([v2h, u2]))
     sub = _qsd(np.concatenate([w, z]), lower)
-    return [sub[j] + mux(RZ, rz[j]) + sub[2 * n + j] + mux(RY, theta[j])
-            + sub[n + j] + mux(RZ, rz[n + j]) + sub[3 * n + j] for j in range(n)]
+    mux = _multiplexors([RZ] * 2 * n + [RY] * n, lower, top, np.concatenate([rz, theta]))
+    return [sub[j] + mux[j] + sub[2 * n + j] + mux[2 * n + j] + sub[n + j] + mux[n + j]
+            + sub[3 * n + j] for j in range(n)]
 
 
 def _uses_qsd(m: int, n: int) -> bool:

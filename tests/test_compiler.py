@@ -171,28 +171,41 @@ def test_compile_measured_grid(m, n, kr, seed):
     assert verify_circuit(circ, ks) < 1e-8
 
 
-@pytest.mark.parametrize("m,n,kr,calls", [(3, 3, 8, 4), (2, 1, 4, 2), (2, 3, 4, 3)])
-def test_compile_synthesizes_each_stage_in_one_batch(monkeypatch, m, n, kr, calls):
-    # one decompose_isometries call per round, on the system qubits, and one
-    # for the residuals: on all n qubits when m < n, else on the system
+@pytest.mark.parametrize("m,n,kr,stages", [(3, 3, 8, 4), (2, 1, 4, 2), (2, 3, 4, 3)])
+def test_compile_synthesizes_each_stage_in_one_batch(monkeypatch, m, n, kr, stages):
+    # the rounds' v^dag over all their prefixes, then the residuals when
+    # m >= n, are one decompose_isometries call on the system qubits; m < n
+    # residuals take a second call on all n qubits.  Each call reaches the
+    # two-qubit leaves in one _kak call.
     import chancomp.compiler as compiler
+    import chancomp.synth as synth
 
-    seen = []
+    seen, kak_stacks = [], []
+    kak = synth._kak
 
     def counted(v, qubits):
         seen.append((len(v), list(qubits)))
         return decompose_isometries(v, qubits)
 
+    def counted_kak(u, q0, q1):
+        kak_stacks.append(len(u))
+        return kak(u, q0, q1)
+
     monkeypatch.setattr(compiler, "decompose_isometries", counted)
     monkeypatch.setattr(compiler, "decompose_isometry", lambda v: pytest.fail("one by one"))
+    monkeypatch.setattr(synth, "_kak", counted_kak)
     ks = random_channel(m, n, kr, seed=60)
     circ = compile_measured(ks)
-    k_tilde = plan_measured(ks).k_tilde
-    assert len(seen) == k_tilde + 1 == calls
+    assert plan_measured(ks).k_tilde + 1 == stages
     p = n if m < n else m + 1
     system = list(range(p - m, p))
-    assert seen == [(2**i, system) for i in range(k_tilde)] + \
-        [(2**k_tilde, list(range(p)) if m < n else system)]
+    expected = {(3, 3, 8): [(15, system)],
+                (2, 1, 4): [(3, system)],
+                (2, 3, 4): [(3, system), (4, list(range(p)))]}[m, n, kr]
+    assert seen == expected
+    assert len(kak_stacks) == len(seen)
+    if m == 2 and m >= n:
+        assert kak_stacks == [3]
     assert verify_circuit(circ, ks) < 1e-8
 
 

@@ -16,6 +16,7 @@ from chancomp.circuit import (
     rz_matrix,
     u_angles,
     update_pairs,
+    walsh_hadamard,
 )
 from chancomp.circuit import phase as _phase
 from chancomp.bounds import lb_qcm_isometry
@@ -733,6 +734,37 @@ def test_decompose_unitaries_is_one_batch_of_exact_circuits(p):
         circ = Circuit(p, tuple(range(p)), tuple(range(p)), tuple(gates), 0)
         assert sum(1 for g in gates if g.kind == CNOT) == n_iso(p, p)
         assert np.linalg.norm(simulate_unitary(circ) - u) < 1e-12
+
+
+@pytest.mark.parametrize("rows,cols", [(4, 4), (8, 8), (8, 4), (16, 16), (16, 8), (8, 2)])
+def test_one_stack_gives_each_member_its_gates_alone(rows, cols):
+    # a measured compile concatenates the stacks of its rounds and its
+    # residuals into one call: each member keeps the gates it gets alone.
+    # Angles may differ in the last bits, since numpy's SIMD arctan2 can
+    # round an element differently depending on where it falls in a batch.
+    rng = np.random.default_rng(rows + cols)
+    stacks = [np.stack([random_isometry(rows, cols, rng) for _ in range(size)])
+              for size in (1, 2, 4)]
+    p = rows.bit_length() - 1
+    qubits = [3, 0, 5, 1][:p]
+    batched = decompose_isometries(np.concatenate(stacks), qubits)
+    assert len(batched) == 7
+    for gates, v in zip(batched, np.concatenate(stacks)):
+        alone = decompose_isometries(v[None], qubits)[0]
+        assert [(g.kind, g.qubits) for g in gates] == [(g.kind, g.qubits) for g in alone]
+        assert max(abs(a - b) for g, h in zip(gates, alone) for a, b in zip(g.params, h.params)) \
+            <= 1e-12
+
+
+@pytest.mark.parametrize("c", range(6))
+def test_walsh_hadamard_of_a_stack_is_row_by_row(c):
+    rng = np.random.default_rng(120 + c)
+    w = rng.uniform(-np.pi, np.pi, (7, 2**c))
+    got = walsh_hadamard(w)
+    assert got.shape == w.shape
+    assert np.array_equal(got, np.array([walsh_hadamard(row) for row in w]))
+    signs = np.array([[(-1) ** bin(x & s).count("1") for s in range(2**c)] for x in range(2**c)])
+    assert np.max(np.abs(got - w @ signs.T)) <= 1e-12
 
 
 def test_u_gates_are_exact_with_global_phase():
