@@ -209,7 +209,10 @@ def _entry_from_json(e) -> complex:
 
 
 def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[_entry_from_json(e) for e in row] for row in rows], dtype=np.complex128)
+    mat = [[_entry_from_json(e) for e in row] for row in rows]
+    if len({len(row) for row in mat}) > 1:
+        raise TypeError("the rows of a Kraus operator differ in length")
+    return np.array(mat, dtype=np.complex128)
 
 
 def channel_to_json(ks: KrausSet) -> str:

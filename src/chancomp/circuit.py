@@ -20,6 +20,11 @@ copies gates that were already checked, adding a condition, and checks
 only that their kinds take one.  `Circuit` checks the whole gate tuple
 against the circuit (qubit and register ranges, traced-out qubits).
 
+Rotation algebra: every single-qubit kind is a U gate with some angles
+fixed (`_AS_U`).  `angle_layout` turns a sequence of kinds into the
+layout the simulator's plan keeps, and `u_matrices` turns filled U
+angles into matrices.
+
 Qubit 0 is the most significant bit of a basis index.
 """
 
@@ -28,8 +33,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -247,26 +252,12 @@ def u_matrices(angles: np.ndarray) -> np.ndarray:
     return out.reshape(angles.shape[:-1] + (2, 2))
 
 
-@lru_cache(maxsize=8)
-def _layout(kinds: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The flat (gates, 4) fixed U angles, angle entries and X mask of a kind sequence."""
+def angle_layout(kinds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The U-angle layout of a sequence of single-qubit kinds, each gate one
+    (alpha, beta, gamma, delta) row of a flat (gates x 4) array: the fixed
+    angles, the entries the gates' own angles fill in order, and the X mask."""
     codes = np.array([_KIND_CODE[k] for k in kinds], dtype=np.intp)
     return _FIXED[codes].reshape(-1), np.flatnonzero(_FILLS[codes]), codes == _KIND_CODE[X]
-
-
-def one_qubit_matrices(gates, params=None) -> np.ndarray:
-    """The 2x2 matrix of each single-qubit unitary gate: a (gates, 2, 2)
-    stack on the gates' own angles, or a (B, gates, 2, 2) stack for a
-    (B, angles) array `params` whose rows fill the gates' angles in order."""
-    fixed, slots, xs = _layout(tuple([g.kind for g in gates]))
-    if params is None:
-        params = [x for g in gates for x in g.params]
-    params = np.asarray(params, dtype=np.float64)
-    angles = np.tile(fixed, params.shape[:-1] + (1,))
-    angles[..., slots] = params
-    out = u_matrices(angles.reshape(params.shape[:-1] + (-1, 4)))
-    out[..., xs, :, :] = X_MATRIX
-    return out
 
 
 def walsh_hadamard(w: np.ndarray) -> np.ndarray:
@@ -300,30 +291,14 @@ def cnot_count(c: Circuit) -> tuple[int, bool]:
     Enumerates all assignments of the registers referenced by CNOT
     conditions; unconditioned CNOTs always count.
     """
-    base = 0
-    conditioned = []
-    regs = set()
-    for g in c.gates:
-        if g.kind != CNOT:
-            continue
-        if not g.condition:
-            base += 1
-        else:
-            conditioned.append(g.condition)
-            regs.update(r for r, _ in g.condition)
-    if not conditioned:
-        return base, True
-    regs = sorted(regs)
-    counts = set()
-    worst = 0
-    for bits in range(2 ** len(regs)):
+    per_condition = Counter(g.condition or () for g in c.gates if g.kind == CNOT)
+    regs = sorted({r for cond in per_condition for r, _ in cond})
+    totals = set()
+    for bits in range(1 << len(regs)):
         value = {r: (bits >> i) & 1 for i, r in enumerate(regs)}
-        total = base + sum(
-            1 for cond in conditioned if all(value[r] == b for r, b in cond)
-        )
-        counts.add(total)
-        worst = max(worst, total)
-    return worst, len(counts) == 1
+        totals.add(sum(n for cond, n in per_condition.items()
+                       if all(value[r] == b for r, b in cond)))
+    return max(totals), len(totals) == 1
 
 
 # --- text serialization ---------------------------------------------------

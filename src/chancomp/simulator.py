@@ -15,16 +15,17 @@ its angles.  It checks that no register is written twice, that no
 condition reads a register before it is written and that every RESET
 follows a MEASURE of its qubit that no gate has touched since in any
 branch; it fuses runs and merges segments; it resolves each condition
-and each RESET to the branches it acts on.  One plan is built per
-structure and cached, so circuits that differ only in their angles share
-it (a measured compile's structure depends on the channel's shape
-alone); the plan holds no gates and its arrays are read-only.  `run_plan`
-evaluates the plan on a stack of B sets of single-qubit matrices at
-once, the branches being one more array axis: measurement i is the i-th
-most significant bit of a branch index, so branches come in sorted
-outcome order.  The circuit functions below evaluate B = 1 on the
-circuit's own angles; the template fitter evaluates B parameter vectors
-of one template.
+and each RESET to the branches it acts on; it lays out, from the gate
+kinds, where a vector of the circuit's angles goes in the single-qubit
+matrices.  One plan is built per structure and cached, so circuits that
+differ only in their angles share it (a measured compile's structure
+depends on the channel's shape alone); the plan holds no gates and its
+arrays are read-only.  `run_plan` evaluates the plan on a stack of B
+angle vectors at once, the branches being one more array axis:
+measurement i is the i-th most significant bit of a branch index, so
+branches come in sorted outcome order.  The circuit functions below
+evaluate B = 1 on the circuit's own angles; the template fitter
+evaluates B parameter vectors of one template.
 
 A run is a maximal stretch of consecutive unitary gates under one
 condition that act on one target t: single-qubit gates on t and CNOTs
@@ -68,16 +69,16 @@ from .circuit import (
     MEASURE,
     RESET,
     UNITARY_KINDS,
+    X_MATRIX,
     Circuit,
-    Gate,
-    one_qubit_matrices,
+    angle_layout,
+    u_matrices,
     update_pairs,
 )
 from .channel import KrausSet
 from .linalg import MAX_DENSE_ENTRIES, MAX_DENSE_QUBITS
 
 _PRUNE_NORM = 1e-12
-_ONE_QUBIT = UNITARY_KINDS - {CNOT}
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -265,8 +266,12 @@ class Plan:
     docstring).  It holds no gates: it is shared by every circuit of one
     structure, and its arrays are read-only.
 
-    The evaluation takes one matrix per single-qubit unitary gate of the
-    circuit, in order (`one_qubit_gates`).  Each op is one of:
+    The evaluation takes the circuit's angles in gate order and turns
+    them into one matrix per single-qubit unitary gate, those that fire
+    in no branch included, through the angle layout of the gate kinds
+    (`circuit.angle_layout`): the flat U angles `fixed`, the entries
+    `fills` that the angles fill, and `x_mask`, the gates whose matrix is
+    set to X exactly.  Each op is one of:
     ("run", branches, bit, gather, owner, run plan), one run position of a
     group of segments fused into one pair update on bit `bit` of the row
     index: member k's gates are gather[k] (for a lone segment, gather is
@@ -281,6 +286,9 @@ class Plan:
     embedding: np.ndarray
     out_rows: np.ndarray
     measures: int
+    fixed: np.ndarray
+    fills: np.ndarray
+    x_mask: np.ndarray
 
 
 # The fields of a gate that its plan depends on: everything but the angles.
@@ -296,18 +304,12 @@ def static_plan(c: Circuit) -> Plan:
                            tuple(map(_STRUCTURE, c.gates)))
 
 
-def one_qubit_gates(c: Circuit) -> list[Gate]:
-    """The gates the plan of c takes a matrix for: its single-qubit
-    unitary gates, in order, those that fire in no branch included."""
-    return [g for g in c.gates if g.kind in _ONE_QUBIT]
-
-
 @lru_cache(maxsize=128)
 def _structure_plan(p: int, inputs: tuple, outputs: tuple, gates: tuple) -> Plan:
     """Check the classical semantics of a gate structure, (kind, qubits,
-    creg, condition) per gate, fuse its runs and resolve the branches
-    each op acts on.  It never sees an angle, so a cached plan cannot
-    depend on one.
+    creg, condition) per gate, fuse its runs, resolve the branches each
+    op acts on and lay out the angles of its single-qubit kinds.  It
+    never sees an angle, so a cached plan cannot depend on one.
 
     Row masks: qubit q is bit p - 1 - q of a row index.  A run's spec
     collects, per single-qubit gate, the XOR of the control masks of the
@@ -315,7 +317,7 @@ def _structure_plan(p: int, inputs: tuple, outputs: tuple, gates: tuple) -> Plan
     holds the measure and RESET ops and the segments, lists of specs."""
     embedding = _frozen(input_embedding(p, inputs, sum(g[0] == MEASURE for g in gates)))
     rows = np.arange(1 << p)
-    n_one, ops = 0, []
+    singles, ops = [], []   # the single-qubit kinds, in order
     written = {}      # register -> index of the measurement that wrote it
     fresh = {}        # qubit -> index of its last measurement, while no gate touched it since
     selections = {}   # (condition, measurements so far) -> branches
@@ -327,7 +329,7 @@ def _structure_plan(p: int, inputs: tuple, outputs: tuple, gates: tuple) -> Plan
             if spec is None or t != spec[1] or key != spec[2]:
                 if key not in selections:
                     selections[key] = _fired(key[0], written, len(written))
-                spec = [selections[key], t, key, n_one, [], 0]
+                spec = [selections[key], t, key, len(singles), [], 0]
                 if spec[0] is None:   # fires nowhere: no op
                     pass
                 elif ops and type(ops[-1]) is list and ops[-1][-1][2] == key:
@@ -341,7 +343,7 @@ def _structure_plan(p: int, inputs: tuple, outputs: tuple, gates: tuple) -> Plan
                 spec[5] ^= 1 << (p - 1 - qs[0])
             else:
                 spec[4].append(spec[5])
-                n_one += 1
+                singles.append(kind)
             continue
         spec = None
         q = qs[0]
@@ -381,16 +383,22 @@ def _structure_plan(p: int, inputs: tuple, outputs: tuple, gates: tuple) -> Plan
     disposal = [q for q in range(p) if q not in outputs]
     out_rows = rows.reshape((2,) * p).transpose(disposal + list(outputs))
     out_rows = _frozen(out_rows.reshape(1 << len(disposal), -1))
-    return Plan(tuple(plan_ops), embedding, out_rows, len(written))
+    fixed, fills, x_mask = map(_frozen, angle_layout(singles))
+    return Plan(tuple(plan_ops), embedding, out_rows, len(written), fixed, fills, x_mask)
 
 
-def run_plan(plan: Plan, mats: np.ndarray) -> np.ndarray:
-    """Evaluate a plan on B sets of single-qubit matrices, mats being
-    (B, len(one_qubit_gates(c)), 2, 2) for a circuit c of the plan's
-    structure.  Returns the (B, branches x disposal values, 2^outputs,
-    2^inputs) branch operators, in sorted outcome order and by disposal
-    value within an outcome."""
-    size = len(mats)
+def run_plan(plan: Plan, params) -> np.ndarray:
+    """Evaluate a plan on a (B, angles) stack of B sets of a circuit's
+    angles, each row the angles of the plan's structure in gate order.
+    Returns the (B, branches x disposal values, 2^outputs, 2^inputs)
+    branch operators, in sorted outcome order and by disposal value
+    within an outcome."""
+    params = np.asarray(params, dtype=np.float64)
+    size = len(params)
+    angles = np.broadcast_to(plan.fixed, (size,) + plan.fixed.shape).copy()
+    angles[:, plan.fills] = params
+    mats = u_matrices(angles.reshape(size, -1, 4))
+    mats[:, plan.x_mask] = X_MATRIX
     state = np.broadcast_to(plan.embedding, (size, 1) + plan.embedding.shape).copy()
     for op in plan.ops:
         kind, sel = op[0], op[1]
@@ -413,7 +421,7 @@ def run_plan(plan: Plan, mats: np.ndarray) -> np.ndarray:
 def _branch_ops(c: Circuit) -> tuple[Plan, np.ndarray]:
     """The plan of c and its branch operators, on the circuit's own angles."""
     plan = static_plan(c)
-    return plan, run_plan(plan, one_qubit_matrices(one_qubit_gates(c))[None])[0]
+    return plan, run_plan(plan, [[x for g in c.gates for x in g.params]])[0]
 
 
 def simulate_unitary(c: Circuit) -> np.ndarray:

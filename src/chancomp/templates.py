@@ -7,13 +7,13 @@ assignments is the per-branch count).  A template is a plain `Circuit`
 with every angle zero; `instantiate` fills the angles in gate order.
 `template_choi` returns the Choi matrices of a whole stack of parameter
 vectors: the simulator's static plan of a template, built once per
-structure, is evaluated on one set of gate matrices per parameter
-vector, so the template's gates are interpreted by the simulator alone.
+structure, takes the stack as it is, so the template's gates and the
+layout of its angles are interpreted by the simulator alone.
 `fit` minimizes the squared Frobenius distance between Choi matrices
 with a multi-start L-BFGS-B search on exact parameter-shift gradients.
-Its coordinates come from the gate kinds alone: a U gate keeps its
-three rotation angles (its global phase cancels in the Choi matrix) and
-a rotation keeps its one.
+Its coordinates come from the plan's angle layout alone: every angle
+but those that fill a U gate's global phase, which cancels in the Choi
+matrix.
 
 Transcription conventions: qubit 0 is the most significant wire, the
 measured ancilla sits on top, and two-qubit unitary slots are expanded
@@ -32,9 +32,8 @@ import numpy as np
 from .channel import KrausSet, choi_from_kraus, kraus_vectors, minimal_kraus
 from .circuit import (
     CNOT, MEASURE, OPERANDS, RESET, RY, RZ, U, X, Circuit, Gate, cnot_count, conditioned,
-    one_qubit_matrices,
 )
-from .simulator import one_qubit_gates, run_plan, static_plan
+from .simulator import run_plan, static_plan
 from .synth import multiplexed_rotation
 
 
@@ -138,15 +137,11 @@ def instantiate(t: Template, params) -> Circuit:
     return replace(t.circuit, gates=gates)
 
 
-def _kept(t: Template) -> list[int]:
-    """Indices of the angles the optimizer moves: every angle but each U
-    gate's global phase alpha, which is per-branch and cancels in the Choi
-    matrix."""
-    kept, at = [], 0
-    for g in t.circuit.gates:
-        kept.extend(range(at + (g.kind == U), at + len(g.params)))
-        at += len(g.params)
-    return kept
+def _kept(t: Template) -> np.ndarray:
+    """Indices of the angles the optimizer moves: every angle but those
+    that fill a U row's alpha in the plan's angle layout, each U gate's
+    global phase, which is per-branch and cancels in the Choi matrix."""
+    return np.flatnonzero(static_plan(t.circuit).fills % 4)
 
 
 def reduced_dim(t: Template) -> int:
@@ -176,9 +171,7 @@ def template_choi(t: Template, params) -> np.ndarray:
     params = np.asarray(params, dtype=np.float64)
     if params.shape[-1:] != (t.param_count,) or params.ndim > 2:
         raise ValueError(f"{t.id} takes {t.param_count} parameters, got shape {params.shape}")
-    batch = params.reshape(-1, t.param_count)
-    mats = one_qubit_matrices(one_qubit_gates(t.circuit), batch)
-    w = kraus_vectors(run_plan(static_plan(t.circuit), mats))
+    w = kraus_vectors(run_plan(static_plan(t.circuit), params.reshape(-1, t.param_count)))
     j = w @ w.swapaxes(-1, -2).conj()  # sum over Kraus ops of |vec A><vec A|
     return j if params.ndim == 2 else j[0]
 

@@ -291,9 +291,12 @@ def test_channel_json_round_trip():
 
 
 def test_channel_json_malformed():
-    # an entry is exactly two numbers: no bools, no third item
+    # an entry is exactly two numbers: no bools, no third item; the rows
+    # of an operator have one length
     entries = ["[true, false]", '[1, 0, "junk"]']
-    for text in ['{"m": 1}'] + [f'{{"m": 0, "n": 0, "kraus": [[[{e}]]]}}' for e in entries]:
+    texts = ['{"m": 1}'] + [f'{{"m": 0, "n": 0, "kraus": [[[{e}]]]}}' for e in entries]
+    texts.append('{"m": 0, "n": 0, "kraus": [[[[1, 0]], [[1, 0], [0, 0]]]]}')
+    for text in texts:
         with pytest.raises(ValueError, match="malformed"):
             channel_from_json(text)
 

@@ -22,14 +22,15 @@ from chancomp.circuit import (
     Circuit,
     CircuitParseError,
     Gate,
+    angle_layout,
     cnot_count,
     conditioned,
-    one_qubit_matrices,
     parse,
     rz_matrix,
     serialize,
     u_angles,
 )
+from chancomp.simulator import run_plan, static_plan
 from reference_walker import apply_unitary_gate, gate1_matrix, ry_matrix, u_matrix
 
 H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -176,14 +177,20 @@ def dense_gate(g, p):
     return reduce(np.kron, [u if q == g.qubits[0] else eye for q in range(p)])
 
 
-def test_one_qubit_matrices_match_gate1_matrix():
+def test_plan_matrices_match_gate1_matrix():
+    # the simulator plan lays out each kind's angles (angle_layout), and a
+    # one-gate circuit's operator on the gate's own angles is its gate1_matrix
     gates = [g for g in all_unitary_gates(1) if g.kind != CNOT]
     assert {g.kind for g in gates} == {RX, RY, RZ, U, X}
-    mats = one_qubit_matrices(gates)
-    for g, m in zip(gates, mats):
+    fixed, fills, x_mask = angle_layout([g.kind for g in gates])
+    assert fixed.shape == (4 * len(gates),) and len(fills) == sum(len(g.params) for g in gates)
+    assert x_mask.tolist() == [g.kind == X for g in gates]
+    for g in gates:
+        c = Circuit(1, (0,), (0,), (g,), 0)
+        m = run_plan(static_plan(c), [g.params])[0, 0]
         assert np.max(np.abs(m - gate1_matrix(g))) <= 1e-15, g.kind
-    assert np.array_equal(mats[[g.kind == X for g in gates]][0], X_MAT)
-    assert one_qubit_matrices([]).shape == (0, 2, 2)
+        assert g.kind != X or np.array_equal(m, X_MAT)
+    assert [a.shape for a in angle_layout([])] == [(0,), (0,), (0,)]
 
 
 def all_unitary_gates(p):
@@ -449,6 +456,17 @@ def circuits(draw):
     gates.extend(Gate(TRACE, (q,)) for q in traced)
     outputs = tuple(q for q in range(p) if q not in traced)
     return Circuit(p, inputs, outputs, tuple(gates), nregs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits())
+def test_cnot_count_matches_a_count_per_assignment(c):
+    # every assignment of all the registers, each CNOT counted where its
+    # condition holds: the worst count, and whether all counts agree
+    counts = {sum(1 for g in c.gates if g.kind == CNOT
+                  and all((bits >> r) & 1 == b for r, b in g.condition or ()))
+              for bits in range(1 << c.num_cregs)}
+    assert cnot_count(c) == (max(counts), len(counts) == 1)
 
 
 @settings(max_examples=200, deadline=None)

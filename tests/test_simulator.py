@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chancomp.circuit
@@ -20,7 +20,6 @@ from chancomp.circuit import (
     X,
     Circuit,
     Gate,
-    one_qubit_matrices,
     parse,
     serialize,
 )
@@ -31,7 +30,6 @@ from chancomp.simulator import (
     _parity,
     circuit_to_kraus,
     input_embedding,
-    one_qubit_gates,
     outcome_distribution,
     run_plan,
     simulate_unitary,
@@ -378,7 +376,7 @@ def test_runs_leave_only_lone_gates_to_the_gate_kernel():
     assert any(g.kind == U for g in circ.gates) and any(g.kind == RESET for g in measured.gates)
     for c in (circ, measured):
         plan = static_plan(c)
-        index = np.arange(len(one_qubit_gates(c)))
+        index = np.arange(len(plan.x_mask))   # one entry per single-qubit gate
         covered = [i for op in plan.ops if op[0] == "run" for i in index[op[3]].ravel()]
         assert sorted(covered) == index.tolist()
     assert not hasattr(chancomp.circuit, "apply_unitary_gate")
@@ -505,6 +503,9 @@ def with_angles(c, rng):
 
 @settings(max_examples=300, deadline=None)
 @given(classical_circuits(), st.integers(0, 2**32 - 1))
+# no single-qubit gates: the plan's angle layout is empty
+@example(Circuit(1, (0,), (0,), (), 0), 0)
+@example(Circuit(2, (0, 1), (0, 1), (Gate(CNOT, (0, 1)), Gate(CNOT, (1, 0))), 0), 1)
 def test_one_plan_runs_three_angle_sets_as_three_circuits_and_the_reference(c, seed):
     try:
         reference_branches(c)
@@ -520,8 +521,8 @@ def assert_three_angle_sets_match(c, seed):
     # bit for bit, and what the reference walker gives
     rng = np.random.default_rng(seed)
     variants = [with_angles(c, rng) for _ in range(3)]
-    mats = np.stack([one_qubit_matrices(one_qubit_gates(v)) for v in variants])
-    for v, ops in zip(variants, run_plan(static_plan(c), mats)):
+    params = np.array([[x for g in v.gates for x in g.params] for v in variants])
+    for v, ops in zip(variants, run_plan(static_plan(c), params)):
         assert np.array_equal(ops, _branch_ops(v)[1])
         assert_matches_reference(v)
 
@@ -698,7 +699,7 @@ def test_plan_arrays_are_read_only():
     # array of its plan, the shared ones included, refuses writes
     c = standard_passes(compile_measured(random_channel(1, 2, 4, seed=4)))
     plan = static_plan(c)
-    arrays = [plan.embedding, plan.out_rows] + [
+    arrays = [plan.embedding, plan.out_rows, plan.fixed, plan.fills, plan.x_mask] + [
         x for op in plan.ops for x in op[1:] if isinstance(x, np.ndarray)]
     kinds = {op[0] for op in plan.ops}
     assert {"measure", "perm", "run"} <= kinds
@@ -708,6 +709,13 @@ def test_plan_arrays_are_read_only():
         plan.embedding[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         next(op[2] for op in plan.ops if op[0] == "perm")[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        plan.fixed[0] = 1.0
+    # the layout of a structure without single-qubit gates is read-only too,
+    # and run_plan copies it all the same
+    empty = static_plan(Circuit(1, (0,), (0,), (), 0))
+    assert empty.fixed.shape == (0,) and not empty.fixed.flags.writeable
+    assert np.array_equal(run_plan(empty, np.zeros((2, 0))), [[np.eye(2)]] * 2)
 
 
 def test_kraus_operators_are_the_nonzero_branches_in_order():

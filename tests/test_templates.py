@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,11 +23,10 @@ from chancomp.circuit import (
     Circuit,
     Gate,
     cnot_count,
-    one_qubit_matrices,
     rz_matrix,
     serialize,
 )
-from chancomp.simulator import circuit_to_kraus, one_qubit_gates
+from chancomp.simulator import circuit_to_kraus, run_plan, simulate_unitary, static_plan
 from reference_walker import reference_branches, rx_matrix, ry_matrix, u_matrix
 from chancomp.templates import (
     TEMPLATES,
@@ -104,26 +104,28 @@ def test_t11_zero_params_matches_golden_choi():
 
 
 def test_closed_form_u_matches_gate_semantics():
-    # one slot of each single-qubit kind; the stacked form of
-    # one_qubit_matrices follows the gate-by-gate matrices, and each of its
-    # rows the gates' own-angle form on the instantiated circuit
-    gates = (Gate(U, (0,), (0.0,) * 4), Gate(RY, (0,), (0.0,)), Gate(RZ, (0,), (0.0,)),
-             Gate(RX, (0,), (0.0,)), Gate(X, (0,)))
-    t = Template("slots", 1, 1, 1, Circuit(1, (0,), (0,), gates, 0))
+    # one slot of each single-qubit kind, each on its own qubit: the plan
+    # run on a stack of parameter vectors follows the gate-by-gate
+    # matrices, and each of its rows the run on the instantiated circuit
+    gates = (Gate(U, (0,), (0.0,) * 4), Gate(RY, (1,), (0.0,)), Gate(RZ, (2,), (0.0,)),
+             Gate(RX, (3,), (0.0,)), Gate(X, (4,)))
+    wires = tuple(range(5))
+    t = Template("slots", 5, 5, 1, Circuit(5, wires, wires, gates, 0))
     rng = np.random.default_rng(3)
     params = rng.uniform(-7, 7, (50, 7))
-    assert one_qubit_gates(t.circuit) == list(gates)
-    mats = one_qubit_matrices(one_qubit_gates(t.circuit), params)
-    assert mats.shape == (50, 5, 2, 2)
-    for p, row in zip(params, mats):
-        u, ry, rz, rx, x = row
-        assert np.linalg.norm(u - u_matrix(*p[:4])) < 1e-13
-        assert np.linalg.norm(ry - ry_matrix(p[4])) < 1e-13
-        assert np.linalg.norm(rz - rz_matrix(p[5])) < 1e-13
-        assert np.linalg.norm(rx - rx_matrix(p[6])) < 1e-13
-        assert np.array_equal(x, X_MATRIX)
-        own = one_qubit_matrices(instantiate(t, p).gates)
-        assert np.max(np.abs(own - row)) <= 1e-15
+    plan = static_plan(t.circuit)
+    assert plan.x_mask.tolist() == [False, False, False, False, True]
+    ops = run_plan(plan, params)
+    assert ops.shape == (50, 1, 32, 32)
+    for p, op in zip(params, ops[:, 0]):
+        # qubit 0 is the most significant factor
+        want = reduce(np.kron, [u_matrix(*p[:4]), ry_matrix(p[4]), rz_matrix(p[5]),
+                                rx_matrix(p[6]), X_MATRIX])
+        assert np.linalg.norm(op - want) < 1e-13
+        # X's matrix is exact: the entries it leaves zero are exactly zero
+        assert not op[np.kron(np.ones((16, 16)), np.eye(2)) != 0].any()
+        own = simulate_unitary(instantiate(t, p))
+        assert np.max(np.abs(own - op)) <= 1e-15
 
 
 @pytest.mark.parametrize("tid", sorted(TEMPLATES))
