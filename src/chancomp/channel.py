@@ -224,14 +224,27 @@ def channel_to_json(ks: KrausSet) -> str:
     return json.dumps(doc, indent=1)
 
 
-def channel_from_json(text: str) -> KrausSet:
+def json_object(text: str) -> dict:
+    """The JSON object in `text`; the decoder's failures are worded as ours."""
     try:
-        doc = json.loads(text)   # nesting too deep for the decoder is a RecursionError
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deep
+        raise ValueError(f"malformed channel JSON: {exc}") from exc
+    except ValueError as exc:   # an integer literal past Python's digit limit
+        raise ValueError("malformed channel JSON: an integer has too many digits") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("malformed channel JSON: the document must be a JSON object")
+    return doc
+
+
+def channel_from_json(text: str) -> KrausSet:
+    doc = json_object(text)
+    try:
         m, n = doc["m"], doc["n"]
         for name, x in (("m", m), ("n", n)):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise TypeError(f'"{name}" must be an integer, got {x!r}')
         ops = [_matrix_from_json(a) for a in doc["kraus"]]
-    except (KeyError, TypeError, IndexError, OverflowError, RecursionError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed channel JSON: {exc}") from exc
     return KrausSet(m, n, ops)

@@ -118,9 +118,11 @@ def _gate(kind, qubits, params, creg, condition) -> Gate:
 
 
 def conditioned(gates, condition) -> list[Gate]:
-    """Copies of checked gates, each carrying `condition`.  Only the kinds
+    """Copies of checked gates, each carrying `condition`; a gate whose condition
+    already is that object (None included) is its own copy.  Only the kinds
     are checked: a copy keeps its source's kind, qubits, angles and register."""
-    out = [_gate(g.kind, g.qubits, g.params, g.creg, condition) for g in gates]
+    out = [g if g.condition is condition else _gate(g.kind, g.qubits, g.params, g.creg, condition)
+           for g in gates]
     if condition:
         for g in out:
             if g.kind not in UNITARY_KINDS:

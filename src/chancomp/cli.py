@@ -22,6 +22,7 @@ from .channel import (
     channel_from_json,
     channel_to_json,
     is_extreme_minimal,
+    json_object,
     minimal_kraus,
     random_channel,
 )
@@ -153,11 +154,8 @@ def _cmd_compile(args) -> int:
 
 
 def _parse_mixture(text: str) -> ConvexMixture:
-    try:
-        doc = json.loads(text)
-    except RecursionError as exc:
-        raise ValueError(f"malformed channel JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "components" not in doc:
+    doc = json_object(text)
+    if "components" not in doc:
         return ConvexMixture([(1.0, channel_from_json(text))])
     entries = doc["components"]
     if not isinstance(entries, list):

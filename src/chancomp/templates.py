@@ -5,6 +5,8 @@ exact small-case CNOT counts 1, 4, 7 and 13 (the conditioned blocks
 appear once per measurement outcome, so the worst case over classical
 assignments is the per-branch count).  A template is a plain `Circuit`
 with every angle zero; `instantiate` fills the angles in gate order.
+T11 and T12 are the rewritten measured compiles of rank-2 channels of
+their shapes, whose gate structure the shape alone fixes.
 `template_choi` returns the Choi matrices of a whole stack of parameter
 vectors: the simulator's static plan of a template, built once per
 structure, takes the stack as it is, so the template's gates and the
@@ -15,7 +17,8 @@ Its coordinates come from the plan's angle layout alone: every angle
 but those that fill a U gate's global phase, which cancels in the Choi
 matrix.
 
-Transcription conventions: qubit 0 is the most significant wire, the
+T21 and T22 are transcribed by hand (the compiler spends 9 and 15 CNOTs
+on their shapes): qubit 0 is the most significant wire, the
 measured ancilla sits on top, and two-qubit unitary slots are expanded
 into standard 2- or 3-CNOT blocks with single-qubit gates around them.
 Where a figure leaves a single-qubit gate placement open we keep the
@@ -30,9 +33,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import KrausSet, choi_from_kraus, kraus_vectors, minimal_kraus
-from .circuit import (
-    CNOT, MEASURE, OPERANDS, RESET, RY, RZ, U, X, Circuit, Gate, cnot_count, conditioned,
-)
+from .circuit import CNOT, MEASURE, OPERANDS, RY, RZ, U, X, Circuit, Gate, cnot_count, conditioned
+from .compiler import compile_measured
+from .rewrite import standard_passes
 from .simulator import run_plan, static_plan
 from .synth import multiplexed_rotation
 
@@ -78,23 +81,12 @@ def _ry_ladder(target: int, c1: int, c2: int, cond) -> tuple:
     return tuple(conditioned(multiplexed_rotation(RY, (c2, c1), target, [0.0] * 4)[:-1], cond))
 
 
-def _iso12_block(cond) -> tuple:
-    """One-to-two isometry topology on (ancilla 0, system 1): 2 CNOTs."""
-    return _gates(cond, (U, 0), (U, 1), (CNOT, 0, 1), (RY, 0), (RY, 1), (CNOT, 0, 1),
-                  (U, 0), (U, 1))
-
-
-def _t11() -> Template:
-    gates = _gates(None, (U, 0), (U, 1), (CNOT, 0, 1), (RY, 0), (RY, 1))
-    gates += (Gate(MEASURE, (0,), creg=0),) + _gates(((0, 1),), (X, 1)) + _gates(None, (U, 1))
-    return Template("T11", 1, 1, 2, Circuit(2, (1,), (1,), gates, 1))
-
-
-def _t12() -> Template:
-    gates = _iso12_block(None) + (Gate(MEASURE, (0,), creg=0), Gate(RESET, (0,)))
-    for b in (0, 1):
-        gates += _iso12_block(((0, b),))
-    return Template("T12", 1, 2, 2, Circuit(2, (1,), (0, 1), gates, 1))
+def _skeleton(tid: str, n: int) -> Template:
+    """The 1-to-n skeleton, compiled from a fixed rank-2 channel (a seeded one slows imports)."""
+    ops = [np.outer(np.eye(2**n)[-b], np.eye(2)[-b]) for b in (0, 1)]
+    c = standard_passes(compile_measured(KrausSet(1, n, ops)))
+    gates = tuple(replace(g, params=(0.0,) * len(g.params)) for g in c.gates)
+    return Template(tid, 1, n, 2, replace(c, gates=gates))
 
 
 def _t21() -> Template:
@@ -123,7 +115,7 @@ def _t22() -> Template:
     return Template("T22", 2, 2, 4, Circuit(4, (2, 3), (2, 3), gates, 2))
 
 
-TEMPLATES = {t.id: t for t in (_t11(), _t12(), _t21(), _t22())}
+TEMPLATES = {t.id: t for t in (_skeleton("T11", 1), _skeleton("T12", 2), _t21(), _t22())}
 
 
 def instantiate(t: Template, params) -> Circuit:

@@ -296,8 +296,10 @@ def test_channel_json_malformed():
     entries = ["[true, false]", '[1, 0, "junk"]']
     texts = ['{"m": 1}'] + [f'{{"m": 0, "n": 0, "kraus": [[[{e}]]]}}' for e in entries]
     texts.append('{"m": 0, "n": 0, "kraus": [[[[1, 0]], [[1, 0], [0, 0]]]]}')
+    # a top-level list, an integer past Python's digit limit, bad syntax
+    texts += ["[]", '{"m": ' + "1" * 5000 + "}", '{"m": 1,']
     for text in texts:
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(ValueError, match="^malformed channel JSON: "):
             channel_from_json(text)
 
 

@@ -388,6 +388,17 @@ def test_conditioned_copies_equal_checked_gates():
                                                                     condition=())]
 
 
+def test_conditioned_returns_gates_that_already_carry_the_condition():
+    gates = list(all_unitary_gates(3)) + [Gate(MEASURE, (0,), creg=0)]
+    assert all(a is b for a, b in zip(conditioned(gates, None), gates))
+    cond = ((0, 1),)
+    once = conditioned(gates[:-1], cond)
+    assert all(a is b for a, b in zip(conditioned(once, cond), once))
+    # a different condition, or none, is still a copy that carries it
+    assert conditioned(once, None) == gates[:-1]
+    assert all(g.condition == ((1, 0),) for g in conditioned(once, ((1, 0),)))
+
+
 def test_conditioned_rejects_kinds_without_a_condition():
     messages = {message for _, message in GATE_FAULTS}
     for g in (Gate(MEASURE, (0,), creg=0), Gate(RESET, (0,)), Gate(TRACE, (0,))):

@@ -500,6 +500,27 @@ def test_too_deeply_nested_json_exits_one_without_traceback(tmp_path, command):
     assert proc.stderr.strip().splitlines()[-1].startswith("error: malformed channel JSON")
 
 
+_MALFORMED_DOCS = {
+    "top-level-list": ('[{"m": 1, "n": 1}]', "the document must be a JSON object"),
+    # json.loads refuses an integer literal past Python's 4,300-digit limit
+    "5000-digit-m": ('{"m": ' + "9" * 5000 + ', "n": 1, "kraus": []}',
+                     "an integer has too many digits"),
+}
+
+
+@pytest.mark.parametrize("command", ["info", "compile-random"])
+@pytest.mark.parametrize("case", sorted(_MALFORMED_DOCS))
+def test_malformed_json_is_worded_as_ours(tmp_path, case, command):
+    text, reason = _MALFORMED_DOCS[case]
+    ch = tmp_path / "doc.json"
+    ch.write_text(text)
+    args = ["info", "--in", str(ch)] if command == "info" else [
+        "compile", "--model", "random", "--in", str(ch), "--out", str(tmp_path / "out.qcirc")]
+    proc = _run_cli(["-m", "chancomp.cli", *args], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: malformed channel JSON: {reason}\n"
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     code = "import sys, chancomp.cli; print('scipy.optimize' in sys.modules)"
     proc = _run_cli(["-c", code], tmp_path)

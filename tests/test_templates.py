@@ -1,6 +1,4 @@
 import hashlib
-import json
-import pathlib
 from functools import reduce
 from types import SimpleNamespace
 
@@ -26,6 +24,8 @@ from chancomp.circuit import (
     rz_matrix,
     serialize,
 )
+from chancomp.compiler import compile_measured
+from chancomp.rewrite import standard_passes
 from chancomp.simulator import circuit_to_kraus, run_plan, simulate_unitary, static_plan
 from reference_walker import reference_branches, rx_matrix, ry_matrix, u_matrix
 from chancomp.templates import (
@@ -38,14 +38,13 @@ from chancomp.templates import (
     template_choi,
 )
 
-DATA = pathlib.Path(__file__).parent / "data"
-
 EXPECTED_CNOTS = {"T11": 1, "T12": 4, "T21": 7, "T22": 13}
 
-# sha256 of serialize(t.circuit): the topologies as transcribed
+# sha256 of serialize(t.circuit): the compile skeletons T11 and T12 and
+# the transcribed T21 and T22
 TOPOLOGY_SHA256 = {
-    "T11": "06a446e480a411b883dd6ba13ee52d971dadc89c0a8c021898782a6768c42621",
-    "T12": "1ce4e8d481bc403c6daf36ad4abdbe7ad030f0194a2bfa2829c216fb8fe14645",
+    "T11": "d887740503199b3e3da42af83d9b9bbb5e166c0e4c341aeaa43491127ec78a3d",
+    "T12": "5bbaf8ae85837376dfbb3d53a981fe56e6aa1e6c8a5e1a7fe59a94949959765b",
     "T21": "422b0ae60262d250330bafe8eea1c64c6b05dcece9d8d77ea08d7a03c269bf4f",
     "T22": "ca95d21b789a7f71d6dcf62cf6bb21b1c8fc5db44f457fd26a66b642081aea05",
 }
@@ -94,13 +93,27 @@ def test_instantiate_rejects_wrong_length():
 
 
 def test_t11_zero_params_matches_golden_choi():
+    # at zero angles the skeleton copies the input bit onto the ancilla and
+    # measures it: the completely dephasing channel, Choi matrix diag(1,0,0,1)
     t = TEMPLATES["T11"]
     j = choi_from_kraus(circuit_to_kraus(instantiate(t, [0.0] * 14))).j
-    golden = np.array(
-        [[complex(e[0], e[1]) for e in row]
-         for row in json.loads((DATA / "golden_t11_zero_choi.json").read_text())]
-    )
-    assert np.linalg.norm(j - golden) < 1e-12
+    assert np.linalg.norm(j - np.diag([1.0, 0.0, 0.0, 1.0])) < 1e-12
+
+
+def _structure(c):
+    header = (c.num_qubits, c.input_qubits, c.output_qubits, c.num_cregs)
+    return header, [(g.kind, g.qubits, g.creg, g.condition) for g in c.gates]
+
+
+@pytest.mark.parametrize("tid,n", [("T11", 1), ("T12", 2)])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_one_to_n_templates_are_compile_skeletons(tid, n, seed):
+    # the measured compile's gate structure depends on the shape alone
+    t = TEMPLATES[tid]
+    assert (t.m, t.n, t.max_rank) == (1, n, 2)
+    assert all(x == 0.0 for g in t.circuit.gates for x in g.params)
+    compiled = standard_passes(compile_measured(random_channel(1, n, 2, seed)))
+    assert _structure(t.circuit) == _structure(compiled)
 
 
 def test_closed_form_u_matches_gate_semantics():
