@@ -12,13 +12,10 @@ condition: a tuple of (register, bit) pairs that must all match for the
 gate to fire.  MEASURE, RESET and TRACE always act.  RESET means: apply
 X if the immediately preceding MEASURE on the same qubit gave outcome 1.
 
-Trust boundary: each gate is checked once, where it enters the program.
-The public `Gate` constructor checks every field against `OPERANDS`.
-`parse` checks each line, the faults its text can still have included,
-and then builds the gate trusted, without a second check.  `conditioned`
-copies gates that were already checked, adding a condition, and checks
-only that their kinds take one.  `Circuit` checks the whole gate tuple
-against the circuit (qubit and register ranges, traced-out qubits).
+Trust boundary: every gate is built by `Gate`, which checks its fields
+against `OPERANDS`.  `parse` checks a line's token shapes before it
+builds the gate.  `Circuit` checks the whole gate tuple against the
+circuit (qubit and register ranges, traced-out qubits).
 
 Rotation algebra: every single-qubit kind is a U gate with some angles
 fixed (`_AS_U`).  `angle_layout` turns a sequence of kinds into the
@@ -55,20 +52,11 @@ OPERANDS = {
 }
 UNITARY_KINDS = frozenset(kind for kind, row in OPERANDS.items() if row[3])
 
-# The gate faults that `parse` and `conditioned` raise as well as `Gate`,
-# worded here once.
-_NOT_FINITE = "gate angles must be finite"
+# The frozen dataclass's own field store, looked up once rather than per field.
+_set_field = object.__setattr__
 
 
-def _self_control(kind: str) -> str:
-    return f"{kind} control equals target"
-
-
-def _no_condition(kind: str) -> str:
-    return f"{kind} takes no condition"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Gate:
     kind: str
     qubits: tuple[int, ...]
@@ -76,58 +64,40 @@ class Gate:
     creg: int | None = None
     condition: tuple[tuple[int, int], ...] | None = None
 
-    def __post_init__(self):
+    def __init__(self, kind, qubits, params=(), creg=None, condition=None):
         # Runs once per gate built, so the checks allocate nothing.
-        kind = self.kind
         row = OPERANDS.get(kind)
         if row is None:
             raise ValueError(f"unknown gate kind {kind!r}")
         nq, na, register, conditional = row
-        qubits = self.qubits
         if len(qubits) != nq:
             raise ValueError(f"{kind} expects {nq} qubit(s)")
         if nq == 2 and qubits[0] == qubits[1]:
-            raise ValueError(_self_control(kind))
-        if len(self.params) != na:
+            raise ValueError(f"{kind} control equals target")
+        if len(params) != na:
             raise ValueError(f"{kind} expects {na} angle(s)")
-        for x in self.params:
+        for x in params:
             if not math.isfinite(x):
-                raise ValueError(_NOT_FINITE)
-        if self.creg is None:
+                raise ValueError("gate angles must be finite")
+        if creg is None:
             if register:
                 raise ValueError(f"{kind} needs a classical register")
         elif not register:
             raise ValueError(f"{kind} takes no classical register")
-        if self.condition and not conditional:
-            raise ValueError(_no_condition(kind))
-
-
-def _gate(kind, qubits, params, creg, condition) -> Gate:
-    """A `Gate` of fields that already passed `Gate`'s checks, built without
-    running them again.  It fills the instance dict in field order, as the
-    dataclass's own `__init__` does, so equality, hashing, `replace` and
-    pickling see no difference."""
-    g = object.__new__(Gate)
-    d = g.__dict__
-    d["kind"] = kind
-    d["qubits"] = qubits
-    d["params"] = params
-    d["creg"] = creg
-    d["condition"] = condition
-    return g
+        if condition and not conditional:
+            raise ValueError(f"{kind} takes no condition")
+        _set_field(self, "kind", kind)
+        _set_field(self, "qubits", qubits)
+        _set_field(self, "params", params)
+        _set_field(self, "creg", creg)
+        _set_field(self, "condition", condition)
 
 
 def conditioned(gates, condition) -> list[Gate]:
-    """Copies of checked gates, each carrying `condition`; a gate whose condition
-    already is that object (None included) is its own copy.  Only the kinds
-    are checked: a copy keeps its source's kind, qubits, angles and register."""
-    out = [g if g.condition is condition else _gate(g.kind, g.qubits, g.params, g.creg, condition)
-           for g in gates]
-    if condition:
-        for g in out:
-            if g.kind not in UNITARY_KINDS:
-                raise ValueError(_no_condition(g.kind))
-    return out
+    """Copies of `gates`, each carrying `condition`; a gate whose condition
+    already is that object (None included) is its own copy."""
+    return [g if g.condition is condition else Gate(g.kind, g.qubits, g.params, g.creg, condition)
+            for g in gates]
 
 
 @dataclass(frozen=True)
@@ -373,11 +343,8 @@ def parse(text: str) -> Circuit:
     """Inverse of `serialize`; `#` starts a comment.  Every fault is a
     `CircuitParseError` naming the line (0 for the circuit as a whole).
 
-    Each gate line is checked here, in `Gate`'s order: the token shapes
-    (messages below), then the faults its values can still have, worded
-    by the helpers `Gate` raises them with (`_self_control`, `_NOT_FINITE`,
-    `_no_condition`).  Every other `Gate` check holds by construction, so
-    the gate is built trusted."""
+    Each gate line's token shapes are checked here; `Gate` then checks its
+    values, and its fault names the line as well."""
     header = dict.fromkeys(("QUBITS", "CREGS", "INPUTS", "OUTPUTS"))
     gates = []
     # condition text -> its tuple, qubit tokens -> theirs: each read once
@@ -412,7 +379,7 @@ def parse(text: str) -> Circuit:
             row = OPERANDS.get(key)
             if row is None:
                 raise ValueError(f"unknown instruction {key!r}")
-            nq, na, register, conditional = row
+            nq, na, register, _ = row
             fixed = nq + register   # operand tokens before the angles
             if len(toks) <= fixed:
                 names = ["qubit" if nq == 1 else f"{nq} qubits"]
@@ -426,15 +393,8 @@ def parse(text: str) -> Circuit:
                 qubits = operands[operand] = tuple([_index(t, "q") for t in toks[1:nq + 1]])
             params = tuple(map(float, toks[fixed + 1:])) if na else ()
             creg = _index(toks[fixed], "c") if register else None
-            if nq == 2 and qubits[0] == qubits[1]:
-                raise ValueError(_self_control(key))
-            for x in params:
-                if not math.isfinite(x):
-                    raise ValueError(_NOT_FINITE)
-            if condition and not conditional:
-                raise ValueError(_no_condition(key))
             # sys.intern: every gate of a kind shares one kind string
-            gates.append(_gate(sys.intern(key), qubits, params, creg, condition))
+            gates.append(Gate(sys.intern(key), qubits, params, creg, condition))
         except ValueError as exc:
             raise CircuitParseError(line_no, str(exc)) from None
     for key, value in header.items():
