@@ -423,7 +423,10 @@ def cs_split(a: np.ndarray, b: np.ndarray):
     u2, r2 = qr_rectangular((b @ v1)[..., ::-1])
     c = np.diagonal(r1, axis1=-2, axis2=-1).real
     s = np.diagonal(r2, axis1=-2, axis2=-1).real[..., ::-1]
-    return u1, u2[..., ::-1], 2.0 * np.arctan2(s, c), _dagger(v1)
+    # contiguous inputs: numpy's arctan2 loop on a strided view can round
+    # an element differently, so a matrix's angles would depend on its batch
+    theta = 2.0 * np.arctan2(np.ascontiguousarray(s), np.ascontiguousarray(c))
+    return u1, u2[..., ::-1], theta, _dagger(v1)
 
 
 def _demultiplex(u1: np.ndarray, u2: np.ndarray):
