@@ -112,7 +112,8 @@ def _t22() -> Template:
         gates += _ry_ladder(1, 2, 3, cond)
         gates += _three_cnot_block(2, 3, cond)
     gates += (Gate(MEASURE, (1,), creg=1),)
-    return Template("T22", 2, 2, 4, Circuit(4, (2, 3), (2, 3), gates, 2))
+    # rank <= 3: rank-4 channels form a 96-dimensional set, T22 has 84 coordinates
+    return Template("T22", 2, 2, 3, Circuit(4, (2, 3), (2, 3), gates, 2))
 
 
 TEMPLATES = {t.id: t for t in (_skeleton("T11", 1), _skeleton("T12", 2), _t21(), _t22())}

@@ -381,6 +381,13 @@ def test_fit_identity(tmp_path, capsys):
     parse(out.read_text())
 
 
+def test_fit_refuses_a_rank_the_template_cannot_reach(tmp_path, capsys):
+    src = tmp_path / "rank4.json"
+    src.write_text(channel_to_json(random_channel(2, 2, 4, seed=5)))
+    assert run(["fit", "--template", "2to2", "--in", str(src)]) == 1
+    assert "T22 handles Kraus rank <= 3" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_one(capsys):
     assert run(["compile", "--bogus"]) == 1
     assert "usage" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from chancomp.channel import (
     random_channel,
 )
 from chancomp import templates
+from chancomp.bounds import param_count_extreme
 from chancomp.circuit import (
     RX,
     RY,
@@ -114,6 +115,28 @@ def test_one_to_n_templates_are_compile_skeletons(tid, n, seed):
     assert all(x == 0.0 for g in t.circuit.gates for x in g.params)
     compiled = standard_passes(compile_measured(random_channel(1, n, 2, seed)))
     assert _structure(t.circuit) == _structure(compiled)
+
+
+def channel_dim(m, n, r):
+    """Real dimension of the set of m-to-n channels of Kraus rank r."""
+    return 2 * r * 2 ** (m + n) - 4**m - r * r
+
+
+@pytest.mark.parametrize("tid", sorted(TEMPLATES))
+def test_template_has_the_coordinates_of_its_rank(tid):
+    # necessary for a generic channel of rank max_rank to be reachable
+    t = TEMPLATES[tid]
+    assert channel_dim(t.m, t.n, 2**t.m) == param_count_extreme(t.m, t.n)
+    assert reduced_dim(t) >= channel_dim(t.m, t.n, t.max_rank)
+
+
+def test_t22_refuses_rank_four_before_any_start(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit started")
+
+    monkeypatch.setattr(templates, "minimize", refuse)
+    with pytest.raises(ValueError, match="T22 handles Kraus rank <= 3"):
+        fit(TEMPLATES["T22"], random_channel(2, 2, 4, seed=5))
 
 
 def test_closed_form_u_matches_gate_semantics():
