@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,6 +170,27 @@ def test_compile_measured_grid(m, n, kr, seed):
     assert worst == predict_upper_bound(m, n, k)
     # channel oracle
     assert verify_circuit(circ, ks) < 1e-8
+
+
+def test_every_cnot_on_the_all_zero_outcome_path_is_needed():
+    # prefix 0 holds Kraus index 0 for every K, so no block on it is
+    # padding: deleting any one of its CNOTs (unconditioned, or with every
+    # condition bit 0) must move the channel.  Every fifth one keeps this fast.
+    shapes = [(m, n, kr) for m in (1, 2, 3) for n in (1, 2, 3)
+              for kr in range(1, min(2 ** (m + n), 8) + 1)
+              if n + (kr - 1).bit_length() >= m and kr * 2**n >= 2**m]
+    deleted = 0
+    for m, n, kr in shapes:
+        ks = random_channel(m, n, kr, 2)
+        circ = compile_measured(ks)
+        gates = circ.gates
+        live = [i for i, g in enumerate(gates)
+                if g.kind == CNOT and not any(b for _, b in g.condition or ())]
+        for i in live[::5]:
+            cut = replace(circ, gates=gates[:i] + gates[i + 1:])
+            assert verify_circuit(cut, ks) > 1e-8, (m, n, kr, i)
+            deleted += 1
+    assert len(shapes) == 63 and deleted > 400
 
 
 @pytest.mark.parametrize("m,n,kr,stages", [(3, 3, 8, 4), (2, 1, 4, 2), (2, 3, 4, 3)])
