@@ -11,10 +11,13 @@ their shapes, whose gate structure the shape alone fixes.
 vectors: the simulator's static plan of a template, built once per
 structure, takes the stack as it is, so the template's gates and the
 layout of its angles are interpreted by the simulator alone.
-`fit` minimizes the squared Frobenius distance between Choi matrices
-with a multi-start L-BFGS-B search on exact parameter-shift gradients.
-Its coordinates come from the plan's angle layout alone: every angle
-but those that fill a U gate's global phase, which cancels in the Choi
+`fit` first tries the target's own measured compile: when its gate
+structure is the template's, its angles are the answer if they reach the
+tolerance.  Only when they miss (and always for T21 and T22) does it
+minimize the squared Frobenius distance between Choi matrices with a
+multi-start L-BFGS-B search on exact parameter-shift gradients.  Its
+coordinates come from the plan's angle layout alone: every angle but
+those that fill a U gate's global phase, which cancels in the Choi
 matrix.
 
 T21 and T22 are transcribed by hand (the compiler spends 9 and 15 CNOTs
@@ -170,12 +173,30 @@ def template_choi(t: Template, params) -> np.ndarray:
 
 
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first fit rather than with
-    the package: scipy.optimize takes longer to import than everything
-    else a CLI call does."""
+    """scipy.optimize.minimize, imported on the first search rather than
+    with the package: scipy.optimize takes longer to import than
+    everything else a CLI call does."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
+
+
+def _objective(t: Template, j_target: np.ndarray):
+    """f(x) = ||J(x) - J_target||_F^2 and its gradient at reduced
+    coordinates x.  Each coordinate is the angle of one rotation, so the
+    parameter-shift rule dJ/dx = [J(x + pi/2) - J(x - pi/2)] / 2 is exact:
+    one batched evaluation at 2d + 1 points gives f and its gradient."""
+    dim = reduced_dim(t)
+    shift = 0.5 * math.pi * np.eye(dim)
+    points = np.vstack([np.zeros(dim), shift, -shift])
+
+    def objective(xs):
+        js = template_choi(t, expand_reduced(t, xs + points))
+        d = js[0] - j_target
+        slopes = (js[1 : dim + 1] - js[dim + 1 :]).reshape(dim, -1)
+        return float(np.vdot(d, d).real), (slopes @ d.conj().reshape(-1)).real
+
+    return objective
 
 
 def fit(
@@ -186,13 +207,14 @@ def fit(
     tol: float = 1e-6,
     seed: int = 0,
 ) -> tuple[list[float], float]:
-    """Multi-start L-BFGS-B search for parameters realizing the channel.
+    """Parameters realizing the channel, and their Choi distance.
 
-    Minimizes f = ||J - J_target||_F^2 from seeded uniform random starts
-    and stops at the first start reaching `tol`, else returns the best.
-    Each optimizer coordinate is the angle of one rotation, so the
-    parameter-shift rule dJ/dx = [J(x + pi/2) - J(x - pi/2)] / 2 is exact:
-    one batched evaluation at 2d + 1 points gives f and its gradient.
+    When the target's rewritten measured compile at k = ceil(log2
+    max_rank) has the template's gate structure (T11 and T12, the compile
+    skeletons), its angles are returned if they reach `tol`.  Otherwise a
+    multi-start L-BFGS-B search minimizes f = ||J - J_target||_F^2 from
+    seeded uniform random starts, stops at the first start reaching
+    `tol`, else returns the best; the compiled angles do not enter it.
     """
     if (target.m, target.n) != (t.m, t.n):
         raise ValueError(f"{t.id} expects a {t.m}->{t.n} channel")
@@ -200,21 +222,19 @@ def fit(
         raise ValueError(f"{t.id} handles Kraus rank <= {t.max_rank}")
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
-    choi = choi_from_kraus(target)
-    dim = reduced_dim(t)
-    shift = 0.5 * math.pi * np.eye(dim)
-    points = np.vstack([np.zeros(dim), shift, -shift])
-
-    def objective(xs):
-        js = template_choi(t, expand_reduced(t, xs + points))
-        d = js[0] - choi.j
-        slopes = (js[1 : dim + 1] - js[dim + 1 :]).reshape(dim, -1)
-        return float(np.vdot(d, d).real), (slopes @ d.conj().reshape(-1)).real
+    objective = _objective(t, choi_from_kraus(target).j)
+    c = standard_passes(compile_measured(target, force_k=math.ceil(math.log2(t.max_rank))))
+    structure = [(g.kind, g.qubits, g.creg, g.condition) for g in c.gates]
+    if structure == [(g.kind, g.qubits, g.creg, g.condition) for g in t.circuit.gates]:
+        x0 = np.array([x for g in c.gates for x in g.params])[_kept(t)]
+        dist = math.sqrt(objective(x0)[0])
+        if dist < tol:
+            return expand_reduced(t, x0).tolist(), dist
 
     rng = np.random.default_rng(seed)
     best_val, best_x = math.inf, None
     for _ in range(starts):
-        res = minimize(objective, rng.uniform(-math.pi, math.pi, dim), jac=True,
+        res = minimize(objective, rng.uniform(-math.pi, math.pi, reduced_dim(t)), jac=True,
                        method="L-BFGS-B",
                        options=dict(maxiter=max_iters, ftol=0.0, gtol=1e-14))
         if res.fun < best_val:

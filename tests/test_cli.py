@@ -535,6 +535,19 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
+def test_fit_on_a_compile_skeleton_leaves_scipy_unloaded(tmp_path):
+    # a subprocess, since pytest has imported scipy in this one: the
+    # compiled start realizes a rank-2 1-to-1 channel, so no search runs
+    (tmp_path / "ch.json").write_text(channel_to_json(random_channel(1, 1, 2, seed=3)))
+    code = ("import sys; from chancomp.cli import run; "
+            "code = run(['fit', '--template', '1to1', '--in', 'ch.json', '--out', 'f.qcirc']); "
+            "print(code, 'scipy' in sys.modules)")
+    proc = _run_cli(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+    parse((tmp_path / "f.qcirc").read_text())
+
+
 def test_measured_compile_leaves_scipy_linalg_unloaded(tmp_path):
     # a (2,2,4) channel takes the Shannon decomposition, which uses numpy.linalg only
     (tmp_path / "ch.json").write_text(channel_to_json(random_channel(2, 2, 4, seed=5)))

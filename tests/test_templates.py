@@ -1,6 +1,5 @@
 import hashlib
 from functools import reduce
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -185,17 +184,9 @@ def test_template_choi_rejects_wrong_length():
 
 
 @pytest.mark.parametrize("tid", sorted(TEMPLATES))
-def test_parameter_shift_gradient_matches_central_differences(tid, monkeypatch):
+def test_parameter_shift_gradient_matches_central_differences(tid):
     t = TEMPLATES[tid]
-    seen = []
-
-    def record(objective, x0, **kwargs):
-        seen.append(objective)
-        return SimpleNamespace(fun=objective(x0)[0], x=x0)
-
-    monkeypatch.setattr(templates, "minimize", record)
-    fit(t, random_channel(t.m, t.n, 2, seed=11), starts=1, seed=12)
-    objective = seen[0]
+    objective = templates._objective(t, choi_from_kraus(random_channel(t.m, t.n, 2, seed=11)).j)
     x = np.random.default_rng(13).uniform(-np.pi, np.pi, reduced_dim(t))
     _, grad = objective(x)
     h = 1e-5
@@ -260,10 +251,50 @@ def test_fit_t12_random_channel():
     assert dist < 1e-4
 
 
-def test_fit_t21_runs():
+def _counting_minimize(monkeypatch):
+    """Count the search's starts: each one is a `templates.minimize` call."""
+    calls = []
+    real = templates.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(templates, "minimize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("tid,n,starts,tol,seed", [("T11", 1, 20, 1e-6, 7000),
+                                                   ("T12", 2, 40, 1e-4, 8000)])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_compile_skeleton_fit_takes_the_compiled_start(tid, n, starts, tol, seed, s,
+                                                       monkeypatch):
+    # criterion 8's calls: the target's own compile realizes it, so no search starts
+    calls = _counting_minimize(monkeypatch)
+    ks = random_channel(1, n, 2, seed=s)
+    params, dist = fit(TEMPLATES[tid], ks, starts=starts, tol=tol, seed=seed + s)
+    assert calls == []
+    assert dist < 1e-12
+    j = choi_from_kraus(circuit_to_kraus(instantiate(TEMPLATES[tid], params))).j
+    assert np.linalg.norm(j - choi_from_kraus(ks).j) < 1e-12
+
+
+def test_fit_searches_when_the_compiled_start_misses(monkeypatch):
+    # no distance is below tol = 0, so the seeded search runs all its starts
+    calls = _counting_minimize(monkeypatch)
+    _, dist = fit(TEMPLATES["T11"], random_channel(1, 1, 2, seed=4), starts=2, max_iters=5,
+                  tol=0.0, seed=1)
+    assert len(calls) == 2
+    assert dist >= 0.0
+
+
+def test_fit_t21_runs(monkeypatch):
+    # T21's hand-built structure is not the (2,1) compile's: the search runs
+    calls = _counting_minimize(monkeypatch)
     t = TEMPLATES["T21"]
     ks = random_channel(2, 1, 4, seed=6)
     params, dist = fit(t, ks, starts=1, max_iters=60, tol=1e-4, seed=60)
+    assert len(calls) >= 1
     assert len(params) == t.param_count
     assert dist >= 0.0
 
