@@ -11,7 +11,11 @@ measurement: v^dag on the system, then the Ry multiplexor that turns the
 ancilla from |0> into cos(theta/2) |0> + sin(theta/2) |1> per system
 basis state.  The ancilla is measured and reset.  u_b depends only on
 the outcome b, so it is folded into the child, Q_sb u_b, at no cost.
-A round takes r(m) = c(m) + 2^m - 1 CNOTs, c(m) = n_iso(m, m).
+For m >= 2, v^dag is emitted up to a diagonal D on its last two qubits
+(`decompose_isometries`).  D commutes with the Ry multiplexor, which the
+system controls, and with the measurement, so the child's v^dag, or its
+residual, undoes D instead.  A round then takes r(m) = c(m) - 1 + 2^m - 1
+CNOTs, c(m) = n_iso(m, m).
 
 After the rounds, a residual per outcome prefix is synthesized under
 classical conditions.  With m < n there are k rounds, and each residual
@@ -22,8 +26,9 @@ which is measured off into registers that are never read.  The plan
 keeps every factor as a stack in prefix order.  Every m-qubit unitary of
 the compile, the v^dag of every round over all its prefixes and the
 residuals when m >= n, goes into one `decompose_isometries` call on the
-system; the m < n residuals take a second call on all n qubits.  The
-shape alone picks each call's construction.
+system, each prefix chained to its parent; the m < n residuals take the
+last round's diagonals into their columns and a second call on all n
+qubits.  The shape alone picks each call's construction.
 
 Qubit layout: one reused ancilla at index 0, the m system qubits last.
 A channel with m >= n compiles to exactly m+1 qubits (the ancilla may
@@ -158,9 +163,19 @@ def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
     p = n if m < n else m + 1
     ancilla, system = 0, list(range(p - m, p))
     # every m-qubit unitary in one batch: the rounds' v^dag, in round and
-    # prefix order, then the residuals when m >= n
+    # prefix order, then the residuals when m >= n.  That is a binary heap:
+    # prefix j of round i + 1 continues prefix j // 2 of round i, and takes
+    # over the diagonal its v^dag is left with.
     square = [vh for vh, _ in plan.stages] + ([plan.finals] if m >= n else [])
-    blocks = iter(decompose_isometries(np.concatenate(square), system) if square else [])
+    finals = plan.finals
+    blocks = iter([])
+    if square:
+        stack = np.concatenate(square)
+        carried = np.ones((len(stack), 2**m), dtype=complex) if m < n else None
+        blocks = iter(decompose_isometries(stack, system, parents=(np.arange(len(stack)) - 1) // 2,
+                                           carried=carried))
+        if carried is not None:   # residual j undoes the diagonal of round prefix j // 2
+            finals = finals * np.repeat(carried[-len(finals) // 2:], 2, axis=0)[:, None].conj()
     gates: list[Gate] = []
     for i, (_, theta) in enumerate(plan.stages):
         for cond, angles in zip(_conditions(i), theta):
@@ -170,7 +185,7 @@ def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
         gates.append(Gate(RESET, (ancilla,)))
 
     # an m-to-n isometry on all n qubits when m < n, else the batch's rest
-    residuals = blocks if m >= n else decompose_isometries(plan.finals, range(p))
+    residuals = blocks if m >= n else decompose_isometries(finals, range(p))
     for cond, block in zip(_conditions(k_tilde), residuals):
         gates += conditioned(block, cond)
     outputs = tuple(range(p)) if m < n else tuple(system[k - k_tilde:])
@@ -210,9 +225,11 @@ def compile_random_qcm(mix: ConvexMixture) -> list[tuple[float, Circuit]]:
 
 
 def round_cnots(m: int) -> int:
-    """r(m): CNOTs of one measured round on m system qubits, c(m) for
-    v^dag and 2^m - 1 for the Ry multiplexor without its closing CNOT."""
-    return n_iso(m, m) + 2**m - 1
+    """r(m): CNOTs of one measured round on m system qubits: c(m) - 1 for
+    v^dag, whose last two-qubit leaf (m >= 2) leaves its diagonal to the
+    next round or the residual, and 2^m - 1 for the Ry multiplexor
+    without its closing CNOT."""
+    return n_iso(m, m) - (m >= 2) + 2**m - 1
 
 
 def predict_upper_bound(m: int, n: int, k: int) -> int:

@@ -1,5 +1,5 @@
-"""Dense complex matrix kernel: rectangular QR, canonical column phases,
-isometry check.
+"""Dense complex matrix kernel: conjugate transpose, rectangular QR,
+canonical column phases, isometry check.
 
 All matrices are numpy arrays of dtype complex128.  Qubit 0 is the most
 significant bit of a basis index throughout the package.
@@ -21,6 +21,11 @@ def _as_complex(a) -> np.ndarray:
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("matrix contains non-finite entries")
     return a
+
+
+def dagger(x: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each matrix in a stack."""
+    return x.conj().swapaxes(-1, -2)
 
 
 def qr_rectangular(b) -> tuple[np.ndarray, np.ndarray]:

@@ -10,15 +10,8 @@ from the shape of the isometry alone:
 * The quantum Shannon decomposition (Shende, Bullock and Markov,
   arXiv:quant-ph/0406176) takes square unitaries and measured rounds
   (2^{p+1} x 2^p, the top qubit starting in |0>) of four or more
-  columns.  A cosine-sine split of the top qubit gives
-  (u1 + u2) . Ry-mux . (v1 + v2)^dag; each block-diagonal factor is
-  demultiplexed into qsd(W), an Rz multiplexor and qsd(Z) on the lower
-  qubits, down to two-qubit unitaries.  Those take the three-CNOT
-  magic-basis (KAK) form of Vatan and Williams (arXiv:quant-ph/0308006).
-  For a round only v1^dag acts, since the top qubit starts in |0>.  The
-  split, the eigendecompositions and the QR steps are numpy.linalg
-  calls, one batch per level of the recursion; scipy.linalg (cossin,
-  schur) would add its import time to every CLI compile.
+  columns.  It lives in the module `shannon`, imported on the first
+  such call, so that a process that never takes it does not load it.
 * Every other shape goes column by column (Iten et al., arXiv:1501.06911):
   for column j the reduction walks the target qubits from least to most
   significant, each step one uniformly controlled single-qubit gate that
@@ -49,9 +42,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import (CNOT, RY, RZ, U, ZERO_AMP, Circuit, Gate, phase, rz_matrix, u_angles,
-                      update_pairs, walsh_hadamard)
-from .linalg import canonical_phases, is_isometry, qr_rectangular
+from .circuit import (CNOT, RY, RZ, U, ZERO_AMP, Circuit, Gate, phase, u_angles, update_pairs,
+                      walsh_hadamard)
+from .linalg import canonical_phases, dagger, is_isometry, qr_rectangular
 
 _ULP = np.finfo(np.float64).eps
 _SQRT_HALF = 0.5**0.5
@@ -77,7 +70,8 @@ def _gray_code_cnots(controls: tuple[int, ...], target: int) -> tuple[Gate, ...]
     return tuple(by_bit[bit] for bit in bits)
 
 
-def _multiplexors(axes, controls: tuple, target: int, angles: np.ndarray) -> list[list[Gate]]:
+def multiplexed_rotations(axes, controls: tuple, target: int,
+                          angles: np.ndarray) -> list[list[Gate]]:
     """`multiplexed_rotation` of each row of the stack angles, about axes[i]
     for row i.  Rotation i of a row carries the Walsh-Hadamard coefficient
     of that row at gray(i) = i ^ (i >> 1), scaled by 2^-c for c controls:
@@ -99,7 +93,7 @@ def multiplexed_rotation(axis: str, controls, target: int, angles) -> list[Gate]
     bit) the target qubit sees R_axis(angles[s]).  Uses the Gray-code
     construction: exactly 2^c rotations and 2^c CNOTs for c >= 1
     controls, a bare rotation for c = 0.  The one-row case of
-    `_multiplexors`.
+    `multiplexed_rotations`.
     """
     if axis not in (RY, RZ):
         raise ValueError(f"axis must be {RY} or {RZ}")
@@ -109,7 +103,7 @@ def multiplexed_rotation(axis: str, controls, target: int, angles) -> list[Gate]
     angles = np.array(angles, dtype=np.float64).reshape(1, -1)
     if angles.size != 2 ** len(controls):
         raise ValueError(f"need {2 ** len(controls)} angles, got {angles.size}")
-    return _multiplexors((axis,), controls, target, angles)[0]
+    return multiplexed_rotations((axis,), controls, target, angles)[0]
 
 
 def ry_multiplexor_from_zero(controls, target: int, theta) -> list[Gate]:
@@ -304,7 +298,7 @@ def _emitted_leaves(alpha: np.ndarray, beta: np.ndarray, sizes: list[int]) -> np
     w = np.where(pos > 0, _SQRT_HALF * np.stack([r0 + r1, r0 - r1], axis=-2), w)
     c0, c1 = w[..., :, 0] * _EIGHTH.conjugate(), w[..., :, 1] * _EIGHTH
     w = np.where(pos < last, _SQRT_HALF * np.stack([c0 + c1, c0 - c1], axis=-1), w)
-    return _dagger(w)
+    return dagger(w)
 
 
 def _reduction_segments(v: np.ndarray):
@@ -380,24 +374,6 @@ def _u_gates(u: np.ndarray, q: int) -> list[Gate]:
     return [Gate(U, (q,), angles) for angles in u_angles(u)]
 
 
-def _dagger(x: np.ndarray) -> np.ndarray:
-    return x.conj().swapaxes(-1, -2)
-
-
-def _unitary_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(z, lam) with x = z diag(lam) z^dag and z unitary, for each unitary
-    in the stack x.
-
-    numpy's `eig`, its pairs sorted by `_phase` of the eigenvalue, and the
-    eigenvectors made orthonormal by QR: within a repeated eigenvalue
-    `eig` need not return orthogonal vectors, across distinct ones they
-    already are."""
-    lam, vec = np.linalg.eig(x)
-    order = np.argsort(phase(lam), axis=-1, kind="stable")
-    vec = np.take_along_axis(vec, order[..., None, :], axis=-1)
-    return canonical_phases(qr_rectangular(vec)[0]), np.take_along_axis(lam, order, axis=-1)
-
-
 def cs_split(a: np.ndarray, b: np.ndarray):
     """(u1, u2, theta, v1h) with a = u1 C v1h and b = u2 S v1h, where
     C = diag(cos(theta / 2)) and S = diag(sin(theta / 2)), for the square
@@ -414,11 +390,11 @@ def cs_split(a: np.ndarray, b: np.ndarray):
     _, c, v1h = np.linalg.svd(a)
     n = c.shape[-1]
     near_one = c >= _SQRT_HALF
-    v1 = _dagger(v1h)
+    v1 = dagger(v1h)
     apart = np.where(near_one, 0.0, 2.0 + np.arange(n))[..., None, :] * np.eye(n)
     zh = np.linalg.svd(np.concatenate([(b @ v1) * near_one[..., None, :], apart], axis=-2),
                        full_matrices=False)[2]
-    v1 = canonical_phases(v1 @ _dagger(zh)[..., ::-1])
+    v1 = canonical_phases(v1 @ dagger(zh)[..., ::-1])
     u1, r1 = qr_rectangular(a @ v1)
     u2, r2 = qr_rectangular((b @ v1)[..., ::-1])
     c = np.diagonal(r1, axis1=-2, axis2=-1).real
@@ -426,153 +402,7 @@ def cs_split(a: np.ndarray, b: np.ndarray):
     # contiguous inputs: numpy's arctan2 loop on a strided view can round
     # an element differently, so a matrix's angles would depend on its batch
     theta = 2.0 * np.arctan2(np.ascontiguousarray(s), np.ascontiguousarray(c))
-    return u1, u2[..., ::-1], theta, _dagger(v1)
-
-
-def _demultiplex(u1: np.ndarray, u2: np.ndarray):
-    """(w, rz, z) with u1 + u2 = (I x z)(D + D^dag)(I x w), for stacks of
-    the blocks: u1 + u2 applies u1 to the lower qubits when the top qubit
-    is 0 and u2 when it is 1.
-
-    u1 u2^dag = z diag(d^2) z^dag gives w = diag(d) z^dag u2, and D + D^dag
-    is the Rz multiplexor on the top qubit of angles rz = -2 arg d."""
-    z, lam = _unitary_eig(u1 @ _dagger(u2))
-    phi = phase(lam)
-    w = np.exp(0.5j * phi)[..., None] * (_dagger(z) @ u2)
-    return w, 0.0 - phi, z
-
-
-# The magic basis: M^dag (A x B) M is real orthogonal for A, B in SU(2),
-# and M^dag (a XX + b YY + c ZZ) M = diag(_XYZ.T @ (a, b, c)).
-_MAGIC = _SQRT_HALF * np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]])
-_XYZ = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]])
-# The r of Re s + r Im s that `_real_eigvecs` tries in turn.  Each r is
-# transcendental, so arctan(r) is no rational multiple of pi (whose
-# tangents are algebraic) and structured eigenphases do not meet on it;
-# the arctans spread over the half-turn.
-_MIXES = (np.e - 2.0, np.pi - 3.0, np.e, -np.e, 2.0 - np.e)
-# Two eigenvalues of s have met on Re s + r Im s when their gap there is
-# below 1 / _KAK_RATIO of their gap on s, and the latter is past _KAK_ATOL.
-_KAK_RATIO = 300.0
-_KAK_ATOL = 1e-13
-# Weights that fix the sign of each real eigenvector: their sum against
-# a nonzero algebraic vector is never zero, since cos(k) is a polynomial
-# in cos(1) (Chebyshev) and cos(1) is transcendental.
-_SIGN_WEIGHTS = np.cos(np.arange(4))
-_RZ_QUARTER = rz_matrix(0.5 * np.pi)
-
-
-def _real_eigvecs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, lam) with p in SO(4) real and p^T s p = diag(lam), for each
-    symmetric unitary in the stack s.
-
-    The real and imaginary parts of s commute, so the eigenvectors of
-    Re s + r Im s serve both unless two eigenvalues meet by accident
-    there; the members where they do get the next r, and ValueError is
-    raised when the last one fails too.  The test compares gaps rather
-    than the round-off in p^T s p, so it gives the same verdict on inputs
-    that differ by round-off.  Each column's sign makes its
-    `_SIGN_WEIGHTS` sum positive, the last one excepted, which makes
-    det p = +1."""
-    p = np.empty(s.shape)
-    todo = np.arange(len(s))
-    for r in _MIXES:
-        mu, p[todo] = np.linalg.eigh(s[todo].real + r * s[todo].imag)
-        lam = np.diagonal(p[todo].swapaxes(-1, -2) @ s[todo] @ p[todo], axis1=-2, axis2=-1)
-        met = np.abs(mu[:, :, None] - mu[:, None, :])
-        apart = np.abs(lam[:, :, None] - lam[:, None, :])
-        todo = todo[(apart > _KAK_RATIO * met + _KAK_ATOL).any(axis=(-2, -1))]
-        if not todo.size:
-            break
-    else:
-        raise ValueError("KAK: no real eigenbasis found")
-    p *= np.where(_SIGN_WEIGHTS @ p < 0.0, -1.0, 1.0)[:, None, :]
-    p[..., 3] *= np.sign(np.linalg.det(p))[:, None]
-    return p, np.diagonal(p.swapaxes(-1, -2) @ s @ p, axis1=-2, axis2=-1)
-
-
-def _local_factors(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) with k = a x b, for each local 4x4 unitary in the stack k.
-
-    Reshaped to R[(i, j), (k, l)] = a[i, j] b[k, l], k is the rank-one
-    a b^T; its largest row is a multiple of b, which gets the canonical
-    phase and norm sqrt(2), and then a = R b^* / 2."""
-    n = len(k)
-    r = k.reshape(n, 2, 2, 2, 2).swapaxes(2, 3).reshape(n, 4, 4)
-    b = r[np.arange(n), np.argmax(np.linalg.norm(r, axis=-1), axis=-1)]
-    b = canonical_phases(b[..., None])
-    b *= 2.0**0.5 / np.linalg.norm(b, axis=-2, keepdims=True)
-    return (r @ b.conj()).reshape(n, 2, 2) / 2.0, b.reshape(n, 2, 2)
-
-
-def _kak(u: np.ndarray, q0: int, q1: int) -> list[list[Gate]]:
-    """Three-CNOT circuit of each 4x4 unitary in the stack u, on qubits
-    q0 (most significant) and q1, global phase included.
-
-    The magic-basis decomposition (Vatan and Williams,
-    arXiv:quant-ph/0308006): u / det(u)^(1/4) = K1 N(a, b, c) K2 with K1,
-    K2 local and N(a, b, c) = exp(i (a XX + b YY + c ZZ)), which is
-    e^{i pi/4} (I x Rz(pi/2)) CNOT(q1->q0) (Rz(pi/2 - 2c) x Ry(2a - pi/2))
-    CNOT(q0->q1) (I x Ry(pi/2 - 2b)) CNOT(q1->q0) (Rz(-pi/2) x I).  The
-    outer Rz(+-pi/2) fold into the four U gates.  In the magic basis
-    u / det(u)^(1/4) is O1 diag(e^{i phi}) O2 with O1, O2 in SO(4): O2^T
-    diagonalizes the symmetric unitary (O1 D O2)^T (O1 D O2) = O2^T D^2 O2.
-    One `_local_factors` call splits O1 and O2 of the whole stack, and one
-    `u_angles` call reads all four U gates of every leaf."""
-    g = 0.25 * phase(np.linalg.det(u))
-    um = _dagger(_MAGIC) @ (u * np.exp(-1j * g)[:, None, None]) @ _MAGIC
-    p, lam = _real_eigvecs(um.swapaxes(-1, -2) @ um)
-    phi = 0.5 * phase(lam)
-    # det diag(e^{i phi}) = +-1; make it +1 so that O1 is in SO(4) too
-    phi[:, 0] += np.where(np.cos(phi.sum(axis=-1)) < 0.0, np.pi, 0.0)
-    o1 = ((um @ p) * np.exp(-1j * phi)[:, None, :]).real
-    n = len(u)
-    # O1 = k0 x k1 (rows :n) and O2 = p^T (rows n:) back from the magic basis, in one call
-    k0, k1 = _local_factors(_MAGIC @ np.concatenate([o1, p.swapaxes(-1, -2)]) @ _dagger(_MAGIC))
-    a, b, c = 0.25 * (_XYZ * phi[:, None, :]).sum(axis=-1).T
-    rephase = np.exp(1j * (g + 0.25 * phi.sum(axis=-1) + 0.25 * np.pi))[:, None, None]
-    # the U gates before the CNOTs (q0, then q1), then after them, in one call
-    angles = u_angles(np.concatenate([rephase * (_dagger(_RZ_QUARTER) @ k0[n:]), k1[n:],
-                                      k0[:n], k1[:n] @ _RZ_QUARTER]))
-    middle = zip((0.5 * np.pi - 2.0 * b).tolist(), (0.5 * np.pi - 2.0 * c).tolist(),
-                 (2.0 * a - 0.5 * np.pi).tolist())
-    cx10, cx01 = Gate(CNOT, (q1, q0)), Gate(CNOT, (q0, q1))
-    return [[Gate(U, (q0,), angles[j]), Gate(U, (q1,), angles[n + j]), cx10,
-             Gate(RY, (q1,), (ry1,)), cx01, Gate(RZ, (q0,), (rz0,)), Gate(RY, (q1,), (ry2,)),
-             cx10, Gate(U, (q0,), angles[2 * n + j]), Gate(U, (q1,), angles[3 * n + j])]
-            for j, (ry1, rz0, ry2) in enumerate(middle)]
-
-
-def _qsd(u: np.ndarray, qubits: list[int]) -> list[list[Gate]]:
-    """Shannon decomposition of each matrix in the stack u, one gate list
-    per matrix, on `qubits` (qubits[0] most significant).
-
-    The matrices are unitaries, or rounds: 2^p x 2^(p-1) with qubits[0]
-    starting in |0>.  Every matrix of a level is split by the same batched
-    numpy calls, and their factors form the stack of the level below;
-    one Walsh-Hadamard butterfly (`_multiplexors`) gives the level's
-    multiplexor angles for the whole stack, and two-qubit unitaries end
-    the recursion in one `_kak` call.  A unitary takes
-    c(p) = 4 c(p-1) + 3 2^(p-1) CNOTs (c(2) = 3), a round 3 c(p-1) + 2^p."""
-    if len(qubits) == 2:
-        return _kak(u, *qubits)
-    top, lower = qubits[0], tuple(qubits[1:])
-    n, h = len(u), u.shape[1] // 2
-    u1, u2, theta, v1h = cs_split(u[:, :h, :h], u[:, h:, :h])
-    if u.shape[2] == h:
-        # only v1h acts on the lower qubits while the top one is |0>
-        w, rz, z = _demultiplex(u1, u2)
-        sub = _qsd(np.concatenate([v1h, w, z]), lower)
-        mux = _multiplexors([RY] * n + [RZ] * n, lower, top, np.concatenate([theta, rz]))
-        return [sub[j] + mux[j] + sub[n + j] + mux[n + j] + sub[2 * n + j] for j in range(n)]
-    # the right half is [-u1 S v2h; u2 C v2h]
-    cos, sin = np.cos(0.5 * theta)[..., None], np.sin(0.5 * theta)[..., None]
-    v2h = cos * (_dagger(u2) @ u[:, h:, h:]) - sin * (_dagger(u1) @ u[:, :h, h:])
-    w, rz, z = _demultiplex(np.concatenate([v1h, u1]), np.concatenate([v2h, u2]))
-    sub = _qsd(np.concatenate([w, z]), lower)
-    mux = _multiplexors([RZ] * 2 * n + [RY] * n, lower, top, np.concatenate([rz, theta]))
-    return [sub[j] + mux[j] + sub[2 * n + j] + mux[2 * n + j] + sub[n + j] + mux[n + j]
-            + sub[3 * n + j] for j in range(n)]
+    return u1, u2[..., ::-1], theta, dagger(v1)
 
 
 def _uses_qsd(m: int, n: int) -> bool:
@@ -581,22 +411,36 @@ def _uses_qsd(m: int, n: int) -> bool:
     return m >= 2 and n - m <= 1
 
 
-def decompose_isometries(v: np.ndarray, qubits) -> list[list[Gate]]:
+def decompose_isometries(v: np.ndarray, qubits, parents=None, carried=None) -> list[list[Gate]]:
     """One gate list per isometry in the stack v (2^p x 2^c each) on the p
     `qubits` (qubits[0] most significant, the inputs on the last c), by
     one batched call whose construction the shape alone picks: no gate
     for p = 0 (a 1 x 1 isometry is a global phase), one U gate for a
     one-qubit unitary, the Shannon decomposition where `_uses_qsd`, else
-    the column-by-column reduction.  Each list holds n_iso(c, p) CNOTs."""
+    the column-by-column reduction.  Each list holds n_iso(c, p) CNOTs.
+
+    The Shannon path leaves a diagonal d_j on the last two qubits after
+    member j and undoes d_parents[j] before it (parents[j] < j, or -1 for
+    none): its gates realize diag(d_j) v[j] diag(d_parents[j])^dag.  So a
+    chain of members whose in-between gates those qubits control, such
+    as a measured round's ancilla multiplexor and measurement, costs one
+    CNOT less per member that another continues.  d_j is 1 when no member
+    continues j, unless `carried`, a row of 2^p entries per member, is given:
+    then every member leaves its diagonal, written into carried[j], and
+    whatever follows must undo it.  The other paths leave no diagonal."""
     qubits = list(qubits)
     rows, cols = v.shape[1:]
     p, mc = rows.bit_length() - 1, cols.bit_length() - 1
+    if carried is not None:
+        carried[...] = 1.0
     if p == 0:
         return [[] for _ in v]
     if p == mc == 1:
         return [[g] for g in _u_gates(v, qubits[0])]
     if _uses_qsd(mc, p):
-        return _qsd(v, qubits)
+        from .shannon import shannon_decomposition
+
+        return shannon_decomposition(v, qubits, parents, carried)
     return _column_gates(v, qubits)
 
 
@@ -623,17 +467,21 @@ def n_iso(m: int, n: int) -> int:
     """CNOT count `decompose_isometry` emits for any m-to-n isometry.
 
     The Shannon decomposition of a p-qubit unitary takes
-    c(p) = 4 c(p-1) + 3 2^(p-1) with c(2) = 3, that is
-    (9 4^p - 24 2^p) / 16 CNOTs, and a round (n = m + 1) takes
-    3 c(m) + 2^(m+1).  The column-by-column count is summed over the
-    steps the reduction takes: 2^c - 1 for a step whose uniformly
-    controlled gate has c controls (`_step_controls`), then 2^m - 2 for
-    the diagonal on the m input qubits."""
+    4 c(p-1) + 3 2^(p-1) - 1 CNOTs with c(2) = 3 before its 4^(p-2)
+    leaves chain their diagonals, and one less for every leaf but the
+    last: c(p) = (23 4^p - 72 2^p + 64) / 48 (Shende, Bullock and Markov,
+    arXiv:quant-ph/0406176, Appendix A).  A round (n = m + 1) chains the
+    3 4^(m-2) leaves of its three m-qubit unitaries, and its Ry
+    multiplexor drops its closing CNOT: 3 c(m) + 2^(m+1) - 3.  The
+    column-by-column count is summed over the steps the reduction takes:
+    2^c - 1 for a step whose uniformly controlled gate has c controls
+    (`_step_controls`), then 2^m - 2 for the diagonal on the m input
+    qubits."""
     if m < 0 or n < m:
         raise ValueError("need 0 <= m <= n")
     if _uses_qsd(m, n):
-        c = (9 * 4**m - 24 * 2**m) // 16
-        return c if n == m else 3 * c + 2 ** (m + 1)
+        c = (23 * 4**m - 72 * 2**m + 64) // 48
+        return c if n == m else 3 * c + 2 ** (m + 1) - 3
     count = 0
     for j in range(2**m):
         for b in range(n):

@@ -20,8 +20,8 @@ coordinates come from the plan's angle layout alone: every angle but
 those that fill a U gate's global phase, which cancels in the Choi
 matrix.
 
-T21 and T22 are transcribed by hand (the compiler spends 9 and 15 CNOTs
-on their shapes): qubit 0 is the most significant wire, the
+T21 and T22 are transcribed by hand (the compiler spends 8 and 13 CNOTs
+on their shapes, with a reset ancilla): qubit 0 is the most significant wire, the
 measured ancilla sits on top, and two-qubit unitary slots are expanded
 into standard 2- or 3-CNOT blocks with single-qubit gates around them.
 Where a figure leaves a single-qubit gate placement open we keep the

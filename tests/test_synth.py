@@ -21,18 +21,14 @@ from chancomp.circuit import (
 from chancomp.circuit import phase as _phase
 from chancomp.bounds import lb_qcm_isometry
 from chancomp.linalg import qr_rectangular
-from chancomp import synth
+from chancomp import shannon
+from chancomp.shannon import _MAGIC, _MIXES, _XYZ, _leaves, _unitary_eig, _weyl
 from chancomp.simulator import simulate_unitary
 from chancomp.synth import (
-    _MAGIC,
-    _MIXES,
-    _XYZ,
     cs_split,
     _column_gates,
-    _kak,
     _reduction_segments,
     _u_gates,
-    _unitary_eig,
     decompose_isometries,
     decompose_isometry,
     multiplexed_rotation,
@@ -319,12 +315,12 @@ def test_cost_model_known_values():
     assert n_iso(0, 1) == 0
     assert n_iso(1, 2) == 3
     assert n_iso(2, 2) == 3
-    assert n_iso(2, 3) == 17
-    assert n_iso(3, 4) == 88
-    assert n_iso(4, 4) == 120
+    assert n_iso(2, 3) == 14
+    assert n_iso(3, 4) == 73
+    assert n_iso(4, 4) == 100
     assert n_iso(2, 2) == lb_qcm_isometry(2, 2)
     for p in range(2, 7):
-        assert 16 * n_iso(p, p) == 9 * 4**p - 24 * 2**p
+        assert 48 * n_iso(p, p) == 23 * 4**p - 72 * 2**p + 64
 
 
 def test_cost_model_thin_shapes():
@@ -639,9 +635,19 @@ def structured_inputs():
         eye = np.eye(d)
         perm = eye[rng.permutation(d)]
         rot = qr_rectangular(rng.standard_normal((d, d)))[0].real
+        hadamard = np.array([[1.0]])
+        for _ in range(d.bit_length() - 1):
+            hadamard = np.kron(hadamard, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2))
+        # CNOT from the top qubit to the bottom one, then a swap of those two
+        bits = np.arange(d)[:, None] >> np.arange(d.bit_length() - 2, -1, -1) & 1
+        bits[:, -1] ^= bits[:, 0]
+        bits[:, [0, -1]] = bits[:, [-1, 0]]
         cases += [
             (f"identity{d}", eye),
             (f"permutation{d}", perm),
+            (f"cnot-swap{d}", eye[:, bits @ (1 << np.arange(d.bit_length() - 2, -1, -1))]),
+            (f"hadamard{d}", hadamard),
+            (f"diagonal{d}", np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, d)))),
             (f"orthogonal{d}", rot),
             (f"top{d}", np.vstack([eye, 0 * eye])),                     # [I; 0]
             (f"bottom{d}", np.vstack([0 * eye, eye])),                  # [0; I]
@@ -675,7 +681,8 @@ def test_qsd_is_exact_on_structured_inputs(name, v):
     assert np.linalg.norm(simulate_unitary(circ) - v) <= 1e-12, name
 
 
-@pytest.mark.parametrize("rows,cols", [(8, 4), (16, 8), (32, 16), (4, 4), (8, 8), (16, 16)])
+@pytest.mark.parametrize("rows,cols", [(8, 4), (16, 8), (32, 16), (4, 4), (8, 8), (16, 16),
+                                       (32, 32)])
 def test_qsd_is_exact_and_shape_determined_on_random_inputs(rows, cols):
     rng = np.random.default_rng(rows + 5 * cols)
     shapes = set()
@@ -751,6 +758,19 @@ def test_one_stack_gives_each_member_its_gates_alone(rows, cols):
     for gates, v in zip(batched, np.concatenate(stacks)):
         alone = decompose_isometries(v[None], qubits)[0]
         assert gates == alone
+
+
+def test_a_mixed_stack_gives_each_member_its_gates_alone():
+    # structured members take the Weyl-coordinate diagonals and the
+    # guessed ones, random members the entry formula: in one stack each
+    # still gets, to the last bit, the gates it gets alone
+    rng = np.random.default_rng(139)
+    structured = [v for name, v in structured_inputs() if v.shape == (8, 8)]
+    stack = np.array(structured + [random_unitary(8, rng) for _ in range(4)], dtype=complex)
+    stack = stack[rng.permutation(len(stack))]
+    batched = decompose_isometries(stack, [2, 0, 1])
+    for gates, v in zip(batched, stack):
+        assert gates == decompose_isometries(v[None], [2, 0, 1])[0]
 
 
 @pytest.mark.parametrize("c", range(6))
@@ -833,26 +853,134 @@ def test_kak_leaf_is_exact_with_global_phase(name, u):
     assert np.linalg.norm(simulate_unitary(circ) - u) <= 1e-12, name
 
 
+def exact_leaves(stack, q0=0, q1=1):
+    stack = np.asarray(stack, dtype=complex)
+    return _leaves(_weyl(stack), np.zeros(len(stack), dtype=bool), q0, q1)
+
+
 def test_kak_batch_matches_one_by_one_and_shares_one_gate_sequence():
     stack = np.array([u for _, u in two_qubit_cases()], dtype=complex)
-    leaves = _kak(stack, 0, 1)
-    assert leaves == [_kak(u[None], 0, 1)[0] for u in stack]
+    leaves = exact_leaves(stack)
+    assert leaves == [exact_leaves(u[None])[0] for u in stack]
     assert len({tuple((g.kind, g.qubits) for g in leaf) for leaf in leaves}) == 1
     assert [g.kind for g in leaves[0]] == [U, U, CNOT, RY, CNOT, RZ, RY, CNOT, U, U]
 
 
 def test_kak_first_mix_alone_serves_structured_inputs(monkeypatch):
-    monkeypatch.setattr(synth, "_MIXES", _MIXES[:1])
+    monkeypatch.setattr(shannon, "_MIXES", _MIXES[:1])
     for name, u in two_qubit_cases():
         if name == "accidental-collision":
             continue
-        leaf = _kak(np.array([u], dtype=complex), 0, 1)[0]
+        leaf = exact_leaves([u])[0]
         assert np.linalg.norm(simulate_unitary(Circuit(2, (0, 1), (0, 1), tuple(leaf), 0)) - u) \
             <= 1e-12, name
 
 
+# --- two-CNOT leaves up to a diagonal ----------------------------------------
+
+
+def near_degenerate_leaves():
+    """(name, 4x4 unitary) pairs whose Weyl coordinates sit within eps of
+    the identity or of a CNOT class: two of them small, where tr gamma
+    read from the entries fixes psi only to about 1e-16 / eps^2."""
+    rng = np.random.default_rng(127)
+    paulis = [np.array(m, dtype=complex) for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                                                   [[1, 0], [0, -1]])]
+
+    def sandwich(a, b, c):
+        h = sum(x * np.kron(s, s) for x, s in zip((a, b, c), paulis))
+        lam, vec = np.linalg.eigh(h)
+        k1, k2 = (np.kron(random_unitary(2, rng), random_unitary(2, rng)) for _ in range(2))
+        return k1 @ vec @ np.diag(np.exp(1j * lam)) @ vec.conj().T @ k2
+
+    return [(f"{kind}-{eps:g}", sandwich(*abc))
+            for eps in (1e-4, 1e-6, 1e-8, 1e-10)
+            for kind, abc in (("near-local", (eps, 2 * eps, -eps)),
+                              ("near-cnot", (np.pi / 4, eps, 2 * eps)))]
+
+
+def leaf_cases():
+    rng = np.random.default_rng(131)
+    return (two_qubit_cases() + near_degenerate_leaves()
+            + [(f"random{i}", random_unitary(4, rng)) for i in range(40)])
+
+
+def two_cnot_leaves(stack):
+    """Each leaf of the stack, open-ended: (its diagonal's e^{i psi}, its gates)."""
+    stack = np.asarray(stack, dtype=complex)
+    carried = np.zeros((len(stack), 4), dtype=complex)
+    lists = decompose_isometries(stack, range(2), carried=carried)
+    assert np.array_equal(carried[:, :2], np.ones((len(stack), 2)))
+    assert np.array_equal(carried[:, 2], carried[:, 3].conj())
+    return carried[:, 3], lists
+
+
+def test_two_cnot_leaf_realizes_its_diagonal_times_the_leaf():
+    cases = leaf_cases()
+    w, leaves = two_cnot_leaves([u for _, u in cases])
+    assert np.allclose(np.abs(w), 1.0, atol=1e-15)
+    for (name, u), x, leaf in zip(cases, w, leaves):
+        assert count_cnots(Circuit(2, (0, 1), (0, 1), tuple(leaf), 0)) == 2
+        got = simulate_unitary(Circuit(2, (0, 1), (0, 1), tuple(leaf), 0))
+        assert np.linalg.norm(got - np.diag([1, 1, np.conj(x), x]) @ u) <= 1e-12, name
+
+
+def test_every_two_cnot_leaf_has_one_gate_structure():
+    # the coordinate that vanishes sits in slot a for some inputs and in
+    # slot c for others; the outer U gates absorb the difference
+    _, leaves = two_cnot_leaves([u for _, u in leaf_cases()])
+    assert {tuple((g.kind, g.qubits) for g in leaf) for leaf in leaves} == {
+        ((U, (0,)), (U, (1,)), (CNOT, (0, 1)), (RY, (0,)), (RZ, (1,)), (CNOT, (0, 1)),
+         (U, (0,)), (U, (1,)))}
+
+
+def test_structured_leaves_find_their_diagonal_where_the_entries_give_none():
+    # the identity and a CZ leave tr gamma(D L) real for every psi: the
+    # entry formula sees 0 + 0i, and so do the Weyl coordinates; psi = 0
+    w, _ = two_cnot_leaves([np.eye(4), np.diag([1, 1, 1, -1])])
+    assert np.array_equal(w, [1.0, 1.0])
+
+
+def test_two_cnot_leaves_match_one_by_one():
+    # a leaf gets the same gates, to the last bit, alone and in a stack
+    # that mixes entry-formula and Weyl-coordinate diagonals
+    stack = [u for _, u in leaf_cases()]
+    _, batched = two_cnot_leaves(stack)
+    assert batched == [two_cnot_leaves([u])[1][0] for u in stack]
+
+
+def test_chained_members_realize_their_diagonals():
+    # a heap of 3-qubit unitaries: member j undoes the diagonal d of member
+    # (j - 1) // 2 and leaves its own, so it realizes diag(d_j) v_j diag(d_parent)^dag
+    rng = np.random.default_rng(137)
+    stack = np.stack([random_unitary(8, rng) for _ in range(7)])
+    heap = (np.arange(7) - 1) // 2
+
+    def run(gates):
+        assert count_cnots(Circuit(3, (0, 1, 2), (0, 1, 2), tuple(gates), 0)) in (19, 20)
+        return simulate_unitary(Circuit(3, (0, 1, 2), (0, 1, 2), tuple(gates), 0))
+
+    carried = np.zeros((7, 8), dtype=complex)
+    lists = decompose_isometries(stack, range(3), parents=heap, carried=carried)
+    assert np.allclose(np.abs(carried), 1.0, atol=1e-15) and not np.allclose(carried, 1.0)
+    for j, gates in enumerate(lists):
+        assert count_cnots(Circuit(3, (0, 1, 2), (0, 1, 2), tuple(gates), 0)) == n_iso(3, 3) - 1
+        before = carried[heap[j]] if j else np.ones(8)
+        want = np.diag(carried[j]) @ stack[j] @ np.diag(before.conj())
+        assert np.linalg.norm(run(gates) - want) <= 1e-12, j
+    # without `carried`, members 3 to 6 close their chains: every path is exact
+    lists = decompose_isometries(stack, range(3), parents=heap)
+    for j in range(3, 7):
+        path = [j, heap[j], 0]
+        assert [count_cnots(Circuit(3, (0, 1, 2), (0, 1, 2), tuple(lists[i]), 0)) for i in path] \
+            == [n_iso(3, 3), n_iso(3, 3) - 1, n_iso(3, 3) - 1]
+        got = run(lists[path[0]]) @ run(lists[path[1]]) @ run(lists[path[2]])
+        want = stack[path[0]] @ stack[path[1]] @ stack[path[2]]
+        assert np.linalg.norm(got - want) <= 1e-12, j
+
+
 def test_kak_raises_when_no_mix_finds_a_real_eigenbasis(monkeypatch):
-    monkeypatch.setattr(synth, "_MIXES", _MIXES[:1])
+    monkeypatch.setattr(shannon, "_MIXES", _MIXES[:1])
     u = dict(two_qubit_cases())["accidental-collision"]
     with pytest.raises(ValueError, match="no real eigenbasis"):
         decompose_isometry(u)
