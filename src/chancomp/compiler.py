@@ -47,7 +47,7 @@ from .circuit import MEASURE, RESET, TRACE, Circuit, Gate, conditioned
 from .linalg import is_isometry, qr_rectangular
 from .simulator import circuit_to_kraus
 from .synth import (cs_split, decompose_isometries, decompose_isometry, n_iso,
-                    ry_multiplexor_from_zero)
+                    ry_multiplexors_from_zero)
 
 MAX_COMPILE_QUBITS = 9   # largest m + n + k: the verifier enumerates every branch
 
@@ -171,21 +171,20 @@ def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
     blocks = iter([])
     if square:
         stack = np.concatenate(square)
-        carried = np.ones((len(stack), 2**m), dtype=complex) if m < n else None
-        blocks = iter(decompose_isometries(stack, system, parents=(np.arange(len(stack)) - 1) // 2,
-                                           carried=carried))
-        if carried is not None:   # residual j undoes the diagonal of round prefix j // 2
-            finals = finals * np.repeat(carried[-len(finals) // 2:], 2, axis=0)[:, None].conj()
+        lists, diagonals = decompose_isometries(
+            stack, system, parents=(np.arange(len(stack)) - 1) // 2, open_ends=m < n)
+        blocks = iter(lists)
+        if m < n:   # residual j undoes the diagonal of round prefix j // 2
+            finals = finals * np.repeat(diagonals[-len(finals) // 2:], 2, axis=0)[:, None].conj()
     gates: list[Gate] = []
     for i, (_, theta) in enumerate(plan.stages):
-        for cond, angles in zip(_conditions(i), theta):
-            gates += conditioned(next(blocks) + ry_multiplexor_from_zero(system, ancilla, angles),
-                                 cond)
+        for cond, mux in zip(_conditions(i), ry_multiplexors_from_zero(system, ancilla, theta)):
+            gates += conditioned(next(blocks) + mux, cond)
         gates.append(Gate(MEASURE, (ancilla,), creg=i))
         gates.append(Gate(RESET, (ancilla,)))
 
     # an m-to-n isometry on all n qubits when m < n, else the batch's rest
-    residuals = blocks if m >= n else decompose_isometries(finals, range(p))
+    residuals = blocks if m >= n else decompose_isometries(finals, range(p))[0]
     for cond, block in zip(_conditions(k_tilde), residuals):
         gates += conditioned(block, cond)
     outputs = tuple(range(p)) if m < n else tuple(system[k - k_tilde:])

@@ -63,6 +63,7 @@ def _demultiplex(u1: np.ndarray, u2: np.ndarray):
 # The magic basis: M^dag (A x B) M is real orthogonal for A, B in SU(2),
 # and M^dag (a XX + b YY + c ZZ) M = diag(_XYZ.T @ (a, b, c)).
 _MAGIC = 0.5**0.5 * np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]])
+_MAGIC_DAG = dagger(_MAGIC)
 _XYZ = np.array([[1, -1, 1, -1], [-1, 1, 1, -1], [1, 1, -1, -1]])
 # The r of Re s + r Im s that `_real_eigvecs` tries in turn.  Each r is
 # transcendental, so arctan(r) is no rational multiple of pi (whose
@@ -78,7 +79,11 @@ _KAK_ATOL = 1e-13
 # in cos(1) (Chebyshev) and cos(1) is transcendental.
 _SIGN_WEIGHTS = np.cos(np.arange(4))
 _RZ_QUARTER = rz_matrix(0.5 * np.pi)
-_I2 = np.eye(2)
+# the outer factors of the two-CNOT (first) and three-CNOT (second) forms
+# of `_leaves`: before the CNOTs on q0, after them on q0 and on q1
+_BEFORE = np.array([_RZ_QUARTER, dagger(_RZ_QUARTER)])
+_AFTER0 = np.array([dagger(_RZ_QUARTER), np.eye(2)])
+_AFTER1 = np.array([np.eye(2), _RZ_QUARTER])
 # The eigenvector order that moves Weyl coordinate a, b or c into slot b:
 # 3-cycles, so p keeps det +1.  Pairs (0, 2), (1, 2) and (0, 1) of phi
 # sum to twice a, b and c, modulo pi.
@@ -109,21 +114,24 @@ def _real_eigvecs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     that differ by round-off.  Each column's sign makes its
     `_SIGN_WEIGHTS` sum positive, the last one excepted, which makes
     det p = +1."""
-    p = np.empty(s.shape)
-    todo = np.arange(len(s))
+    p, lam = np.empty(s.shape), np.empty(s.shape[:-1], dtype=complex)
+    todo, x = slice(None), s
     for r in _MIXES:
-        mu, p[todo] = np.linalg.eigh(s[todo].real + r * s[todo].imag)
-        lam = np.diagonal(p[todo].swapaxes(-1, -2) @ s[todo] @ p[todo], axis1=-2, axis2=-1)
+        mu, q = np.linalg.eigh(x.real + r * x.imag)
+        y = np.diagonal(q.swapaxes(-1, -2) @ x @ q, axis1=-2, axis2=-1)
+        p[todo], lam[todo] = q, y
         met = np.abs(mu[:, :, None] - mu[:, None, :])
-        apart = np.abs(lam[:, :, None] - lam[:, None, :])
-        todo = todo[(apart > _KAK_RATIO * met + _KAK_ATOL).any(axis=(-2, -1))]
+        apart = np.abs(y[:, :, None] - y[:, None, :])
+        todo = np.arange(len(s))[todo][(apart > _KAK_RATIO * met + _KAK_ATOL).any(axis=(-2, -1))]
         if not todo.size:
             break
+        x = s[todo]
     else:
         raise ValueError("KAK: no real eigenbasis found")
+    # sign flips are exact, and leave each p_k^T s p_k as it is
     p *= np.where(_SIGN_WEIGHTS @ p < 0.0, -1.0, 1.0)[:, None, :]
     p[..., 3] *= np.sign(np.linalg.det(p))[:, None]
-    return p, np.diagonal(p.swapaxes(-1, -2) @ s @ p, axis1=-2, axis2=-1)
+    return p, lam
 
 
 def _local_factors(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +157,7 @@ def _weyl(u: np.ndarray):
     (a, b, c) = _XYZ @ phi / 4: u / det(u)^(1/4) = K1 N(a, b, c) K2 with
     K1, K2 local and N(a, b, c) = exp(i (a XX + b YY + c ZZ))."""
     g = 0.25 * phase(np.linalg.det(u))
-    um = dagger(_MAGIC) @ (u * np.exp(-1j * g)[:, None, None]) @ _MAGIC
+    um = _MAGIC_DAG @ (u * np.exp(-1j * g)[:, None, None]) @ _MAGIC
     p, lam = _real_eigvecs(um.swapaxes(-1, -2) @ um)
     phi = 0.5 * phase(lam)
     # det diag(e^{i phi}) = +-1; make it +1 so that O1 is in SO(4) too
@@ -196,25 +204,24 @@ def _leaves(weyl: tuple, two: np.ndarray, q0: int, q1: int) -> list[list[Gate]]:
     o1 = ((um @ p) * np.exp(-1j * phi)[:, None, :]).real
     n = len(um)
     # O1 = k0 x k1 (rows :n) and O2 = p^T (rows n:) back from the magic basis, in one call
-    k0, k1 = _local_factors(_MAGIC @ np.concatenate([o1, p.swapaxes(-1, -2)]) @ dagger(_MAGIC))
-    t = two[:, None, None]
+    k0, k1 = _local_factors(_MAGIC @ np.concatenate([o1, p.swapaxes(-1, -2)]) @ _MAGIC_DAG)
+    form = np.where(two, 0, 1)
     rephase = np.exp(1j * (g + 0.25 * phi.sum(axis=-1) + np.where(two, 0.0, 0.25 * np.pi)))
     # the U gates before the CNOTs (q0, then q1), then after them, in one call
-    angles = u_angles(np.concatenate([
-        rephase[:, None, None] * (np.where(t, _RZ_QUARTER, dagger(_RZ_QUARTER)) @ k0[n:]), k1[n:],
-        k0[:n] @ np.where(t, dagger(_RZ_QUARTER), _I2), k1[:n] @ np.where(t, _I2, _RZ_QUARTER)]))
+    angles = u_angles(np.concatenate([rephase[:, None, None] * (_BEFORE[form] @ k0[n:]), k1[n:],
+                                      k0[:n] @ _AFTER0[form], k1[:n] @ _AFTER1[form]]))
     cx10, cx01 = Gate(CNOT, (q1, q0)), Gate(CNOT, (q0, q1))
     out = []
     for j, (x, y, z, short) in enumerate(zip(a.tolist(), b.tolist(), c.tolist(), two.tolist())):
+        first, second = Gate(U, (q0,), angles[j]), Gate(U, (q1,), angles[n + j])
+        third, fourth = Gate(U, (q0,), angles[2 * n + j]), Gate(U, (q1,), angles[3 * n + j])
         if short:
-            middle = [cx01, Gate(RY, (q0,), (0.0 - 2.0 * x,)), Gate(RZ, (q1,), (0.0 - 2.0 * z,)),
-                      cx01]
+            out.append([first, second, cx01, Gate(RY, (q0,), (0.0 - 2.0 * x,)),
+                        Gate(RZ, (q1,), (0.0 - 2.0 * z,)), cx01, third, fourth])
         else:
-            middle = [cx10, Gate(RY, (q1,), (0.5 * np.pi - 2.0 * y,)), cx01,
-                      Gate(RZ, (q0,), (0.5 * np.pi - 2.0 * z,)),
-                      Gate(RY, (q1,), (2.0 * x - 0.5 * np.pi,)), cx10]
-        out.append([Gate(U, (q0,), angles[j]), Gate(U, (q1,), angles[n + j])] + middle
-                   + [Gate(U, (q0,), angles[2 * n + j]), Gate(U, (q1,), angles[3 * n + j])])
+            out.append([first, second, cx10, Gate(RY, (q1,), (0.5 * np.pi - 2.0 * y,)), cx01,
+                        Gate(RZ, (q0,), (0.5 * np.pi - 2.0 * z,)),
+                        Gate(RY, (q1,), (2.0 * x - 0.5 * np.pi,)), cx10, third, fourth])
     return out
 
 
@@ -258,10 +265,8 @@ def _unit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(r > 0.0, x / safe, 1.0) + 1j * np.where(r > 0.0, y / safe, 0.0)
 
 
-def _leaf_diagonals(leaves: np.ndarray, order: np.ndarray, parents, open_ends: bool,
-                    exact: np.ndarray):
-    """(w_in, w_out, two, guessed) for the leaves of a stack, chained in
-    time order.
+def _leaf_diagonals(leaves: np.ndarray, order: np.ndarray, parents, open_ends: bool):
+    """(w_in, w_out, two) for the leaves of a stack, chained in time order.
 
     Member j runs leaves[order[j, 0]], leaves[order[j, 1]], ... on the
     same two qubits, and between them only multiplexors that those qubits
@@ -284,25 +289,17 @@ def _leaf_diagonals(leaves: np.ndarray, order: np.ndarray, parents, open_ends: b
     taken from L once for every leaf.  The pass over the leaf positions
     is then one complex multiply-add per leaf.  Where |A - conj B| is
     below _CARRY_ATOL, psi from the entries loses the digits the Weyl
-    coordinates keep, and `_weyl_diagonals` gives it instead.  Leaves
-    with alpha and beta at round-off, which the structured blocks of
-    padded outcome prefixes are full of, mostly take two CNOTs as they
-    are: outside the members `exact` marks they guess w_out = 1 without
-    asking, and guessed[i] says so; the caller checks the guesses."""
+    coordinates keep, and `_weyl_diagonals` gives it instead, for the
+    members of a heap level at one position in one call."""
     n, count = order.shape
     # the terms of (L YY L^T)[0, 3] and [1, 2] that the columns 2 and 3 of
     # D_in^dag scale by conj(w_in) and by w_in, each a sum of two products
     e = leaves.reshape(-1, 16).T   # e[4 r + s]: entry (r, s) of every leaf
     terms = (e[_YY_TERMS[0]] * e[_YY_TERMS[1]]).reshape(4, 2, -1).sum(axis=1)
     terms *= np.exp(-0.5j * phase(np.linalg.det(leaves))) * _YY_SIGNS
-    alpha = -terms[0] - terms[3].conj()
-    beta = -terms[1] - terms[2].conj()
-    # |A - conj B| <= |alpha| + |beta|: these are weak whatever they take over
-    ab2 = alpha.real**2 + alpha.imag**2 + beta.real**2 + beta.imag**2
-    always = (ab2 < 0.5 * _CARRY_ATOL**2).tolist()
     # one Python complex per leaf: a stack's rows are few, its positions many
-    alpha, beta = alpha.tolist(), beta.tolist()
-    parents = [-1] * n if parents is None else [int(x) for x in parents]
+    alpha, beta = (-terms[:2] - terms[3:1:-1].conj()).tolist()
+    parents = [-1] * n if parents is None else np.asarray(parents).tolist()
     rows_at, depth = [], []
     for j, parent in enumerate(parents):
         depth.append(depth[parent] + 1 if parent >= 0 else 0)
@@ -310,13 +307,11 @@ def _leaf_diagonals(leaves: np.ndarray, order: np.ndarray, parents, open_ends: b
         rows_at[depth[j]].append(j)
     continued = set(parents)
     order = order.tolist()
-    w_in, w_out = [_ONE] * len(leaves), [_ONE] * len(leaves)
-    two, guessed = [True] * len(leaves), [False] * len(leaves)
+    w_in, w_out, two = [_ONE] * len(leaves), [_ONE] * len(leaves), [True] * len(leaves)
     for rows in rows_at:
         seqs = [order[j] for j in rows]
         ws = [w_out[order[parents[j]][-1]] if parents[j] >= 0 else _ONE for j in rows]
         ends = [not open_ends and j not in continued for j in rows]
-        guess = [not exact[j] for j in rows]
         for t in range(count):
             last, weak = t == count - 1, []
             for k, seq in enumerate(seqs):
@@ -327,21 +322,18 @@ def _leaf_diagonals(leaves: np.ndarray, order: np.ndarray, parents, open_ends: b
                 else:
                     z = alpha[i] * w.conjugate() + beta[i] * w
                     zz = z.real * z.real + z.imag * z.imag
-                    if zz >= _CARRY_ATOL**2:
-                        r = math.sqrt(zz)
-                        w = complex(z.real / r, -z.imag / r)
-                    elif always[i] and guess[k]:
-                        w, guessed[i] = _ONE, True
-                    else:
+                    if zz < _CARRY_ATOL**2:
                         weak.append(k)
                         continue
+                    r = math.sqrt(zz)
+                    w = complex(z.real / r, -z.imag / r)
                 ws[k] = w_out[i] = w
             if weak:
                 i = [seqs[k][t] for k in weak]
                 undone = leaves[i] * _diagonal(np.array([w_in[x] for x in i])).conj()[:, None]
                 for k, x, w in zip(weak, i, _weyl_diagonals(undone).tolist()):
                     ws[k] = w_out[x] = w
-    return np.array(w_in), np.array(w_out), np.array(two), np.array(guessed)
+    return np.array(w_in), np.array(w_out), np.array(two)
 
 
 def _qsd(u: np.ndarray, qubits: list[int]):
@@ -402,37 +394,20 @@ def _joined(sub, n: int, parts: list[int], muxes: list) -> tuple:
     return leaves, order, joined
 
 
-def shannon_decomposition(v: np.ndarray, qubits: list[int], parents, carried) -> list[list[Gate]]:
-    """`_qsd` of the stack v, its leaves chained by `_leaf_diagonals` and
-    built in one `_leaves` call; `synth.decompose_isometries` describes
-    the arguments."""
+def shannon_decomposition(v: np.ndarray, qubits: list[int], parents, open_ends: bool):
+    """(gate lists, diagonals) of the stack v: `_qsd`, its leaves chained
+    by `_leaf_diagonals` and built in one `_leaves` call;
+    `synth.decompose_isometries` describes the arguments and the result."""
     # As in `synth._reduction_segments`: an imaginary part within round-off of
     # the unit columns is round-off, and a real input decomposes as itself.
     # The chained diagonals pass a perturbation of one leaf on to the next.
     v = v.astype(np.complex128)
     v.imag[np.abs(v.imag) <= _ULP] = 0.0
     leaves, order, gaps = _qsd(v, qubits)
-    exact = np.zeros(len(v), dtype=bool)
-    while True:
-        w_in, w_out, two, guessed = _leaf_diagonals(leaves, order, parents, carried is not None,
-                                                    exact)
-        d_out = _diagonal(w_out)
-        weyl = _weyl(d_out[:, :, None] * leaves * _diagonal(w_in).conj()[:, None, :])
-        if not guessed.any():
-            break
-        # a guess holds where the leaf already has a coordinate at a multiple of pi/2
-        wrong = guessed & (np.abs(np.sin(2.0 * _coordinates(weyl[3]))) > _ZERO_COORD).all(axis=-1)
-        if not wrong.any():
-            break
-        # those members, and the members that continue them, go again without guessing
-        owner = np.empty(len(leaves), dtype=int)
-        owner[order] = np.arange(len(v))[:, None]
-        exact[owner[wrong]] = True
-        for j, parent in enumerate([] if parents is None else parents):   # parents come first
-            exact[j] |= parent >= 0 and exact[parent]
-    built = _leaves(weyl, two, *qubits[-2:])
-    if carried is not None:
-        carried[...] = np.tile(d_out[order[:, -1]], (1, len(v[0]) // 4))
+    w_in, w_out, two = _leaf_diagonals(leaves, order, parents, open_ends)
+    d_out = _diagonal(w_out)
+    built = _leaves(_weyl(d_out[:, :, None] * leaves * _diagonal(w_in).conj()[:, None, :]), two,
+                    *qubits[-2:])
     out = []
     for row, gap in zip(order.tolist(), gaps):
         gates = list(built[row[0]])
@@ -440,4 +415,4 @@ def shannon_decomposition(v: np.ndarray, qubits: list[int], parents, carried) ->
             gates += between
             gates += built[i]
         out.append(gates)
-    return out
+    return out, np.tile(d_out[order[:, -1]], (1, len(v[0]) // 4))

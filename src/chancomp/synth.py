@@ -106,21 +106,23 @@ def multiplexed_rotation(axis: str, controls, target: int, angles) -> list[Gate]
     return multiplexed_rotations((axis,), controls, target, angles)[0]
 
 
-def ry_multiplexor_from_zero(controls, target: int, theta) -> list[Gate]:
-    """The Ry multiplexor of `multiplexed_rotation` without its closing
-    CNOT, for a target that starts in |0>: 2^c - 1 CNOTs for c >= 1
-    controls.
+def ry_multiplexors_from_zero(controls, target: int, theta: np.ndarray) -> list[list[Gate]]:
+    """The Ry multiplexor of `multiplexed_rotation` for each row of the
+    stack theta, without its closing CNOT, for a target that starts in
+    |0>: 2^c - 1 CNOTs for c >= 1 controls.  One `multiplexed_rotations`
+    call serves the stack.
 
     The closing CNOT is controlled by controls[0].  On a target in |0> it
     only flips the target where that control is 1, so those patterns take
     pi - theta, whose rotated |0> is the flip of that of theta."""
     controls = tuple(controls)
+    theta = np.asarray(theta, dtype=np.float64)
+    axes = [RY] * len(theta)
     if not controls:
-        return multiplexed_rotation(RY, controls, target, theta)
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    half = theta.size // 2
-    psi = np.concatenate([theta[:half], np.pi - theta[half:]])
-    return multiplexed_rotation(RY, controls, target, psi)[:-1]
+        return multiplexed_rotations(axes, controls, target, theta)
+    half = theta.shape[-1] // 2
+    psi = np.concatenate([theta[:, :half], np.pi - theta[:, half:]], axis=-1)
+    return [row[:-1] for row in multiplexed_rotations(axes, controls, target, psi)]
 
 
 @lru_cache(maxsize=4096)
@@ -411,37 +413,39 @@ def _uses_qsd(m: int, n: int) -> bool:
     return m >= 2 and n - m <= 1
 
 
-def decompose_isometries(v: np.ndarray, qubits, parents=None, carried=None) -> list[list[Gate]]:
-    """One gate list per isometry in the stack v (2^p x 2^c each) on the p
-    `qubits` (qubits[0] most significant, the inputs on the last c), by
-    one batched call whose construction the shape alone picks: no gate
-    for p = 0 (a 1 x 1 isometry is a global phase), one U gate for a
-    one-qubit unitary, the Shannon decomposition where `_uses_qsd`, else
-    the column-by-column reduction.  Each list holds n_iso(c, p) CNOTs.
+def decompose_isometries(v: np.ndarray, qubits, parents=None,
+                         open_ends: bool = False) -> tuple[list[list[Gate]], np.ndarray]:
+    """(gate lists, diagonals): one gate list per isometry in the stack v
+    (2^p x 2^c each) on the p `qubits` (qubits[0] most significant, the
+    inputs on the last c), by one batched call whose construction the
+    shape alone picks: no gate for p = 0 (a 1 x 1 isometry is a global
+    phase), one U gate for a one-qubit unitary, the Shannon decomposition
+    where `_uses_qsd`, else the column-by-column reduction.  Each list
+    holds n_iso(c, p) CNOTs.
 
-    The Shannon path leaves a diagonal d_j on the last two qubits after
-    member j and undoes d_parents[j] before it (parents[j] < j, or -1 for
-    none): its gates realize diag(d_j) v[j] diag(d_parents[j])^dag.  So a
-    chain of members whose in-between gates those qubits control, such
-    as a measured round's ancilla multiplexor and measurement, costs one
-    CNOT less per member that another continues.  d_j is 1 when no member
-    continues j, unless `carried`, a row of 2^p entries per member, is given:
-    then every member leaves its diagonal, written into carried[j], and
-    whatever follows must undo it.  The other paths leave no diagonal."""
+    The Shannon path leaves a diagonal d_j, row j of the 2^p diagonal
+    entries returned, on the last two qubits after member j and undoes
+    d_parents[j] before it (parents[j] < j, or -1 for none): its gates
+    realize diag(d_j) v[j] diag(d_parents[j])^dag.  So a chain of members
+    whose in-between gates those qubits control, such as a measured
+    round's ancilla multiplexor and measurement, costs one CNOT less per
+    member that another continues.  d_j is 1 when no member continues j,
+    unless `open_ends`: then every member leaves its diagonal, and
+    whatever follows must undo it.  The other paths leave none (d = 1)."""
     qubits = list(qubits)
     rows, cols = v.shape[1:]
     p, mc = rows.bit_length() - 1, cols.bit_length() - 1
-    if carried is not None:
-        carried[...] = 1.0
-    if p == 0:
-        return [[] for _ in v]
-    if p == mc == 1:
-        return [[g] for g in _u_gates(v, qubits[0])]
     if _uses_qsd(mc, p):
         from .shannon import shannon_decomposition
 
-        return shannon_decomposition(v, qubits, parents, carried)
-    return _column_gates(v, qubits)
+        return shannon_decomposition(v, qubits, parents, open_ends)
+    if p == 0:
+        lists = [[] for _ in v]
+    elif p == mc == 1:
+        lists = [[g] for g in _u_gates(v, qubits[0])]
+    else:
+        lists = _column_gates(v, qubits)
+    return lists, np.ones((len(v), rows), dtype=complex)
 
 
 def decompose_isometry(v) -> Circuit:
@@ -458,7 +462,7 @@ def decompose_isometry(v) -> Circuit:
         raise ValueError("shape must be 2^n x 2^m with n >= m")
     if not is_isometry(v):
         raise ValueError("not an isometry")
-    gates = decompose_isometries(v[None], range(p))[0]
+    gates = decompose_isometries(v[None], range(p))[0][0]
     return Circuit(p, tuple(range(p - mc, p)), tuple(range(p)), tuple(gates), 0)
 
 

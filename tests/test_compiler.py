@@ -294,7 +294,7 @@ def test_batched_residuals_match_one_by_one(kr):
     # the last bit: numpy's SIMD arctan2 can round an element differently
     # depending on where it falls in the batch.
     finals = plan_measured(random_channel(2, 3, kr, seed=70 + kr)).finals
-    batched = decompose_isometries(finals, range(3))
+    batched = decompose_isometries(finals, range(3))[0]
     assert len(batched) == len(finals) > 1
     for gates, v in zip(batched, finals):
         alone = decompose_isometry(v).gates
@@ -309,7 +309,7 @@ def test_batched_thin_residuals_match_one_by_one(m, n, kr):
     # numpy steps are elementwise and its gates scalar, so each gate list
     # is decompose_isometry's for that residual alone, bit for bit
     finals = plan_measured(random_channel(m, n, kr, seed=80 + kr)).finals
-    batched = decompose_isometries(finals, range(n))
+    batched = decompose_isometries(finals, range(n))[0]
     assert len(batched) == len(finals) > 1
     for gates, v in zip(batched, finals):
         assert gates == list(decompose_isometry(v).gates)

@@ -33,7 +33,7 @@ from chancomp.synth import (
     decompose_isometry,
     multiplexed_rotation,
     n_iso,
-    ry_multiplexor_from_zero,
+    ry_multiplexors_from_zero,
 )
 from reference_walker import apply_unitary_gate, gate1_matrix, ry_matrix
 
@@ -118,9 +118,18 @@ def test_ry_multiplexor_from_zero_matches_the_full_one_on_zero(c):
     def on_zero(gates):
         return simulate_unitary(Circuit(p, tuple(controls), tuple(range(p)), tuple(gates), 0))
 
-    opened = ry_multiplexor_from_zero(controls, 0, theta)
+    opened = ry_multiplexors_from_zero(controls, 0, theta[None])[0]
     assert np.linalg.norm(on_zero(opened) - on_zero(multiplexed_rotation(RY, controls, 0, theta))) < 1e-12
     assert sum(1 for g in opened if g.kind == CNOT) == (2**c - 1 if c else 0)
+
+
+def test_ry_multiplexors_from_zero_gives_each_row_its_gates_alone():
+    # one butterfly serves the stack: each row gets, to the last bit, the
+    # gates it gets alone
+    rng = np.random.default_rng(47)
+    theta = rng.uniform(-3, 3, (5, 8))
+    stacked = ry_multiplexors_from_zero([1, 2, 3], 0, theta)
+    assert stacked == [ry_multiplexors_from_zero([1, 2, 3], 0, row[None])[0] for row in theta]
 
 
 def test_multiplexed_rotation_wrong_angle_count():
@@ -148,11 +157,20 @@ def test_decompose_isometries_on_relabelled_qubits(rows, cols):
     rng = np.random.default_rng(rows + 7 * cols)
     stack = np.stack([random_isometry(rows, cols, rng) for _ in range(2)])
     p = rows.bit_length() - 1
-    base = decompose_isometries(stack, range(p))
+    base = decompose_isometries(stack, range(p))[0]
     for qubits in (list(reversed(range(p))), list(range(1, p + 1))):
         want = [[Gate(g.kind, tuple(qubits[q] for q in g.qubits), g.params) for g in gates]
                 for gates in base]
-        assert decompose_isometries(stack, qubits) == want
+        assert decompose_isometries(stack, qubits)[0] == want
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (2, 2), (4, 1), (8, 2)])
+def test_paths_other_than_shannon_leave_no_diagonal(rows, cols):
+    rng = np.random.default_rng(rows + cols)
+    stack = np.stack([random_isometry(rows, cols, rng) for _ in range(2)])
+    p = rows.bit_length() - 1
+    _, diagonals = decompose_isometries(stack, range(p), open_ends=True)
+    assert np.array_equal(diagonals, np.ones((2, rows)))
 
 
 def test_decompose_one_by_one_isometry_is_empty():
@@ -732,7 +750,7 @@ def test_cs_split_residual(name, v):
 def test_decompose_unitaries_is_one_batch_of_exact_circuits(p):
     rng = np.random.default_rng(90 + p)
     stack = np.stack([random_unitary(2**p, rng) for _ in range(3)])
-    lists = decompose_isometries(stack, range(p))
+    lists = decompose_isometries(stack, range(p))[0]
     if not p:  # a 1 x 1 unitary is a global phase
         assert lists == [[], [], []]
         return
@@ -753,24 +771,24 @@ def test_one_stack_gives_each_member_its_gates_alone(rows, cols):
               for size in (1, 2, 4)]
     p = rows.bit_length() - 1
     qubits = [3, 0, 5, 1][:p]
-    batched = decompose_isometries(np.concatenate(stacks), qubits)
+    batched = decompose_isometries(np.concatenate(stacks), qubits)[0]
     assert len(batched) == 7
     for gates, v in zip(batched, np.concatenate(stacks)):
-        alone = decompose_isometries(v[None], qubits)[0]
+        alone = decompose_isometries(v[None], qubits)[0][0]
         assert gates == alone
 
 
 def test_a_mixed_stack_gives_each_member_its_gates_alone():
-    # structured members take the Weyl-coordinate diagonals and the
-    # guessed ones, random members the entry formula: in one stack each
+    # structured members take the Weyl-coordinate diagonals, random
+    # members the entry formula: in one stack each
     # still gets, to the last bit, the gates it gets alone
     rng = np.random.default_rng(139)
     structured = [v for name, v in structured_inputs() if v.shape == (8, 8)]
     stack = np.array(structured + [random_unitary(8, rng) for _ in range(4)], dtype=complex)
     stack = stack[rng.permutation(len(stack))]
-    batched = decompose_isometries(stack, [2, 0, 1])
+    batched = decompose_isometries(stack, [2, 0, 1])[0]
     for gates, v in zip(batched, stack):
-        assert gates == decompose_isometries(v[None], [2, 0, 1])[0]
+        assert gates == decompose_isometries(v[None], [2, 0, 1])[0][0]
 
 
 @pytest.mark.parametrize("c", range(6))
@@ -908,8 +926,7 @@ def leaf_cases():
 def two_cnot_leaves(stack):
     """Each leaf of the stack, open-ended: (its diagonal's e^{i psi}, its gates)."""
     stack = np.asarray(stack, dtype=complex)
-    carried = np.zeros((len(stack), 4), dtype=complex)
-    lists = decompose_isometries(stack, range(2), carried=carried)
+    lists, carried = decompose_isometries(stack, range(2), open_ends=True)
     assert np.array_equal(carried[:, :2], np.ones((len(stack), 2)))
     assert np.array_equal(carried[:, 2], carried[:, 3].conj())
     return carried[:, 3], lists
@@ -960,16 +977,16 @@ def test_chained_members_realize_their_diagonals():
         assert count_cnots(Circuit(3, (0, 1, 2), (0, 1, 2), tuple(gates), 0)) in (19, 20)
         return simulate_unitary(Circuit(3, (0, 1, 2), (0, 1, 2), tuple(gates), 0))
 
-    carried = np.zeros((7, 8), dtype=complex)
-    lists = decompose_isometries(stack, range(3), parents=heap, carried=carried)
+    lists, carried = decompose_isometries(stack, range(3), parents=heap, open_ends=True)
     assert np.allclose(np.abs(carried), 1.0, atol=1e-15) and not np.allclose(carried, 1.0)
     for j, gates in enumerate(lists):
         assert count_cnots(Circuit(3, (0, 1, 2), (0, 1, 2), tuple(gates), 0)) == n_iso(3, 3) - 1
         before = carried[heap[j]] if j else np.ones(8)
         want = np.diag(carried[j]) @ stack[j] @ np.diag(before.conj())
         assert np.linalg.norm(run(gates) - want) <= 1e-12, j
-    # without `carried`, members 3 to 6 close their chains: every path is exact
-    lists = decompose_isometries(stack, range(3), parents=heap)
+    # without `open_ends`, members 3 to 6 close their chains: every path is exact
+    lists, closed = decompose_isometries(stack, range(3), parents=heap)
+    assert np.array_equal(closed[3:], np.ones((4, 8)))
     for j in range(3, 7):
         path = [j, heap[j], 0]
         assert [count_cnots(Circuit(3, (0, 1, 2), (0, 1, 2), tuple(lists[i]), 0)) for i in path] \
