@@ -22,13 +22,20 @@ classical conditions.  With m < n there are k rounds, and each residual
 is a 2^n x 2^m isometry on all n qubits.  With m >= n there are
 n + k - m rounds, and each residual is an m-qubit unitary on the
 system; the first m - n system qubits then hold leftover environment,
-which is measured off into registers that are never read.  The plan
-keeps every factor as a stack in prefix order.  Every m-qubit unitary of
-the compile, the v^dag of every round over all its prefixes and the
-residuals when m >= n, goes into one `decompose_isometries` call on the
-system, each prefix chained to its parent; the m < n residuals take the
-last round's diagonals into their columns and a second call on all n
-qubits.  The shape alone picks each call's construction.
+which is measured off into registers that are never read.
+
+When the Kraus rank K is below 2^k, the zero blocks that pad V make some
+prefixes impossible for every input (`outcome_conditions`).  The plan
+keeps every factor as a stack in prefix order, but the circuit emits
+nothing for those prefixes: where a node's 1-subtree is all padding, its
+0-subtree's blocks do not read that node's register, so each register
+assignment still runs one block per stage and every branch the same
+CNOT count.  The m-qubit unitaries of the prefixes that can happen,
+the v^dag of every round and the residuals when m >= n, go into one
+`decompose_isometries` call on the system, each prefix chained to its
+parent; the m < n residuals take the last round's diagonals into their
+columns and a second call on all n qubits.  The shape (m, n, K) alone
+picks each call's construction.
 
 Qubit layout: one reused ancilla at index 0, the m system qubits last.
 A channel with m >= n compiles to exactly m+1 qubits (the ancilla may
@@ -37,7 +44,6 @@ be idle in the degenerate cases), one with m < n to exactly n.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +69,7 @@ class CompilePlan:
     n: int
     k: int
     k_tilde: int                             # rounds; k - k_tilde leftover measurements
+    rank: int                                # V's Kraus blocks; the 2^k - rank after them pad it
     stages: tuple = field(repr=False)        # round i -> (v^dag, theta) over its 2^i prefixes
     finals: np.ndarray = field(repr=False)   # the residual isometry of each full prefix
 
@@ -95,11 +102,28 @@ class ConvexMixture:
         return self.components[0][1].n
 
 
-def _conditions(depth: int) -> list:
-    """The condition of each outcome prefix of `depth` rounds, in prefix
-    order: register r reads bit r of the prefix, the first register the
-    most significant.  The one prefix of no round has no condition, None."""
-    return [tuple(enumerate(bits)) or None for bits in itertools.product((0, 1), repeat=depth)]
+def outcome_conditions(k: int, rank: int) -> list[dict]:
+    """{j: condition} for every outcome prefix j that can happen, per depth
+    0..k, in prefix order.  Register r reads bit r of the prefix, the
+    first register the most significant; the one prefix of no round has
+    no condition, None.
+
+    A prefix of value j at depth d covers Kraus indices [j 2^(k-d),
+    (j+1) 2^(k-d)), so it cannot happen when j 2^(k-d) >= rank: those
+    blocks of V are padding.  It is left out, and where a node's 1-subtree
+    is all padding its 0-subtree reads no register of that node, so every
+    register assignment still meets exactly one prefix per depth."""
+    levels = [{0: ()}]
+    for d in range(k):
+        span = 2 ** (k - d - 1)   # Kraus indices under one prefix of depth d + 1
+        level = {}
+        for j, cond in levels[-1].items():
+            if (2 * j + 1) * span < rank:
+                level[2 * j], level[2 * j + 1] = cond + ((d, 0),), cond + ((d, 1),)
+            else:
+                level[2 * j] = cond
+        levels.append(level)
+    return [{j: cond or None for j, cond in level.items()} for level in levels]
 
 
 def _capped(size: int, what: str) -> None:
@@ -127,6 +151,7 @@ def plan_measured(ks: KrausSet, force_k: int | None = None) -> CompilePlan:
     if not is_isometry(v):
         raise ValueError("the dilation is not an isometry")
     k_tilde = k if m < n else n + k - m
+    rank = int(np.count_nonzero(v.reshape(2**k, -1).any(axis=1)))   # the padding blocks are zero
     q = v[None]   # Q_s for every prefix s, in prefix order
     stages = []
     for i in range(k_tilde):
@@ -136,7 +161,7 @@ def plan_measured(ks: KrausSet, force_k: int | None = None) -> CompilePlan:
         q[0::2] = q[0::2] @ u0
         q[1::2] = q[1::2] @ u1
         stages.append((vh, theta))
-    return CompilePlan(m, n, k, k_tilde, tuple(stages), q)
+    return CompilePlan(m, n, k, k_tilde, rank, tuple(stages), q)
 
 
 def reconstruct_dilation(plan: CompilePlan) -> np.ndarray:
@@ -157,35 +182,42 @@ def reconstruct_dilation(plan: CompilePlan) -> np.ndarray:
 def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
     """Measured-model circuit for the channel: one reused ancilla,
     k measurements, and per-branch CNOT count that only depends on
-    (m, n, k)."""
+    (m, n, k).  Outcome prefixes that cannot happen get no gates."""
     plan = plan_measured(ks, force_k=force_k)
     m, n, k, k_tilde = plan.m, plan.n, plan.k, plan.k_tilde
     p = n if m < n else m + 1
     ancilla, system = 0, list(range(p - m, p))
-    # every m-qubit unitary in one batch: the rounds' v^dag, in round and
-    # prefix order, then the residuals when m >= n.  That is a binary heap:
-    # prefix j of round i + 1 continues prefix j // 2 of round i, and takes
-    # over the diagonal its v^dag is left with.
+    levels = outcome_conditions(k, plan.rank)
+    # every m-qubit unitary of a prefix that can happen in one batch: the
+    # rounds' v^dag, in round and prefix order, then the residuals when
+    # m >= n.  That is a binary heap: prefix j of round i + 1 continues
+    # prefix j // 2 of round i, and takes over the diagonal its v^dag is
+    # left with.  heap[h] is the batch row of heap node h = 2^i - 1 + j.
     square = [vh for vh, _ in plan.stages] + ([plan.finals] if m >= n else [])
-    finals = plan.finals
+    nodes = [2**i - 1 + j for i, level in enumerate(levels[: len(square)]) for j in level]
+    heap = {h: row for row, h in enumerate(nodes)}
+    finals = plan.finals[list(levels[k_tilde])]
     blocks = iter([])
     if square:
-        stack = np.concatenate(square)
         lists, diagonals = decompose_isometries(
-            stack, system, parents=(np.arange(len(stack)) - 1) // 2, open_ends=m < n)
+            np.concatenate(square)[nodes], system,
+            parents=[heap.get((h - 1) // 2, -1) for h in nodes], open_ends=m < n)
         blocks = iter(lists)
         if m < n:   # residual j undoes the diagonal of round prefix j // 2
-            finals = finals * np.repeat(diagonals[-len(finals) // 2:], 2, axis=0)[:, None].conj()
+            last = [heap[2 ** (k - 1) - 1 + j // 2] for j in levels[k]]
+            finals = finals * diagonals[last][:, None].conj()
     gates: list[Gate] = []
     for i, (_, theta) in enumerate(plan.stages):
-        for cond, mux in zip(_conditions(i), ry_multiplexors_from_zero(system, ancilla, theta)):
+        level = levels[i]
+        for cond, mux in zip(level.values(),
+                             ry_multiplexors_from_zero(system, ancilla, theta[list(level)])):
             gates += conditioned(next(blocks) + mux, cond)
         gates.append(Gate(MEASURE, (ancilla,), creg=i))
         gates.append(Gate(RESET, (ancilla,)))
 
     # an m-to-n isometry on all n qubits when m < n, else the batch's rest
     residuals = blocks if m >= n else decompose_isometries(finals, range(p))[0]
-    for cond, block in zip(_conditions(k_tilde), residuals):
+    for cond, block in zip(levels[k_tilde].values(), residuals):
         gates += conditioned(block, cond)
     outputs = tuple(range(p)) if m < n else tuple(system[k - k_tilde:])
     # leftover environment qubits (m >= n only), into registers nobody reads

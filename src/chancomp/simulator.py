@@ -42,18 +42,19 @@ multiplexor emitted is one run.
 
 A segment is a maximal stretch of runs under one condition with no
 MEASURE or RESET inside.  A measured circuit conditions each block on
-the outcomes so far, so consecutive segments often read the same
-registers and have the same runs, target for target and CNOT mask for
-CNOT mask, differing only in their single-qubit kinds and angles.  Such
-segments merge into one group when the branch sets they fire in are
-pairwise disjoint: each run position of the group is one op on the union
-of those branches, one `_run_product` over every member's gathered
-matrices and one pair update in which each branch takes the product of
-the member that fires there.  No branch sees two members, so each branch
-still sees its gates in circuit order.  Disjointness is checked on the
-branch sets themselves, not on the condition values: a value that comes
-back (s = 0, 1, 0) starts a new group.  A segment that fires nowhere
-makes no op.
+the outcomes so far, so consecutive segments often have the same runs,
+target for target and CNOT mask for CNOT mask, differing only in their
+single-qubit kinds and angles, and in their conditions, which need not
+read the same registers (a compile leaves registers out where an outcome
+cannot happen).  Such segments merge into one group when the branch sets
+they fire in are pairwise disjoint: each run position of the group is
+one op on the union of those branches, one `_run_product` over every
+member's gathered matrices and one pair update in which each branch
+takes the product of the member that fires there.  No branch sees two
+members, so each branch still sees its gates in circuit order.
+Disjointness is checked on the branch sets themselves, not on the
+condition values: a value that comes back (s = 0, 1, 0) starts a new
+group.  A segment that fires nowhere makes no op.
 """
 
 from __future__ import annotations
@@ -215,11 +216,10 @@ def _run_op(p: int, specs: list, sel, owner) -> tuple:
 
 
 def _same_shape(a: list, b: list) -> bool:
-    """Whether two segments' conditions read the same registers and their
-    runs have the same targets and CNOT masks, gate for gate."""
-    return (len(a) == len(b)
-            and {r for r, _ in a[0][2][0] or ()} == {r for r, _ in b[0][2][0] or ()}
-            and all(x[1] == y[1] and x[5] == y[5] and x[4] == y[4] for x, y in zip(a, b)))
+    """Whether two segments' runs have the same targets and CNOT masks,
+    gate for gate."""
+    return len(a) == len(b) and all(x[1] == y[1] and x[5] == y[5] and x[4] == y[4]
+                                    for x, y in zip(a, b))
 
 
 def _group_ops(p: int, group: list, owner) -> list:

@@ -12,7 +12,8 @@ vectors: the simulator's static plan of a template, built once per
 structure, takes the stack as it is, so the template's gates and the
 layout of its angles are interpreted by the simulator alone.
 `fit` first tries the target's own measured compile: when its gate
-structure is the template's, its angles are the answer if they reach the
+structure is the template's, up to the outcome prefixes a lower-rank
+target cannot reach, its angles are the answer if they reach the
 tolerance.  Only when they miss (and always for T21 and T22) does it
 minimize the squared Frobenius distance between Choi matrices with a
 multi-start L-BFGS-B search on exact parameter-shift gradients.  Its
@@ -37,7 +38,7 @@ import numpy as np
 
 from .channel import KrausSet, choi_from_kraus, kraus_vectors, minimal_kraus
 from .circuit import CNOT, MEASURE, OPERANDS, RY, RZ, U, X, Circuit, Gate, cnot_count, conditioned
-from .compiler import compile_measured
+from .compiler import compile_measured, outcome_conditions
 from .rewrite import standard_passes
 from .simulator import run_plan, static_plan
 from .synth import multiplexed_rotation
@@ -118,6 +119,8 @@ def _t22() -> Template:
     # rank <= 3: rank-4 channels form a 96-dimensional set, T22 has 84 coordinates
     return Template("T22", 2, 2, 3, Circuit(4, (2, 3), (2, 3), gates, 2))
 
+
+_GONE = object()   # the condition of a template gate that a lower-rank compile leaves out
 
 TEMPLATES = {t.id: t for t in (_skeleton("T11", 1), _skeleton("T12", 2), _t21(), _t22())}
 
@@ -209,24 +212,38 @@ def fit(
 ) -> tuple[list[float], float]:
     """Parameters realizing the channel, and their Choi distance.
 
-    When the target's rewritten measured compile at k = ceil(log2
-    max_rank) has the template's gate structure (T11 and T12, the compile
-    skeletons), its angles are returned if they reach `tol`.  Otherwise a
+    When the target's measured compile at k = ceil(log2 max_rank) has
+    the template's gate structure (T11 and T12, the compile skeletons),
+    its angles are returned if they reach `tol`.  A target of rank below
+    2^k compiles without the outcome prefixes that cannot happen, and
+    reads fewer registers elsewhere (`outcome_conditions`): the template's
+    conditions are mapped alike, and its gates under those prefixes keep
+    zero angles.  Otherwise a
     multi-start L-BFGS-B search minimizes f = ||J - J_target||_F^2 from
     seeded uniform random starts, stops at the first start reaching
     `tol`, else returns the best; the compiled angles do not enter it.
     """
     if (target.m, target.n) != (t.m, t.n):
         raise ValueError(f"{t.id} expects a {t.m}->{t.n} channel")
-    if minimal_kraus(target).K > t.max_rank:
+    rank = minimal_kraus(target).K
+    if rank > t.max_rank:
         raise ValueError(f"{t.id} handles Kraus rank <= {t.max_rank}")
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
     objective = _objective(t, choi_from_kraus(target).j)
-    c = standard_passes(compile_measured(target, force_k=math.ceil(math.log2(t.max_rank))))
-    structure = [(g.kind, g.qubits, g.creg, g.condition) for g in c.gates]
-    if structure == [(g.kind, g.qubits, g.creg, g.condition) for g in t.circuit.gates]:
-        x0 = np.array([x for g in c.gates for x in g.params])[_kept(t)]
+    k = math.ceil(math.log2(t.max_rank))
+    c = compile_measured(target, force_k=k)
+    # the skeletons are rank-2^k compiles, which the rewrite leaves alone;
+    # a lower-rank compile is not rewritten, since the registers it no
+    # longer reads would let the rewrite drop more
+    full, own = outcome_conditions(k, 2**k), outcome_conditions(k, rank)
+    renamed = {full[d][j]: level.get(j, _GONE) for d, level in enumerate(own) for j in full[d]}
+    mapped = [(g, renamed.get(g.condition, g.condition)) for g in t.circuit.gates]
+    structure = [(g.kind, g.qubits, g.creg, cond) for g, cond in mapped if cond is not _GONE]
+    if structure == [(g.kind, g.qubits, g.creg, g.condition) for g in c.gates]:
+        params = iter(c.gates)
+        x0 = np.array([x for g, cond in mapped
+                       for x in (g.params if cond is _GONE else next(params).params)])[_kept(t)]
         dist = math.sqrt(objective(x0)[0])
         if dist < tol:
             return expand_reduced(t, x0).tolist(), dist

@@ -159,17 +159,20 @@ def test_compile_random_rejects_non_list_components(tmp_path, capsys):
 
 
 def test_compile_is_byte_identical_across_blas_thread_counts(tmp_path):
-    # a measured compile (Shannon decompositions) and a plain dilation
-    # (column by column, one uniformly controlled gate per step)
+    # measured compiles (Shannon decompositions), one of them padded with
+    # outcome prefixes that cannot happen, and a plain dilation (column by
+    # column, one uniformly controlled gate per step)
     src_dir = str(pathlib.Path(chancomp.__file__).resolve().parents[1])
-    for model, (m, n, kr) in (("measured", (2, 3, 8)), ("qcm", (1, 4, 8))):
-        src = tmp_path / f"{model}.json"
+    for model, (m, n, kr) in (("measured", (2, 3, 8)), ("measured", (3, 3, 5)),
+                              ("qcm", (1, 4, 8))):
+        name = f"{model}{m}{n}{kr}"
+        src = tmp_path / f"{name}.json"
         src.write_text(channel_to_json(random_channel(m, n, kr, seed=12)))
         outs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-            out = tmp_path / f"{model}{threads}.qcirc"
+            out = tmp_path / f"{name}-{threads}.qcirc"
             proc = subprocess.run(
                 [sys.executable, "-m", "chancomp.cli", "compile", "--model", model,
                  "--in", str(src), "--out", str(out)],
@@ -177,7 +180,7 @@ def test_compile_is_byte_identical_across_blas_thread_counts(tmp_path):
             )
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1], model
+        assert outs[0] == outs[1], name
 
 
 def test_size_cap(tmp_path):

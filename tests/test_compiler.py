@@ -13,6 +13,7 @@ from chancomp.compiler import (
     compile_measured,
     compile_qcm,
     compile_random_qcm,
+    outcome_conditions,
     plan_measured,
     predict_upper_bound,
     reconstruct_dilation,
@@ -191,6 +192,75 @@ def test_every_cnot_on_the_all_zero_outcome_path_is_needed():
             assert verify_circuit(cut, ks) > 1e-8, (m, n, kr, i)
             deleted += 1
     assert len(shapes) == 63 and deleted > 400
+
+
+def test_outcome_conditions_leave_out_padding():
+    # K = 3: prefix 11 holds padding only, so 10 reads no c1;
+    # K = 6: 11 holds padding only, so 100 and 101 read no c1
+    assert outcome_conditions(2, 3)[2] == {0: ((0, 0), (1, 0)), 1: ((0, 0), (1, 1)),
+                                           2: ((0, 1),)}
+    assert outcome_conditions(3, 6)[3] == {
+        **{j: ((0, 0), (1, j >> 1), (2, j & 1)) for j in range(4)},
+        4: ((0, 1), (2, 0)), 5: ((0, 1), (2, 1))}
+    assert outcome_conditions(1, 1) == [{0: None}, {0: None}]
+    for k in range(5):
+        for rank in range(1, 2**k + 1):
+            for d, level in enumerate(outcome_conditions(k, rank)):
+                assert list(level) == [j for j in range(2**d) if j * 2 ** (k - d) < rank]
+                # each assignment of the registers meets exactly one prefix
+                for bits in range(2**d):
+                    met = [j for j, cond in level.items()
+                           if all((bits >> (d - 1 - r)) & 1 == b for r, b in cond or ())]
+                    assert len(met) == 1
+
+
+def _padded_shapes():
+    """The corpus shapes with an outcome prefix that holds padding only:
+    the last prefix of the last round's depth."""
+    shapes = []
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            for kr in range(1, min(2 ** (m + n), 8) + 1):
+                k = (kr - 1).bit_length()
+                k_tilde = k if m < n else n + k - m
+                if k_tilde >= 0 and kr * 2**n >= 2**m and (2**k_tilde - 1) << (k - k_tilde) >= kr:
+                    shapes.append((m, n, kr))
+    return shapes
+
+
+def test_every_cnot_of_a_padded_compile_is_needed():
+    # No gate sits under an outcome prefix that cannot happen, so deleting
+    # a CNOT moves the channel.  The only exemption is the blocks of a
+    # prefix s at depth d < k whose bottom half, Kraus indices from
+    # (2 s + 1) 2^(k - d - 1) on, is padding: a round's v^dag and Ry
+    # multiplexor, or (m >= n) a residual over a leftover qubit, factor a
+    # zero half, so parts of them act where no state reaches.  By K:
+    # 3: prefix 1; 5: prefixes 1 and 10; 6: prefix 1; 7: prefix 11.
+    # Every fourth CNOT keeps this fast.
+    exempt_prefixes = {3: {(1, 1)}, 5: {(1, 1), (2, 2)}, 6: {(1, 1)}, 7: {(2, 3)}}
+    shapes = _padded_shapes()
+    deleted = exempt = 0
+    for m, n, kr in shapes:
+        k = (kr - 1).bit_length()
+        ks = random_channel(m, n, kr, 3)
+        circ = compile_measured(ks)
+        depth, cnots = 0, []
+        for i, g in enumerate(circ.gates):
+            if g.kind == MEASURE:
+                depth += 1
+            elif g.kind == CNOT:
+                bits = dict(g.condition or ())   # a register left out reads 0
+                s = sum(bits.get(r, 0) << (depth - 1 - r) for r in range(depth))
+                cnots.append((i, depth < k and (2 * s + 1) * 2 ** (k - depth - 1) >= kr, (depth, s)))
+        for i, padded, prefix in cnots[::4]:
+            if padded:
+                assert prefix in exempt_prefixes[kr]
+                exempt += 1
+                continue
+            cut = replace(circ, gates=circ.gates[:i] + circ.gates[i + 1:])
+            assert verify_circuit(cut, ks) > 1e-8, (m, n, kr, i)
+            deleted += 1
+    assert len(shapes) == 25 and deleted > 450 and exempt > 50
 
 
 @pytest.mark.parametrize("m,n,kr", [(2, 2, 4), (3, 3, 8), (4, 4, 1)])

@@ -608,10 +608,32 @@ def test_a_repeated_condition_value_starts_a_new_group():
     assert_three_angle_sets_match(c, 0)
 
 
+def test_blocks_whose_conditions_read_different_registers_merge():
+    # blocks under c0 c1 = 00, 01 and c0 = 1 alone, as a K = 3 compile
+    # conditions its residuals, fire in disjoint branches: one op per run
+    def block(cond, angle):
+        return (Gate(RY, (2,), (angle,), condition=cond), Gate(CNOT, (0, 2), condition=cond),
+                Gate(RZ, (2,), (angle,), condition=cond))
+
+    gates = ((Gate(U, (0,), (0.1, 0.2, 0.7, 0.3)), Gate(U, (1,), (0.5, 0.4, 0.9, 0.2)),
+              Gate(MEASURE, (0,), creg=0), Gate(MEASURE, (1,), creg=1))
+             + block(((0, 0), (1, 0)), 0.4) + block(((0, 0), (1, 1)), 1.1) + block(((0, 1),), 2.3))
+    c = Circuit(3, (0, 1, 2), (0, 1, 2), gates, 2)
+    runs = [op[3] for op in static_plan(c).ops if op[0] == "run"]
+    assert [np.shape(g) if type(g) is not slice else g for g in runs] == [
+        slice(0, 1), slice(1, 2), (3, 2)]   # the two U gates, then the three blocks
+    assert_matches_reference(c)
+    assert_three_angle_sets_match(c, 1)
+
+
 # Upper bounds on the plan ops of seed-1 measured compiles and of the
 # templates: a change that stops merging conditioned blocks fails here.
+# The last three shapes are padded: their compiles leave out the prefixes
+# that cannot happen, and the blocks whose conditions then read fewer
+# registers must still merge with their neighbours.
 @pytest.mark.parametrize("shape,most", [((2, 2, 4), 32), ((2, 3, 8), 64), ((3, 3, 8), 160),
-                                        ((1, 4, 8), 24), ((4, 4, 1), 113)])
+                                        ((1, 4, 8), 24), ((4, 4, 1), 113),
+                                        ((2, 3, 3), 40), ((3, 2, 6), 90), ((3, 3, 5), 119)])
 def test_measured_plan_sizes(shape, most):
     c = standard_passes(compile_measured(random_channel(*shape, seed=1)))
     ops = len(static_plan(c).ops)

@@ -279,6 +279,21 @@ def test_compile_skeleton_fit_takes_the_compiled_start(tid, n, starts, tol, seed
     assert np.linalg.norm(j - choi_from_kraus(ks).j) < 1e-12
 
 
+@pytest.mark.parametrize("tid,n", [("T11", 1), ("T12", 2)])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_rank_one_fit_takes_the_compiled_start(tid, n, s, monkeypatch):
+    # a rank-1 target compiled at k = 1 leaves out outcome 1, which cannot
+    # happen; the template's gates under it keep zero angles, and the
+    # compiled start still realizes the target without a search
+    calls = _counting_minimize(monkeypatch)
+    ks = random_channel(1, n, 1, seed=s)
+    params, dist = fit(TEMPLATES[tid], ks)
+    assert calls == []
+    assert dist < 1e-12
+    j = choi_from_kraus(circuit_to_kraus(instantiate(TEMPLATES[tid], params))).j
+    assert np.linalg.norm(j - choi_from_kraus(ks).j) < 1e-12
+
+
 def test_fit_searches_when_the_compiled_start_misses(monkeypatch):
     # no distance is below tol = 0, so the seeded search runs all its starts
     calls = _counting_minimize(monkeypatch)
