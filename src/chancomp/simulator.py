@@ -61,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -299,15 +300,16 @@ def static_plan(c: Circuit) -> Plan:
     """The plan of c's gate structure: built on the first call for that
     structure and looked up on every later one, from a cache of the 128
     structures used last.  A structure that fails a check raises on
-    every call."""
+    every call.  The cache keeps each structure as one flat tuple, four
+    entries a gate, which takes a third of the memory of a tuple per gate."""
     return _structure_plan(c.num_qubits, c.input_qubits, c.output_qubits,
-                           tuple(map(_STRUCTURE, c.gates)))
+                           tuple(chain.from_iterable(map(_STRUCTURE, c.gates))))
 
 
 @lru_cache(maxsize=128)
 def _structure_plan(p: int, inputs: tuple, outputs: tuple, gates: tuple) -> Plan:
-    """Check the classical semantics of a gate structure, (kind, qubits,
-    creg, condition) per gate, fuse its runs, resolve the branches each
+    """Check the classical semantics of a gate structure, kind, qubits,
+    creg and condition of each gate in turn, fuse its runs, resolve the branches each
     op acts on and lay out the angles of its single-qubit kinds.  It
     never sees an angle, so a cached plan cannot depend on one.
 
@@ -315,14 +317,15 @@ def _structure_plan(p: int, inputs: tuple, outputs: tuple, gates: tuple) -> Plan
     collects, per single-qubit gate, the XOR of the control masks of the
     CNOTs before it (masks), and that of all of them (m_end).  `ops`
     holds the measure and RESET ops and the segments, lists of specs."""
-    embedding = _frozen(input_embedding(p, inputs, sum(g[0] == MEASURE for g in gates)))
+    embedding = _frozen(input_embedding(p, inputs, gates[::4].count(MEASURE)))
     rows = np.arange(1 << p)
     singles, ops = [], []   # the single-qubit kinds, in order
     written = {}      # register -> index of the measurement that wrote it
     fresh = {}        # qubit -> index of its last measurement, while no gate touched it since
     selections = {}   # (condition, measurements so far) -> branches
     spec = None
-    for kind, qs, creg, condition in gates:
+    fields = iter(gates)
+    for kind, qs, creg, condition in zip(fields, fields, fields, fields):
         if kind in UNITARY_KINDS:
             t = qs[-1]
             key = (condition or None, len(written))

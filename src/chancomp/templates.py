@@ -120,8 +120,6 @@ def _t22() -> Template:
     return Template("T22", 2, 2, 3, Circuit(4, (2, 3), (2, 3), gates, 2))
 
 
-_GONE = object()   # the condition of a template gate that a lower-rank compile leaves out
-
 TEMPLATES = {t.id: t for t in (_skeleton("T11", 1), _skeleton("T12", 2), _t21(), _t22())}
 
 
@@ -200,6 +198,9 @@ def _objective(t: Template, j_target: np.ndarray):
         return float(np.vdot(d, d).real), (slopes @ d.conj().reshape(-1)).real
 
     return objective
+
+
+_GONE = object()   # the condition of a template gate that a lower-rank compile leaves out
 
 
 def fit(
