@@ -308,10 +308,11 @@ def static_plan(c: Circuit) -> Plan:
 
 @lru_cache(maxsize=128)
 def _structure_plan(p: int, inputs: tuple, outputs: tuple, gates: tuple) -> Plan:
-    """Check the classical semantics of a gate structure, kind, qubits,
-    creg and condition of each gate in turn, fuse its runs, resolve the branches each
-    op acts on and lay out the angles of its single-qubit kinds.  It
-    never sees an angle, so a cached plan cannot depend on one.
+    """Check the classical semantics of a gate structure (the kind,
+    qubits, creg and condition of each gate in turn, in one flat tuple),
+    fuse its runs, resolve the branches each op acts on and lay out the
+    angles of its single-qubit kinds.  It never sees an angle, so a
+    cached plan cannot depend on one.
 
     Row masks: qubit q is bit p - 1 - q of a row index.  A run's spec
     collects, per single-qubit gate, the XOR of the control masks of the
