@@ -57,6 +57,6 @@ from .simulator import (
     simulate_unitary,
 )
 from .synth import decompose_isometry, multiplexed_rotation, n_iso
-from .templates import TEMPLATES, Template, fit, instantiate
+from .templates import Template, fit, instantiate, template
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from .compiler import (
     verify_mixture,
 )
 from .rewrite import standard_passes
-from .templates import TEMPLATES, fit, instantiate
+from .templates import fit, instantiate, template
 
 VERIFY_TOL = 1e-8
 TEMPLATE_KEYS = {"1to1": "T11", "1to2": "T12", "2to1": "T21", "2to2": "T22"}
@@ -63,14 +63,17 @@ def _positive_float(text: str) -> float:
     return x
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return n
+def _int_at_least(least: int):
+    """An argparse type for integers >= `least`."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = least - 1
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
+        return n
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -98,7 +101,7 @@ def _build_parser() -> _Parser:
     r.add_argument("--m", type=int, required=True)
     r.add_argument("--n", type=int, required=True)
     r.add_argument("--kraus-rank", type=int, required=True)
-    r.add_argument("--seed", type=int, required=True)
+    r.add_argument("--seed", type=_int_at_least(0), required=True)
     r.add_argument("--out", dest="outfile", required=True)
 
     b = sub.add_parser("bounds", help="CNOT-count bounds and parameter counts")
@@ -111,8 +114,8 @@ def _build_parser() -> _Parser:
     f.add_argument("--template", choices=sorted(TEMPLATE_KEYS), required=True)
     f.add_argument("--in", dest="infile", required=True)
     f.add_argument("--starts", type=int, default=20)
-    f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--max-iters", type=_positive_int, default=6000)
+    f.add_argument("--seed", type=_int_at_least(0), default=0)
+    f.add_argument("--max-iters", type=_int_at_least(1), default=6000)
     f.add_argument("--out", dest="outfile", default=None)
     return p
 
@@ -257,7 +260,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    t = TEMPLATES[TEMPLATE_KEYS[args.template]]
+    t = template(TEMPLATE_KEYS[args.template])
     ks = _load_channel(args.infile)
     tol = FIT_TOL[t.id]
     params, dist = fit(t, ks, starts=args.starts, max_iters=args.max_iters,

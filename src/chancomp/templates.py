@@ -5,8 +5,9 @@ exact small-case CNOT counts 1, 4, 7 and 13 (the conditioned blocks
 appear once per measurement outcome, so the worst case over classical
 assignments is the per-branch count).  A template is a plain `Circuit`
 with every angle zero; `instantiate` fills the angles in gate order.
-T11 and T12 are the rewritten measured compiles of rank-2 channels of
-their shapes, whose gate structure the shape alone fixes.
+T11, T12 and T22 are the rewritten measured compiles of rank-2^m
+channels of their shapes, whose gate structure the shape alone fixes;
+`template` builds each on its first use, not at import.
 `template_choi` returns the Choi matrices of a whole stack of parameter
 vectors: the simulator's static plan of a template, built once per
 structure, takes the stack as it is, so the template's gates and the
@@ -14,17 +15,17 @@ layout of its angles are interpreted by the simulator alone.
 `fit` first tries the target's own measured compile: when its gate
 structure is the template's, up to the outcome prefixes a lower-rank
 target cannot reach, its angles are the answer if they reach the
-tolerance.  Only when they miss (and always for T21 and T22) does it
+tolerance.  Only when they miss (and always for T21) does it
 minimize the squared Frobenius distance between Choi matrices with a
 multi-start L-BFGS-B search on exact parameter-shift gradients.  Its
 coordinates come from the plan's angle layout alone: every angle but
 those that fill a U gate's global phase, which cancels in the Choi
 matrix.
 
-T21 and T22 are transcribed by hand (the compiler spends 8 and 13 CNOTs
-on their shapes, with a reset ancilla): qubit 0 is the most significant wire, the
+T21 is transcribed by hand (the compiler spends 8 CNOTs on its shape,
+with a reset ancilla): qubit 0 is the most significant wire, the
 measured ancilla sits on top, and two-qubit unitary slots are expanded
-into standard 2- or 3-CNOT blocks with single-qubit gates around them.
+into standard 2-CNOT blocks with single-qubit gates around them.
 Where a figure leaves a single-qubit gate placement open we keep the
 more general placement; extra parameters cost nothing in CNOTs.
 """
@@ -33,11 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
 from .channel import KrausSet, choi_from_kraus, kraus_vectors, minimal_kraus
-from .circuit import CNOT, MEASURE, OPERANDS, RY, RZ, U, X, Circuit, Gate, cnot_count, conditioned
+from .circuit import CNOT, MEASURE, OPERANDS, RY, RZ, U, X, Circuit, Gate, cnot_count
 from .compiler import compile_measured, outcome_conditions
 from .rewrite import standard_passes
 from .simulator import run_plan, static_plan
@@ -62,39 +64,36 @@ class Template:
         return cnot_count(self.circuit)[0]
 
 
+# (m, n, max_rank) of each template
+SHAPES = {"T11": (1, 1, 2), "T12": (1, 2, 2), "T21": (2, 1, 4), "T22": (2, 2, 4)}
+
+
 def _gates(cond, *specs) -> tuple:
     """One gate with zero angles per (kind, qubit, ...) spec, all under `cond`."""
     return tuple(Gate(kind, tuple(qubits), (0.0,) * OPERANDS[kind][1], condition=cond)
                  for kind, *qubits in specs)
 
 
-def _two_cnot_block(a: int, b: int, cond) -> tuple:
+def _two_cnot_block(a: int, b: int) -> tuple:
     """Two-qubit unitary family up to a diagonal: 2 CNOTs."""
-    return _gates(cond, (U, a), (U, b), (CNOT, a, b), (RZ, a), (RY, b), (CNOT, a, b),
+    return _gates(None, (U, a), (U, b), (CNOT, a, b), (RZ, a), (RY, b), (CNOT, a, b),
                   (U, a), (U, b))
 
 
-def _three_cnot_block(a: int, b: int, cond) -> tuple:
-    """Full two-qubit unitary: 3 CNOTs."""
-    return _gates(cond, (U, a), (U, b), (CNOT, b, a), (RZ, a), (RY, b), (CNOT, a, b),
-                  (RY, b), (CNOT, b, a), (U, a), (U, b))
-
-
-def _ry_ladder(target: int, c1: int, c2: int, cond) -> tuple:
-    """The synthesizer's two-control Ry multiplexor without its closing CNOT."""
-    return tuple(conditioned(multiplexed_rotation(RY, (c2, c1), target, [0.0] * 4)[:-1], cond))
-
-
-def _skeleton(tid: str, n: int) -> Template:
-    """The 1-to-n skeleton, compiled from a fixed rank-2 channel (a seeded one slows imports)."""
-    ops = [np.outer(np.eye(2**n)[-b], np.eye(2)[-b]) for b in (0, 1)]
-    c = standard_passes(compile_measured(KrausSet(1, n, ops)))
+def _skeleton(tid: str, m: int, n: int, rank: int) -> Template:
+    """The m-to-n skeleton, compiled from a fixed channel of rank 2^m:
+    measure the input's basis state b, prepare basis state
+    b (2^n - 1) / (2^m - 1)."""
+    ops = [np.outer(np.eye(2**n)[b * (2**n - 1) // (rank - 1)], np.eye(2**m)[b])
+           for b in range(rank)]
+    c = standard_passes(compile_measured(KrausSet(m, n, ops)))
     gates = tuple(replace(g, params=(0.0,) * len(g.params)) for g in c.gates)
-    return Template(tid, 1, n, 2, replace(c, gates=gates))
+    return Template(tid, m, n, rank, replace(c, gates=gates))
 
 
 def _t21() -> Template:
-    gates = _two_cnot_block(1, 2, None) + _ry_ladder(0, 1, 2, None)
+    # a 2-CNOT block, then the synthesizer's two-control Ry multiplexor without its closing CNOT
+    gates = _two_cnot_block(1, 2) + tuple(multiplexed_rotation(RY, (2, 1), 0, [0.0] * 4)[:-1])
     gates += (Gate(MEASURE, (0,), creg=0),)
     for b in (0, 1):
         gates += _gates(((0, b),), (U, 1), (U, 2), (CNOT, 1, 2), (RY, 1), (RZ, 2), (CNOT, 2, 1),
@@ -104,23 +103,13 @@ def _t21() -> Template:
         gates += _gates(((0, b), (1, 1)), (X, 2))
     for b in (0, 1):
         gates += _gates(((0, b),), (U, 2))
-    return Template("T21", 2, 1, 4, Circuit(3, (1, 2), (2,), gates, 2))
+    return Template("T21", *SHAPES["T21"], Circuit(3, (1, 2), (2,), gates, 2))
 
 
-def _t22() -> Template:
-    gates = _two_cnot_block(2, 3, None) + _ry_ladder(0, 2, 3, None)
-    gates += (Gate(MEASURE, (0,), creg=0),)
-    for b in (0, 1):
-        cond = ((0, b),)
-        gates += _two_cnot_block(2, 3, cond)
-        gates += _ry_ladder(1, 2, 3, cond)
-        gates += _three_cnot_block(2, 3, cond)
-    gates += (Gate(MEASURE, (1,), creg=1),)
-    # rank <= 3: rank-4 channels form a 96-dimensional set, T22 has 84 coordinates
-    return Template("T22", 2, 2, 3, Circuit(4, (2, 3), (2, 3), gates, 2))
-
-
-TEMPLATES = {t.id: t for t in (_skeleton("T11", 1), _skeleton("T12", 2), _t21(), _t22())}
+@cache
+def template(tid: str) -> Template:
+    """The template `tid`, built on its first use."""
+    return _t21() if tid == "T21" else _skeleton(tid, *SHAPES[tid])
 
 
 def instantiate(t: Template, params) -> Circuit:
@@ -214,15 +203,16 @@ def fit(
     """Parameters realizing the channel, and their Choi distance.
 
     When the target's measured compile at k = ceil(log2 max_rank) has
-    the template's gate structure (T11 and T12, the compile skeletons),
-    its angles are returned if they reach `tol`.  A target of rank below
-    2^k compiles without the outcome prefixes that cannot happen, and
-    reads fewer registers elsewhere (`outcome_conditions`): the template's
-    conditions are mapped alike, and its gates under those prefixes keep
-    zero angles.  Otherwise a
-    multi-start L-BFGS-B search minimizes f = ||J - J_target||_F^2 from
-    seeded uniform random starts, stops at the first start reaching
-    `tol`, else returns the best; the compiled angles do not enter it.
+    the template's gate structure (T11, T12 and T22, the compile
+    skeletons), its angles are returned if they reach `tol`.  A target of
+    rank below 2^k compiles without the outcome prefixes that cannot
+    happen, and reads fewer registers elsewhere (`outcome_conditions`):
+    the template's conditions are mapped alike, and its gates under those
+    prefixes keep zero angles.  Otherwise, and always for T21, which no
+    compile matches, a multi-start L-BFGS-B search minimizes
+    f = ||J - J_target||_F^2 from seeded uniform random starts, stops at
+    the first start reaching `tol`, else returns the best; the compiled
+    angles do not enter it.
     """
     if (target.m, target.n) != (t.m, t.n):
         raise ValueError(f"{t.id} expects a {t.m}->{t.n} channel")

@@ -30,7 +30,7 @@ from chancomp.compiler import compile_measured, compile_qcm, predict_upper_bound
 from chancomp.rewrite import classicalize_controls, drop_dead_unitaries, standard_passes
 from chancomp.simulator import circuit_to_kraus, outcome_distribution
 from chancomp.synth import n_iso
-from chancomp.templates import TEMPLATES, fit
+from chancomp.templates import fit, template
 
 H_PARAMS = (np.pi / 2, 0.0, np.pi / 2, np.pi)
 
@@ -97,7 +97,7 @@ def test_criterion_3_count_formula(corpus):
 
 
 def test_criterion_4_small_case_counts():
-    counts = {tid: TEMPLATES[tid].cnot_count for tid in ("T11", "T12", "T21", "T22")}
+    counts = {tid: template(tid).cnot_count for tid in ("T11", "T12", "T21", "T22")}
     assert counts == {"T11": 1, "T12": 4, "T21": 7, "T22": 13}
     budget = n_iso(1, 2) - 1
     for seed in (1, 2, 3):
@@ -199,14 +199,14 @@ def test_criterion_7_extremality_and_rank():
 
 
 def test_criterion_8_template_fitting():
-    t11 = TEMPLATES["T11"]
+    t11 = template("T11")
     ok11 = 0
     for seed in range(100):
         ks = random_channel(1, 1, 2, seed)
         _, d = fit(t11, ks, starts=20, tol=1e-6, seed=7000 + seed)
         ok11 += d < 1e-6
     assert ok11 >= 95, ok11
-    t12 = TEMPLATES["T12"]
+    t12 = template("T12")
     ok12 = 0
     for seed in range(100):
         ks = random_channel(1, 2, 2, seed)

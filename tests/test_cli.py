@@ -232,7 +232,7 @@ def test_analysis_builds_no_choi_matrix(tmp_path, channel_file, monkeypatch, cap
     import chancomp.channel as channel
     from chancomp.compiler import (ConvexMixture, compile_qcm, compile_random_qcm,
                                    verify_circuit, verify_mixture)
-    from chancomp.templates import TEMPLATES, fit
+    from chancomp.templates import fit, template
 
     def refuse(*args, **kwargs):
         pytest.fail("a Choi matrix was built")
@@ -257,7 +257,7 @@ def test_analysis_builds_no_choi_matrix(tmp_path, channel_file, monkeypatch, cap
     assert run(["verify", "--circuit", str(out), "--channel", str(channel_file)]) == 0
     assert "choi_dist=" in capsys.readouterr().out
     with pytest.raises(ValueError, match="handles Kraus rank <= 2"):
-        fit(TEMPLATES["T11"], random_channel(1, 1, 3, seed=7))
+        fit(template("T11"), random_channel(1, 1, 3, seed=7))
 
 
 def test_verify_pass_and_fail(tmp_path, channel_file, capsys):
@@ -385,10 +385,10 @@ def test_fit_identity(tmp_path, capsys):
 
 
 def test_fit_refuses_a_rank_the_template_cannot_reach(tmp_path, capsys):
-    src = tmp_path / "rank4.json"
-    src.write_text(channel_to_json(random_channel(2, 2, 4, seed=5)))
+    src = tmp_path / "rank5.json"
+    src.write_text(channel_to_json(random_channel(2, 2, 5, seed=5)))
     assert run(["fit", "--template", "2to2", "--in", str(src)]) == 1
-    assert "T22 handles Kraus rank <= 3" in capsys.readouterr().err
+    assert "T22 handles Kraus rank <= 4" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_one(capsys):
@@ -540,15 +540,37 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
 
 def test_fit_on_a_compile_skeleton_leaves_scipy_unloaded(tmp_path):
     # a subprocess, since pytest has imported scipy in this one: the
-    # compiled start realizes a rank-2 1-to-1 channel, so no search runs
-    (tmp_path / "ch.json").write_text(channel_to_json(random_channel(1, 1, 2, seed=3)))
+    # compiled start realizes a rank-2 1-to-1 and a rank-4 2-to-2 channel,
+    # so no search runs
+    (tmp_path / "1to1.json").write_text(channel_to_json(random_channel(1, 1, 2, seed=3)))
+    (tmp_path / "2to2.json").write_text(channel_to_json(random_channel(2, 2, 4, seed=3)))
     code = ("import sys; from chancomp.cli import run; "
-            "code = run(['fit', '--template', '1to1', '--in', 'ch.json', '--out', 'f.qcirc']); "
-            "print(code, 'scipy' in sys.modules)")
+            "codes = [run(['fit', '--template', key, '--in', key + '.json', "
+            "'--out', key + '.qcirc']) for key in ('1to1', '2to2')]; "
+            "print(*codes, 'scipy' in sys.modules)")
     proc = _run_cli(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "0 False"
-    parse((tmp_path / "f.qcirc").read_text())
+    assert proc.stdout.strip().splitlines()[-1] == "0 0 False"
+    for key in ("1to1", "2to2"):
+        parse((tmp_path / f"{key}.qcirc").read_text())
+
+
+def test_a_call_builds_only_the_template_it_fits(tmp_path):
+    # a subprocess, so that no template is built before the calls run
+    (tmp_path / "ch.json").write_text(channel_to_json(random_channel(1, 1, 2, seed=3)))
+    code = '''
+from chancomp.cli import run
+from chancomp.templates import template
+for argv in (["compile", "--model", "measured", "--in", "ch.json", "--out", "c.qcirc"],
+             ["verify", "--circuit", "c.qcirc", "--channel", "ch.json"],
+             ["bounds", "--m", "2", "--n", "2"],
+             ["fit", "--template", "1to1", "--in", "ch.json"]):
+    print("built", run(argv), template.cache_info().currsize)
+'''
+    proc = _run_cli(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    built = [line for line in proc.stdout.splitlines() if line.startswith("built")]
+    assert built == ["built 0 0"] * 3 + ["built 0 1"]
 
 
 def test_measured_compile_leaves_scipy_linalg_unloaded(tmp_path):
@@ -612,6 +634,7 @@ def test_verify_malformed_circuit_exits_one_without_traceback(tmp_path, line):
     ["verify", "--tol", "inf"], ["verify", "--tol", "-inf"], ["verify", "--tol", "tiny"],
     ["fit", "--max-iters", "0"], ["fit", "--max-iters", "-5"], ["fit", "--max-iters", "2.5"],
     ["compile", "--k", "5"],   # --model random took --k and ignored it
+    ["fit", "--seed", "-3"], ["random", "--seed", "-1"],   # numpy's error named no flag
 ])
 def test_out_of_range_knobs_exit_one_without_traceback(tmp_path, argv):
     # a correct circuit, so the exit code can only come from the knob
@@ -623,6 +646,9 @@ def test_out_of_range_knobs_exit_one_without_traceback(tmp_path, argv):
         args = ["verify", "--circuit", str(circ), "--channel", str(ch), *argv[1:]]
     elif argv[0] == "fit":
         args = ["fit", "--template", "1to1", "--in", str(ch), "--starts", "1", *argv[1:]]
+    elif argv[0] == "random":
+        args = ["random", "--m", "1", "--n", "1", "--kraus-rank", "1",
+                "--out", str(tmp_path / "r.json"), *argv[1:]]
     else:
         args = ["compile", "--model", "random", "--in", str(ch),
                 "--out", str(tmp_path / "r.qcirc"), *argv[1:]]

@@ -23,7 +23,7 @@ from chancomp.compiler import (
 )
 from chancomp.linalg import qr_rectangular
 from chancomp.synth import decompose_isometries, decompose_isometry, n_iso
-from chancomp.templates import TEMPLATES
+from chancomp.templates import template
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -316,7 +316,7 @@ def test_two_to_two_worst_case_takes_the_template_count():
     # the compile reaches T22's 13 CNOTs without a fit
     for seed in range(3):
         ks = random_channel(2, 2, 4, seed)
-        assert cnot_count(compile_measured(ks)) == (TEMPLATES["T22"].cnot_count, True) == (13, True)
+        assert cnot_count(compile_measured(ks)) == (template("T22").cnot_count, True) == (13, True)
 
 
 @pytest.mark.parametrize("m,n,kr,stages", [(3, 3, 8, 4), (2, 1, 4, 2), (2, 3, 4, 3)])
@@ -438,7 +438,7 @@ def test_one_to_one_rank2_takes_the_template_count():
     for seed in range(5):
         ks = random_channel(1, 1, 2, seed)
         circ = compile_measured(ks)
-        assert cnot_count(circ) == (TEMPLATES["T11"].cnot_count, True) == (1, True)
+        assert cnot_count(circ) == (template("T11").cnot_count, True) == (1, True)
         assert verify_circuit(circ, ks) < 1e-8
 
 

@@ -29,36 +29,37 @@ from chancomp.rewrite import standard_passes
 from chancomp.simulator import circuit_to_kraus, run_plan, simulate_unitary, static_plan
 from reference_walker import reference_branches, rx_matrix, ry_matrix, u_matrix
 from chancomp.templates import (
-    TEMPLATES,
+    SHAPES,
     Template,
     expand_reduced,
     fit,
     instantiate,
     reduced_dim,
+    template,
     template_choi,
 )
 
 EXPECTED_CNOTS = {"T11": 1, "T12": 4, "T21": 7, "T22": 13}
 
-# sha256 of serialize(t.circuit): the compile skeletons T11 and T12 and
-# the transcribed T21 and T22
+# sha256 of serialize(t.circuit): the compile skeletons T11, T12 and T22
+# and the transcribed T21
 TOPOLOGY_SHA256 = {
     "T11": "d887740503199b3e3da42af83d9b9bbb5e166c0e4c341aeaa43491127ec78a3d",
     "T12": "5bbaf8ae85837376dfbb3d53a981fe56e6aa1e6c8a5e1a7fe59a94949959765b",
     "T21": "422b0ae60262d250330bafe8eea1c64c6b05dcece9d8d77ea08d7a03c269bf4f",
-    "T22": "ca95d21b789a7f71d6dcf62cf6bb21b1c8fc5db44f457fd26a66b642081aea05",
+    "T22": "33bd843196f98db7030e382c34ff219b174efe8809ab126286d548024639175f",
 }
 
 
-@pytest.mark.parametrize("tid", sorted(TEMPLATES))
+@pytest.mark.parametrize("tid", sorted(SHAPES))
 def test_template_topology_is_pinned(tid):
-    text = serialize(TEMPLATES[tid].circuit)
+    text = serialize(template(tid).circuit)
     assert hashlib.sha256(text.encode()).hexdigest() == TOPOLOGY_SHA256[tid]
 
 
-@pytest.mark.parametrize("tid", sorted(TEMPLATES))
+@pytest.mark.parametrize("tid", sorted(SHAPES))
 def test_template_cnot_counts_match_small_case_figures(tid):
-    t = TEMPLATES[tid]
+    t = template(tid)
     assert t.cnot_count == EXPECTED_CNOTS[tid]
     circ = instantiate(t, [0.0] * t.param_count)
     worst, uniform = cnot_count(circ)
@@ -66,18 +67,18 @@ def test_template_cnot_counts_match_small_case_figures(tid):
     assert uniform
 
 
-@pytest.mark.parametrize("tid", sorted(TEMPLATES))
+@pytest.mark.parametrize("tid", sorted(SHAPES))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_count_independent_of_parameters(tid, seed):
-    t = TEMPLATES[tid]
+    t = template(tid)
     rng = np.random.default_rng(seed)
     circ = instantiate(t, rng.uniform(-4, 4, t.param_count))
     assert cnot_count(circ)[0] == EXPECTED_CNOTS[tid]
 
 
-@pytest.mark.parametrize("tid", sorted(TEMPLATES))
+@pytest.mark.parametrize("tid", sorted(SHAPES))
 def test_instantiate_fills_angles_in_gate_order(tid):
-    t = TEMPLATES[tid]
+    t = template(tid)
     assert instantiate(t, [0.0] * t.param_count) == t.circuit
     params = np.arange(1.0, t.param_count + 1)
     got = instantiate(t, params)
@@ -87,7 +88,7 @@ def test_instantiate_fills_angles_in_gate_order(tid):
 
 
 def test_instantiate_rejects_wrong_length():
-    t = TEMPLATES["T11"]
+    t = template("T11")
     with pytest.raises(ValueError, match="takes 14 parameters"):
         instantiate(t, [0.0] * 3)
 
@@ -95,7 +96,7 @@ def test_instantiate_rejects_wrong_length():
 def test_t11_zero_params_matches_golden_choi():
     # at zero angles the skeleton copies the input bit onto the ancilla and
     # measures it: the completely dephasing channel, Choi matrix diag(1,0,0,1)
-    t = TEMPLATES["T11"]
+    t = template("T11")
     j = choi_from_kraus(circuit_to_kraus(instantiate(t, [0.0] * 14))).j
     assert np.linalg.norm(j - np.diag([1.0, 0.0, 0.0, 1.0])) < 1e-12
 
@@ -105,14 +106,14 @@ def _structure(c):
     return header, [(g.kind, g.qubits, g.creg, g.condition) for g in c.gates]
 
 
-@pytest.mark.parametrize("tid,n", [("T11", 1), ("T12", 2)])
+@pytest.mark.parametrize("tid", ["T11", "T12", "T22"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_one_to_n_templates_are_compile_skeletons(tid, n, seed):
+def test_skeleton_templates_match_random_compiles(tid, seed):
     # the measured compile's gate structure depends on the shape alone
-    t = TEMPLATES[tid]
-    assert (t.m, t.n, t.max_rank) == (1, n, 2)
+    t = template(tid)
+    assert (t.m, t.n, t.max_rank) == SHAPES[tid] and t.max_rank == 2**t.m
     assert all(x == 0.0 for g in t.circuit.gates for x in g.params)
-    compiled = standard_passes(compile_measured(random_channel(1, n, 2, seed)))
+    compiled = standard_passes(compile_measured(random_channel(t.m, t.n, t.max_rank, seed)))
     assert _structure(t.circuit) == _structure(compiled)
 
 
@@ -121,21 +122,21 @@ def channel_dim(m, n, r):
     return 2 * r * 2 ** (m + n) - 4**m - r * r
 
 
-@pytest.mark.parametrize("tid", sorted(TEMPLATES))
+@pytest.mark.parametrize("tid", sorted(SHAPES))
 def test_template_has_the_coordinates_of_its_rank(tid):
     # necessary for a generic channel of rank max_rank to be reachable
-    t = TEMPLATES[tid]
+    t = template(tid)
     assert channel_dim(t.m, t.n, 2**t.m) == param_count_extreme(t.m, t.n)
     assert reduced_dim(t) >= channel_dim(t.m, t.n, t.max_rank)
 
 
-def test_t22_refuses_rank_four_before_any_start(monkeypatch):
+def test_t22_refuses_rank_five_before_any_start(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("fit started")
 
     monkeypatch.setattr(templates, "minimize", refuse)
-    with pytest.raises(ValueError, match="T22 handles Kraus rank <= 3"):
-        fit(TEMPLATES["T22"], random_channel(2, 2, 4, seed=5))
+    with pytest.raises(ValueError, match="T22 handles Kraus rank <= 4"):
+        fit(template("T22"), random_channel(2, 2, 5, seed=5))
 
 
 def test_closed_form_u_matches_gate_semantics():
@@ -163,10 +164,10 @@ def test_closed_form_u_matches_gate_semantics():
         assert np.max(np.abs(own - op)) <= 1e-15
 
 
-@pytest.mark.parametrize("tid", sorted(TEMPLATES))
+@pytest.mark.parametrize("tid", sorted(SHAPES))
 def test_fast_choi_agrees_with_simulator(tid):
     # against the gate-by-gate reference: circuit_to_kraus runs the same plan
-    t = TEMPLATES[tid]
+    t = template(tid)
     rng = np.random.default_rng(7)
     batch = rng.uniform(-3, 3, (5, t.param_count))
     js = template_choi(t, batch)
@@ -180,12 +181,12 @@ def test_fast_choi_agrees_with_simulator(tid):
 
 def test_template_choi_rejects_wrong_length():
     with pytest.raises(ValueError, match="takes 14 parameters"):
-        template_choi(TEMPLATES["T11"], [0.0] * 13)
+        template_choi(template("T11"), [0.0] * 13)
 
 
-@pytest.mark.parametrize("tid", sorted(TEMPLATES))
+@pytest.mark.parametrize("tid", sorted(SHAPES))
 def test_parameter_shift_gradient_matches_central_differences(tid):
-    t = TEMPLATES[tid]
+    t = template(tid)
     objective = templates._objective(t, choi_from_kraus(random_channel(t.m, t.n, 2, seed=11)).j)
     x = np.random.default_rng(13).uniform(-np.pi, np.pi, reduced_dim(t))
     _, grad = objective(x)
@@ -198,7 +199,7 @@ def test_parameter_shift_gradient_matches_central_differences(tid):
 
 
 def test_expand_reduced_round_trip_dimensions():
-    for t in TEMPLATES.values():
+    for t in map(template, SHAPES):
         n_u = sum(g.kind == U for g in t.circuit.gates)
         assert reduced_dim(t) == t.param_count - n_u
         full = expand_reduced(t, [0.1] * reduced_dim(t))
@@ -209,24 +210,24 @@ def test_expand_reduced_round_trip_dimensions():
 
 
 def test_fit_rejects_wrong_dimensions():
-    t = TEMPLATES["T11"]
+    t = template("T11")
     with pytest.raises(ValueError, match="expects a 1->1"):
         fit(t, random_channel(1, 2, 2, seed=0))
 
 
 def test_fit_rejects_high_rank():
-    t = TEMPLATES["T11"]
+    t = template("T11")
     with pytest.raises(ValueError, match="rank"):
         fit(t, random_channel(1, 1, 3, seed=0))
 
 
 def test_fit_rejects_no_starts():
     with pytest.raises(ValueError, match="starts"):
-        fit(TEMPLATES["T11"], random_channel(1, 1, 2, seed=0), starts=0)
+        fit(template("T11"), random_channel(1, 1, 2, seed=0), starts=0)
 
 
 def test_fit_t11_identity_channel():
-    t = TEMPLATES["T11"]
+    t = template("T11")
     params, dist = fit(t, KrausSet(1, 1, [np.eye(2)]), starts=20, tol=1e-9, seed=0)
     assert dist < 1e-9
     j = template_choi(t, params)
@@ -235,7 +236,7 @@ def test_fit_t11_identity_channel():
 
 
 def test_fit_t11_random_channel():
-    t = TEMPLATES["T11"]
+    t = template("T11")
     ks = random_channel(1, 1, 2, seed=4)
     params, dist = fit(t, ks, starts=20, tol=1e-6, seed=40)
     assert dist < 1e-6
@@ -245,7 +246,7 @@ def test_fit_t11_random_channel():
 
 
 def test_fit_t12_random_channel():
-    t = TEMPLATES["T12"]
+    t = template("T12")
     ks = random_channel(1, 2, 2, seed=5)
     params, dist = fit(t, ks, starts=40, tol=1e-4, seed=50)
     assert dist < 1e-4
@@ -265,39 +266,45 @@ def _counting_minimize(monkeypatch):
 
 
 @pytest.mark.parametrize("tid,n,starts,tol,seed", [("T11", 1, 20, 1e-6, 7000),
-                                                   ("T12", 2, 40, 1e-4, 8000)])
+                                                   ("T12", 2, 40, 1e-4, 8000),
+                                                   ("T22", 2, 20, 1e-4, 9000)])
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_compile_skeleton_fit_takes_the_compiled_start(tid, n, starts, tol, seed, s,
                                                        monkeypatch):
-    # criterion 8's calls: the target's own compile realizes it, so no search starts
+    # criterion 8's calls, and T22's alike: the target's own compile
+    # realizes it, so no search starts
     calls = _counting_minimize(monkeypatch)
-    ks = random_channel(1, n, 2, seed=s)
-    params, dist = fit(TEMPLATES[tid], ks, starts=starts, tol=tol, seed=seed + s)
+    t = template(tid)
+    ks = random_channel(t.m, n, t.max_rank, seed=s)
+    params, dist = fit(t, ks, starts=starts, tol=tol, seed=seed + s)
     assert calls == []
     assert dist < 1e-12
-    j = choi_from_kraus(circuit_to_kraus(instantiate(TEMPLATES[tid], params))).j
+    j = choi_from_kraus(circuit_to_kraus(instantiate(t, params))).j
     assert np.linalg.norm(j - choi_from_kraus(ks).j) < 1e-12
 
 
-@pytest.mark.parametrize("tid,n", [("T11", 1), ("T12", 2)])
+@pytest.mark.parametrize("tid,n", [("T11", 1), ("T12", 2), ("T22", 2)])
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_rank_one_fit_takes_the_compiled_start(tid, n, s, monkeypatch):
     # a rank-1 target compiled at k = 1 leaves out outcome 1, which cannot
     # happen; the template's gates under it keep zero angles, and the
-    # compiled start still realizes the target without a search
+    # compiled start still realizes the target without a search.  T22
+    # (k = 2) is checked at every rank below its 4, ranks 2 and 3 included
     calls = _counting_minimize(monkeypatch)
-    ks = random_channel(1, n, 1, seed=s)
-    params, dist = fit(TEMPLATES[tid], ks)
-    assert calls == []
-    assert dist < 1e-12
-    j = choi_from_kraus(circuit_to_kraus(instantiate(TEMPLATES[tid], params))).j
-    assert np.linalg.norm(j - choi_from_kraus(ks).j) < 1e-12
+    t = template(tid)
+    for rank in range(1, t.max_rank):
+        ks = random_channel(t.m, n, rank, seed=s)
+        params, dist = fit(t, ks)
+        assert calls == []
+        assert dist < 1e-12
+        j = choi_from_kraus(circuit_to_kraus(instantiate(t, params))).j
+        assert np.linalg.norm(j - choi_from_kraus(ks).j) < 1e-12
 
 
 def test_fit_searches_when_the_compiled_start_misses(monkeypatch):
     # no distance is below tol = 0, so the seeded search runs all its starts
     calls = _counting_minimize(monkeypatch)
-    _, dist = fit(TEMPLATES["T11"], random_channel(1, 1, 2, seed=4), starts=2, max_iters=5,
+    _, dist = fit(template("T11"), random_channel(1, 1, 2, seed=4), starts=2, max_iters=5,
                   tol=0.0, seed=1)
     assert len(calls) == 2
     assert dist >= 0.0
@@ -306,7 +313,7 @@ def test_fit_searches_when_the_compiled_start_misses(monkeypatch):
 def test_fit_t21_runs(monkeypatch):
     # T21's hand-built structure is not the (2,1) compile's: the search runs
     calls = _counting_minimize(monkeypatch)
-    t = TEMPLATES["T21"]
+    t = template("T21")
     ks = random_channel(2, 1, 4, seed=6)
     params, dist = fit(t, ks, starts=1, max_iters=60, tol=1e-4, seed=60)
     assert len(calls) >= 1
@@ -315,7 +322,7 @@ def test_fit_t21_runs(monkeypatch):
 
 
 def test_instantiate_injective_on_parameters():
-    t = TEMPLATES["T11"]
+    t = template("T11")
     rng = np.random.default_rng(9)
     a = rng.uniform(-3, 3, t.param_count)
     b = a.copy()
