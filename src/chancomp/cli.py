@@ -8,35 +8,14 @@ given, so a run that exits 0 has passed the channel oracle.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import pathlib
 import sys
 
-import numpy as np
-
-from . import bounds as bounds_mod
-from .channel import (
-    KrausSet,
-    channel_from_json,
-    channel_to_json,
-    is_extreme_minimal,
-    json_object,
-    minimal_kraus,
-    random_channel,
-)
-from .circuit import MEASURE, Circuit, cnot_count, parse, serialize
-from .compiler import (
-    ConvexMixture,
-    compile_measured,
-    compile_qcm,
-    compile_random_qcm,
-    verify_circuit,
-    verify_mixture,
-)
-from .rewrite import standard_passes
-from .templates import fit, instantiate, template
+# Each command imports the chancomp modules it runs when it runs, so a
+# call loads only those: `bounds` loads no numpy, and `compile` and
+# `verify` load no templates.
 
 VERIFY_TOL = 1e-8
 TEMPLATE_KEYS = {"1to1": "T11", "1to2": "T12", "2to1": "T21", "2to2": "T22"}
@@ -113,18 +92,22 @@ def _build_parser() -> _Parser:
     f = sub.add_parser("fit", help="fit a small-case template to a channel")
     f.add_argument("--template", choices=sorted(TEMPLATE_KEYS), required=True)
     f.add_argument("--in", dest="infile", required=True)
-    f.add_argument("--starts", type=int, default=20)
+    f.add_argument("--starts", type=_int_at_least(1), default=20)
     f.add_argument("--seed", type=_int_at_least(0), default=0)
     f.add_argument("--max-iters", type=_int_at_least(1), default=6000)
     f.add_argument("--out", dest="outfile", default=None)
     return p
 
 
-def _load_channel(path: str) -> KrausSet:
+def _load_channel(path: str):
+    from .channel import channel_from_json
+
     return channel_from_json(pathlib.Path(path).read_text())
 
 
-def _report_line(circ: Circuit, dist: float | None) -> str:
+def _report_line(circ, dist: float | None) -> str:
+    from .circuit import MEASURE, cnot_count
+
     worst, _ = cnot_count(circ)
     measures = sum(g.kind == MEASURE for g in circ.gates)
     line = f"qubits={circ.num_qubits} cnots={worst} measurements={measures}"
@@ -139,6 +122,11 @@ def _cmd_compile(args) -> int:
     text = pathlib.Path(args.infile).read_text()
     if args.model == "random":
         return _compile_random(args, text)
+    from .channel import channel_from_json
+    from .circuit import serialize
+    from .compiler import compile_measured, compile_qcm, verify_circuit
+    from .rewrite import standard_passes
+
     ks = channel_from_json(text)
     compiler = compile_measured if args.model == "measured" else compile_qcm
     circ = compiler(ks, force_k=args.k)
@@ -156,7 +144,10 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _parse_mixture(text: str) -> ConvexMixture:
+def _parse_mixture(text: str):
+    from .channel import channel_from_json, json_object
+    from .compiler import ConvexMixture
+
     doc = json_object(text)
     if "components" not in doc:
         return ConvexMixture([(1.0, channel_from_json(text))])
@@ -175,6 +166,10 @@ def _parse_mixture(text: str) -> ConvexMixture:
 
 
 def _compile_random(args, text: str) -> int:
+    from .circuit import serialize
+    from .compiler import compile_random_qcm, verify_mixture
+    from .rewrite import standard_passes
+
     mix = _parse_mixture(text)
     compiled = compile_random_qcm(mix)
     if not args.no_rewrite:
@@ -198,6 +193,9 @@ def _compile_random(args, text: str) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .circuit import parse
+    from .compiler import verify_circuit
+
     circ = parse(pathlib.Path(args.circuit).read_text())
     ks = _load_channel(args.channel)
     dist = verify_circuit(circ, ks)
@@ -206,6 +204,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    import numpy as np
+
+    from .channel import is_extreme_minimal, minimal_kraus
+
     ks = _load_channel(args.infile)
     tp = sum(a.conj().T @ a for a in ks.ops) - np.eye(2**ks.m)
     mini = minimal_kraus(ks)
@@ -218,18 +220,24 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    from .channel import channel_to_json, random_channel
+
     ks = random_channel(args.m, args.n, args.kraus_rank, args.seed)
     pathlib.Path(args.outfile).write_text(channel_to_json(ks))
     return 0
 
 
-_BOUND_FIELDS = tuple(f.name for f in dataclasses.fields(bounds_mod.BoundsReport)
-                      if f.name not in ("m", "n"))
 # The most rows `bounds --grid` prints; a row near m + n = 7000 takes about 1 ms.
 _MAX_GRID_ROWS = 10_000
 
 
 def _cmd_bounds(args) -> int:
+    import dataclasses
+
+    from . import bounds as bounds_mod
+
+    fields = tuple(f.name for f in dataclasses.fields(bounds_mod.BoundsReport)
+                   if f.name not in ("m", "n"))
     if args.grid:
         mmax, nmax = args.grid
         if mmax < 0 or nmax < 0:
@@ -241,25 +249,28 @@ def _cmd_bounds(args) -> int:
             raise ValueError(f"--grid {mmax} {nmax} has {(mmax + 1) * (nmax + 1)} rows, "
                              f"more than {_MAX_GRID_ROWS}")
         if args.csv:
-            print("m,n," + ",".join(_BOUND_FIELDS))
+            print("m,n," + ",".join(fields))
         for m in range(mmax + 1):
             for n in range(nmax + 1):
                 rep = bounds_mod.table1(m, n)
                 if args.csv:
-                    print(f"{m},{n}," + ",".join(str(getattr(rep, f)) for f in _BOUND_FIELDS))
+                    print(f"{m},{n}," + ",".join(str(getattr(rep, f)) for f in fields))
                 else:
-                    vals = " ".join(f"{f}={getattr(rep, f)}" for f in _BOUND_FIELDS)
+                    vals = " ".join(f"{f}={getattr(rep, f)}" for f in fields)
                     print(f"m={m} n={n} {vals}")
         return 0
     if args.m is None or args.n is None:
         raise UsageError("bounds needs --m and --n (or --grid)")
     rep = bounds_mod.table1(args.m, args.n)
-    for f in _BOUND_FIELDS:
+    for f in fields:
         print(f"{f}={getattr(rep, f)}")
     return 0
 
 
 def _cmd_fit(args) -> int:
+    from .circuit import serialize
+    from .templates import fit, instantiate, template
+
     t = template(TEMPLATE_KEYS[args.template])
     ks = _load_channel(args.infile)
     tol = FIT_TOL[t.id]

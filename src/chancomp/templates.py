@@ -204,7 +204,8 @@ def fit(
 
     When the target's measured compile at k = ceil(log2 max_rank) has
     the template's gate structure (T11, T12 and T22, the compile
-    skeletons), its angles are returned if they reach `tol`.  A target of
+    skeletons), its angles are returned if they reach `tol`, which one
+    evaluation of the template checks.  A target of
     rank below 2^k compiles without the outcome prefixes that cannot
     happen, and reads fewer registers elsewhere (`outcome_conditions`):
     the template's conditions are mapped alike, and its gates under those
@@ -221,7 +222,7 @@ def fit(
         raise ValueError(f"{t.id} handles Kraus rank <= {t.max_rank}")
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
-    objective = _objective(t, choi_from_kraus(target).j)
+    j_target = choi_from_kraus(target).j
     k = math.ceil(math.log2(t.max_rank))
     c = compile_measured(target, force_k=k)
     # the skeletons are rank-2^k compiles, which the rewrite leaves alone;
@@ -235,10 +236,13 @@ def fit(
         params = iter(c.gates)
         x0 = np.array([x for g, cond in mapped
                        for x in (g.params if cond is _GONE else next(params).params)])[_kept(t)]
-        dist = math.sqrt(objective(x0)[0])
+        start = expand_reduced(t, x0)
+        d = template_choi(t, start) - j_target
+        dist = math.sqrt(np.vdot(d, d).real)
         if dist < tol:
-            return expand_reduced(t, x0).tolist(), dist
+            return start.tolist(), dist
 
+    objective = _objective(t, j_target)
     rng = np.random.default_rng(seed)
     best_val, best_x = math.inf, None
     for _ in range(starts):

@@ -294,13 +294,10 @@ def test_info(tmp_path, capsys):
 
 def test_info_runs_one_kraus_analysis(channel_file, monkeypatch, capsys):
     import chancomp.channel as channel
-    import chancomp.cli as cli
 
     calls = []
     analyse = channel.minimal_kraus
-    counting = lambda ks: calls.append(ks) or analyse(ks)  # noqa: E731
-    monkeypatch.setattr(channel, "minimal_kraus", counting)
-    monkeypatch.setattr(cli, "minimal_kraus", counting)
+    monkeypatch.setattr(channel, "minimal_kraus", lambda ks: calls.append(ks) or analyse(ks))
     assert run(["info", "--in", str(channel_file)]) == 0
     assert "kraus_rank=" in capsys.readouterr().out
     assert len(calls) == 1
@@ -382,6 +379,14 @@ def test_fit_identity(tmp_path, capsys):
     assert code == 0
     assert "distance=" in capsys.readouterr().out
     parse(out.read_text())
+
+
+@pytest.mark.parametrize("starts", ["0", "-4"])
+def test_fit_starts_checked_before_the_channel_is_read(tmp_path, capsys, starts):
+    assert run(["fit", "--template", "2to2", "--in", str(tmp_path / "missing.json"),
+                "--starts", starts]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: argument --starts: must be an integer >= 1, got '{starts}'")
 
 
 def test_fit_refuses_a_rank_the_template_cannot_reach(tmp_path, capsys):
@@ -584,6 +589,42 @@ def test_measured_compile_leaves_scipy_linalg_unloaded(tmp_path):
     assert proc.stdout.strip() == "0 False"
 
 
+_CORE = {"channel", "circuit", "cli", "compiler", "linalg", "simulator", "synth"}
+# argv, exit code, the chancomp modules the call loads, and whether it loads numpy
+_LOADS = {
+    "bounds": (["bounds", "--m", "2", "--n", "3"], 0, {"bounds", "cli"}, False),
+    "bounds-error": (["bounds", "--m", "-3", "--n", "1"], 1, {"bounds", "cli"}, False),
+    "argument-error": (["fit", "--template", "1to1", "--in", "ch.json", "--starts", "0"], 1,
+                       {"cli"}, False),
+    "compile": (["compile", "--model", "measured", "--in", "ch.json", "--out", "out.qcirc"], 0,
+                _CORE | {"rewrite"}, True),
+    "verify": (["verify", "--circuit", "c.qcirc", "--channel", "ch.json"], 0, _CORE, True),
+    "info": (["info", "--in", "ch.json"], 0, {"channel", "cli", "linalg"}, True),
+    "random": (["random", "--m", "1", "--n", "2", "--kraus-rank", "2", "--seed", "3",
+                "--out", "r.json"], 0, {"channel", "cli", "linalg"}, True),
+    "fit": (["fit", "--template", "1to1", "--in", "ch.json"], 0,
+            _CORE | {"rewrite", "templates"}, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOADS))
+def test_a_call_loads_only_the_modules_its_command_runs(tmp_path, case):
+    # a subprocess, since this one has loaded every module; no call here
+    # runs the fit search, so none loads scipy
+    argv, want, modules, numpy = _LOADS[case]
+    ks = random_channel(1, 1, 2, seed=3)
+    (tmp_path / "ch.json").write_text(channel_to_json(ks))
+    (tmp_path / "c.qcirc").write_text(serialize(standard_passes(compile_measured(ks))))
+    code = ("import sys; from chancomp.cli import run; code = run(sys.argv[1:]); "
+            "print(code, *sorted(m for m in sys.modules if m.startswith('chancomp.')), "
+            "'numpy' in sys.modules, 'scipy' in sys.modules)")
+    proc = _run_cli(["-c", code, *argv], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert loaded == [str(want), *(f"chancomp.{m}" for m in sorted(modules)), str(numpy),
+                      "False"]
+
+
 _SIZE_CASES = {
     "info-huge-m": ["info", "--in", "doc.json"],
     "info-string-m": ["info", "--in", "doc.json"],
@@ -635,6 +676,7 @@ def test_verify_malformed_circuit_exits_one_without_traceback(tmp_path, line):
     ["fit", "--max-iters", "0"], ["fit", "--max-iters", "-5"], ["fit", "--max-iters", "2.5"],
     ["compile", "--k", "5"],   # --model random took --k and ignored it
     ["fit", "--seed", "-3"], ["random", "--seed", "-1"],   # numpy's error named no flag
+    ["fit", "--starts", "0"], ["fit", "--starts", "-4"],   # reached fit after the channel
 ])
 def test_out_of_range_knobs_exit_one_without_traceback(tmp_path, argv):
     # a correct circuit, so the exit code can only come from the knob

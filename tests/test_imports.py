@@ -1,5 +1,12 @@
 import ast
+import importlib
 import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import chancomp
 
 PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "chancomp"
 
@@ -19,12 +26,13 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def _package():
-    """The module trees other than __init__'s, the names __init__ exports
-    and the names the modules refer to, a module's own names included."""
+    """The module trees other than __init__'s, the names in __init__'s
+    export table and the names the modules refer to, a module's own names included."""
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
-    exported = {alias.name for node in ast.walk(trees.pop("__init__"))
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    [table] = [node.value for node in trees.pop("__init__").body
+               if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_EXPORTS"]]
+    exported = set(ast.literal_eval(table))
     used = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
@@ -64,3 +72,28 @@ def test_every_export_no_module_refers_to_is_listed():
     # next unused export fails here
     _, exported, used = _package()
     assert sorted(exported - used) == sorted(LIBRARY_API)
+
+
+def test_every_export_resolves_to_the_object_in_its_module():
+    for name, module in chancomp._EXPORTS.items():
+        assert getattr(chancomp, name) is getattr(
+            importlib.import_module(f"chancomp.{module}"), name), name
+    assert set(chancomp.__all__) == {*chancomp._EXPORTS, "__version__"}
+    assert set(chancomp.__all__) <= set(dir(chancomp))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'compile_everything'"):
+        chancomp.compile_everything
+    assert not hasattr(chancomp, "_objective")
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    # a subprocess, since this one has loaded them all
+    code = ("import sys, chancomp; "
+            "print(sorted(m for m in sys.modules if m.startswith('chancomp.')), "
+            "'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] False"

@@ -301,6 +301,30 @@ def test_rank_one_fit_takes_the_compiled_start(tid, n, s, monkeypatch):
         assert np.linalg.norm(j - choi_from_kraus(ks).j) < 1e-12
 
 
+# sha256 of the returned params' float64 bytes, the same as when the
+# compiled start's distance came from the objective's 2d + 1 evaluations
+T22_FIT_SHA256 = {
+    4: "2aba5a34bd725a2ee05ba81d38fda9baf55e6d42a140e5258070eb9e6904f136",
+    2: "d5de49f664349552ad8bc123abc7d6b745bbdad33f8e9c30cdba20d4f539215d",
+}
+
+
+@pytest.mark.parametrize("rank", sorted(T22_FIT_SHA256))
+def test_reachable_t22_fit_evaluates_one_parameter_vector(rank, monkeypatch):
+    evaluated = []
+    real = templates.template_choi
+
+    def counted(t, params):
+        evaluated.append(np.asarray(params).reshape(-1, t.param_count).shape[0])
+        return real(t, params)
+
+    monkeypatch.setattr(templates, "template_choi", counted)
+    params, dist = fit(template("T22"), random_channel(2, 2, rank, seed=3), tol=1e-4)
+    assert evaluated == [1]
+    assert dist < 1e-12
+    assert hashlib.sha256(np.array(params).tobytes()).hexdigest() == T22_FIT_SHA256[rank]
+
+
 def test_fit_searches_when_the_compiled_start_misses(monkeypatch):
     # no distance is below tol = 0, so the seeded search runs all its starts
     calls = _counting_minimize(monkeypatch)
