@@ -47,14 +47,31 @@ target for target and CNOT mask for CNOT mask, differing only in their
 single-qubit kinds and angles, and in their conditions, which need not
 read the same registers (a compile leaves registers out where an outcome
 cannot happen).  Such segments merge into one group when the branch sets
-they fire in are pairwise disjoint: each run position of the group is
-one op on the union of those branches, one `_run_product` over every
-member's gathered matrices and one pair update in which each branch
-takes the product of the member that fires there.  No branch sees two
-members, so each branch still sees its gates in circuit order.
+they fire in are pairwise disjoint: each run position of the group (or
+pair window, below) is one op on the union of those branches, one
+`_run_product` over every member's gathered matrices and one pair
+update in which each branch takes the product of the member that fires
+there.  No branch sees two members, so each branch still sees its gates
+in circuit order.
 Disjointness is checked on the branch sets themselves, not on the
 condition values: a value that comes back (s = 0, 1, 0) starts a new
 group.  A segment that fires nowhere makes no op.
+
+A pair window is a maximal stretch of consecutive run positions of one
+group whose gates all act within one qubit pair (a, b): gates on a and on
+b between CNOTs either way, the shape of the two-qubit Shannon leaves.
+Its gates touch only the pair, so its 4x4 is the same for every pattern
+of the other qubits, and one update of every branch the group selects
+applies it, each branch taking the 4x4 of the member that fires there.
+It stays inside one group, same branches and same members, so each branch
+still sees its gates in circuit order.  The plan keeps each member's
+gates as layers between CNOTs; an evaluation builds every window's 4x4
+at once for the whole stack (`_window_products`), layer by layer, all of
+it elementwise, so no result depends on the stack or the thread count.
+A stretch that fits no pair (a multiplexor with two or more controls)
+stays one op per run position, and so does a stretch of two runs in a
+lone segment, where building and applying the 4x4 costs about as much
+as the two run ops.
 """
 
 from __future__ import annotations
@@ -196,6 +213,33 @@ def _run_product(mats: np.ndarray, plan) -> np.ndarray:
     return out if end is None else np.where(end, out[..., ::-1, :], out)
 
 
+def _window_products(mats: np.ndarray, slots: tuple, steps: tuple) -> np.ndarray:
+    """Every window's 4x4, (B, windows, 4, 4), for a (B, gates, 2, 2)
+    stack of single-qubit matrices (`_pair_tables`): each factor's 2x2
+    product, slot by slot; at step 0 the Kronecker product of each
+    window's two factors; at each later step the window so far with its
+    CNOT's rows permuted, then its layer's factor on b and on a applied
+    as 2x2 products, all of it elementwise (no BLAS call).  The work
+    arrays hold the stack innermost, so that each ufunc runs over it."""
+    m = mats.transpose(2, 1, 3, 0)   # (row, gate, column, B)
+    nf = len(slots[0]) if slots else 0
+    f = np.empty((2, nf + 1, 2, len(mats)), dtype=np.complex128)
+    f[:, nf] = np.eye(2)[:, :, None]
+    for s, idx in enumerate(slots):   # `_matmul2`, the matrix axes first
+        g, done = m[:, idx], f[:, :len(idx)]
+        f[:, :len(idx)] = g if s == 0 else g[:, :, 0:1] * done[0:1] + g[:, :, 1:2] * done[1:2]
+    for n, hi, lo, rows in steps:
+        a, b = f[:, hi], f[:, lo]
+        if rows is None:
+            out = (a[:, None, :, :, None] * b[None, :, :, None, :]).reshape(4, n, 4, -1)
+            continue
+        y = out[rows, np.arange(n)].reshape(2, 2, n, 4, -1)   # (r_a, r_b, window, column, B)
+        z = b[None, :, :, 0, None] * y[:, None, 0] + b[None, :, :, 1, None] * y[:, None, 1]
+        x = a[:, None, :, 0, None] * z[0] + a[:, None, :, 1, None] * z[1]
+        out[:, :n] = x.reshape(4, n, 4, -1)
+    return np.ascontiguousarray(out.transpose(3, 1, 0, 2))
+
+
 def _run_op(p: int, specs: list, sel, owner) -> tuple:
     """The plan op of one run position of a group's members, specs holding
     each member's [branches, target, key, first gate, masks, m_end] (see
@@ -223,12 +267,105 @@ def _same_shape(a: list, b: list) -> bool:
                                     for x, y in zip(a, b))
 
 
-def _group_ops(p: int, group: list, owner) -> list:
-    """The plan ops of a group of segments: one op per run position."""
+def _stretches(p: int, positions: list) -> list:
+    """Greedy maximal stretches of consecutive run positions whose gates
+    act within two qubits: a run reads its target and the controls of its
+    flips (the bits of its masks); the members share both."""
+    out = []
+    for specs in positions:
+        _, t, _, _, masks, m_end = specs[0]
+        own = 1 << (p - 1 - t) | m_end
+        for m in masks:
+            own |= m
+        if out and (out[-1][0] | own).bit_count() <= 2:
+            out[-1][0] |= own
+            out[-1][1].append(specs)
+        else:
+            out.append([own, [specs]])
+    return out
+
+
+def _pair_op(p: int, bits: int, stretch: list, sel, owner, windows: list) -> tuple:
+    """The pair op of a stretch of run positions on the qubits a < b of
+    the row bits `bits`: each member's gates become one window, appended
+    to `windows` as (CNOT directions, layers), a layer being the gate
+    indices on a and on b between two CNOTs.  A run's CNOTs are where its
+    masks change."""
+    a, b = (q for q in range(p) if (bits >> (p - 1 - q)) & 1)
+    kinds, layers = [], [([], [])]   # gates as (run position, offset in its run)
+    for r, specs in enumerate(stretch):
+        _, t, _, _, masks, m_end = specs[0]
+        prev = 0
+        for i, m in enumerate(masks + [m_end]):
+            if m != prev:
+                kinds.append(int(t == a))
+                layers.append(([], []))
+                prev = m
+            if i < len(masks):
+                layers[-1][t == b].append((r, i))
+    start = len(windows)
+    for k in range(len(stretch[0])):
+        first = [specs[k][3] for specs in stretch]
+        windows.append((kinds, [tuple([first[r] + i for r, i in side] for side in layer)
+                                for layer in layers]))
+    dims = (1 << a, 1 << (b - a - 1), 1 << (p - 1 - b))
+    return "pair", sel, dims, (start, len(stretch[0])), owner
+
+
+def _group_ops(p: int, group: list, owner, windows: list) -> list:
+    """The plan ops of a group of segments: a pair op per stretch of run
+    positions on two qubits, a run op per other position.  A stretch of
+    two takes a window only in a group of two or more segments, where
+    the window also saves every member's gather; in a lone segment it
+    costs about as much as its two run ops."""
     if len(group) == 1:
-        return [_run_op(p, [s], s[0], slice(None)) for s in group[0]]
-    sel = _branches(owner >= 0)
-    return [_run_op(p, specs, sel, _frozen(owner[sel])) for specs in zip(*group)]
+        sel, owner, least = group[0][0][0], slice(None), 3
+    else:
+        sel, least = _branches(owner >= 0), 2
+        owner = _frozen(owner[sel])
+    ops = []
+    for bits, stretch in _stretches(p, list(zip(*group))):
+        if len(stretch) >= least and bits.bit_count() == 2:
+            ops.append(_pair_op(p, bits, stretch, sel, owner, windows))
+        else:
+            ops += [_run_op(p, list(specs), sel, owner) for specs in stretch]
+    return ops
+
+
+# A CNOT within a pair, as the row permutation of the pair's 4x4, row
+# 2 bit_a + bit_b for qubits a < b: row r of P W is row rows[r] of W.
+_CNOT_ROWS = ((0, 1, 3, 2), (0, 3, 2, 1))   # a onto b, b onto a
+
+
+def _pair_tables(windows: list) -> tuple:
+    """Read-only tables that build every window's 4x4 at once, and each
+    window's place in them.
+
+    Windows are placed by CNOT count, most first, so the windows that
+    reach step j of the chain are a prefix.  A factor is the gates of one
+    layer on one qubit; factors are placed by length, longest first, so
+    slot s (the factors' s-th gates) is a prefix too.  Step j holds, per
+    window, the factors of its layer j on a and on b (the index past the
+    last factor for none: the identity) and, from step 1 on, the flat
+    rows of its CNOT j."""
+    order = sorted(range(len(windows)), key=lambda w: -len(windows[w][0]))
+    factors = sorted((((x, j, side), g) for x, w in enumerate(order)
+                      for j, layer in enumerate(windows[w][1])
+                      for side, g in enumerate(layer) if g), key=lambda f: -len(f[1]))
+    ids = {key: i for i, (key, _) in enumerate(factors)}
+    slots = tuple(_frozen(np.array([g[s] for _, g in factors if len(g) > s]))
+                  for s in range(len(factors[0][1]) if factors else 0))
+    steps = []
+    for j in range(len(windows[order[0]][0]) + 1 if windows else 0):
+        reach = [windows[w][0] for w in order if len(windows[w][0]) >= j]
+        hi, lo = (_frozen(np.array([ids.get((x, j, side), len(factors))
+                                    for x in range(len(reach))])) for side in (0, 1))
+        rows = (None if j == 0 else
+                _frozen(np.array([_CNOT_ROWS[kinds[j - 1]] for kinds in reach]).T))
+        steps.append((len(reach), hi, lo, rows))
+    rank = np.empty(len(windows), dtype=int)
+    rank[order] = np.arange(len(windows))
+    return (slots, tuple(steps)), rank
 
 
 def _branches(hold: np.ndarray):
@@ -277,11 +414,15 @@ class Plan:
     group of segments fused into one pair update on bit `bit` of the row
     index: member k's gates are gather[k] (for a lone segment, gather is
     the slice of its gates and owner slice(None)), and the i-th branch of
-    `branches` takes the product of member owner[i]; ("perm", branches,
-    rows), a row permutation; or ("measure", masks), which splits every
-    branch into outcomes 0 and 1.  `branches` indexes the branch axis
-    (`_branches`).  out_rows[y] are the rows where the disposed qubits
-    read y, in the order of the outputs' value."""
+    `branches` takes the product of member owner[i]; ("pair", branches,
+    (2^a, 2^(b - a - 1), 2^(p - 1 - b)), windows, owner), a pair window on
+    qubits a < b: member k's 4x4 is window windows.start + k of the
+    plan's `windows`, the (slots, steps) tables `_window_products` builds
+    them from (`_pair_tables`); ("perm", branches, rows), a row permutation; or
+    ("measure", masks), which splits every branch into outcomes 0 and 1.
+    `branches` indexes the branch axis (`_branches`).  out_rows[y] are the
+    rows where the disposed qubits read y, in the order of the outputs'
+    value."""
 
     ops: tuple
     embedding: np.ndarray
@@ -290,6 +431,7 @@ class Plan:
     fixed: np.ndarray
     fills: np.ndarray
     x_mask: np.ndarray
+    windows: tuple
 
 
 # The fields of a gate that its plan depends on: everything but the angles.
@@ -317,7 +459,9 @@ def _structure_plan(p: int, inputs: tuple, outputs: tuple, gates: tuple) -> Plan
     Row masks: qubit q is bit p - 1 - q of a row index.  A run's spec
     collects, per single-qubit gate, the XOR of the control masks of the
     CNOTs before it (masks), and that of all of them (m_end).  `ops`
-    holds the measure and RESET ops and the segments, lists of specs."""
+    holds the measure and RESET ops and the segments, lists of specs;
+    the groups' pair ops collect their windows, which `_pair_tables` then
+    places."""
     embedding = _frozen(input_embedding(p, inputs, gates[::4].count(MEASURE)))
     rows = np.arange(1 << p)
     singles, ops = [], []   # the single-qubit kinds, in order
@@ -367,7 +511,7 @@ def _structure_plan(p: int, inputs: tuple, outputs: tuple, gates: tuple) -> Plan
             fresh.pop(q, None)
     # group consecutive segments of one shape that fire in disjoint branches;
     # owner[i] is the member that fires in branch i, -1 for none
-    plan_ops, group, owner = [], [], None
+    plan_ops, group, owner, windows = [], [], None, []
     for x in ops + [None]:
         if type(x) is list and group and _same_shape(group[0], x):
             if owner is None:   # one entry per branch, key[1] being the measurements so far
@@ -378,7 +522,7 @@ def _structure_plan(p: int, inputs: tuple, outputs: tuple, gates: tuple) -> Plan
                 group.append(x)
                 continue
         if group:
-            plan_ops += _group_ops(p, group, owner)
+            plan_ops += _group_ops(p, group, owner, windows)
         group, owner = [], None
         if type(x) is list:
             group = [x]
@@ -388,7 +532,10 @@ def _structure_plan(p: int, inputs: tuple, outputs: tuple, gates: tuple) -> Plan
     out_rows = rows.reshape((2,) * p).transpose(disposal + list(outputs))
     out_rows = _frozen(out_rows.reshape(1 << len(disposal), -1))
     fixed, fills, x_mask = map(_frozen, angle_layout(singles))
-    return Plan(tuple(plan_ops), embedding, out_rows, len(written), fixed, fills, x_mask)
+    tables, rank = _pair_tables(windows)
+    plan_ops = [op if op[0] != "pair" else op[:3] + (
+        slice(rank[op[3][0]], rank[op[3][0]] + op[3][1]), op[4]) for op in plan_ops]
+    return Plan(tuple(plan_ops), embedding, out_rows, len(written), fixed, fills, x_mask, tables)
 
 
 def run_plan(plan: Plan, params) -> np.ndarray:
@@ -403,6 +550,7 @@ def run_plan(plan: Plan, params) -> np.ndarray:
     angles[:, plan.fills] = params
     mats = u_matrices(angles.reshape(size, -1, 4))
     mats[:, plan.x_mask] = X_MATRIX
+    pair_mats = _window_products(mats, *plan.windows) if plan.windows[1] else None
     state = np.broadcast_to(plan.embedding, (size, 1) + plan.embedding.shape).copy()
     for op in plan.ops:
         kind, sel = op[0], op[1]
@@ -413,10 +561,21 @@ def run_plan(plan: Plan, params) -> np.ndarray:
         if kind == "perm":
             state[:, sel] = part[:, :, op[2]]
             continue
-        _, _, b, gather, owner, rp = op
-        each = mats[:, gather]
-        prod = _run_product(each.reshape((-1,) + each.shape[-3:]), rp)
-        update_pairs(part, b, prod.reshape((size, -1) + prod.shape[1:])[:, owner])
+        if kind == "pair":
+            _, _, (hi, mid, low), win, owner = op
+            t = part.reshape(part.shape[:2] + (hi, 2, mid, 2, low, part.shape[-1]))
+            u = pair_mats[:, win][:, owner].reshape(size, -1, 1, 2, 2, 4, 1, 1, 1)
+            u = [u[..., k, :, :, :] for k in range(4)]   # column k, as (.., hi, r_a, r_b, ..)
+            c = [t[:, :, :, None, None, k >> 1, :, k & 1] for k in range(4)]
+            # added pairwise in a fixed order, elementwise: no BLAS call, so
+            # no result depends on the stack or the thread count
+            new = (u[0] * c[0] + u[1] * c[1]) + (u[2] * c[2] + u[3] * c[3])
+            t.transpose(0, 1, 2, 3, 5, 4, 6, 7)[...] = new
+        else:
+            _, _, b, gather, owner, rp = op
+            each = mats[:, gather]
+            prod = _run_product(each.reshape((-1,) + each.shape[-3:]), rp)
+            update_pairs(part, b, prod.reshape((size, -1) + prod.shape[1:])[:, owner])
         if type(sel) is not slice:
             state[:, sel] = part
     return state[:, :, plan.out_rows].reshape(size, -1, *plan.out_rows.shape[1:], state.shape[-1])
