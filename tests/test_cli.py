@@ -158,6 +158,161 @@ def test_compile_random_rejects_non_list_components(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _write_compile_inputs(root: pathlib.Path) -> None:
+    """The seeded input documents of GOLDEN_COMPILES."""
+    def doc(ks):
+        return json.loads(channel_to_json(ks))
+
+    mixture = [{"probability": 0.375, "channel": doc(random_channel(1, 1, 2, seed=36))},
+               {"probability": 0.625, "channel": doc(random_channel(1, 1, 1, seed=37))}]
+    docs = {
+        "ch.json": doc(random_channel(2, 1, 3, seed=35)),
+        "plain.json": doc(random_channel(1, 2, 2, seed=38)),
+        "rank3.json": doc(random_channel(1, 1, 3, seed=39)),   # rank 3 > 2^m
+        "mix.json": {"components": mixture},
+        "no_prob.json": {"components": [{"channel": mixture[0]["channel"]}, mixture[1]]},
+        "bool_prob.json": {"components": [{**mixture[0], "probability": True}, mixture[1]]},
+        "list_channel.json": {"components": [
+            mixture[0], {"probability": 0.625, "channel": [mixture[1]["channel"]]}]},
+    }
+    for name, d in docs.items():
+        (root / name).write_text(json.dumps(d))
+
+
+def _compile_argv(model, src, *flags):
+    return ["compile", "--model", model, "--in", src, "--out", "c.qcirc", *flags]
+
+
+# case -> (argv, (exit code, stdout, stderr, {written file: sha256}))
+GOLDEN_COMPILES = {
+    "measured-report": (_compile_argv("measured", "ch.json", "--report"), (
+        0,
+        "qubits=3 cnots=8 measurements=2 choi_dist=8.152e-15\n",
+        "",
+        {"c.qcirc": "67cd4b0e78b0df12c2137cbf597e5ec1d06e3419ef61ef143b8013731fec400c"})),
+    "measured-k": (_compile_argv("measured", "ch.json", "--k", "3", "--report"), (
+        0,
+        "qubits=3 cnots=13 measurements=3 choi_dist=5.540e-15\n",
+        "",
+        {"c.qcirc": "a1f6563f7393409902d09f0921d9864a9cd28eee8004f16d9723a7a4017008c5"})),
+    "measured-no-verify": (_compile_argv("measured", "ch.json", "--no-verify", "--report"), (
+        0,
+        "qubits=3 cnots=8 measurements=2\n",
+        "",
+        {"c.qcirc": "67cd4b0e78b0df12c2137cbf597e5ec1d06e3419ef61ef143b8013731fec400c"})),
+    "measured-no-rewrite": (_compile_argv("measured", "ch.json", "--no-rewrite", "--report"), (
+        0,
+        "qubits=3 cnots=8 measurements=2 choi_dist=8.190e-15\n",
+        "",
+        {"c.qcirc": "dbcb6b43a55dd37d010867fe91a00fc84f59218634b787d3904148a0c521e16a"})),
+    "qcm-report": (_compile_argv("qcm", "ch.json", "--report"), (
+        0,
+        "qubits=3 cnots=14 measurements=0 choi_dist=4.927e-15\n",
+        "",
+        {"c.qcirc": "1ad74ed5eb6382e35b7555463954693aa109d0fd1aaf6c998e7d5af3a2f3277c"})),
+    "qcm-k": (_compile_argv("qcm", "ch.json", "--k", "3", "--report"), (
+        0,
+        "qubits=4 cnots=65 measurements=0 choi_dist=5.296e-15\n",
+        "",
+        {"c.qcirc": "7716e58ef81cd4c3846ca3c2626b54dc42b2bc31354d475d3d13623446f5ca11"})),
+    "qcm-no-verify": (_compile_argv("qcm", "ch.json", "--no-verify", "--report"), (
+        0,
+        "qubits=3 cnots=14 measurements=0\n",
+        "",
+        {"c.qcirc": "1ad74ed5eb6382e35b7555463954693aa109d0fd1aaf6c998e7d5af3a2f3277c"})),
+    "qcm-no-rewrite": (_compile_argv("qcm", "ch.json", "--no-rewrite", "--report"), (
+        0,
+        "qubits=3 cnots=14 measurements=0 choi_dist=5.433e-15\n",
+        "",
+        {"c.qcirc": "29bb557bf23d6dd0e769cebd054da56c1e3ec8a82dc5067c02caa69b6ab49a90"})),
+    "qcm-quiet": (_compile_argv("qcm", "ch.json"), (
+        0,
+        "",
+        "",
+        {"c.qcirc": "1ad74ed5eb6382e35b7555463954693aa109d0fd1aaf6c998e7d5af3a2f3277c"})),
+    "random-report": (_compile_argv("random", "mix.json", "--report"), (
+        0,
+        "component=0 p=0.375 qubits=2 cnots=3 measurements=0\n"
+        "component=1 p=0.625 qubits=1 cnots=0 measurements=0\n"
+        "mixture choi_dist=6.556e-16\n",
+        "",
+        {"c.0.qcirc": "8d226623a8e8b06e62601d8b97fc87aa978768037741a88290d6f322c11df535",
+         "c.1.qcirc": "529a9c7f121b03c580e60f80b5c2af76a150ccb751ab1971c464930c92b725f5"})),
+    "random-no-verify": (_compile_argv("random", "mix.json", "--no-verify", "--report"), (
+        0,
+        "component=0 p=0.375 qubits=2 cnots=3 measurements=0\n"
+        "component=1 p=0.625 qubits=1 cnots=0 measurements=0\n",
+        "",
+        {"c.0.qcirc": "8d226623a8e8b06e62601d8b97fc87aa978768037741a88290d6f322c11df535",
+         "c.1.qcirc": "529a9c7f121b03c580e60f80b5c2af76a150ccb751ab1971c464930c92b725f5"})),
+    "random-no-rewrite": (_compile_argv("random", "mix.json", "--no-rewrite", "--report"), (
+        0,
+        "component=0 p=0.375 qubits=2 cnots=3 measurements=0\n"
+        "component=1 p=0.625 qubits=1 cnots=0 measurements=0\n"
+        "mixture choi_dist=6.556e-16\n",
+        "",
+        {"c.0.qcirc": "8d226623a8e8b06e62601d8b97fc87aa978768037741a88290d6f322c11df535",
+         "c.1.qcirc": "529a9c7f121b03c580e60f80b5c2af76a150ccb751ab1971c464930c92b725f5"})),
+    "random-quiet": (_compile_argv("random", "mix.json"), (
+        0,
+        "",
+        "",
+        {"c.0.qcirc": "8d226623a8e8b06e62601d8b97fc87aa978768037741a88290d6f322c11df535",
+         "c.1.qcirc": "529a9c7f121b03c580e60f80b5c2af76a150ccb751ab1971c464930c92b725f5"})),
+    "random-plain-channel": (_compile_argv("random", "plain.json", "--report"), (
+        0,
+        "component=0 p=1.0 qubits=3 cnots=11 measurements=0\n"
+        "mixture choi_dist=1.949e-15\n",
+        "",
+        {"c.qcirc": "12722f244098dd32d4fdb803562e2beb4b175c63c556d263f7700a649ca2632b"})),
+    "error-no-probability": (_compile_argv("random", "no_prob.json"), (
+        1,
+        "",
+        'error: mixture component 0 needs "probability" and "channel"\n',
+        {})),
+    "error-bool-probability": (_compile_argv("random", "bool_prob.json"), (
+        1,
+        "",
+        "error: mixture component 0: probability must be a number in (0, 1]\n",
+        {})),
+    "error-list-channel": (_compile_argv("random", "list_channel.json"), (
+        1,
+        "",
+        "error: malformed channel JSON: the document must be a JSON object\n",
+        {})),
+    "error-k-with-random": (_compile_argv("random", "mix.json", "--k", "1"), (
+        1,
+        "",
+        "error: argument --k: applies to --model measured and qcm, not random\n",
+        {})),
+    "error-mixture-under-measured": (_compile_argv("measured", "mix.json", "--report"), (
+        1,
+        "",
+        "error: malformed channel JSON: 'm'\n",
+        {})),
+    "error-rank-above-2-to-m": (_compile_argv("random", "rank3.json", "--report"), (
+        1,
+        "",
+        "error: component not implementable in m+n qubits\n",
+        {})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_COMPILES))
+def test_compile_outputs_are_pinned(tmp_path, capsys, monkeypatch, case):
+    # every model's stdout, stderr, exit code and written files, byte for
+    # byte, on seeded inputs; the choi_dist figures are round-off, so a
+    # numpy or LAPACK build other than the pinned one may move them
+    monkeypatch.chdir(tmp_path)
+    _write_compile_inputs(tmp_path)
+    inputs = set(os.listdir(tmp_path))
+    code = run(GOLDEN_COMPILES[case][0])
+    out, err = capsys.readouterr()
+    written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in sorted(set(os.listdir(tmp_path)) - inputs)}
+    assert (code, out, err, written) == GOLDEN_COMPILES[case][1]
+
+
 def test_compile_is_byte_identical_across_blas_thread_counts(tmp_path):
     # measured compiles (Shannon decompositions), one of them padded with
     # outcome prefixes that cannot happen, and a plain dilation (column by
