@@ -224,21 +224,20 @@ def channel_to_json(ks: KrausSet) -> str:
     return json.dumps(doc, indent=1)
 
 
-def json_object(text: str) -> dict:
-    """The JSON object in `text`; the decoder's failures are worded as ours."""
+def json_document(text: str):
+    """The JSON value in `text`; the decoder's failures are worded as ours."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deep
         raise ValueError(f"malformed channel JSON: {exc}") from exc
     except ValueError as exc:   # an integer literal past Python's digit limit
         raise ValueError("malformed channel JSON: an integer has too many digits") from exc
+
+
+def channel_from_object(doc) -> KrausSet:
+    """The channel of a decoded JSON document, as `json_document` returns it."""
     if not isinstance(doc, dict):
         raise ValueError("malformed channel JSON: the document must be a JSON object")
-    return doc
-
-
-def channel_from_json(text: str) -> KrausSet:
-    doc = json_object(text)
     try:
         m, n = doc["m"], doc["n"]
         for name, x in (("m", m), ("n", n)):
@@ -248,3 +247,7 @@ def channel_from_json(text: str) -> KrausSet:
     except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed channel JSON: {exc}") from exc
     return KrausSet(m, n, ops)
+
+
+def channel_from_json(text: str) -> KrausSet:
+    return channel_from_object(json_document(text))

@@ -1,14 +1,15 @@
 """Command-line interface: compile, verify, info, random, bounds, fit.
 
 Exit codes: 0 success, 1 validation/usage error, 2 verification failure.
-Compilation self-verifies through the simulator unless --no-verify is
-given, so a run that exits 0 has passed the channel oracle.
+`compile` takes all three models through one path, a measured or qcm
+channel as a mixture of one.  It self-verifies through the simulator
+unless --no-verify is given, so a run that exits 0 has passed the
+channel oracle.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import pathlib
 import sys
@@ -116,41 +117,14 @@ def _report_line(circ, dist: float | None) -> str:
     return line
 
 
-def _cmd_compile(args) -> int:
-    if args.model == "random" and args.k is not None:
-        raise UsageError("argument --k: applies to --model measured and qcm, not random")
-    text = pathlib.Path(args.infile).read_text()
-    if args.model == "random":
-        return _compile_random(args, text)
-    from .channel import channel_from_json
-    from .circuit import serialize
-    from .compiler import compile_measured, compile_qcm, verify_circuit
-    from .rewrite import standard_passes
-
-    ks = channel_from_json(text)
-    compiler = compile_measured if args.model == "measured" else compile_qcm
-    circ = compiler(ks, force_k=args.k)
-    if not args.no_rewrite:
-        circ = standard_passes(circ)
-    dist = None
-    if not args.no_verify:
-        dist = verify_circuit(circ, ks)
-    pathlib.Path(args.outfile).write_text(serialize(circ))
-    if args.report:
-        print(_report_line(circ, dist))
-    if dist is not None and dist >= VERIFY_TOL:
-        print(f"error: verification failed, choi_dist={dist:.3e}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _parse_mixture(text: str):
-    from .channel import channel_from_json, json_object
+    """The mixture in a document: its "components", or a plain channel as a mixture of one."""
+    from .channel import channel_from_object, json_document
     from .compiler import ConvexMixture
 
-    doc = json_object(text)
-    if "components" not in doc:
-        return ConvexMixture([(1.0, channel_from_json(text))])
+    doc = json_document(text)
+    if not isinstance(doc, dict) or "components" not in doc:
+        return ConvexMixture([(1.0, channel_from_object(doc))])
     entries = doc["components"]
     if not isinstance(entries, list):
         raise ValueError('mixture "components" must be a list')
@@ -161,34 +135,42 @@ def _parse_mixture(text: str):
         prob = c["probability"]
         if isinstance(prob, bool) or not isinstance(prob, (int, float)) or not 0 < prob <= 1:
             raise ValueError(f"mixture component {idx}: probability must be a number in (0, 1]")
-        comps.append((float(prob), channel_from_json(json.dumps(c["channel"]))))
+        comps.append((float(prob), channel_from_object(c["channel"])))
     return ConvexMixture(comps)
 
 
-def _compile_random(args, text: str) -> int:
+def _cmd_compile(args) -> int:
+    """One path; the model picks only the file header, report prefix and mixture line."""
+    mixed = args.model == "random"
+    if mixed and args.k is not None:
+        raise UsageError("argument --k: applies to --model measured and qcm, not random")
     from .circuit import serialize
-    from .compiler import compile_random_qcm, verify_mixture
+    from .compiler import (ConvexMixture, compile_measured, compile_qcm, compile_random_qcm,
+                           verify_mixture)
     from .rewrite import standard_passes
 
-    mix = _parse_mixture(text)
-    compiled = compile_random_qcm(mix)
+    if mixed:
+        mix = _parse_mixture(pathlib.Path(args.infile).read_text())
+        compiled = compile_random_qcm(mix)
+    else:
+        ks = _load_channel(args.infile)
+        compiler = compile_measured if args.model == "measured" else compile_qcm
+        mix, compiled = ConvexMixture([(1.0, ks)]), [(1.0, compiler(ks, force_k=args.k))]
     if not args.no_rewrite:
         compiled = [(p, standard_passes(c)) for p, c in compiled]
+    dist = None if args.no_verify else verify_mixture(compiled, mix)
     out = pathlib.Path(args.outfile)
-    many = len(compiled) > 1
     for idx, (prob, circ) in enumerate(compiled):
-        path = out.with_name(f"{out.stem}.{idx}{out.suffix}") if many else out
-        path.write_text(f"# probability {prob!r}\n" + serialize(circ))
+        path = out.with_name(f"{out.stem}.{idx}{out.suffix}") if len(compiled) > 1 else out
+        path.write_text((f"# probability {prob!r}\n" if mixed else "") + serialize(circ))
         if args.report:
-            print(f"component={idx} p={prob!r} " + _report_line(circ, None))
-    dist = None
-    if not args.no_verify:
-        dist = verify_mixture(compiled, mix)
-        if args.report:
-            print(f"mixture choi_dist={dist:.3e}")
-        if dist >= VERIFY_TOL:
-            print(f"error: verification failed, choi_dist={dist:.3e}", file=sys.stderr)
-            return 2
+            prefix = f"component={idx} p={prob!r} " if mixed else ""
+            print(prefix + _report_line(circ, None if mixed else dist))
+    if args.report and mixed and dist is not None:
+        print(f"mixture choi_dist={dist:.3e}")
+    if dist is not None and dist >= VERIFY_TOL:
+        print(f"error: verification failed, choi_dist={dist:.3e}", file=sys.stderr)
+        return 2
     return 0
 
 
