@@ -753,6 +753,10 @@ _LOADS = {
                        {"cli"}, False),
     "compile": (["compile", "--model", "measured", "--in", "ch.json", "--out", "out.qcirc"], 0,
                 _CORE | {"rewrite"}, True),
+    "compile-qcm": (["compile", "--model", "qcm", "--in", "ch.json", "--out", "out.qcirc"], 0,
+                    _CORE | {"rewrite"}, True),
+    "compile-random": (["compile", "--model", "random", "--in", "ch.json", "--out", "out.qcirc"],
+                       0, _CORE | {"rewrite"}, True),
     "verify": (["verify", "--circuit", "c.qcirc", "--channel", "ch.json"], 0, _CORE, True),
     "info": (["info", "--in", "ch.json"], 0, {"channel", "cli", "linalg"}, True),
     "random": (["random", "--m", "1", "--n", "2", "--kraus-rank", "2", "--seed", "3",
