@@ -75,8 +75,10 @@ def _gates(cond, *specs) -> tuple:
 
 
 def _two_cnot_block(a: int, b: int) -> tuple:
-    """Two-qubit unitary family up to a diagonal: 2 CNOTs."""
-    return _gates(None, (U, a), (U, b), (CNOT, a, b), (RZ, a), (RY, b), (CNOT, a, b),
+    """Two-qubit unitary family up to a diagonal: 2 CNOTs, RY on the control
+    and RZ on the target between them, as the Shannon leaves place them (RZ
+    on the control would commute with both CNOTs)."""
+    return _gates(None, (U, a), (U, b), (CNOT, a, b), (RY, a), (RZ, b), (CNOT, a, b),
                   (U, a), (U, b))
 
 

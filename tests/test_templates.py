@@ -46,7 +46,7 @@ EXPECTED_CNOTS = {"T11": 1, "T12": 4, "T21": 7, "T22": 13}
 TOPOLOGY_SHA256 = {
     "T11": "d887740503199b3e3da42af83d9b9bbb5e166c0e4c341aeaa43491127ec78a3d",
     "T12": "5bbaf8ae85837376dfbb3d53a981fe56e6aa1e6c8a5e1a7fe59a94949959765b",
-    "T21": "422b0ae60262d250330bafe8eea1c64c6b05dcece9d8d77ea08d7a03c269bf4f",
+    "T21": "9dfb9a411b6538c1f4603f0a7328a7a83ccf3c7c8ef411dcf29f147d28652e38",
     "T22": "33bd843196f98db7030e382c34ff219b174efe8809ab126286d548024639175f",
 }
 
