@@ -301,8 +301,8 @@ GOLDEN_COMPILES = {
 @pytest.mark.parametrize("case", sorted(GOLDEN_COMPILES))
 def test_compile_outputs_are_pinned(tmp_path, capsys, monkeypatch, case):
     # every model's stdout, stderr, exit code and written files, byte for
-    # byte, on seeded inputs; the choi_dist figures are round-off, so a
-    # numpy or LAPACK build other than the pinned one may move them
+    # byte, on seeded inputs; the choi_dist figures sit at round-off, so
+    # another numpy or LAPACK build may move them, as it may move the angles
     monkeypatch.chdir(tmp_path)
     _write_compile_inputs(tmp_path)
     inputs = set(os.listdir(tmp_path))
