@@ -66,7 +66,6 @@ def _build_parser() -> _Parser:
     c.add_argument("--out", dest="outfile", required=True)
     c.add_argument("--k", type=int, default=None, help="force environment size (measured, qcm)")
     c.add_argument("--no-verify", action="store_true")
-    c.add_argument("--no-rewrite", action="store_true")
     c.add_argument("--report", action="store_true")
 
     v = sub.add_parser("verify", help="check a circuit against a channel")
@@ -147,7 +146,6 @@ def _cmd_compile(args) -> int:
     from .circuit import serialize
     from .compiler import (ConvexMixture, compile_measured, compile_qcm, compile_random_qcm,
                            verify_mixture)
-    from .rewrite import standard_passes
 
     if mixed:
         mix = _parse_mixture(pathlib.Path(args.infile).read_text())
@@ -156,8 +154,6 @@ def _cmd_compile(args) -> int:
         ks = _load_channel(args.infile)
         compiler = compile_measured if args.model == "measured" else compile_qcm
         mix, compiled = ConvexMixture([(1.0, ks)]), [(1.0, compiler(ks, force_k=args.k))]
-    if not args.no_rewrite:
-        compiled = [(p, standard_passes(c)) for p, c in compiled]
     dist = None if args.no_verify else verify_mixture(compiled, mix)
     out = pathlib.Path(args.outfile)
     for idx, (prob, circ) in enumerate(compiled):

@@ -126,6 +126,18 @@ def outcome_conditions(k: int, rank: int) -> list[dict]:
     return [{j: cond or None for j, cond in level.items()} for level in levels]
 
 
+def _live(gates, disposed) -> list:
+    """`gates` less each gate on disposed qubits only that no later kept
+    gate meets; the backward scan stops once every disposed qubit is met."""
+    gates, left, kept = list(gates), set(disposed), []
+    while left and gates:
+        g = gates.pop()
+        if not left.issuperset(g.qubits):
+            left.difference_update(g.qubits)
+            kept.append(g)
+    return gates + kept[::-1]
+
+
 def _capped(size: int, what: str) -> None:
     if size > MAX_COMPILE_QUBITS:
         raise ValueError(f"{what} = {size} exceeds the m+n+k cap of {MAX_COMPILE_QUBITS}")
@@ -217,20 +229,18 @@ def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
 
     # an m-to-n isometry on all n qubits when m < n, else the batch's rest
     residuals = blocks if m >= n else decompose_isometries(finals, range(p))[0]
+    leftover = system[: k - k_tilde]   # m >= n: measured unread after the residuals
     for cond, block in zip(levels[k_tilde].values(), residuals):
-        gates += conditioned(block, cond)
+        gates += conditioned(_live(block, leftover), cond)
     outputs = tuple(range(p)) if m < n else tuple(system[k - k_tilde:])
-    # leftover environment qubits (m >= n only), into registers nobody reads
-    for t, q in enumerate(system[: k - k_tilde]):
-        gates.append(Gate(MEASURE, (q,), creg=k_tilde + t))
+    gates += [Gate(MEASURE, (q,), creg=k_tilde + t) for t, q in enumerate(leftover)]
 
     return Circuit(p, tuple(system), outputs, tuple(gates), num_cregs=k)
 
 
 def _dilation_circuit(m: int, n: int, v: np.ndarray, k: int) -> Circuit:
     """Synthesize the dilation V on n+k qubits and trace out the first k."""
-    gates = list(decompose_isometry(v).gates)
-    gates.extend(Gate(TRACE, (q,)) for q in range(k))
+    gates = _live(decompose_isometry(v).gates, range(k)) + [Gate(TRACE, (q,)) for q in range(k)]
     return Circuit(n + k, tuple(range(n + k - m, n + k)), tuple(range(k, n + k)),
                    tuple(gates), 0)
 

@@ -16,6 +16,9 @@ conditions read a register only after its MEASURE, as
 `simulator.static_plan` requires.  Liveness is conservative (it may
 keep removable gates) but never unsound.  Both passes return their
 input circuit when they change nothing.
+
+Compiled circuits are already their fixed point (the compiler leaves such
+gates out), so the passes serve hand-built and parsed circuits.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ exact small-case CNOT counts 1, 4, 7 and 13 (the conditioned blocks
 appear once per measurement outcome, so the worst case over classical
 assignments is the per-branch count).  A template is a plain `Circuit`
 with every angle zero; `instantiate` fills the angles in gate order.
-T11, T12 and T22 are the rewritten measured compiles of rank-2^m
-channels of their shapes, whose gate structure the shape alone fixes;
-`template` builds each on its first use, not at import.
+T11, T12 and T22 are the measured compiles (the rewrite's fixed point)
+of rank-2^m channels of their shapes, whose gate structure the shape
+alone fixes; `template` builds each on its first use, not at import.
 `template_choi` returns the Choi matrices of a whole stack of parameter
 vectors: the simulator's static plan of a template, built once per
 structure, takes the stack as it is, so the template's gates and the
@@ -41,7 +41,6 @@ import numpy as np
 from .channel import KrausSet, choi_from_kraus, kraus_vectors, minimal_kraus
 from .circuit import CNOT, MEASURE, OPERANDS, RY, RZ, U, X, Circuit, Gate, cnot_count
 from .compiler import compile_measured, outcome_conditions
-from .rewrite import standard_passes
 from .simulator import run_plan, static_plan
 from .synth import multiplexed_rotation
 
@@ -88,7 +87,7 @@ def _skeleton(tid: str, m: int, n: int, rank: int) -> Template:
     b (2^n - 1) / (2^m - 1)."""
     ops = [np.outer(np.eye(2**n)[b * (2**n - 1) // (rank - 1)], np.eye(2**m)[b])
            for b in range(rank)]
-    c = standard_passes(compile_measured(KrausSet(m, n, ops)))
+    c = compile_measured(KrausSet(m, n, ops))
     gates = tuple(replace(g, params=(0.0,) * len(g.params)) for g in c.gates)
     return Template(tid, m, n, rank, replace(c, gates=gates))
 
@@ -227,9 +226,6 @@ def fit(
     j_target = choi_from_kraus(target).j
     k = math.ceil(math.log2(t.max_rank))
     c = compile_measured(target, force_k=k)
-    # the skeletons are rank-2^k compiles, which the rewrite leaves alone;
-    # a lower-rank compile is not rewritten, since the registers it no
-    # longer reads would let the rewrite drop more
     full, own = outcome_conditions(k, 2**k), outcome_conditions(k, rank)
     renamed = {full[d][j]: level.get(j, _GONE) for d, level in enumerate(own) for j in full[d]}
     mapped = [(g, renamed.get(g.condition, g.condition)) for g in t.circuit.gates]

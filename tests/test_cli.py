@@ -13,7 +13,6 @@ from chancomp.channel import KrausSet, channel_from_json, channel_to_json, rando
 from chancomp.cli import run
 from chancomp.circuit import parse, serialize
 from chancomp.compiler import compile_measured
-from chancomp.rewrite import standard_passes
 
 
 @pytest.fixture
@@ -52,18 +51,14 @@ def test_compile_is_deterministic(tmp_path, channel_file):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_compile_no_rewrite_skips_the_passes(tmp_path):
-    # on a 2->1 channel the passes drop the last gate on the discarded qubit
+def test_compile_writes_the_compiled_circuit_as_it_is(tmp_path):
+    # on a 2->1 channel the compiler, not a rewrite, leaves out the last
+    # gate on the discarded qubit: the file is the library's compile
     ks = random_channel(2, 1, 4, seed=7)
-    src, a, b = tmp_path / "ch.json", tmp_path / "a.qcirc", tmp_path / "b.qcirc"
+    src, out = tmp_path / "ch.json", tmp_path / "c.qcirc"
     src.write_text(channel_to_json(ks))
-    assert run(["compile", "--model", "measured", "--in", str(src), "--out", str(a)]) == 0
-    assert run(["compile", "--model", "measured", "--in", str(src), "--out", str(b),
-                "--no-rewrite"]) == 0
-    raw = compile_measured(channel_from_json(src.read_text()))
-    assert b.read_text() == serialize(raw)
-    assert a.read_text() == serialize(standard_passes(raw))
-    assert a.read_text() != b.read_text()
+    assert run(["compile", "--model", "measured", "--in", str(src), "--out", str(out)]) == 0
+    assert out.read_text() == serialize(compile_measured(channel_from_json(src.read_text())))
 
 
 def test_readme_compile_example_matches_the_cli(tmp_path, capsys, monkeypatch):
@@ -187,24 +182,19 @@ def _compile_argv(model, src, *flags):
 GOLDEN_COMPILES = {
     "measured-report": (_compile_argv("measured", "ch.json", "--report"), (
         0,
-        "qubits=3 cnots=8 measurements=2 choi_dist=8.152e-15\n",
+        "qubits=3 cnots=8 measurements=2 choi_dist=8.417e-15\n",
         "",
-        {"c.qcirc": "67cd4b0e78b0df12c2137cbf597e5ec1d06e3419ef61ef143b8013731fec400c"})),
+        {"c.qcirc": "e8ebf81201d287f0e59a771686bacf0029759914174a1c66cf0fb7fce19c8192"})),
     "measured-k": (_compile_argv("measured", "ch.json", "--k", "3", "--report"), (
         0,
-        "qubits=3 cnots=13 measurements=3 choi_dist=5.540e-15\n",
+        "qubits=3 cnots=13 measurements=3 choi_dist=5.417e-15\n",
         "",
-        {"c.qcirc": "a1f6563f7393409902d09f0921d9864a9cd28eee8004f16d9723a7a4017008c5"})),
+        {"c.qcirc": "d7f9c435ce34152691278a4c23c09ec4f16b94daf650aab6ce11e311483a1511"})),
     "measured-no-verify": (_compile_argv("measured", "ch.json", "--no-verify", "--report"), (
         0,
         "qubits=3 cnots=8 measurements=2\n",
         "",
-        {"c.qcirc": "67cd4b0e78b0df12c2137cbf597e5ec1d06e3419ef61ef143b8013731fec400c"})),
-    "measured-no-rewrite": (_compile_argv("measured", "ch.json", "--no-rewrite", "--report"), (
-        0,
-        "qubits=3 cnots=8 measurements=2 choi_dist=8.190e-15\n",
-        "",
-        {"c.qcirc": "dbcb6b43a55dd37d010867fe91a00fc84f59218634b787d3904148a0c521e16a"})),
+        {"c.qcirc": "e8ebf81201d287f0e59a771686bacf0029759914174a1c66cf0fb7fce19c8192"})),
     "qcm-report": (_compile_argv("qcm", "ch.json", "--report"), (
         0,
         "qubits=3 cnots=14 measurements=0 choi_dist=4.927e-15\n",
@@ -220,11 +210,6 @@ GOLDEN_COMPILES = {
         "qubits=3 cnots=14 measurements=0\n",
         "",
         {"c.qcirc": "1ad74ed5eb6382e35b7555463954693aa109d0fd1aaf6c998e7d5af3a2f3277c"})),
-    "qcm-no-rewrite": (_compile_argv("qcm", "ch.json", "--no-rewrite", "--report"), (
-        0,
-        "qubits=3 cnots=14 measurements=0 choi_dist=5.433e-15\n",
-        "",
-        {"c.qcirc": "29bb557bf23d6dd0e769cebd054da56c1e3ec8a82dc5067c02caa69b6ab49a90"})),
     "qcm-quiet": (_compile_argv("qcm", "ch.json"), (
         0,
         "",
@@ -242,14 +227,6 @@ GOLDEN_COMPILES = {
         0,
         "component=0 p=0.375 qubits=2 cnots=3 measurements=0\n"
         "component=1 p=0.625 qubits=1 cnots=0 measurements=0\n",
-        "",
-        {"c.0.qcirc": "8d226623a8e8b06e62601d8b97fc87aa978768037741a88290d6f322c11df535",
-         "c.1.qcirc": "529a9c7f121b03c580e60f80b5c2af76a150ccb751ab1971c464930c92b725f5"})),
-    "random-no-rewrite": (_compile_argv("random", "mix.json", "--no-rewrite", "--report"), (
-        0,
-        "component=0 p=0.375 qubits=2 cnots=3 measurements=0\n"
-        "component=1 p=0.625 qubits=1 cnots=0 measurements=0\n"
-        "mixture choi_dist=6.556e-16\n",
         "",
         {"c.0.qcirc": "8d226623a8e8b06e62601d8b97fc87aa978768037741a88290d6f322c11df535",
          "c.1.qcirc": "529a9c7f121b03c580e60f80b5c2af76a150ccb751ab1971c464930c92b725f5"})),
@@ -289,6 +266,12 @@ GOLDEN_COMPILES = {
         1,
         "",
         "error: malformed channel JSON: 'm'\n",
+        {})),
+    "error-no-rewrite": (_compile_argv("measured", "ch.json", "--no-rewrite"), (
+        1,
+        "",
+        "error: unrecognized arguments: --no-rewrite\n"
+        "usage: chancomp [-h] {compile,verify,info,random,bounds,fit} ...\n\n",
         {})),
     "error-rank-above-2-to-m": (_compile_argv("random", "rank3.json", "--report"), (
         1,
@@ -752,17 +735,17 @@ _LOADS = {
     "argument-error": (["fit", "--template", "1to1", "--in", "ch.json", "--starts", "0"], 1,
                        {"cli"}, False),
     "compile": (["compile", "--model", "measured", "--in", "ch.json", "--out", "out.qcirc"], 0,
-                _CORE | {"rewrite"}, True),
+                _CORE, True),
     "compile-qcm": (["compile", "--model", "qcm", "--in", "ch.json", "--out", "out.qcirc"], 0,
-                    _CORE | {"rewrite"}, True),
+                    _CORE, True),
     "compile-random": (["compile", "--model", "random", "--in", "ch.json", "--out", "out.qcirc"],
-                       0, _CORE | {"rewrite"}, True),
+                       0, _CORE, True),
     "verify": (["verify", "--circuit", "c.qcirc", "--channel", "ch.json"], 0, _CORE, True),
     "info": (["info", "--in", "ch.json"], 0, {"channel", "cli", "linalg"}, True),
     "random": (["random", "--m", "1", "--n", "2", "--kraus-rank", "2", "--seed", "3",
                 "--out", "r.json"], 0, {"channel", "cli", "linalg"}, True),
     "fit": (["fit", "--template", "1to1", "--in", "ch.json"], 0,
-            _CORE | {"rewrite", "templates"}, True),
+            _CORE | {"templates"}, True),
 }
 
 
@@ -773,7 +756,7 @@ def test_a_call_loads_only_the_modules_its_command_runs(tmp_path, case):
     argv, want, modules, numpy = _LOADS[case]
     ks = random_channel(1, 1, 2, seed=3)
     (tmp_path / "ch.json").write_text(channel_to_json(ks))
-    (tmp_path / "c.qcirc").write_text(serialize(standard_passes(compile_measured(ks))))
+    (tmp_path / "c.qcirc").write_text(serialize(compile_measured(ks)))
     code = ("import sys; from chancomp.cli import run; code = run(sys.argv[1:]); "
             "print(code, *sorted(m for m in sys.modules if m.startswith('chancomp.')), "
             "'numpy' in sys.modules, 'scipy' in sys.modules)")

@@ -1,3 +1,4 @@
+import itertools
 import re
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 
 from chancomp.bounds import table1
 from chancomp.channel import KrausSet, random_channel, stinespring_isometry
-from chancomp.circuit import CNOT, MEASURE, TRACE, cnot_count
+from chancomp.circuit import CNOT, MEASURE, RESET, TRACE, cnot_count
 from chancomp.compiler import (
     MAX_COMPILE_QUBITS,
     ConvexMixture,
@@ -22,6 +23,7 @@ from chancomp.compiler import (
     verify_mixture,
 )
 from chancomp.linalg import qr_rectangular
+from chancomp.rewrite import standard_passes
 from chancomp.synth import decompose_isometries, decompose_isometry, n_iso
 from chancomp.templates import template
 
@@ -171,6 +173,56 @@ def test_compile_measured_grid(m, n, kr, seed):
     assert worst == predict_upper_bound(m, n, k)
     # channel oracle
     assert verify_circuit(circ, ks) < 1e-8
+
+
+# every (m, n, K) with m = 0..3, n = 1..3, K <= 8 that a channel has, up to m + n + k = 8
+FIXED_POINT_SHAPES = [(m, n, kr) for m in range(4) for n in range(1, 4) for kr in range(1, 9)
+                      if kr <= 2 ** (m + n) and kr * 2**n >= 2**m
+                      and m + n + (kr - 1).bit_length() <= 8]
+
+
+def test_compiles_are_the_fixed_point_of_the_rewrite():
+    # the compiler emits no gate the rewrite would drop or classicalize,
+    # under every model
+    compiled = [compile_fn(random_channel(m, n, kr, seed))
+                for m, n, kr in FIXED_POINT_SHAPES for seed in range(3)
+                for compile_fn in (compile_measured, compile_qcm)]
+    for seed, (m, ranks) in enumerate([(2, (2, 3, 4)), (3, (4, 6, 8))]):
+        mix = ConvexMixture([(1 / len(ranks), random_channel(m, 1, kr, seed + kr))
+                             for kr in ranks])
+        compiled += [c for _, c in compile_random_qcm(mix)]
+    assert len(compiled) == 444
+    assert [c for c in compiled if standard_passes(c) is not c] == []
+
+
+def _dead_tails(c):
+    """(register assignment, gate index) of each single-qubit unitary after
+    which its qubit, not an output, meets only a TRACE or a MEASURE into a
+    register no gate reads, in the gates that assignment runs."""
+    read = {r for g in c.gates for r, _ in g.condition or ()}
+    found = []
+    for bits in itertools.product((0, 1), repeat=c.num_cregs):
+        last = {}
+        for i, g in enumerate(c.gates):
+            if any(bits[r] != b for r, b in g.condition or ()):
+                continue
+            if g.kind != TRACE and not (g.kind == MEASURE and g.creg not in read):
+                last.update(dict.fromkeys(g.qubits, i))
+        found += [(bits, i) for q, i in last.items() if q not in c.output_qubits
+                  and len(c.gates[i].qubits) == 1 and c.gates[i].kind not in (MEASURE, RESET)]
+    return found
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_no_branch_ends_a_disposed_qubit_with_a_single_qubit_gate(m):
+    # the rewrite's liveness reads no conditions, so it keeps such a gate
+    # at the end of every residual block but the last; the compiler drops
+    # it in every branch
+    shapes = [s for s in FIXED_POINT_SHAPES if s[:2] == (m, 1)]
+    for (_, _, kr), seed in itertools.product(shapes, range(3)):
+        ks = random_channel(m, 1, kr, seed)
+        for compile_fn in (compile_measured, compile_qcm):
+            assert _dead_tails(compile_fn(ks)) == [], (compile_fn.__name__, kr, seed)
 
 
 def test_every_cnot_on_the_all_zero_outcome_path_is_needed():

@@ -61,6 +61,7 @@ LIBRARY_API = {
     "outcome_distribution": "criterion 9 checks that rank-1 circuits give input-free outcomes",
     "predict_upper_bound": "criterion 3 checks the emitted CNOT count against the formula",
     "simulate_unitary": "the synthesizer's tests check emitted unitaries against it",
+    "standard_passes": "criterion 6 checks it, and perfbench's compile workloads call it",
 }
 
 

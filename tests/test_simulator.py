@@ -24,7 +24,6 @@ from chancomp.circuit import (
     serialize,
 )
 from chancomp.compiler import compile_measured, compile_qcm
-from chancomp.rewrite import standard_passes
 from chancomp.simulator import (
     _branch_ops,
     _parity,
@@ -363,7 +362,7 @@ def test_fused_runs_match_gate_by_gate(c):
 @pytest.mark.parametrize("seed", range(3))
 def test_fused_runs_match_gate_by_gate_on_compiled_circuits(seed):
     for circ in (compile_qcm(random_channel(1, 2, 2, seed=seed)),
-                 standard_passes(compile_measured(random_channel(2, 2, 3, seed=seed)))):
+                 compile_measured(random_channel(2, 2, 3, seed=seed))):
         assert_matches_reference(circ)
 
 
@@ -390,7 +389,7 @@ def test_runs_leave_only_lone_gates_to_the_gate_kernel():
     # RESET's X is a row flip; the gate-by-gate kernel lives in the
     # reference walker alone, out of the simulator's reach
     circ = compile_qcm(random_channel(1, 3, 2, seed=4))
-    measured = standard_passes(compile_measured(random_channel(1, 2, 4, seed=4)))
+    measured = compile_measured(random_channel(1, 2, 4, seed=4))
     assert any(g.kind == U for g in circ.gates) and any(g.kind == RESET for g in measured.gates)
     assert {"run", "pair"} <= {op[0] for op in static_plan(measured).ops}
     for c in (circ, measured):
@@ -747,7 +746,7 @@ def test_blocks_whose_conditions_read_different_registers_merge():
                                         ((1, 4, 8), 17), ((4, 4, 1), 31),
                                         ((2, 3, 3), 13), ((3, 2, 6), 28), ((3, 3, 5), 37)])
 def test_measured_plan_sizes(shape, most):
-    c = standard_passes(compile_measured(random_channel(*shape, seed=1)))
+    c = compile_measured(random_channel(*shape, seed=1))
     ops = len(static_plan(c).ops)
     assert ops <= most
     if shape == (4, 4, 1):   # no conditioned blocks: nothing to merge
@@ -766,7 +765,7 @@ PLAN_CACHE = chancomp.simulator._structure_plan
 
 
 def test_circuits_of_one_structure_share_a_plan_and_keep_their_own_angles():
-    base = standard_passes(compile_measured(random_channel(2, 2, 4, seed=3)))
+    base = compile_measured(random_channel(2, 2, 4, seed=3))
     rng = np.random.default_rng(5)
     circuits = [with_angles(base, rng) for _ in range(2)]
     cold = []
@@ -831,7 +830,7 @@ def test_plan_arrays_are_read_only():
     # a measured compile with RESETs, merged conditioned blocks and pair
     # ops: every array of its plan, the shared ones and the pair tables
     # included, refuses writes
-    c = standard_passes(compile_measured(random_channel(2, 2, 4, seed=4)))
+    c = compile_measured(random_channel(2, 2, 4, seed=4))
     plan = static_plan(c)
     slots, steps = plan.windows
     tables = list(slots) + [x for step in steps for x in step[1:] if x is not None]

@@ -25,7 +25,6 @@ from chancomp.circuit import (
     serialize,
 )
 from chancomp.compiler import compile_measured
-from chancomp.rewrite import standard_passes
 from chancomp.simulator import circuit_to_kraus, run_plan, simulate_unitary, static_plan
 from reference_walker import reference_branches, rx_matrix, ry_matrix, u_matrix
 from chancomp.templates import (
@@ -113,7 +112,7 @@ def test_skeleton_templates_match_random_compiles(tid, seed):
     t = template(tid)
     assert (t.m, t.n, t.max_rank) == SHAPES[tid] and t.max_rank == 2**t.m
     assert all(x == 0.0 for g in t.circuit.gates for x in g.params)
-    compiled = standard_passes(compile_measured(random_channel(t.m, t.n, t.max_rank, seed)))
+    compiled = compile_measured(random_channel(t.m, t.n, t.max_rank, seed))
     assert _structure(t.circuit) == _structure(compiled)
 
 
