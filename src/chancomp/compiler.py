@@ -21,8 +21,12 @@ After the rounds, a residual per outcome prefix is synthesized under
 classical conditions.  With m < n there are k rounds, and each residual
 is a 2^n x 2^m isometry on all n qubits.  With m >= n there are
 n + k - m rounds, and each residual is an m-qubit unitary on the
-system; the first m - n system qubits then hold leftover environment,
-which is measured off into registers that are never read.
+system; the first m - n system qubits then hold leftover environment
+and are measured into the last m - n registers.  A measured qubit that
+is the residual's top qubit splits it there (`_measured_residuals`):
+the blocks after the split run under that qubit's outcome, which is
+exact by deferred measurement, so they cost one block where a
+quantum-controlled pair costs a demultiplexed block.
 
 When the Kraus rank K is below 2^k, the zero blocks that pad V make some
 prefixes impossible for every input (`outcome_conditions`).  The plan
@@ -30,12 +34,14 @@ keeps every factor as a stack in prefix order, but the circuit emits
 nothing for those prefixes: where a node's 1-subtree is all padding, its
 0-subtree's blocks do not read that node's register, so each register
 assignment still runs one block per stage and every branch the same
-CNOT count.  The m-qubit unitaries of the prefixes that can happen,
-the v^dag of every round and the residuals when m >= n, go into one
-`decompose_isometries` call on the system, each prefix chained to its
-parent; the m < n residuals take the last round's diagonals into their
-columns and a second call on all n qubits.  The shape (m, n, K) alone
-picks each call's construction.
+CNOT count; the measured-off qubits of an m > n residual follow the
+same rule.  The m-qubit unitaries of the prefixes that can happen, the
+v^dag of every round and the residuals when m = n or (m, n) = (2, 1),
+go into one `decompose_isometries` call on the system, each prefix
+chained to its parent.  The other residuals take the last round's
+diagonals into their columns: the m < n ones then take a second call on
+all n qubits, the m > n ones one call per split.  The shape (m, n, K)
+alone picks each call's construction.
 
 Qubit layout: one reused ancilla at index 0, the m system qubits last.
 A channel with m >= n compiles to exactly m+1 qubits (the ancilla may
@@ -49,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import KrausSet, kraus_distance, stinespring_isometry
-from .circuit import MEASURE, RESET, TRACE, Circuit, Gate, conditioned
+from .circuit import MEASURE, RESET, RZ, TRACE, Circuit, Gate, conditioned, phase
 from .linalg import is_isometry, qr_rectangular
 from .simulator import circuit_to_kraus
 from .synth import (cs_split, decompose_isometries, decompose_isometry, n_iso,
@@ -202,10 +208,12 @@ def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
     levels = outcome_conditions(k, plan.rank)
     # every m-qubit unitary of a prefix that can happen in one batch: the
     # rounds' v^dag, in round and prefix order, then the residuals when
-    # m >= n.  That is a binary heap: prefix j of round i + 1 continues
-    # prefix j // 2 of round i, and takes over the diagonal its v^dag is
-    # left with.  heap[h] is the batch row of heap node h = 2^i - 1 + j.
-    square = [vh for vh, _ in plan.stages] + ([plan.finals] if m >= n else [])
+    # they take no split (m = n, or a (2, 1) leaf).  That is a binary heap:
+    # prefix j of round i + 1 continues prefix j // 2 of round i, and takes
+    # over the diagonal its v^dag is left with.  heap[h] is the batch row
+    # of heap node h = 2^i - 1 + j.
+    joined = m == n or (m, n) == (2, 1)
+    square = [vh for vh, _ in plan.stages] + ([plan.finals] if joined else [])
     nodes = [2**i - 1 + j for i, level in enumerate(levels[: len(square)]) for j in level]
     heap = {h: row for row, h in enumerate(nodes)}
     finals = plan.finals[list(levels[k_tilde])]
@@ -213,10 +221,10 @@ def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
     if square:
         lists, diagonals = decompose_isometries(
             np.concatenate(square)[nodes], system,
-            parents=[heap.get((h - 1) // 2, -1) for h in nodes], open_ends=m < n)
+            parents=[heap.get((h - 1) // 2, -1) for h in nodes], open_ends=m != n)
         blocks = iter(lists)
-        if m < n:   # residual j undoes the diagonal of round prefix j // 2
-            last = [heap[2 ** (k - 1) - 1 + j // 2] for j in levels[k]]
+        if not joined and k_tilde:   # residual j undoes the diagonal of round prefix j // 2
+            last = [heap[2 ** (k_tilde - 1) - 1 + j // 2] for j in levels[k_tilde]]
             finals = finals * diagonals[last][:, None].conj()
     gates: list[Gate] = []
     for i, (_, theta) in enumerate(plan.stages):
@@ -227,15 +235,72 @@ def compile_measured(ks: KrausSet, force_k: int | None = None) -> Circuit:
         gates.append(Gate(MEASURE, (ancilla,), creg=i))
         gates.append(Gate(RESET, (ancilla,)))
 
-    # an m-to-n isometry on all n qubits when m < n, else the batch's rest
-    residuals = blocks if m >= n else decompose_isometries(finals, range(p))[0]
-    leftover = system[: k - k_tilde]   # m >= n: measured unread after the residuals
-    for cond, block in zip(levels[k_tilde].values(), residuals):
-        gates += conditioned(_live(block, leftover), cond)
-    outputs = tuple(range(p)) if m < n else tuple(system[k - k_tilde:])
-    gates += [Gate(MEASURE, (q,), creg=k_tilde + t) for t, q in enumerate(leftover)]
-
+    if m > n:
+        done = (list(blocks), diagonals[-len(finals):]) if joined else None
+        gates += _measured_residuals(finals, levels[k_tilde:], system, n, k_tilde, done)
+    else:   # an m-to-n isometry on all n qubits when m < n, else the batch's rest
+        residuals = blocks if m == n else decompose_isometries(finals, range(p))[0]
+        for cond, block in zip(levels[k_tilde].values(), residuals):
+            gates += conditioned(block, cond)
+    outputs = tuple(range(p)) if m < n else tuple(system[m - n:])
     return Circuit(p, tuple(system), outputs, tuple(gates), num_cregs=k)
+
+
+def _measured_residuals(stack: np.ndarray, levels: list[dict], qubits: list[int], n: int,
+                        creg: int, done: tuple | None = None) -> list[Gate]:
+    """The gates of the m > n residuals: an m-qubit unitary per outcome
+    prefix of levels[0] ({prefix: condition}, `outcome_conditions`), in
+    its order, in the stack.  The first m - n of `qubits` are then
+    measured into registers creg, creg + 1, ..., whose prefixes levels[1],
+    levels[2], ... hold.  `done` holds the gate lists and diagonals of a
+    stack that the rounds' batch has decomposed.
+
+    While the top qubit is one of those and a split is left, each
+    unitary splits at it (`shannon.measured_split`): w, the Rz
+    multiplexor, z and the Ry multiplexor run under its condition, the
+    top qubit is measured, and A_b goes on as the unitary of the child
+    prefix 2j + b.  A child that cannot happen gets no gates.  z leaves
+    its diagonal on the last two qubits, which commutes with the Ry
+    multiplexor and the measurement, and A_b undoes it; where A_b splits
+    no further, it joins the batch of w and z as a member that continues
+    z.  A last two-qubit leaf whose first qubit is measured is built as
+    D U' (`decompose_isometries` with open ends), U' at 2 CNOTs and
+    D = diag(1, 1, conj w, w); D^dag is one RZ on the kept qubit after
+    the measurement, under outcome 1.  With n = 0 nothing is kept, and no
+    gate before the measurements counts."""
+    if not n:
+        return [Gate(MEASURE, (q,), creg=creg + t) for t, q in enumerate(qubits)]
+    from .shannon import measured_split
+
+    gates = []
+    while done is None and len(qubits) > max(n, 2):
+        level, levels = levels[0], levels[1:]   # the stack's prefixes; levels[0] the children's
+        r, at = len(stack), {j: i for i, j in enumerate(level)}
+        b, muxes, a = measured_split(stack, qubits)
+        top, qubits = qubits[0], qubits[1:]
+        last = len(qubits) <= max(n, 2)
+        rows = [2 * at[j // 2] + j % 2 for j in levels[0]]   # A_b of prefix j // 2 at 2 i + b
+        parents = [-1] * r + list(range(r)) + [r + i // 2 for i in rows]
+        lists, diagonals = decompose_isometries(
+            np.concatenate([b, a[rows]]) if last else b, qubits,
+            parents=parents if last else parents[:2 * r], open_ends=not last or len(qubits) > n)
+        for j, (cond, (rz, ry)) in enumerate(zip(level.values(), muxes)):
+            gates += conditioned(lists[j] + rz + lists[r + j] + ry, cond)
+        gates.append(Gate(MEASURE, (top,), creg=creg))
+        creg += 1
+        if last:
+            done = lists[2 * r:], diagonals[2 * r:]
+        else:
+            stack = a[rows] * diagonals[parents[2 * r:]][:, None].conj()
+    lists, diagonals = done or decompose_isometries(stack, qubits, open_ends=len(qubits) > n)
+    for cond, block in zip(levels[0].values(), lists):
+        gates += conditioned(block, cond)
+    if len(qubits) > n:
+        gates.append(Gate(MEASURE, (qubits[0],), creg=creg))
+        angles = (-2.0 * phase(diagonals[:, 3])).tolist()
+        gates += [Gate(RZ, (qubits[1],), (x,), condition=levels[1][2 * j + 1])
+                  for j, x in zip(levels[0], angles) if 2 * j + 1 in levels[1]]
+    return gates
 
 
 def _dilation_circuit(m: int, n: int, v: np.ndarray, k: int) -> Circuit:
@@ -273,10 +338,33 @@ def round_cnots(m: int) -> int:
     return n_iso(m, m) - (m >= 2) + 2**m - 1
 
 
+def _residual_cnots(m: int, n: int) -> int:
+    """CNOTs of one m > n residual (`_measured_residuals`), or of an m = n
+    one, c(m) = n_iso(m, m).
+
+    Each split at a measured top qubit of a p-qubit unitary takes w and
+    z, each c(p-1) - 1 as they leave their diagonals, the Rz multiplexor
+    (2^(p-1)) and the Ry multiplexor less its closing CNOT (2^(p-1) - 1):
+    2 c(p-1) + 2^p - 3, 11 at p = 3 and 53 at p = 4.  The splits run
+    while the top qubit is measured and p >= 3; then the n-qubit residual
+    takes c(n), or a two-qubit leaf whose first qubit is measured takes
+    2.  So a residual takes 2 at (2, 1), 14 at (3, 2), 13 at (3, 1), and
+    73, 67 and 66 at (4, 3), (4, 2) and (4, 1).  With n = 0 no gate
+    counts."""
+    if not n:
+        return 0
+    count, p = 0, m
+    while p > max(n, 2):
+        count += 2 * n_iso(p - 1, p - 1) + 2**p - 3
+        p -= 1
+    return count + (2 if p > n else n_iso(p, p))
+
+
 def predict_upper_bound(m: int, n: int, k: int) -> int:
     """Worst-case CNOT count of the measured pipeline: k rounds and an
     m-to-n residual when m < n, n + k - m rounds and an m-qubit unitary
-    residual when m >= n.
+    residual, split at its measured qubits (`_residual_cnots`), when
+    m >= n.
 
     A channel from m to n qubits has Kraus rank at least 2^(m-n), so its
     environment takes k >= max(0, m - n) qubits; smaller k is refused.
@@ -285,7 +373,7 @@ def predict_upper_bound(m: int, n: int, k: int) -> int:
         raise ValueError(f"a channel from {m} to {n} qubits needs k >= {max(0, m - n)}, got {k}")
     if m < n:
         return k * round_cnots(m) + n_iso(m, n)
-    return (n + k - m) * round_cnots(m) + n_iso(m, m)
+    return (n + k - m) * round_cnots(m) + _residual_cnots(m, n)
 
 
 def _check_sizes(circ: Circuit, m: int, n: int) -> None:

@@ -18,6 +18,8 @@ same paper; `_leaf_diagonals`); a stack may chain its members the same
 way.  The last takes the three-CNOT magic-basis (KAK) form of Vatan and
 Williams (arXiv:quant-ph/0308006).  One pass over the leaf positions
 chains the diagonals, then one batched `_leaves` call builds every leaf.
+`measured_split` hands the compiler the top level of a unitary whose top
+qubit is measured right after the Ry multiplexor.
 """
 
 from __future__ import annotations
@@ -357,26 +359,59 @@ def _qsd(u: np.ndarray, qubits: list[int]):
     if len(qubits) == 2:
         return u, np.arange(len(u))[:, None], [[] for _ in u]
     top, lower = qubits[0], tuple(qubits[1:])
-    n, h = len(u), u.shape[1] // 2
-    u1, u2, theta, v1h = cs_split(u[:, :h, :h], u[:, h:, :h])
-    lower0 = np.arange(h) >= h // 2
-    if u.shape[2] == h:
+    n = len(u)
+    u1, u2, theta, v1h, v2h = _split(u)
+    if v2h is None:
         # only v1h acts on the lower qubits while the top one is |0>
-        w, rz, z = _demultiplex(u1, np.where(lower0, -u2, u2))
-        mux = multiplexed_rotations([RY] * n + [RZ] * n, lower, top,
-                            np.concatenate([theta + np.pi * lower0, rz]))
+        w, rz, z = _demultiplex(u1, u2)
+        mux = multiplexed_rotations([RY] * n + [RZ] * n, lower, top, np.concatenate([theta, rz]))
         return _joined(_qsd(np.concatenate([v1h, w, z]), lower), n, [0, 1, 2],
                        [[m[:-1] for m in mux[:n]], mux[n:]])
-    # the right half is [-u1 S v2h; u2 C v2h]
-    cos, sin = np.cos(0.5 * theta)[..., None], np.sin(0.5 * theta)[..., None]
-    v2h = cos * (dagger(u2) @ u[:, h:, h:]) - sin * (dagger(u1) @ u[:, :h, h:])
-    w, rz, z = _demultiplex(np.concatenate([v1h, u1]),
-                            np.concatenate([v2h, np.where(lower0, -u2, u2)]))
-    mux = multiplexed_rotations([RZ] * 2 * n + [RY] * n, lower, top,
-                        np.concatenate([rz, theta + np.pi * lower0]))
+    w, rz, z = _demultiplex(np.concatenate([v1h, u1]), np.concatenate([v2h, u2]))
+    mux = multiplexed_rotations([RZ] * 2 * n + [RY] * n, lower, top, np.concatenate([rz, theta]))
     # w and z hold v's factors, then u's: v's w, Rz, z, then Ry, then u's w, Rz, z
     return _joined(_qsd(np.concatenate([w, z]), lower), n, [0, 2, 1, 3],
                    [mux[:n], [m[:-1] for m in mux[2 * n:]], mux[n:2 * n]])
+
+
+def _split(u: np.ndarray):
+    """(u1, u2, theta, v1h, v2h) of the cosine-sine split of each matrix
+    in the stack u at its top qubit, for `_qsd` and `measured_split`:
+    u = (u1 + u2) . Ry-mux .
+    (v1h + v2h), the Ry multiplexor of angles theta less its closing CNOT,
+    whose CZ u2 has taken over (so those patterns take theta + pi).  A
+    round has no right half, and no v2h (None)."""
+    h = u.shape[1] // 2
+    u1, u2, theta, v1h = cs_split(u[:, :h, :h], u[:, h:, :h])
+    lower0 = np.arange(h) >= h // 2
+    v2h = None
+    if u.shape[2] == 2 * h:
+        # the right half is [-u1 S v2h; u2 C v2h]
+        cos, sin = np.cos(0.5 * theta)[..., None], np.sin(0.5 * theta)[..., None]
+        v2h = cos * (dagger(u2) @ u[:, h:, h:]) - sin * (dagger(u1) @ u[:, :h, h:])
+    return u1, np.where(lower0, -u2, u2), theta + np.pi * lower0, v1h, v2h
+
+
+def measured_split(u: np.ndarray, qubits: list[int]):
+    """The top level of each unitary in the stack u on `qubits`, for a
+    measurement of qubits[0] right after its Ry multiplexor: (b, muxes,
+    a).  With r = len(u), b stacks the w of every member, then its z:
+    (p-1)-qubit unitaries on qubits[1:] (`_demultiplex` of v1h + v2h).
+    muxes[j] is the pair of gate lists that follows w_j and z_j: the Rz
+    multiplexor between them, and the Ry multiplexor less its closing
+    CNOT.  a holds u1 and u2 of member j at 2j and 2j + 1.  So member j is
+    (u1 + u2) . Ry-mux . (I x z) . Rz-mux . (I x w), and by deferred
+    measurement the measured qubits[0] may choose u1 or u2 classically;
+    the closing CNOT's CZ, which commutes with the measurement, is in u2."""
+    u = u.astype(np.complex128)
+    u.imag[np.abs(u.imag) <= _ULP] = 0.0   # as in `shannon_decomposition`
+    r = len(u)
+    u1, u2, theta, v1h, v2h = _split(u)
+    w, rz, z = _demultiplex(v1h, v2h)
+    mux = multiplexed_rotations([RZ] * r + [RY] * r, tuple(qubits[1:]), qubits[0],
+                                np.concatenate([rz, theta]))
+    a = np.stack([u1, u2], axis=1).reshape(2 * r, *u1.shape[1:])
+    return np.concatenate([w, z]), [(mux[j], mux[r + j][:-1]) for j in range(r)], a
 
 
 def _joined(sub, n: int, parts: list[int], muxes: list) -> tuple:

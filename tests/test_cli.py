@@ -182,19 +182,19 @@ def _compile_argv(model, src, *flags):
 GOLDEN_COMPILES = {
     "measured-report": (_compile_argv("measured", "ch.json", "--report"), (
         0,
-        "qubits=3 cnots=8 measurements=2 choi_dist=8.417e-15\n",
+        "qubits=3 cnots=7 measurements=2 choi_dist=6.347e-15\n",
         "",
-        {"c.qcirc": "e8ebf81201d287f0e59a771686bacf0029759914174a1c66cf0fb7fce19c8192"})),
+        {"c.qcirc": "2a617e1243a3138c4aa342ce5d0c459f220ec1f1f20a54e244a067dc443d455c"})),
     "measured-k": (_compile_argv("measured", "ch.json", "--k", "3", "--report"), (
         0,
-        "qubits=3 cnots=13 measurements=3 choi_dist=5.417e-15\n",
+        "qubits=3 cnots=12 measurements=3 choi_dist=5.306e-15\n",
         "",
-        {"c.qcirc": "d7f9c435ce34152691278a4c23c09ec4f16b94daf650aab6ce11e311483a1511"})),
+        {"c.qcirc": "c71d95a2fe37890cd5e4e803f507aa78f1cb03ae05e7aa38cfd8e69f32540eb5"})),
     "measured-no-verify": (_compile_argv("measured", "ch.json", "--no-verify", "--report"), (
         0,
-        "qubits=3 cnots=8 measurements=2\n",
+        "qubits=3 cnots=7 measurements=2\n",
         "",
-        {"c.qcirc": "e8ebf81201d287f0e59a771686bacf0029759914174a1c66cf0fb7fce19c8192"})),
+        {"c.qcirc": "2a617e1243a3138c4aa342ce5d0c459f220ec1f1f20a54e244a067dc443d455c"})),
     "qcm-report": (_compile_argv("qcm", "ch.json", "--report"), (
         0,
         "qubits=3 cnots=14 measurements=0 choi_dist=4.927e-15\n",
@@ -297,12 +297,13 @@ def test_compile_outputs_are_pinned(tmp_path, capsys, monkeypatch, case):
 
 
 def test_compile_is_byte_identical_across_blas_thread_counts(tmp_path):
-    # measured compiles (Shannon decompositions), one of them padded with
-    # outcome prefixes that cannot happen, and a plain dilation (column by
-    # column, one uniformly controlled gate per step)
+    # measured compiles (Shannon decompositions), two of them padded with
+    # outcome prefixes that cannot happen, one of those with a residual
+    # split at its measured qubits, and a plain dilation (column by column,
+    # one uniformly controlled gate per step)
     src_dir = str(pathlib.Path(chancomp.__file__).resolve().parents[1])
     for model, (m, n, kr) in (("measured", (2, 3, 8)), ("measured", (3, 3, 5)),
-                              ("qcm", (1, 4, 8))):
+                              ("measured", (3, 1, 6)), ("qcm", (1, 4, 8))):
         name = f"{model}{m}{n}{kr}"
         src = tmp_path / f"{name}.json"
         src.write_text(channel_to_json(random_channel(m, n, kr, seed=12)))

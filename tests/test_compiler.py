@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chancomp.bounds import table1
-from chancomp.channel import KrausSet, random_channel, stinespring_isometry
+from chancomp.channel import KrausSet, kraus_distance, random_channel, stinespring_isometry
 from chancomp.circuit import CNOT, MEASURE, RESET, TRACE, cnot_count
 from chancomp.compiler import (
     MAX_COMPILE_QUBITS,
@@ -26,6 +26,7 @@ from chancomp.linalg import qr_rectangular
 from chancomp.rewrite import standard_passes
 from chancomp.synth import decompose_isometries, decompose_isometry, n_iso
 from chancomp.templates import template
+from reference_walker import reference_branches
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -124,12 +125,13 @@ def test_compile_measured_two_to_one():
 
 
 def test_compile_measured_trace_edge_case():
-    # n + k = m: V is a plain unitary, then k discarding measurements
+    # n + k = m: V is a plain unitary, then k discarding measurements; the
+    # unitary's one leaf is built up to a diagonal that follows them
     ks = random_channel(2, 1, 2, seed=13)
     circ = compile_measured(ks)
     assert circ.num_qubits == 3
     assert count_measures(circ) == 1
-    assert cnot_count(circ)[0] == n_iso(2, 2)
+    assert cnot_count(circ)[0] == 2
     assert verify_circuit(circ, ks) < 1e-8
 
 
@@ -315,7 +317,7 @@ def test_every_cnot_of_a_padded_compile_is_needed():
     assert len(shapes) == 25 and deleted > 450 and exempt > 50
 
 
-@pytest.mark.parametrize("m,n,kr", [(2, 2, 4), (3, 3, 8), (4, 4, 1)])
+@pytest.mark.parametrize("m,n,kr", [(2, 2, 4), (3, 3, 8), (4, 4, 1), (2, 1, 4), (3, 1, 8), (3, 2, 8)])
 def test_every_cnot_of_a_chained_compile_is_needed(m, n, kr):
     # every prefix of these shapes holds a Kraus operator, so no block is
     # padding: a two-CNOT leaf that kept a spare CNOT, or that dropped the
@@ -371,12 +373,88 @@ def test_two_to_two_worst_case_takes_the_template_count():
         assert cnot_count(compile_measured(ks)) == (template("T22").cnot_count, True) == (13, True)
 
 
-@pytest.mark.parametrize("m,n,kr,stages", [(3, 3, 8, 4), (2, 1, 4, 2), (2, 3, 4, 3)])
+def _walker_distance(circ, ks):
+    """Choi distance of the channel that tests/reference_walker.py reads off circ."""
+    ops = [op for _, op in reference_branches(circ)]
+    return kraus_distance([(1.0, KrausSet(ks.m, ks.n, ops))], [(1.0, ks)])
+
+
+def _assert_measured_off_compile(ks):
+    # m + 1 qubits, k measurements, uniform per-branch counts that meet the
+    # prediction, the rewrite's fixed point, and the channel by both simulators
+    m, n, k = ks.m, ks.n, stinespring_isometry(ks)[1]
+    circ = compile_measured(ks)
+    assert circ.num_qubits == m + 1 and count_measures(circ) == k
+    assert cnot_count(circ) == (predict_upper_bound(m, n, k), True)
+    assert standard_passes(circ) is circ
+    assert verify_circuit(circ, ks) < 1e-8
+    assert _walker_distance(circ, ks) < 1e-8
+    return circ
+
+
+# the residual splits at each measured qubit: 2 at (2, 1), 14 at (3, 2),
+# 13 at (3, 1), 73, 67 and 66 at (4, 3), (4, 2) and (4, 1)
+@pytest.mark.parametrize("m,n,kr,residual", [
+    (2, 1, 2, 2), (2, 1, 3, 2), (2, 1, 4, 2), (2, 1, 8, 2),
+    (3, 1, 4, 13), (3, 1, 6, 13), (3, 1, 8, 13),
+    (3, 2, 2, 14), (3, 2, 3, 14), (3, 2, 5, 14), (3, 2, 8, 14),
+    (4, 1, 8, 66), (4, 2, 4, 67), (4, 3, 2, 73)])
+def test_measured_off_residuals_take_the_predicted_count(m, n, kr, residual):
+    k = (kr - 1).bit_length()
+    assert predict_upper_bound(m, n, k) == (n + k - m) * round_cnots(m) + residual
+    for seed in (1, 2):
+        _assert_measured_off_compile(random_channel(m, n, kr, seed))
+
+
+def _structured_measured_off_channels():
+    e = [np.eye(2**q) for q in range(4)]
+    prep = [np.array([1, 0]), np.array([0, 1]), np.array([1, 1]) / 2**0.5,
+            np.array([1, 1j]) / 2**0.5]
+    return {
+        "partial-trace-2-1": (2, 1, [np.kron(e[1][i][None], e[1]) for i in range(2)]),
+        "partial-trace-3-1": (3, 1, [np.kron(e[2][i][None], e[1]) for i in range(4)]),
+        "partial-trace-3-2": (3, 2, [np.kron(e[1][i][None], e[2]) for i in range(2)]),
+        "reset-and-discard-2-1": (2, 1, [np.outer(e[1][0], e[2][i]) for i in range(4)]),
+        "measure-and-prepare-2-1": (2, 1, [np.outer(prep[i], e[2][i]) for i in range(4)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_structured_measured_off_channels()))
+def test_structured_measured_off_channels_compile_exactly(name):
+    # the residuals' top-level splits meet theta = 0 or pi and halves that
+    # are exactly zero, where LAPACK's choices are free; every compile
+    # still takes the predicted uniform count and realizes the channel
+    m, n, ops = _structured_measured_off_channels()[name]
+    _assert_measured_off_compile(KrausSet(m, n, [np.asarray(a, dtype=complex) for a in ops]))
+
+
+def test_two_to_one_worst_case_takes_the_template_count():
+    # the (2, 1) residual is one leaf built up to a diagonal that follows
+    # the measurement of its first qubit: T21's 7 CNOTs without a fit
+    for seed in range(3):
+        ks = random_channel(2, 1, 4, seed)
+        assert cnot_count(compile_measured(ks)) == (template("T21").cnot_count, True) == (7, True)
+
+
+def test_measured_off_predictions_lie_between_the_bounds():
+    # every m > n shape with m <= 4 that a channel has (m - n <= k <= m + n)
+    # and the m + n + k cap admits
+    shapes = [(m, n, k) for m in range(1, 5) for n in range(m)
+              for k in range(m - n, min(m + n, MAX_COMPILE_QUBITS - m - n) + 1)]
+    assert len(shapes) == 20
+    for m, n, k in shapes:
+        bounds = table1(m, n)
+        assert bounds.lb_measured <= predict_upper_bound(m, n, k) <= bounds.ub_asymptotic_measured
+
+
+@pytest.mark.parametrize("m,n,kr,stages", [(3, 3, 8, 4), (2, 1, 4, 2), (2, 3, 4, 3), (3, 2, 4, 2)])
 def test_compile_synthesizes_each_stage_in_one_batch(monkeypatch, m, n, kr, stages):
     # the rounds' v^dag over all their prefixes, then the residuals when
-    # m >= n, are one decompose_isometries call on the system qubits; m < n
-    # residuals take a second call on all n qubits.  Each call reaches the
-    # two-qubit leaves in one _leaves call.
+    # m = n or (m, n) = (2, 1), are one decompose_isometries call on the
+    # system qubits; m < n residuals take a second call on all n qubits,
+    # and a (3, 2) residual's split one on the system qubits below the
+    # measured one: w and z of each prefix, then its A_0 and A_1.  Each
+    # call reaches the two-qubit leaves in one _leaves call.
     import chancomp.compiler as compiler
     import chancomp.shannon as shannon
 
@@ -401,7 +479,8 @@ def test_compile_synthesizes_each_stage_in_one_batch(monkeypatch, m, n, kr, stag
     system = list(range(p - m, p))
     expected = {(3, 3, 8): [(15, system)],
                 (2, 1, 4): [(3, system)],
-                (2, 3, 4): [(3, system), (4, list(range(p)))]}[m, n, kr]
+                (2, 3, 4): [(3, system), (4, list(range(p)))],
+                (3, 2, 4): [(1, system), (8, system[1:])]}[m, n, kr]
     assert seen == expected
     assert len(leaf_stacks) == len(seen)
     if m == 2 and m >= n:
@@ -533,8 +612,10 @@ def test_round_cnots_values():
 def test_predict_upper_bound_cases():
     assert predict_upper_bound(1, 2, 1) == round_cnots(1) + n_iso(1, 2) == 4   # T12's count
     assert predict_upper_bound(2, 2, 0) == n_iso(2, 2)
-    assert predict_upper_bound(2, 1, 2) == round_cnots(2) + n_iso(2, 2) == 8
-    assert predict_upper_bound(2, 1, 1) == n_iso(2, 2)  # n+k = m
+    # a (2, 1) residual is one leaf built up to the diagonal that follows
+    # the measurement of its first qubit
+    assert predict_upper_bound(2, 1, 2) == round_cnots(2) + 2 == 7   # T21's count
+    assert predict_upper_bound(2, 1, 1) == 2  # n+k = m
     assert predict_upper_bound(1, 2, 2) == 2 * round_cnots(1) + n_iso(1, 2)
     assert predict_upper_bound(1, 3, 0) == n_iso(1, 3)
     assert predict_upper_bound(1, 1, 1) == 1
