@@ -389,7 +389,6 @@ def _assert_measured_off_compile(ks):
     assert standard_passes(circ) is circ
     assert verify_circuit(circ, ks) < 1e-8
     assert _walker_distance(circ, ks) < 1e-8
-    return circ
 
 
 # the residual splits at each measured qubit: 2 at (2, 1), 14 at (3, 2),
